@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import matmul, selftest
-from .cyclotomic import shared_ctx
+from .cyclotomic import MAX_P, shared_ctx
 from .matrixfile import MatrixFormatError, read_matrix_file, write_matrix_file
 from .multiply import OpCounter
 from .skewstructure import random_layered
@@ -103,6 +103,12 @@ def _load_pair(path_a, path_b):
     return A, B
 
 
+def _check_prime_ceiling(p, flag):
+    """Refuse p above MAX_P before anything is built for it."""
+    if p > MAX_P:
+        raise UsageError(f"{flag} {p} is above the supported ceiling {MAX_P}")
+
+
 def _shared_ctx_checked(p):
     try:
         return shared_ctx(p)
@@ -128,6 +134,7 @@ def _report_json(report, extra=None):
 # --- commands ---------------------------------------------------------------
 
 def cmd_gen(args):
+    _check_prime_ceiling(args.p, "--p")
     ctx = _shared_ctx_checked(args.p)
     layers = _parse_layers(args.layers, args.p)
     seed = _parse_seed(args.seed)
@@ -234,6 +241,8 @@ def cmd_bench(args):
     seeds = [_parse_seed(s) for s in _parse_seed_list(args.seeds)]
     nu = _parse_probability(args.nu, "nu")
     for p in p_list:
+        _check_prime_ceiling(p, "--p-list entry")
+    for p in p_list:
         _shared_ctx_checked(p)
         if any(not 1 <= t <= p - 1 for t in t_list):
             raise UsageError(f"every t must lie in 1..{p - 1} for p={p}")
@@ -279,6 +288,10 @@ def cmd_selftest(_args):
 
 # --- parser / dispatch ------------------------------------------------------
 
+_CEILING_NOTE = ("; gen, mul --algo det and mul --algo naive on dense matrices at "
+                 "that p fit a 60 s budget (see the README)")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="skewmm",
@@ -287,7 +300,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a seeded random layered matrix file")
-    gen.add_argument("--p", type=int, required=True, help="odd prime dimension parameter")
+    gen.add_argument("--p", type=int, required=True,
+                     help=f"odd prime dimension parameter, at most {MAX_P}{_CEILING_NOTE}")
     gen.add_argument("--layers", default="dense",
                      help="comma-separated layer indices in 0..p-2, or 'dense'")
     gen.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed")
@@ -320,7 +334,8 @@ def build_parser():
     verify.set_defaults(handler=cmd_verify)
 
     bench = sub.add_parser("bench", help="seeded scaling benchmark, JSONL records")
-    bench.add_argument("--p-list", required=True, help="comma-separated primes")
+    bench.add_argument("--p-list", required=True,
+                       help=f"comma-separated primes, each at most {MAX_P}{_CEILING_NOTE}")
     bench.add_argument("--t-list", required=True,
                        help="target sumset sizes (layer sets are {0} and {0..t-1})")
     bench.add_argument("--algos", default="det", help="subset of naive,det,mc")

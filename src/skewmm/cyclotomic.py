@@ -23,6 +23,14 @@ _ZERO = Rat(0)
 _ONE = Rat(1)
 _NEG_ONE = Rat(-1)
 
+#: Largest prime the CLI accepts (--p, --p-list) and a matrix-file header may
+#: name; larger primes are refused before any context is built.  It is set by
+#: a 60 s budget for `gen`, `mul --algo det` and `mul --algo naive` on two
+#: dense matrices, of which det takes nearly all: on a 2-core x86 box
+#: (Python 3.11, fractions.Fraction) det took 24-30 s at p=31 and 64 s at
+#: p=37.  `mul --algo mc` on dense inputs is not within the budget at this p.
+MAX_P = 31
+
 
 def is_odd_prime(p) -> bool:
     """Trial-division primality test, adequate at desk scale."""
@@ -279,8 +287,11 @@ def cyc_inv(a: CycElem) -> CycElem:
     """Multiplicative inverse via exact elimination on the multiplication map.
 
     Builds the (p-1) x (p-1) rational matrix of x -> a*x in the power basis
-    and solves against the coordinates of 1.  O(p^3) rational operations;
-    inversion is off every hot path here.
+    and solves against the coordinates of 1.  O(p^3) rational operations,
+    and it does sit on hot paths: the Q(beta) eliminations of
+    interpolate_known_support and sparse_interpolate divide by their pivots
+    through it (about 70 inversions per det product at p=31, t in
+    {8,12,16}, and about 2.4 s of a dense mc product at p=13).
     """
     if not a:
         raise ZeroDivisionError("inverse of zero in Q(beta)")

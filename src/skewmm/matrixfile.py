@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .cyclotomic import is_odd_prime
+from .cyclotomic import MAX_P, is_odd_prime
 from .rational import Rat
 from .transform import RatMatrix
 
@@ -48,6 +48,8 @@ def parse_matrix(text: str) -> RatMatrix:
     if header is None:
         raise MatrixFormatError(f"bad header line: {lines[0]!r}")
     p = int(header.group(1))
+    if p > MAX_P:
+        raise MatrixFormatError(f"header prime {p} is above the supported ceiling {MAX_P}")
     if not is_odd_prime(p):
         raise MatrixFormatError(f"header prime {p} is not an odd prime")
     n = p - 1

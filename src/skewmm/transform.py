@@ -22,9 +22,9 @@ a derivation.
 from __future__ import annotations
 
 import enum
+import math
 
-from .cyclotomic import (CycCtx, cyc_scale, from_normal_coords, mul_beta_power,
-                         normal_coords, shared_ctx)
+from .cyclotomic import CycCtx, CycElem, shared_ctx
 from .multiply import cubic_multiply
 from .rational import Rat, as_rat
 from .skewpoly import SkewPoly, sp_mul
@@ -132,14 +132,47 @@ def _basis_matrices(ctx: CycCtx):
     return cached
 
 
+def _int_vector(p: int, exponents, scalars, den: int) -> list:
+    """den * scalars as a length-p int list indexed by beta-exponent.
+
+    Scalar j goes to slot exponents[j]; slot 0 (beta^0) and any slot not
+    named stay 0.  `den` must be a multiple of every scalar's denominator.
+    """
+    vec = [0] * p
+    for e, x in zip(exponents, scalars):
+        vec[e] = x.numerator * (den // x.denominator)
+    return vec
+
+
+def _rotated_sum(p: int, shifted) -> list:
+    """Power coordinates of sum(beta^s * vec) over the (vec, s) pairs.
+
+    Each vec is a length-p int list indexed by beta-exponent, so multiplying
+    by beta^s is a rotation by s places.  The rotated vectors are summed
+    slotwise and the beta^0 slot is eliminated once, at the end, through
+    beta^0 = -(beta + ... + beta^(p-1)).  Returns the p-1 ints for
+    beta^1 .. beta^(p-1); O(p) integer additions per pair, no gcd.
+    """
+    rotated = [vec[-s:] + vec[:-s] for vec, s in shifted]
+    if not rotated:
+        return [0] * (p - 1)
+    acc = list(map(sum, zip(*rotated)))
+    c0 = acc[0]
+    return [x - c0 for x in acc[1:]]
+
+
 def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
     """The polynomial whose linear map has matrix C.
 
-    Row i of C is already the normal-coordinate vector of the image b_i of
-    v_i, so reading the rows back as field elements costs nothing; the
-    coefficient vector is then (1/p) * W * (b_1, ..., b_(p-1)), applied
-    entrywise.  W's entries are reciprocal-translates minus one, so each
-    product is an O(p) exponent shift rather than a full field product.
+    Row k of C is already the normal-coordinate vector of the image b_k of
+    v_k; the coefficient vector is (1/p) * W * (b_1, ..., b_(p-1)).  W's
+    entries are reciprocal-translates minus one, beta^(-u) - 1, so each
+    product is a rotation of b_k's beta-exponent vector, and the "- 1" parts
+    add up to the same -sum_k b_k in every coefficient.
+
+    The work runs on Python ints under one common denominator D (the lcm of
+    C's denominators): O(p^3) integer additions, one beta^0 reduction per
+    coefficient, and rationals are formed once per output scalar, over p*D.
     """
     if ctx is None:
         ctx = shared_ctx(C.p)
@@ -147,39 +180,44 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
         raise ValueError(f"dimension mismatch: matrix p={C.p}, context p={ctx.p}")
     p = ctx.p
     n = p - 1
-    b = [from_normal_coords(ctx, row) for row in C.rows]
-    inv_p = _ONE / Rat(p)
+    pow_r = ctx.pow_r
+    den = math.lcm(*{x.denominator for row in C.rows for x in row})
+    b = [(k, _int_vector(p, pow_r, row, den)) for k, row in enumerate(C.rows) if any(row)]
+    if not b:
+        return SkewPoly.zero(ctx)
+    neg_total = [-x for x in map(sum, zip(*(vec for _, vec in b)))]
+    out_den = p * den
     terms = {}
-    for i in range(1, p):  # coefficient of x^(i-1)
-        acc = ctx.zero
-        for k in range(n):
-            bk = b[k]
-            if not bk:
-                continue
-            u = ctx.pow_r[(i - 1 + k) % n]
-            acc = acc + (mul_beta_power(bk, p - u) - bk)
-        if acc:
-            terms[i - 1] = cyc_scale(acc, inv_p)
+    for i in range(n):  # coefficient of x^i
+        coords = _rotated_sum(p, [(vec, p - pow_r[(i + k) % n]) for k, vec in b]
+                              + [(neg_total, 0)])
+        if any(coords):
+            terms[i] = CycElem(ctx, tuple(Rat(x, out_den) for x in coords))
     return SkewPoly(ctx, terms)
 
 
 def skew_to_mat(f: SkewPoly) -> RatMatrix:
     """The matrix of the linear map of f in the normal basis.
 
-    The image of v_i is sum over terms (e, c) of v_(i+e) * c, assembled with
-    exponent shifts; expressing it in normal coordinates is the permutation
-    normal_coords, so no system is solved.
+    Row i is the normal-coordinate vector of the image of v_i, the sum over
+    terms (e, c) of v_(i+e) * c.  Each v_(i+e) is a power of beta, so with
+    the coefficients laid out as int vectors under their common denominator
+    D, a row is a sum of rotations with one beta^0 reduction, and reading it
+    in normal coordinates is a permutation: O(p^2 * #f) integer additions in
+    all, and rationals are formed once per entry, over D.
     """
     ctx = f.ctx
-    n = ctx.p - 1
+    p = ctx.p
+    n = p - 1
+    pow_r = ctx.pow_r
     terms = f.sorted_terms()
+    den = math.lcm(*{x.denominator for _, c in terms for x in c.coords})
+    vecs = [(e, _int_vector(p, range(1, p), c.coords, den)) for e, c in terms]
     rows = []
-    for i in range(1, ctx.p):
-        beta_i = ctx.zero
-        for e, c in terms:
-            beta_i = beta_i + mul_beta_power(c, ctx.pow_r[(i - 1 + e) % n])
-        rows.append(normal_coords(beta_i))
-    return RatMatrix(ctx.p, rows)
+    for i in range(n):
+        coords = _rotated_sum(p, [(vec, pow_r[(i + e) % n]) for e, vec in vecs])
+        rows.append([Rat(coords[u - 1], den) for u in pow_r])
+    return RatMatrix(p, rows)
 
 
 class Orientation(enum.Enum):

@@ -6,9 +6,15 @@ import sys
 
 import pytest
 
-from skewmm import RatMatrix, read_matrix_file, serialize_matrix, write_matrix_file
+from skewmm import (MatrixFormatError, RatMatrix, is_odd_prime, parse_matrix,
+                    read_matrix_file, serialize_matrix, write_matrix_file)
+from skewmm import cli
 from skewmm.cli import (EXIT_CHECK_FAILED, EXIT_FORMAT, EXIT_IO, EXIT_NOT_EQUAL,
                         EXIT_OK, EXIT_USAGE, main)
+from skewmm.cyclotomic import MAX_P
+
+#: the smallest prime above the ceiling, and one far above it
+ABOVE_CEILING = (next(q for q in range(MAX_P + 1, 2 * MAX_P + 2) if is_odd_prime(q)), 10007)
 
 
 def run_cli(*argv):
@@ -73,6 +79,43 @@ def test_gen_rejects_bad_input(workdir):
     assert run_cli("gen", "--p", "7", "--layers", "0", "--seed", "-1", "-o", str(out)) == EXIT_USAGE
     assert run_cli("gen", "--p", "7", "--layers", "0", "--coeff-range", "0",
                    "-o", str(out)) == EXIT_USAGE
+
+
+@pytest.fixture
+def no_context(monkeypatch):
+    """Fail the test if the CLI builds a field context."""
+    def refuse(p):
+        raise AssertionError(f"a context was built for p={p}")
+    monkeypatch.setattr(cli, "shared_ctx", refuse)
+
+
+@pytest.mark.parametrize("p", ABOVE_CEILING)
+def test_gen_rejects_prime_above_ceiling(workdir, no_context, capsys, p):
+    out = workdir / "x.mat"
+    assert run_cli("gen", "--p", str(p), "--layers", "0", "-o", str(out)) == EXIT_USAGE
+    assert "ceiling" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", ABOVE_CEILING)
+def test_bench_rejects_prime_above_ceiling(workdir, no_context, p):
+    # the whole list is checked before the context of its first prime is built
+    out = workdir / "b.jsonl"
+    assert run_cli("bench", "--p-list", f"5,{p}", "--t-list", "1",
+                   "--json", str(out)) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", ABOVE_CEILING)
+def test_header_prime_above_ceiling_is_format_error(workdir, no_context, p):
+    text = f"skewmm-matrix v1 p={p}\n"
+    with pytest.raises(MatrixFormatError, match="ceiling"):
+        parse_matrix(text)
+    path = workdir / "big.mat"
+    path.write_text(text)
+    assert run_cli("analyze", str(path)) == EXIT_FORMAT
+    assert run_cli("mul", "--algo", "det", str(path), str(path),
+                   "-o", str(workdir / "c.mat")) == EXIT_FORMAT
 
 
 # ---------------------------------------------------------------------------
