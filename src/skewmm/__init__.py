@@ -11,13 +11,13 @@ touches floating point.
 from .cyclotomic import (CycCtx, CycElem, ctx_new, cyc_add, cyc_inv, cyc_mul,
                          cyc_neg, cyc_scale, cyc_sigma, find_primitive_root,
                          from_normal_coords, is_odd_prime, mul_beta_power,
-                         normal_coords, point_coords, power_of_v1, shared_ctx)
+                         normal_coords, power_of_v1, shared_ctx)
 from .linalg import SingularMatrixError, matrix_rank, solve_square
 from .matmul import (Algorithm, FreivaldsResult, MulReport, det_mul, freivalds,
                      mc_mul, naive_mul, rounds_for)
 from .matrixfile import (MatrixFormatError, parse_matrix, read_matrix_file,
                          serialize_matrix, write_matrix_file)
-from .multiply import OpCounter, cubic_multiply, get_multiply_hook, rect_multiply, set_multiply_hook
+from .multiply import OpCounter, cubic_multiply
 from .skewpoly import (InterpolationError, SkewPoly, SupportSet,
                        batch_evaluate_via_matrices, interpolate_known_support,
                        power_points, sp_add, sp_evaluate, sp_mul, sp_neg,

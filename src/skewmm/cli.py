@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import matmul, selftest
@@ -131,6 +129,20 @@ def _report_json(report, extra=None):
     return payload
 
 
+def _multiply(algo, A, B, nu, seed):
+    """Multiply A by B with one algorithm; returns (product, MulReport)."""
+    if algo == "naive":
+        counter = OpCounter()
+        start = time.perf_counter()
+        product = matmul.naive_mul(A, B, counter)
+        return product, matmul.MulReport(matmul.Algorithm.NAIVE,
+                                         rational_mul_count=counter.muls,
+                                         wall_time=time.perf_counter() - start)
+    if algo == "det":
+        return matmul.det_mul(A, B)
+    return matmul.mc_mul(A, B, nu, seed)
+
+
 # --- commands ---------------------------------------------------------------
 
 def cmd_gen(args):
@@ -150,23 +162,15 @@ def cmd_mul(args):
     if args.algo != "mc" and (args.nu is not None or args.seed is not None):
         raise UsageError("--nu and --seed apply only to --algo mc")
     extra = {"p": A.p}
-    if args.algo == "naive":
-        counter = OpCounter()
-        start = time.perf_counter()
-        product = matmul.naive_mul(A, B, counter)
-        report = matmul.MulReport(matmul.Algorithm.NAIVE,
-                                  rational_mul_count=counter.muls,
-                                  wall_time=time.perf_counter() - start)
-    elif args.algo == "det":
-        product, report = matmul.det_mul(A, B)
-    else:
+    nu = seed = None
+    if args.algo == "mc":
         if args.nu is None:
             raise UsageError("--algo mc requires --nu")
         nu = _parse_probability(args.nu, "nu")
         seed = _parse_seed(args.seed if args.seed is not None else 0)
-        product, report = matmul.mc_mul(A, B, nu, seed)
         extra["nu"] = str(nu)
         extra["seed"] = seed
+    product, report = _multiply(args.algo, A, B, nu, seed)
     if args.check:
         correct = product == matmul.naive_mul(A, B)
         extra["correct"] = correct
@@ -212,17 +216,9 @@ def _bench_cell(p, t, algo, seed, nu, check):
     layers_k = list(range(t))
     A = random_layered(ctx, layers_i, master.getrandbits(64))
     B = random_layered(ctx, layers_k, master.getrandbits(64))
-    if algo == "naive":
-        counter = OpCounter()
-        start = time.perf_counter()
-        product = matmul.naive_mul(A, B, counter)
-        report = matmul.MulReport(matmul.Algorithm.NAIVE,
-                                  rational_mul_count=counter.muls,
-                                  wall_time=time.perf_counter() - start)
-    elif algo == "det":
-        product, report = matmul.det_mul(A, B)
-    else:
-        product, report = matmul.mc_mul(A, B, nu, master.getrandbits(64))
+    # the mc seed is the last draw from the cell's stream, so drawing it for
+    # every algorithm leaves A and B unchanged
+    product, report = _multiply(algo, A, B, nu, master.getrandbits(64))
     correct = (product == matmul.naive_mul(A, B)) if check else None
     record = {"p": p, "algorithm": report.algorithm.value, "I": layers_i, "K": layers_k,
               "t_used": report.t_used, "iterations": report.iterations,
@@ -246,15 +242,9 @@ def cmd_bench(args):
         _shared_ctx_checked(p)
         if any(not 1 <= t <= p - 1 for t in t_list):
             raise UsageError(f"every t must lie in 1..{p - 1} for p={p}")
-    workers = _thread_count()
 
-    cells = [(p, t, algo, seed, nu, args.check)
-             for p in p_list for t in t_list for algo in algos for seed in seeds]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda c: _bench_cell(*c), cells))
-    else:
-        records = [_bench_cell(*cell) for cell in cells]
+    records = [_bench_cell(p, t, algo, seed, nu, args.check)
+               for p in p_list for t in t_list for algo in algos for seed in seeds]
 
     out = open(args.json, "w", encoding="utf-8") if args.json else sys.stdout
     try:
@@ -264,17 +254,6 @@ def cmd_bench(args):
         if out is not sys.stdout:
             out.close()
     return EXIT_OK
-
-
-def _thread_count():
-    raw = os.environ.get("SKEWMM_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"SKEWMM_THREADS must be a positive integer, got {raw!r}") from exc
-    if workers < 1:
-        raise UsageError(f"SKEWMM_THREADS must be a positive integer, got {raw!r}")
-    return workers
 
 
 def cmd_selftest(_args):

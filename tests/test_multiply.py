@@ -1,8 +1,8 @@
-"""Rectangular kernel and hook registry."""
+"""Schoolbook rectangular kernel."""
 
 import pytest
 
-from skewmm import OpCounter, cubic_multiply, get_multiply_hook, rect_multiply, set_multiply_hook
+from skewmm import OpCounter, cubic_multiply
 from skewmm.rational import Rat
 
 
@@ -24,14 +24,3 @@ def test_cubic_multiply_rationals_exact():
 def test_cubic_multiply_dimension_mismatch():
     with pytest.raises(ValueError):
         cubic_multiply([(1, 2, 3)], [(1,), (2,)])
-
-
-def test_hook_registry_roundtrip():
-    sentinel = lambda x, y, counter=None: [(0,)]
-    previous = set_multiply_hook(sentinel)
-    try:
-        assert get_multiply_hook() is sentinel
-        assert rect_multiply([(1,)], [(1,)]) == [(0,)]
-    finally:
-        set_multiply_hook(previous)
-    assert get_multiply_hook() is previous

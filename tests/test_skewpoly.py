@@ -3,9 +3,9 @@
 import pytest
 
 from conftest import rand_elem, rand_poly, seeded
-from skewmm import (InterpolationError, SkewPoly, SupportSet,
+from skewmm import (InterpolationError, OpCounter, SkewPoly, SupportSet,
                     batch_evaluate_via_matrices, cyc_sigma,
-                    interpolate_known_support, point_coords, power_of_v1,
+                    interpolate_known_support, normal_coords, power_of_v1,
                     power_points, shared_ctx, skew_to_mat, sp_add, sp_evaluate,
                     sp_mul, sp_neg, sparse_interpolate, sumset)
 
@@ -183,15 +183,16 @@ def test_evaluation_is_multiplicative_as_operator():
 
 
 def test_batch_evaluate_identity_case():
+    # with both maps the identity, the value at v_1^i is the point itself
     ctx = shared_ctx(7)
     ident = skew_to_mat(SkewPoly.one(ctx))
-    v1 = power_of_v1(ctx, 1)
-    rows = [point_coords(ctx, 1)]
-    assert batch_evaluate_via_matrices(ctx, rows, ident, ident) == [v1]
+    indices = [1, 0, 7, 3, 14, 13]
+    got = batch_evaluate_via_matrices(ctx, indices, ident, ident)
+    assert got == [power_of_v1(ctx, i) for i in indices]
 
 
 def test_batch_evaluate_matches_direct_product_evaluation():
-    for p in (5, 7):
+    for p in (3, 5, 7):
         ctx = shared_ctx(p)
         rng = seeded(80 + p)
         for _ in range(4):
@@ -200,29 +201,38 @@ def test_batch_evaluate_matches_direct_product_evaluation():
             prod = sp_mul(f, g)
             # g acts first, so its matrix is the inner one
             t = rng.randint(1, 2 * p)
-            points = [point_coords(ctx, i) for i in range(t)]
-            got = batch_evaluate_via_matrices(ctx, points, skew_to_mat(g), skew_to_mat(f))
+            got = batch_evaluate_via_matrices(ctx, range(t), skew_to_mat(g), skew_to_mat(f))
             want = [sp_evaluate(prod, pt) for pt in power_points(ctx, t)]
             assert got == want
+            # a tail of the indices, as mc_mul's doubling rounds ask for
+            start = rng.randint(0, t - 1)
+            tail = batch_evaluate_via_matrices(ctx, range(start, t),
+                                               skew_to_mat(g), skew_to_mat(f))
+            assert tail == want[start:]
 
 
 def test_batch_evaluate_handles_all_minus_one_row():
-    # the point v_1^0 = 1 has normal coordinates (-1, ..., -1)
+    # v_1^0 = v_1^p = 1 has normal coordinates (-1, ..., -1), not a unit vector
     ctx = shared_ctx(5)
     rng = seeded(85)
     f = rand_poly(ctx, rng, 2)
     g = rand_poly(ctx, rng, 2)
-    row = point_coords(ctx, 0)
-    assert set(row) == {-1}
-    got = batch_evaluate_via_matrices(ctx, [row], skew_to_mat(g), skew_to_mat(f))
-    assert got == [sp_evaluate(sp_mul(f, g), ctx.one)]
+    assert set(normal_coords(power_of_v1(ctx, 0))) == {-1}
+    counter = OpCounter()
+    got = batch_evaluate_via_matrices(ctx, [0, 5], skew_to_mat(g), skew_to_mat(f), counter)
+    want = sp_evaluate(sp_mul(f, g), ctx.one)
+    assert got == [want, want]
+    assert counter.muls == 2 * 2 * 4 ** 2  # nominal: two dense 2 x 4 by 4 x 4 products
 
 
 def test_batch_evaluate_dimension_check():
     ctx = shared_ctx(5)
     ident = skew_to_mat(SkewPoly.one(ctx))
+    wrong = skew_to_mat(SkewPoly.one(shared_ctx(7)))
     with pytest.raises(ValueError):
-        batch_evaluate_via_matrices(ctx, [(1, 2, 3)], ident, ident)
+        batch_evaluate_via_matrices(ctx, [0, 1], wrong, ident)
+    with pytest.raises(ValueError):
+        batch_evaluate_via_matrices(ctx, [0, 1], ident, wrong)
 
 
 # ---------------------------------------------------------------------------
