@@ -15,6 +15,7 @@ object here can be shared freely across threads.
 from __future__ import annotations
 
 import functools
+import math
 
 from .linalg import solve_square
 from .rational import Rat, SCALAR_TYPES, as_rat
@@ -24,11 +25,12 @@ _ONE = Rat(1)
 _NEG_ONE = Rat(-1)
 
 #: Largest prime the CLI accepts (--p, --p-list) and a matrix-file header may
-#: name; larger primes are refused before any context is built.  It is set by
-#: a 60 s budget for `gen`, `mul --algo det` and `mul --algo naive` on two
-#: dense matrices, of which det takes nearly all: on a 2-core x86 box
-#: (Python 3.11, fractions.Fraction) det took 24-30 s at p=31 and 64 s at
-#: p=37.  `mul --algo mc` on dense inputs is not within the budget at this p.
+#: name; larger primes are refused before any context is built.  `gen`,
+#: `mul --algo det` and `mul --algo naive` on two dense matrices fit a 60 s
+#: budget well beyond it: on a 2-core x86 box (Python 3.11,
+#: fractions.Fraction) the three took 0.5 s at p=31, and det 0.3 s at p=37.
+#: The ceiling stays because `mul --algo mc` on dense inputs does not finish
+#: within 10 min at p=31.
 MAX_P = 31
 
 
@@ -199,19 +201,6 @@ class CycElem:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, CycElem):
-            return cyc_mul(self, cyc_inv(other))
-        if isinstance(other, SCALAR_TYPES):
-            return cyc_scale(self, _ONE / as_rat(other))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            inv = cyc_inv(self)
-            return inv if other == 1 else cyc_scale(inv, other)
-        return NotImplemented
-
     def __repr__(self):
         parts = [f"{c}*b^{i + 1}" for i, c in enumerate(self.coords) if c]
         return "CycElem(" + (" + ".join(parts) if parts else "0") + ")"
@@ -282,15 +271,36 @@ def mul_beta_power(a: CycElem, k: int) -> CycElem:
     return CycElem(ctx, tuple(out))
 
 
+def div_one_minus_beta_power(a: CycElem, m: int) -> CycElem:
+    """a / (1 - beta^m) in O(p); ZeroDivisionError for m = 0 (mod p).
+
+    y = sum Y_e beta^e with Y_0 = 0 solves y - beta^m y = a when
+    Y_e = Y_(e-m) + a_e + c along e = m, 2m, ..., (p-1)m, where the constant
+    c = -(sum of a's coordinates)/p absorbs 1 + beta + ... + beta^(p-1) = 0.
+    The walk runs on ints scaled by p times the lcm D of a's denominators.
+    """
+    ctx = a.ctx
+    p = ctx.p
+    m %= p
+    if m == 0:
+        raise ZeroDivisionError("1 - beta^m is zero for m = 0 (mod p)")
+    den = math.lcm(*{x.denominator for x in a.coords})
+    num = [0] + [x.numerator * (den // x.denominator) for x in a.coords]
+    c = -sum(num)
+    out = [0] * p
+    for k in range(1, p):
+        e = k * m % p
+        out[e] = out[(e - m) % p] + p * num[e] + c
+    return CycElem(ctx, tuple(Rat(y, p * den) for y in out[1:]))
+
+
 def cyc_inv(a: CycElem) -> CycElem:
     """Multiplicative inverse via exact elimination on the multiplication map.
 
     Builds the (p-1) x (p-1) rational matrix of x -> a*x in the power basis
-    and solves against the coordinates of 1.  O(p^3) rational operations,
-    and it does sit on hot paths: the Q(beta) eliminations of
-    interpolate_known_support and sparse_interpolate divide by their pivots
-    through it (about 70 inversions per det product at p=31, t in
-    {8,12,16}, and about 2.4 s of a dense mc product at p=13).
+    and solves against the coordinates of 1: O(p^3) rational operations.
+    In the package only mc's path calls it: sparse_interpolate inverts each
+    Berlekamp-Massey discrepancy that lengthens the recurrence.
     """
     if not a:
         raise ZeroDivisionError("inverse of zero in Q(beta)")

@@ -1,9 +1,9 @@
 """Exact dense Gaussian elimination over any field-like scalar.
 
 Works for anything supporting +, -, *, the reciprocal 1/x, and truthiness
-as an exact zero test; both the package's rationals and its cyclotomic
-field elements qualify.  Arithmetic is exact, so the first nonzero entry
-of a column is always a valid pivot and no numerical thresholds exist.
+as an exact zero test.  Its one caller in the package is cyc_inv, on
+rationals.  Arithmetic is exact, so the first nonzero entry of a column is
+always a valid pivot and no numerical thresholds exist.
 """
 
 
@@ -53,37 +53,3 @@ def solve_square(matrix, rhs):
                 acc = acc - arow[c] * x[c]
         x[row] = acc * (1 / arow[row]) if acc else acc
     return x
-
-
-def matrix_rank(matrix):
-    """Rank of a (possibly rectangular) matrix by forward elimination."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, len(rows)):
-            brow = rows[r]
-            if not brow[col]:
-                continue
-            factor = brow[col] * inv
-            for c in range(col, ncols):
-                if prow[c]:
-                    brow[c] = brow[c] - factor * prow[c]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank

@@ -13,9 +13,9 @@ the points 1, v_1, v_1^2, ...  Both directions are exact.
 
 from __future__ import annotations
 
-from . import linalg
-from .cyclotomic import (CycElem, cyc_mul, cyc_sigma, from_normal_coords,
-                         power_of_v1)
+from .cyclotomic import (CycElem, cyc_inv, cyc_mul, cyc_sigma,
+                         div_one_minus_beta_power, from_normal_coords,
+                         mul_beta_power, power_of_v1)
 from .multiply import cubic_multiply
 
 
@@ -218,9 +218,11 @@ def interpolate_known_support(points_values, support: SupportSet, ctx=None):
     values at v_1^0 .. v_1^(t-1), where t = len(support).
 
     `points_values` is a list of (index, value) pairs with indices exactly
-    0..t-1 in any order.  Solves the t x t node-power system exactly; the
-    nodes v_(e+1) are pairwise distinct, so a singular system signals an
-    index bug, not a data condition.
+    0..t-1 in any order.  a_l = sum_j c_j w_j^l with distinct nodes
+    w_j = v_(e_j+1) = beta^(u_j) is a transposed Vandermonde system, solved
+    by the dual Bjorck-Pereyra scheme (Golub & Van Loan, Alg. 4.6.2) in
+    O(t^2) beta-shifts and divisions by w_i - w_k = beta^(u_i) (1 -
+    beta^(u_k - u_i)), each O(p) by div_one_minus_beta_power.
     """
     pairs = sorted(points_values, key=lambda pv: pv[0])
     t = len(support)
@@ -238,32 +240,56 @@ def interpolate_known_support(points_values, support: SupportSet, ctx=None):
     if exps[-1] > ctx.p - 2:
         raise ValueError("support exponents must lie in {0..p-2}")
 
-    nodes = [ctx.beta_power(ctx.v_exponent(e + 1)) for e in exps]
-    rows = []
-    cur = [ctx.one] * t
-    for i in range(t):
-        rows.append(cur)
-        if i + 1 < t:
-            cur = [cyc_mul(cur[j], nodes[j]) for j in range(t)]
-    rhs = [value for _, value in pairs]
-    try:
-        coeffs = linalg.solve_square(rows, rhs)
-    except linalg.SingularMatrixError as exc:
-        raise InterpolationError("node-power system is singular; support indexing is broken") from exc
-    return SkewPoly(ctx, dict(zip(exps, coeffs)))
+    u = [ctx.v_exponent(e + 1) for e in exps]
+    b = [value for _, value in pairs]
+    for k in range(t - 1):
+        for i in range(t - 1, k, -1):
+            b[i] = b[i] - mul_beta_power(b[i - 1], u[k])
+    for k in range(t - 2, -1, -1):
+        for i in range(k + 1, t):
+            b[i] = div_one_minus_beta_power(mul_beta_power(b[i], -u[i]), u[i - k - 1] - u[i])
+        for i in range(k, t - 1):
+            b[i] = b[i] - b[i + 1]
+    return SkewPoly(ctx, dict(zip(exps, b)))
+
+
+def _berlekamp_massey(a, ctx):
+    """[C_1, ..., C_L] of the shortest recurrence a_n + C_1 a_(n-1) + ... +
+    C_L a_(n-L) = 0 that all of `a` satisfies (Massey 1969).  `conn` holds
+    the L + 1 coefficients of C(z) = 1 + C_1 z + ... throughout."""
+    conn = prev = [ctx.one]  # C(z), and C(z) before the last length change
+    prev_inv, shift = ctx.one, 1
+    for n, d in enumerate(a):
+        for i in range(1, len(conn)):
+            if conn[i] and a[n - i]:
+                d = d + cyc_mul(conn[i], a[n - i])
+        if not d:
+            shift += 1
+            continue
+        scale = cyc_mul(d, prev_inv)
+        update = conn + [ctx.zero] * (shift + len(prev) - len(conn))
+        for i, c in enumerate(prev, shift):
+            if c:
+                update[i] = update[i] - cyc_mul(scale, c)
+        if 2 * (len(conn) - 1) <= n:
+            prev, prev_inv, shift = conn, cyc_inv(d), 1
+        else:
+            shift += 1
+        conn = update
+    return conn[1:]
 
 
 def sparse_interpolate(values, bound: int, ctx=None) -> SkewPoly:
     """Recover f from 2*bound evaluations a_l = f(v_1^l), given #f <= bound.
 
-    Steps: (1) the bound x bound Hankel-ordered window of the value sequence
-    has exact rank t = #f, computed by elimination over Q(beta); (2) the
-    t x t window solves for the monic locator polynomial whose roots are the
-    support nodes; (3) roots are found by evaluating the locator at every
-    candidate v_1 .. v_(p-1); (4) the coefficients come from the known-support
-    solve on the first t values.  With the bound below the true sparsity the
-    root hunt usually falls short and InterpolationError is raised; callers
-    that guess bounds must treat that as a failed guess.
+    Ben-Or & Tiwari: (1) Berlekamp-Massey on the 2*bound values gives the
+    shortest recurrence, of length t = #f; read backwards it is the monic
+    locator whose roots are the support nodes; (2) Horner evaluation by
+    beta-shifts finds those roots among v_1 .. v_(p-1); (3) the known-support
+    solve on the first t values gives the coefficients.  Below the true
+    sparsity the recurrence usually outruns the bound or the root hunt falls
+    short, and InterpolationError is raised; callers that guess bounds must
+    treat that as a failed guess.
     """
     values = list(values)
     if ctx is None:
@@ -277,30 +303,25 @@ def sparse_interpolate(values, bound: int, ctx=None) -> SkewPoly:
         raise ValueError(f"need {2 * bound} evaluations, got {len(values)}")
     a = values[: 2 * bound]
 
-    window = [[a[bound - 1 - i + j] for j in range(bound)] for i in range(bound)]
-    t = linalg.matrix_rank(window)
+    conn = _berlekamp_massey(a, ctx)
+    t = len(conn)
     if t == 0:
         return SkewPoly.zero(ctx)
-
-    system = [[a[t - 1 - i + j] for j in range(t)] for i in range(t)]
-    rhs = [-a[2 * t - 1 - i] for i in range(t)]
-    try:
-        lam = linalg.solve_square(system, rhs)
-    except linalg.SingularMatrixError as exc:
-        raise InterpolationError("locator system is singular; sparsity bound too small?") from exc
+    if t > bound:
+        raise InterpolationError(f"shortest recurrence has length {t}, above the bound {bound}")
 
     roots = []
     for m in range(1, p):
-        vm = ctx.beta_power(ctx.pow_r[m - 1])  # v_m
+        u = ctx.v_exponent(m)  # v_m = beta^u
         acc = ctx.one
-        for k in range(t - 1, -1, -1):
-            acc = cyc_mul(acc, vm) + lam[k]
+        for c in conn:
+            acc = mul_beta_power(acc, u) + c
         if not acc:
             roots.append(m)
     if len(roots) != t:
         raise InterpolationError(
-            f"locator has {len(roots)} roots among the v_i but rank is {t}; "
-            "sparsity bound below the true sparsity or an arithmetic bug")
+            f"locator has {len(roots)} roots among the v_i but the recurrence has "
+            f"length {t}; sparsity bound below the true sparsity or an arithmetic bug")
 
     support = SupportSet(m - 1 for m in roots)
     return interpolate_known_support(list(enumerate(a[:t])), support, ctx=ctx)

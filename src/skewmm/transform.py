@@ -232,19 +232,19 @@ def phi_orientation(ctx: CycCtx) -> Orientation:
 
     The probe multiplies the non-commuting pair f = x, g = beta x^2 and
     compares the matrix of f*g against both matrix-product orders.  Exactly
-    one matches; the answer is cached on the context.
+    one matches; the answer is cached on the context.  The three probe
+    matrices have integer entries, so both products run on int rows.
     """
     cached = ctx._orientation
     if cached is not None:
         return cached
     f = SkewPoly.monomial(ctx, 1)
     g = SkewPoly.monomial(ctx, 2, ctx.beta_power(1))
-    mf = skew_to_mat(f)
-    mg = skew_to_mat(g)
-    mh = skew_to_mat(sp_mul(f, g))
-    if mh == RatMatrix(ctx.p, cubic_multiply(mf.rows, mg.rows)):
+    mf, mg, mh = ([tuple(x.numerator for x in row) for row in skew_to_mat(h).rows]
+                  for h in (f, g, sp_mul(f, g)))
+    if mh == cubic_multiply(mf, mg):
         result = Orientation.DIRECT
-    elif mh == RatMatrix(ctx.p, cubic_multiply(mg.rows, mf.rows)):
+    elif mh == cubic_multiply(mg, mf):
         result = Orientation.REVERSED
     else:
         raise RuntimeError(

@@ -5,20 +5,25 @@ import random
 from skewmm import RatMatrix, SkewPoly
 
 
-def rand_elem(ctx, rng, bound=9):
-    """Random element with integer coordinates, never the zero element."""
+def rand_elem(ctx, rng, bound=9, den_bound=1):
+    """Random element, never the zero element; integer coordinates unless
+    den_bound > 1, when each gets a denominator drawn from 1..den_bound."""
     coords = [rng.randint(-bound, bound) for _ in range(ctx.p - 1)]
     if not any(coords):
         coords[rng.randrange(ctx.p - 1)] = rng.choice([-1, 1])
+    if den_bound > 1:
+        from skewmm.rational import Rat
+
+        coords = [Rat(c, rng.randint(1, den_bound)) for c in coords]
     return ctx.elem(coords)
 
 
-def rand_poly(ctx, rng, sparsity, bound=9):
+def rand_poly(ctx, rng, sparsity, bound=9, den_bound=1):
     """Random polynomial with exactly the given sparsity."""
     if sparsity == 0:
         return SkewPoly.zero(ctx)
     exps = rng.sample(range(ctx.p - 1), sparsity)
-    return SkewPoly(ctx, {e: rand_elem(ctx, rng, bound) for e in exps})
+    return SkewPoly(ctx, {e: rand_elem(ctx, rng, bound, den_bound) for e in exps})
 
 
 def rand_matrix(p, rng, bound=9):

@@ -1,6 +1,7 @@
 """CLI contract: commands, reports, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -170,6 +171,33 @@ def test_mul_check_failure_exits_4(workdir, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("algo", ["naive", "det"])
+def test_check_runs_the_oracle_once(workdir, monkeypatch, capsys, algo):
+    # naive's product is the oracle's answer, so --check must not recompute it
+    from skewmm import matmul as matmul_mod
+
+    calls = []
+    real = matmul_mod.naive_mul
+
+    def counting(*args, **kwargs):
+        calls.append(algo)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matmul_mod, "naive_mul", counting)
+    a = gen(workdir, "a.mat", layers="1", seed=9)
+    b = gen(workdir, "b.mat", layers="0,1", seed=10)
+    rc = run_cli("mul", "--algo", algo, str(a), str(b), "-o", str(workdir / "c.mat"), "--check")
+    assert rc == EXIT_OK
+    assert json.loads(capsys.readouterr().err)["correct"] is True
+    assert len(calls) == 1
+    calls.clear()
+    rc = run_cli("bench", "--p-list", "7", "--t-list", "2", "--algos", algo, "--check",
+                 "--json", str(workdir / "bench.jsonl"))
+    assert rc == EXIT_OK
+    assert json.loads((workdir / "bench.jsonl").read_text())["correct"] is True
+    assert len(calls) == 1
+
+
 def test_mul_flag_validation(workdir):
     a = gen(workdir, "a.mat")
     b = gen(workdir, "b.mat", seed=2)
@@ -301,11 +329,17 @@ def test_usage_error_exit_code():
 
 
 def test_console_entry_point(workdir):
+    import skewmm
+
     out = workdir / "a.mat"
+    # the child imports the same skewmm as this process, installed or not
+    src = os.path.dirname(os.path.dirname(skewmm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "skewmm.cli", "gen", "--p", "5", "--layers", "0,1",
          "--seed", "2", "-o", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     M = read_matrix_file(out)
     assert M.p == 5

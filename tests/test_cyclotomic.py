@@ -4,8 +4,8 @@ import pytest
 
 from conftest import rand_elem, seeded
 from skewmm import (cyc_add, cyc_inv, cyc_mul, cyc_neg, cyc_scale, cyc_sigma,
-                    ctx_new, find_primitive_root, from_normal_coords,
-                    normal_coords, power_of_v1, shared_ctx)
+                    ctx_new, div_one_minus_beta_power, find_primitive_root,
+                    from_normal_coords, normal_coords, power_of_v1, shared_ctx)
 from skewmm.rational import Rat
 
 
@@ -211,6 +211,26 @@ def test_inv_roundtrip_and_product():
 def test_inv_zero_raises():
     with pytest.raises(ZeroDivisionError):
         cyc_inv(shared_ctx(5).zero)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+def test_div_one_minus_beta_power_inverts_the_product(p):
+    ctx = shared_ctx(p)
+    rng = seeded(320 + p)
+    for m in range(1, p):
+        divisor = ctx.one - ctx.beta_power(m)
+        a = ctx.elem([Rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(p - 1)])
+        for x in (a, ctx.zero):
+            assert cyc_mul(div_one_minus_beta_power(x, m), divisor) == x
+        # the exponent is taken mod p
+        assert div_one_minus_beta_power(a, m + p) == div_one_minus_beta_power(a, m)
+
+
+def test_div_one_minus_beta_power_rejects_zero_divisor():
+    ctx = shared_ctx(7)
+    for m in (0, 7, -14):
+        with pytest.raises(ZeroDivisionError):
+            div_one_minus_beta_power(ctx.one, m)
 
 
 # ---------------------------------------------------------------------------

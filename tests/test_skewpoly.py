@@ -247,15 +247,35 @@ def test_interpolate_zero():
 
 
 def test_interpolate_roundtrip_random():
-    for p in (5, 7, 13):
+    cases = [(p, 8, 1) for p in (5, 7, 13)] + [(3, 8, 7), (31, 3, 7)]
+    for p, count, den_bound in cases:
         ctx = shared_ctx(p)
         rng = seeded(90 + p)
-        for _ in range(8):
-            f = rand_poly(ctx, rng, rng.randint(1, p - 1))
+        for k in range(count):
+            t = p - 1 if k == 0 and den_bound > 1 else rng.randint(1, p - 1)
+            f = rand_poly(ctx, rng, t, den_bound=den_bound)
             support = f.support()
             t = len(support)
             pairs = [(i, sp_evaluate(f, pt)) for i, pt in enumerate(power_points(ctx, t))]
             assert interpolate_known_support(pairs, support, ctx=ctx) == f
+
+
+def test_interpolate_makes_no_field_product_inversion_or_elimination(monkeypatch):
+    # the nodes are roots of unity: the solve needs only beta-shifts and
+    # divisions by 1 - beta^m, never a dense product, inverse or elimination
+    from skewmm import cyclotomic, linalg, skewpoly
+
+    def forbidden(*_args):
+        raise AssertionError("dense field arithmetic in the known-support solve")
+
+    ctx = shared_ctx(13)
+    f = rand_poly(ctx, seeded(97), 12, den_bound=5)
+    pairs = [(i, sp_evaluate(f, pt)) for i, pt in enumerate(power_points(ctx, 12))]
+    for module, name in ((cyclotomic, "cyc_mul"), (cyclotomic, "cyc_inv"),
+                         (skewpoly, "cyc_mul"), (skewpoly, "cyc_inv"),
+                         (cyclotomic, "solve_square"), (linalg, "solve_square")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert interpolate_known_support(pairs, f.support(), ctx=ctx) == f
 
 
 def test_interpolate_superset_support_yields_exact_zeros():
@@ -334,6 +354,25 @@ def test_sparse_interpolate_undersized_bound_fails_or_differs():
     except InterpolationError:
         return
     assert recovered != f
+
+
+def test_sparse_interpolate_p3_and_full_bound():
+    # p = 3 has two exponents; bound = p - 1 allows a dense polynomial
+    for p in (3, 7):
+        ctx = shared_ctx(p)
+        rng = seeded(120 + p)
+        for t in range(1, p):
+            f = rand_poly(ctx, rng, t, den_bound=5)
+            for bound in range(t, p):
+                assert sparse_interpolate(evaluations(f, 2 * bound), bound, ctx=ctx) == f
+
+
+def test_sparse_interpolate_recurrence_longer_than_bound():
+    # 0, ..., 0, 1 satisfies no recurrence shorter than its own length 2b
+    ctx = shared_ctx(7)
+    for bound in (1, 2, 3):
+        with pytest.raises(InterpolationError, match="above the bound"):
+            sparse_interpolate([ctx.zero] * (2 * bound - 1) + [ctx.one], bound, ctx=ctx)
 
 
 def test_sparse_interpolate_input_validation():

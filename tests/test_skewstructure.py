@@ -5,7 +5,7 @@ import pytest
 from conftest import rand_matrix, seeded
 from skewmm import (RatMatrix, SkewPoly, antidiag_perm, build_AB_perm, build_P,
                     build_Q, build_X, build_Y, l0_characterization_check,
-                    layer_basis_elem, matrix_rank, naive_mul, random_layered,
+                    layer_basis_elem, naive_mul, random_layered,
                     det_mul, shared_ctx, shift_rows_up, skew_sparsity,
                     skew_to_mat, solve_square, y_power_row)
 from skewmm.rational import Rat
@@ -110,10 +110,11 @@ def test_p7_templates_match_displayed_form():
 
 
 def test_q_has_rank_at_most_one():
+    # every row is constant, so every row is a multiple of the all-ones row
     rng = seeded(5)
     for p in (5, 7):
         c = [rng.randint(-9, 9) for _ in range(p - 1)]
-        assert matrix_rank([list(r) for r in build_Q(c).rows]) <= 1
+        assert all(len(set(row)) == 1 for row in build_Q(c).rows)
 
 
 def test_p_of_zero_is_zero():
@@ -212,7 +213,11 @@ def test_layer_basis_spans_full_matrix_space(p):
         for j in range(1, p):
             M = layer_basis_elem(ctx, i, j)
             vectors.append([M.rows[a][b] for a in range(n) for b in range(n)])
-    assert matrix_rank(vectors) == n * n
+    # n*n vectors in an n*n-dimensional space span it exactly when the square
+    # system they form is nonsingular (solve_square raises otherwise)
+    target = list(range(1, n * n + 1))
+    coeffs = solve_square([list(col) for col in zip(*vectors)], target)
+    assert [sum(c * v[k] for c, v in zip(coeffs, vectors)) for k in range(n * n)] == target
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -215,7 +215,7 @@ def test_rational_polynomials_are_circulants():
 # ---------------------------------------------------------------------------
 
 def test_orientation_consistent_across_primes():
-    values = {phi_orientation(shared_ctx(p)) for p in (3, 5, 7)}
+    values = {phi_orientation(shared_ctx(p)) for p in (3, 5, 7, 13, 31)}
     assert len(values) == 1
 
 
