@@ -26,6 +26,7 @@ from . import matmul, selftest
 from .cyclotomic import MAX_P, shared_ctx
 from .matrixfile import MatrixFormatError, read_matrix_file, write_matrix_file
 from .multiply import OpCounter
+from .rational import Rat
 from .skewstructure import random_layered
 from .transform import mat_to_skew
 
@@ -114,6 +115,10 @@ def _shared_ctx_checked(p):
         raise UsageError(str(exc)) from exc
 
 
+#: name of the scalar type every rational runs on (Fraction, or gmpy2's mpq)
+_BACKEND = type(Rat(0)).__name__
+
+
 def _report_json(report, extra=None):
     payload = {
         "algorithm": report.algorithm.value,
@@ -123,6 +128,7 @@ def _report_json(report, extra=None):
         "wall_time_ms": report.wall_time * 1000.0,
         "final_T": report.final_T,
         "fallback": report.fallback,
+        "backend": _BACKEND,
     }
     if extra:
         payload.update(extra)
@@ -221,11 +227,8 @@ def _bench_cell(p, t, algo, seed, nu, check):
     # every algorithm leaves A and B unchanged
     product, report = _multiply(algo, A, B, nu, master.getrandbits(64))
     correct = (algo == "naive" or product == matmul.naive_mul(A, B)) if check else None
-    record = {"p": p, "algorithm": report.algorithm.value, "I": layers_i, "K": layers_k,
-              "t_used": report.t_used, "iterations": report.iterations,
-              "rational_mul_count": report.rational_mul_count,
-              "wall_time_ms": report.wall_time * 1000.0, "seed": seed, "correct": correct}
-    return record
+    return _report_json(report, {"p": p, "I": layers_i, "K": layers_k,
+                                 "seed": seed, "correct": correct})
 
 
 def cmd_bench(args):
@@ -268,7 +271,7 @@ def cmd_selftest(_args):
 
 # --- parser / dispatch ------------------------------------------------------
 
-_CEILING_NOTE = ("; gen, mul --algo det and mul --algo naive on dense matrices at "
+_CEILING_NOTE = ("; gen and mul with each of det, naive and mc on dense matrices at "
                  "that p fit a 60 s budget (see the README)")
 
 

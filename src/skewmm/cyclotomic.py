@@ -8,6 +8,12 @@ the automorphism sigma: beta -> beta^r (r the smallest primitive root of
 Z_p) and the change to the normal basis {v_i = beta^(r^(i-1))} are pure
 coordinate permutations, which is why the basis was chosen.
 
+No element is ever inverted: interpolation needs only products by powers
+of beta (mul_beta_power) and quotients by 1 - beta^m
+(div_one_minus_beta_power), both O(p).  cyc_mul, the O(p^2) product,
+serves the ring product sp_mul and sp_evaluate, which the multiplication
+algorithms never call.
+
 All values are immutable and all operations are pure functions, so every
 object here can be shared freely across threads.
 """
@@ -17,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 
-from .linalg import solve_square
 from .rational import Rat, SCALAR_TYPES, as_rat
 
 _ZERO = Rat(0)
@@ -25,13 +30,13 @@ _ONE = Rat(1)
 _NEG_ONE = Rat(-1)
 
 #: Largest prime the CLI accepts (--p, --p-list) and a matrix-file header may
-#: name; larger primes are refused before any context is built.  `gen`,
-#: `mul --algo det` and `mul --algo naive` on two dense matrices fit a 60 s
-#: budget well beyond it: on a 2-core x86 box (Python 3.11,
-#: fractions.Fraction) the three took 0.5 s at p=31, and det 0.3 s at p=37.
-#: The ceiling stays because `mul --algo mc` on dense inputs does not finish
-#: within 10 min at p=31.
-MAX_P = 31
+#: name; larger primes are refused before any context is built.  It is the
+#: largest of the primes 31..61 at which `gen` of two dense matrices, then
+#: `mul --algo det`, `mul --algo naive` and `mul --algo mc` on them, fit a
+#: 60 s budget.  On a 2-core x86 box (Python 3.11, fractions.Fraction) the
+#: four commands took 2.2 s in all at p=31, 4.1 s at p=43, 7.2 s at p=53 and
+#: 9.9 s at p=61 (gen 0.6, det 3.0, naive 1.5, mc 4.8).
+MAX_P = 61
 
 
 def is_odd_prime(p) -> bool:
@@ -271,6 +276,35 @@ def mul_beta_power(a: CycElem, k: int) -> CycElem:
     return CycElem(ctx, tuple(out))
 
 
+def int_vector(p: int, exponents, scalars, den: int) -> list:
+    """den * scalars as a length-p int list indexed by beta-exponent.
+
+    Scalar j goes to slot exponents[j]; slot 0 (beta^0) and any slot not
+    named stay 0.  `den` must be a multiple of every scalar's denominator.
+    """
+    vec = [0] * p
+    for e, x in zip(exponents, scalars):
+        vec[e] = x.numerator * (den // x.denominator)
+    return vec
+
+
+def rotated_sum(p: int, shifted) -> list:
+    """Power coordinates of sum(beta^s * vec) over the (vec, s) pairs.
+
+    Each vec is a length-p int list indexed by beta-exponent, so multiplying
+    by beta^s is a rotation by s places.  The rotated vectors are summed
+    slotwise and the beta^0 slot is eliminated once, at the end, through
+    beta^0 = -(beta + ... + beta^(p-1)).  Returns the p-1 ints for
+    beta^1 .. beta^(p-1); O(p) integer additions per pair, no gcd.
+    """
+    rotated = [vec[-s:] + vec[:-s] for vec, s in shifted]
+    if not rotated:
+        return [0] * (p - 1)
+    acc = list(map(sum, zip(*rotated)))
+    c0 = acc[0]
+    return [x - c0 for x in acc[1:]]
+
+
 def div_one_minus_beta_power(a: CycElem, m: int) -> CycElem:
     """a / (1 - beta^m) in O(p); ZeroDivisionError for m = 0 (mod p).
 
@@ -285,31 +319,13 @@ def div_one_minus_beta_power(a: CycElem, m: int) -> CycElem:
     if m == 0:
         raise ZeroDivisionError("1 - beta^m is zero for m = 0 (mod p)")
     den = math.lcm(*{x.denominator for x in a.coords})
-    num = [0] + [x.numerator * (den // x.denominator) for x in a.coords]
+    num = int_vector(p, range(1, p), a.coords, den)
     c = -sum(num)
     out = [0] * p
     for k in range(1, p):
         e = k * m % p
         out[e] = out[(e - m) % p] + p * num[e] + c
     return CycElem(ctx, tuple(Rat(y, p * den) for y in out[1:]))
-
-
-def cyc_inv(a: CycElem) -> CycElem:
-    """Multiplicative inverse via exact elimination on the multiplication map.
-
-    Builds the (p-1) x (p-1) rational matrix of x -> a*x in the power basis
-    and solves against the coordinates of 1: O(p^3) rational operations.
-    In the package only mc's path calls it: sparse_interpolate inverts each
-    Berlekamp-Massey discrepancy that lengthens the recurrence.
-    """
-    if not a:
-        raise ZeroDivisionError("inverse of zero in Q(beta)")
-    ctx = a.ctx
-    n = ctx.p - 1
-    cols = [mul_beta_power(a, j).coords for j in range(1, ctx.p)]
-    matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-    x = solve_square(matrix, ctx.one.coords)
-    return CycElem(ctx, tuple(x))
 
 
 def cyc_sigma(a: CycElem, k: int = 1) -> CycElem:

@@ -1,9 +1,12 @@
 """Exact dense Gaussian elimination over any field-like scalar.
 
 Works for anything supporting +, -, *, the reciprocal 1/x, and truthiness
-as an exact zero test.  Its one caller in the package is cyc_inv, on
-rationals.  Arithmetic is exact, so the first nonzero entry of a column is
-always a valid pivot and no numerical thresholds exist.
+as an exact zero test.  No algorithm of the package calls it: the
+interpolation solves exploit the roots-of-unity nodes instead.  It stays
+exported as a general exact solver, on rationals, with which the tests check
+that basis systems are nonsingular.  Arithmetic is exact, so the first
+nonzero entry of a column is always a valid pivot and no numerical
+thresholds exist.
 """
 
 

@@ -8,7 +8,8 @@ Three routes to the same exact product of (p-1) x (p-1) rational matrices:
              the product map at t points straight from the input matrices,
              interpolate on the known support, push forward;
   mc_mul     Monte Carlo: guess the product's sparsity by doubling a bound,
-             interpolate with the locator-based routine, and accept the
+             interpolate with the locator-based routine (support found
+             modulo a prime, coefficients solved exactly), and accept the
              first candidate that passes randomized verification.
 
 Randomness is pinned to Python's Mersenne Twister (random.Random) seeded
@@ -100,6 +101,10 @@ def _mat_vec(rows, vec):
     return [sum(a * b for a, b in zip(row, vec) if b) for row in rows]
 
 
+def _sum_columns(rows, cols):
+    return [sum([row[j] for j in cols]) for row in rows]
+
+
 def naive_mul(A: RatMatrix, B: RatMatrix, counter: OpCounter | None = None) -> RatMatrix:
     """Exact schoolbook product; the oracle every other route is checked against."""
     _check_pair(A, B)
@@ -161,9 +166,10 @@ def freivalds(M: RatMatrix, A: RatMatrix, B: RatMatrix, mu, seed: int) -> Freiva
     n = A.p - 1
     for _ in range(k):
         word = rng.getrandbits(n)
-        y = [(word >> (n - 1 - j)) & 1 for j in range(n)]
-        my = _mat_vec(M.rows, y)
-        aby = _mat_vec(A.rows, _mat_vec(B.rows, y))
+        picked = [j for j in range(n) if (word >> (n - 1 - j)) & 1]
+        # y is 0/1, so M y and B y are sums of the picked columns
+        my = _sum_columns(M.rows, picked)
+        aby = _mat_vec(A.rows, _sum_columns(B.rows, picked))
         if my != aby:
             return FreivaldsResult.NOT_EQUAL
     return FreivaldsResult.EQUAL
@@ -180,12 +186,15 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     evaluates the product map at v_1^0 .. v_1^(2T-1) (reusing earlier
     values; only the new ones are computed), interpolates under the bound,
     and verifies the candidate with the randomized check at error budget
-    nu / ceil(log2(p-1)).  An undersized bound either trips the
-    interpolation's internal consistency errors or produces a candidate the
-    verifier rejects; both double T.  If verification still fails at the cap
-    -- where interpolation is unconditionally exact -- the schoolbook
-    product is returned with the report flagged, surfacing the bug loudly
-    while keeping the function total.
+    nu / ceil(log2(p-1)).  sparse_interpolate finds the support modulo a
+    fixed prime and solves for the coefficients exactly; a candidate it
+    returns agrees with all 2T values, so it is the product polynomial
+    whenever the product has at most T terms.  An undersized bound raises
+    InterpolationError or yields a candidate the verifier rejects; both
+    double T.  At the cap the support is taken to be everything, so
+    interpolation is exact with no prime involved.  If verification still
+    fails there, the schoolbook product is returned with the report flagged,
+    surfacing the bug loudly while keeping the function total.
     """
     _check_pair(A, B)
     nu_frac = _check_probability(nu, "nu")

@@ -13,9 +13,13 @@ the points 1, v_1, v_1^2, ...  Both directions are exact.
 
 from __future__ import annotations
 
-from .cyclotomic import (CycElem, cyc_inv, cyc_mul, cyc_sigma,
+import functools
+import math
+import operator
+
+from .cyclotomic import (CycElem, cyc_mul, cyc_sigma,
                          div_one_minus_beta_power, from_normal_coords,
-                         mul_beta_power, power_of_v1)
+                         int_vector, mul_beta_power, power_of_v1, rotated_sum)
 from .multiply import cubic_multiply
 
 
@@ -253,43 +257,167 @@ def interpolate_known_support(points_values, support: SupportSet, ctx=None):
     return SkewPoly(ctx, dict(zip(exps, b)))
 
 
-def _berlekamp_massey(a, ctx):
-    """[C_1, ..., C_L] of the shortest recurrence a_n + C_1 a_(n-1) + ... +
-    C_L a_(n-L) = 0 that all of `a` satisfies (Massey 1969).  `conn` holds
-    the L + 1 coefficients of C(z) = 1 + C_1 z + ... throughout."""
-    conn = prev = [ctx.one]  # C(z), and C(z) before the last length change
-    prev_inv, shift = ctx.one, 1
-    for n, d in enumerate(a):
-        for i in range(1, len(conn)):
-            if conn[i] and a[n - i]:
-                d = d + cyc_mul(conn[i], a[n - i])
+#: How many primes sparse_interpolate tries for the support before it gives
+#: up.  A prime fails only if it divides a value's denominator or maps a
+#: coefficient to 0; for inputs not built to hit it, the odds of either are
+#: about 2^-61 per denominator or coefficient.
+NUM_MODULI = 4
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, which is
+    deterministic for every n below 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _moduli(p: int):
+    """The NUM_MODULI largest primes q = 1 (mod p) below 2^61, largest first,
+    each paired with zeta^0 .. zeta^(p-1) for a fixed primitive p-th root of
+    unity zeta mod q.  beta -> zeta is then a ring map Z[1/D][beta] -> F_q for
+    every D prime to q."""
+    out = []
+    q = 2 ** 61 - 1 - (2 ** 61 - 2) % (2 * p)  # odd, and 1 (mod p)
+    while len(out) < NUM_MODULI:
+        if _is_prime(q):
+            h = 2
+            while (zeta := pow(h, (q - 1) // p, q)) == 1:
+                h += 1
+            out.append((q, tuple(pow(zeta, i, q) for i in range(p))))
+        q -= 2 * p
+    return tuple(out)
+
+
+def _reduce_mod(a: CycElem, q: int, zeta_pows) -> int | None:
+    """The image sum a_i zeta^i of a in F_q, or None if q divides one of
+    a's denominators."""
+    p = a.ctx.p
+    den = math.lcm(*{x.denominator for x in a.coords})
+    if den % q == 0:
+        return None
+    vec = int_vector(p, range(1, p), a.coords, den)
+    return sum(map(operator.mul, vec, zeta_pows)) * pow(den, -1, q) % q
+
+
+def _berlekamp_massey_mod(s, q: int):
+    """[C_1, ..., C_L] of the shortest recurrence s_n + C_1 s_(n-1) + ... +
+    C_L s_(n-L) = 0 (mod q) that all of `s` satisfies (Massey 1969).  `conn`
+    holds the L + 1 coefficients of C(z) = 1 + C_1 z + ... throughout."""
+    conn = prev = [1]  # C(z), and C(z) before the last length change
+    prev_inv, shift = 1, 1
+    for n, d in enumerate(s):
+        d = (d + sum(conn[i] * s[n - i] for i in range(1, len(conn)))) % q
         if not d:
             shift += 1
             continue
-        scale = cyc_mul(d, prev_inv)
-        update = conn + [ctx.zero] * (shift + len(prev) - len(conn))
+        scale = d * prev_inv % q
+        update = conn + [0] * (shift + len(prev) - len(conn))
         for i, c in enumerate(prev, shift):
-            if c:
-                update[i] = update[i] - cyc_mul(scale, c)
+            update[i] = (update[i] - scale * c) % q
         if 2 * (len(conn) - 1) <= n:
-            prev, prev_inv, shift = conn, cyc_inv(d), 1
+            prev, prev_inv, shift = conn, pow(d, -1, q), 1
         else:
             shift += 1
         conn = update
     return conn[1:]
 
 
+def _support_mod(a, bound: int, ctx, q: int, zeta_pows) -> SupportSet | None:
+    """The support of the sparsest polynomial whose values agree with `a`
+    modulo q, or None if q divides a denominator.
+
+    If the values are those of an f with #f <= bound, the result is the
+    support of f less the terms whose coefficients vanish mod q.  A recurrence
+    longer than the bound, or a locator without that many roots among the
+    nodes, cannot come from such an f for any q, so InterpolationError.
+    """
+    s = []
+    for value in a:
+        x = _reduce_mod(value, q, zeta_pows)
+        if x is None:
+            return None
+        s.append(x)
+    conn = _berlekamp_massey_mod(s, q)
+    t = len(conn)
+    if t > bound:
+        raise InterpolationError(f"shortest recurrence has length {t}, above the bound {bound}")
+    support = []
+    for m in range(1, ctx.p):
+        w = zeta_pows[ctx.v_exponent(m)]  # the image of v_m = beta^u
+        acc = 1
+        for c in conn:
+            acc = (acc * w + c) % q
+        if not acc:
+            support.append(m - 1)
+    if len(support) != t:
+        raise InterpolationError(
+            f"locator has {len(support)} roots among the v_i but the recurrence has "
+            f"length {t}; sparsity bound below the true sparsity or an arithmetic bug")
+    return SupportSet(support)
+
+
+def _agrees(f: SkewPoly, values, start: int) -> bool:
+    """Whether f's map at v_1^l equals values[l] for every l >= start.
+
+    The term c x^e contributes c * beta^(u l), u the beta-exponent of v_(e+1),
+    so each value is a rotated_sum of int vectors under the lcm D of f's
+    denominators, compared with D times the value.
+    """
+    p = f.ctx.p
+    terms = f.sorted_terms()
+    den = math.lcm(*{x.denominator for _, c in terms for x in c.coords})
+    vecs = [(f.ctx.v_exponent(e + 1), int_vector(p, range(1, p), c.coords, den))
+            for e, c in terms]
+    for l in range(start, len(values)):
+        coords = rotated_sum(p, [(vec, u * l % p) for u, vec in vecs])
+        for y, x in zip(coords, values[l].coords):
+            if y * x.denominator != x.numerator * den:
+                return False
+    return True
+
+
 def sparse_interpolate(values, bound: int, ctx=None) -> SkewPoly:
     """Recover f from 2*bound evaluations a_l = f(v_1^l), given #f <= bound.
 
-    Ben-Or & Tiwari: (1) Berlekamp-Massey on the 2*bound values gives the
-    shortest recurrence, of length t = #f; read backwards it is the monic
-    locator whose roots are the support nodes; (2) Horner evaluation by
-    beta-shifts finds those roots among v_1 .. v_(p-1); (3) the known-support
-    solve on the first t values gives the coefficients.  Below the true
-    sparsity the recurrence usually outruns the bound or the root hunt falls
-    short, and InterpolationError is raised; callers that guess bounds must
-    treat that as a failed guess.
+    Ben-Or & Tiwari, with the support found over a finite field (Giesbrecht
+    & Roche, ISSAC 2011): (1) map the values to F_q, q = 1 (mod p) prime,
+    through beta -> zeta, a primitive p-th root of unity mod q, so the nodes
+    stay distinct; (2) Berlekamp-Massey on native ints gives the shortest
+    recurrence, read backwards the locator, whose roots among the images of
+    v_1 .. v_(p-1) are the support; (3) the exact known-support solve over
+    Q(beta) on the first t values gives the coefficients; (4) the candidate
+    is checked exactly against all 2*bound values.  If #f <= bound, a
+    candidate g agreeing with them is f: f - g has at most 2*bound terms and
+    vanishes at 2*bound consecutive powers.  So an unlucky q, one that
+    divides a denominator or kills a coefficient, only moves the search to
+    the next of NUM_MODULI fixed primes.  At bound = p-1 the support is
+    all of {0..p-2} and the solve on the first p-1 values is exact without
+    any prime.
+
+    The result therefore never disagrees with the 2*bound values.  If no
+    polynomial with at most `bound` terms fits them, InterpolationError is
+    raised (callers that guess bounds must treat that as a failed guess);
+    it is also raised, where such a polynomial exists, in the unlikely case
+    that every one of the primes fails.
     """
     values = list(values)
     if ctx is None:
@@ -303,25 +431,17 @@ def sparse_interpolate(values, bound: int, ctx=None) -> SkewPoly:
         raise ValueError(f"need {2 * bound} evaluations, got {len(values)}")
     a = values[: 2 * bound]
 
-    conn = _berlekamp_massey(a, ctx)
-    t = len(conn)
-    if t == 0:
-        return SkewPoly.zero(ctx)
-    if t > bound:
-        raise InterpolationError(f"shortest recurrence has length {t}, above the bound {bound}")
-
-    roots = []
-    for m in range(1, p):
-        u = ctx.v_exponent(m)  # v_m = beta^u
-        acc = ctx.one
-        for c in conn:
-            acc = mul_beta_power(acc, u) + c
-        if not acc:
-            roots.append(m)
-    if len(roots) != t:
-        raise InterpolationError(
-            f"locator has {len(roots)} roots among the v_i but the recurrence has "
-            f"length {t}; sparsity bound below the true sparsity or an arithmetic bug")
-
-    support = SupportSet(m - 1 for m in roots)
-    return interpolate_known_support(list(enumerate(a[:t])), support, ctx=ctx)
+    if bound == p - 1:
+        supports = [SupportSet(range(p - 1))]
+    else:
+        supports = (_support_mod(a, bound, ctx, q, zeta_pows) for q, zeta_pows in _moduli(p))
+    for support in supports:
+        if support is None:
+            continue
+        t = len(support)
+        candidate = interpolate_known_support(list(enumerate(a[:t])), support, ctx=ctx)
+        # the solve is exact on the first t values; check the rest
+        if _agrees(candidate, a, t):
+            return candidate
+    raise InterpolationError(
+        f"found no polynomial with at most {bound} terms that fits the {2 * bound} values")

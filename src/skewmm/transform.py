@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .cyclotomic import CycCtx, CycElem, shared_ctx
+from .cyclotomic import CycCtx, CycElem, int_vector, rotated_sum, shared_ctx
 from .multiply import cubic_multiply
 from .rational import Rat, as_rat
 from .skewpoly import SkewPoly, sp_mul
@@ -132,35 +132,6 @@ def _basis_matrices(ctx: CycCtx):
     return cached
 
 
-def _int_vector(p: int, exponents, scalars, den: int) -> list:
-    """den * scalars as a length-p int list indexed by beta-exponent.
-
-    Scalar j goes to slot exponents[j]; slot 0 (beta^0) and any slot not
-    named stay 0.  `den` must be a multiple of every scalar's denominator.
-    """
-    vec = [0] * p
-    for e, x in zip(exponents, scalars):
-        vec[e] = x.numerator * (den // x.denominator)
-    return vec
-
-
-def _rotated_sum(p: int, shifted) -> list:
-    """Power coordinates of sum(beta^s * vec) over the (vec, s) pairs.
-
-    Each vec is a length-p int list indexed by beta-exponent, so multiplying
-    by beta^s is a rotation by s places.  The rotated vectors are summed
-    slotwise and the beta^0 slot is eliminated once, at the end, through
-    beta^0 = -(beta + ... + beta^(p-1)).  Returns the p-1 ints for
-    beta^1 .. beta^(p-1); O(p) integer additions per pair, no gcd.
-    """
-    rotated = [vec[-s:] + vec[:-s] for vec, s in shifted]
-    if not rotated:
-        return [0] * (p - 1)
-    acc = list(map(sum, zip(*rotated)))
-    c0 = acc[0]
-    return [x - c0 for x in acc[1:]]
-
-
 def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
     """The polynomial whose linear map has matrix C.
 
@@ -182,15 +153,15 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
     n = p - 1
     pow_r = ctx.pow_r
     den = math.lcm(*{x.denominator for row in C.rows for x in row})
-    b = [(k, _int_vector(p, pow_r, row, den)) for k, row in enumerate(C.rows) if any(row)]
+    b = [(k, int_vector(p, pow_r, row, den)) for k, row in enumerate(C.rows) if any(row)]
     if not b:
         return SkewPoly.zero(ctx)
     neg_total = [-x for x in map(sum, zip(*(vec for _, vec in b)))]
     out_den = p * den
     terms = {}
     for i in range(n):  # coefficient of x^i
-        coords = _rotated_sum(p, [(vec, p - pow_r[(i + k) % n]) for k, vec in b]
-                              + [(neg_total, 0)])
+        coords = rotated_sum(p, [(vec, p - pow_r[(i + k) % n]) for k, vec in b]
+                             + [(neg_total, 0)])
         if any(coords):
             terms[i] = CycElem(ctx, tuple(Rat(x, out_den) for x in coords))
     return SkewPoly(ctx, terms)
@@ -212,10 +183,10 @@ def skew_to_mat(f: SkewPoly) -> RatMatrix:
     pow_r = ctx.pow_r
     terms = f.sorted_terms()
     den = math.lcm(*{x.denominator for _, c in terms for x in c.coords})
-    vecs = [(e, _int_vector(p, range(1, p), c.coords, den)) for e, c in terms]
+    vecs = [(e, int_vector(p, range(1, p), c.coords, den)) for e, c in terms]
     rows = []
     for i in range(n):
-        coords = _rotated_sum(p, [(vec, pow_r[(i + e) % n]) for e, vec in vecs])
+        coords = rotated_sum(p, [(vec, pow_r[(i + e) % n]) for e, vec in vecs])
         rows.append([Rat(coords[u - 1], den) for u in pow_r])
     return RatMatrix(p, rows)
 

@@ -288,6 +288,28 @@ def test_bench_records(workdir):
     assert naive_counts == {216}   # t-independent baseline
 
 
+def test_mul_and_bench_report_final_T_fallback_and_backend(workdir, capsys):
+    # both commands build their JSON through one helper, so bench carries
+    # what mul reports, and both name the scalar type in use
+    from skewmm.rational import Rat
+
+    backend = type(Rat(0)).__name__
+    a = gen(workdir, "a.mat", layers="0", seed=1)
+    b = gen(workdir, "b.mat", layers="0,1,2", seed=2)
+    assert run_cli("mul", "--algo", "mc", "--nu", "1/20", str(a), str(b),
+                   "-o", str(workdir / "c.mat")) == EXIT_OK
+    report = json.loads(capsys.readouterr().err)
+    assert (report["final_T"], report["fallback"], report["backend"]) == (4, False, backend)
+    out = workdir / "bench.jsonl"
+    assert run_cli("bench", "--p-list", "7", "--t-list", "1,4", "--algos", "naive,det,mc",
+                   "--json", str(out)) == EXIT_OK
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {rec["backend"] for rec in records} == {backend}
+    assert not any(rec["fallback"] for rec in records)
+    assert [(rec["algorithm"], rec["final_T"]) for rec in records] == [
+        ("naive", 0), ("det", 0), ("mc", 1), ("naive", 0), ("det", 0), ("mc", 4)]
+
+
 def test_bench_deterministic_counts(workdir):
     out1, out2 = workdir / "b1.jsonl", workdir / "b2.jsonl"
     for out in (out1, out2):

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import rand_elem, seeded
-from skewmm import (cyc_add, cyc_inv, cyc_mul, cyc_neg, cyc_scale, cyc_sigma,
+from skewmm import (cyc_add, cyc_mul, cyc_neg, cyc_scale, cyc_sigma,
                     ctx_new, div_one_minus_beta_power, find_primitive_root,
                     from_normal_coords, normal_coords, power_of_v1, shared_ctx)
 from skewmm.rational import Rat
@@ -184,34 +184,8 @@ def test_context_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# inversion
+# division by 1 - beta^m
 # ---------------------------------------------------------------------------
-
-def test_inv_of_one():
-    ctx = shared_ctx(7)
-    assert cyc_inv(ctx.one) == ctx.one
-
-
-def test_inv_p3_beta():
-    ctx = shared_ctx(3)
-    assert cyc_inv(ctx.beta_power(1)) == ctx.beta_power(2)
-
-
-def test_inv_roundtrip_and_product():
-    for p in (5, 7, 11):
-        ctx = shared_ctx(p)
-        rng = seeded(300 + p)
-        for _ in range(5):
-            a = rand_elem(ctx, rng)
-            inv = cyc_inv(a)
-            assert cyc_mul(a, inv) == ctx.one
-            assert cyc_inv(inv) == a
-
-
-def test_inv_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        cyc_inv(shared_ctx(5).zero)
-
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
 def test_div_one_minus_beta_power_inverts_the_product(p):

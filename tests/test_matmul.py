@@ -161,6 +161,34 @@ def test_freivalds_single_entry_error_rejection_rate():
     assert rejections / 400 >= 0.5 - 3 * (0.25 / 400) ** 0.5
 
 
+def test_freivalds_matches_the_matrix_vector_definition():
+    # M y and B y are taken as sums of the columns y picks; the verdict must
+    # be the one full products by the same y give, round by round
+    import random
+
+    def by_definition(M, A, B, mu, seed):
+        n = A.p - 1
+        rng = random.Random(seed)
+        for _ in range(rounds_for(mu)):
+            word = rng.getrandbits(n)
+            y = [(word >> (n - 1 - j)) & 1 for j in range(n)]
+            mat_vec = lambda rows, v: [sum(a * b for a, b in zip(row, v)) for row in rows]
+            if mat_vec(M.rows, y) != mat_vec(A.rows, mat_vec(B.rows, y)):
+                return FreivaldsResult.NOT_EQUAL
+        return FreivaldsResult.EQUAL
+
+    rng = seeded(13)
+    A = rand_rational_matrix(7, rng)
+    B = rand_rational_matrix(7, rng)
+    M = naive_mul(A, B)
+    for i, j in ((0, 0), (2, 3), (5, 5)):
+        rows = [list(r) for r in M.rows]
+        rows[i][j] += 1
+        for bad in (RatMatrix(7, rows), M):
+            for seed in range(40):
+                assert freivalds(bad, A, B, "1/4", seed) is by_definition(bad, A, B, "1/4", seed)
+
+
 def test_freivalds_validation():
     A = RatMatrix.identity(5)
     with pytest.raises(ValueError):
@@ -241,6 +269,18 @@ def test_mc_smallest_prime():
         product, report = mc_mul(A, B, "1/10", rng.getrandbits(32))
         assert product == naive_mul(A, B)
         assert report.final_T <= 2
+
+
+def test_mc_dense_at_p31_reaches_the_cap_without_fallback():
+    # the cap round solves on the full support, with no prime to be unlucky
+    ctx = shared_ctx(31)
+    A = random_layered(ctx, set(range(30)), 31)
+    B = random_layered(ctx, set(range(30)), 32)
+    product, report = mc_mul(A, B, "1/20", 33)
+    assert product == naive_mul(A, B)
+    assert not report.fallback
+    assert report.final_T == 30
+    assert report.t_used == mat_to_skew(product).sparsity
 
 
 def test_mc_validation():

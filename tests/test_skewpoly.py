@@ -261,21 +261,27 @@ def test_interpolate_roundtrip_random():
 
 
 def test_interpolate_makes_no_field_product_inversion_or_elimination(monkeypatch):
-    # the nodes are roots of unity: the solve needs only beta-shifts and
-    # divisions by 1 - beta^m, never a dense product, inverse or elimination
+    # the nodes are roots of unity: the solves need only beta-shifts and
+    # divisions by 1 - beta^m, and the support search runs on ints mod q,
+    # never a dense product or an elimination over Q(beta)
     from skewmm import cyclotomic, linalg, skewpoly
 
     def forbidden(*_args):
-        raise AssertionError("dense field arithmetic in the known-support solve")
+        raise AssertionError("dense field arithmetic in interpolation")
 
     ctx = shared_ctx(13)
     f = rand_poly(ctx, seeded(97), 12, den_bound=5)
-    pairs = [(i, sp_evaluate(f, pt)) for i, pt in enumerate(power_points(ctx, 12))]
-    for module, name in ((cyclotomic, "cyc_mul"), (cyclotomic, "cyc_inv"),
-                         (skewpoly, "cyc_mul"), (skewpoly, "cyc_inv"),
-                         (cyclotomic, "solve_square"), (linalg, "solve_square")):
+    g = rand_poly(ctx, seeded(98), 5, den_bound=5)
+    f_values = evaluations(f, 24)
+    g_values = evaluations(g, 14)
+    for module, name in ((cyclotomic, "cyc_mul"), (skewpoly, "cyc_mul"),
+                         (linalg, "solve_square")):
         monkeypatch.setattr(module, name, forbidden)
-    assert interpolate_known_support(pairs, f.support(), ctx=ctx) == f
+    assert interpolate_known_support(list(enumerate(f_values[:12])), f.support(), ctx=ctx) == f
+    assert sparse_interpolate(f_values, 12, ctx=ctx) == f
+    assert sparse_interpolate(g_values, 7, ctx=ctx) == g
+    with pytest.raises(InterpolationError):
+        sparse_interpolate(g_values[:8], 4, ctx=ctx)
 
 
 def test_interpolate_superset_support_yields_exact_zeros():
@@ -373,6 +379,110 @@ def test_sparse_interpolate_recurrence_longer_than_bound():
     for bound in (1, 2, 3):
         with pytest.raises(InterpolationError, match="above the bound"):
             sparse_interpolate([ctx.zero] * (2 * bound - 1) + [ctx.one], bound, ctx=ctx)
+
+
+def test_moduli_are_primes_one_mod_p_with_a_primitive_root_of_unity():
+    from skewmm.skewpoly import NUM_MODULI, _is_prime, _moduli
+
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(2000) if _is_prime(n)] == [
+        n for n in range(2000) if by_trial_division(n)]
+    # strong pseudoprimes to the first few prime bases, and Mersenne primes
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, (2 ** 31 - 1) * (2 ** 61 - 1)):
+        assert not _is_prime(n)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1)
+    for p in (3, 5, 7, 13, 31, 61):
+        moduli = _moduli(p)
+        qs = [q for q, _ in moduli]
+        assert len(qs) == NUM_MODULI and qs == sorted(qs, reverse=True)
+        # the largest such primes: every q = 1 (mod p) skipped is composite
+        for hi, lo in zip([2 ** 61] + qs, qs):
+            assert not any(_is_prime(q) for q in range(lo + p, hi, p))
+        for q, zeta_pows in moduli:
+            assert q < 2 ** 61 and q % p == 1 and _is_prime(q)
+            assert len(zeta_pows) == p and zeta_pows[0] == 1
+            assert len(set(zeta_pows)) == p  # zeta has order exactly p
+            assert zeta_pows[1] * zeta_pows[-1] % q == 1
+
+
+def recording_support_search(monkeypatch):
+    """Wrap the modular support search; returns the list of (q, support)."""
+    from skewmm import skewpoly
+
+    calls = []
+    real = skewpoly._support_mod
+
+    def recording(a, bound, ctx, q, zeta_pows):
+        support = real(a, bound, ctx, q, zeta_pows)
+        calls.append((q, None if support is None else set(support)))
+        return support
+
+    monkeypatch.setattr(skewpoly, "_support_mod", recording)
+    return calls
+
+
+def test_sparse_interpolate_survives_a_coefficient_that_vanishes_mod_q(monkeypatch):
+    # q1 * c maps to 0 in F_(q1): the first prime finds only {7, 9}, the
+    # exact check rejects that candidate, and the next prime finds all of f
+    from skewmm.skewpoly import _moduli
+
+    ctx = shared_ctx(13)
+    q1, q2 = [q for q, _ in _moduli(13)][:2]
+    rng = seeded(131)
+    f = SkewPoly(ctx, {2: q1 * rand_elem(ctx, rng, den_bound=5),
+                       7: rand_elem(ctx, rng), 9: rand_elem(ctx, rng, den_bound=3)})
+    calls = recording_support_search(monkeypatch)
+    assert sparse_interpolate(evaluations(f, 8), 4, ctx=ctx) == f
+    assert calls == [(q1, {7, 9}), (q2, {2, 7, 9})]
+
+
+def test_sparse_interpolate_skips_a_prime_dividing_a_denominator(monkeypatch):
+    from skewmm.rational import Rat
+    from skewmm.skewpoly import _moduli
+
+    ctx = shared_ctx(7)
+    q1, q2 = [q for q, _ in _moduli(7)][:2]
+    rng = seeded(132)
+    f = SkewPoly(ctx, {1: Rat(1, q1) * rand_elem(ctx, rng), 4: rand_elem(ctx, rng)})
+    values = evaluations(f, 6)
+    assert any(x.denominator % q1 == 0 for x in values[0].coords)
+    calls = recording_support_search(monkeypatch)
+    assert sparse_interpolate(values, 3, ctx=ctx) == f
+    assert calls == [(q1, None), (q2, {1, 4})]
+
+
+def test_sparse_interpolate_at_the_cap_needs_no_prime(monkeypatch):
+    # a coefficient that vanishes modulo every prime: below the cap the
+    # search gives up loudly; at bound = p-1 no prime is used at all
+    from skewmm.skewpoly import _moduli
+
+    ctx = shared_ctx(7)
+    every_q = 1
+    for q, _ in _moduli(7):
+        every_q *= q
+    f = SkewPoly(ctx, {0: every_q * ctx.one, 3: ctx.beta_power(2)})
+    calls = recording_support_search(monkeypatch)
+    with pytest.raises(InterpolationError, match="found no polynomial"):
+        sparse_interpolate(evaluations(f, 6), 3, ctx=ctx)
+    assert len(calls) == len(_moduli(7))
+    calls.clear()
+    assert sparse_interpolate(evaluations(f, 12), 6, ctx=ctx) == f
+    assert calls == []
+
+
+def test_sparse_interpolate_rejects_values_no_polynomial_fits():
+    # the first p-1 values fix a unique polynomial; one changed later value
+    # makes every candidate disagree, at the cap and below it
+    ctx = shared_ctx(7)
+    f = rand_poly(ctx, seeded(133), 2, den_bound=4)
+    for bound in (2, 3, 6):
+        values = evaluations(f, 2 * bound)
+        values[-1] = values[-1] + ctx.one
+        with pytest.raises(InterpolationError):
+            sparse_interpolate(values, bound, ctx=ctx)
 
 
 def test_sparse_interpolate_input_validation():
