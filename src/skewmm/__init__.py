@@ -12,7 +12,6 @@ from .cyclotomic import (CycCtx, CycElem, ctx_new, cyc_add, cyc_mul, cyc_neg,
                          cyc_scale, cyc_sigma, div_one_minus_beta_power,
                          find_primitive_root, from_normal_coords, is_odd_prime,
                          mul_beta_power, normal_coords, power_of_v1, shared_ctx)
-from .linalg import SingularMatrixError, solve_square
 from .matmul import (Algorithm, FreivaldsResult, MulReport, det_mul, freivalds,
                      mc_mul, naive_mul, rounds_for)
 from .matrixfile import (MatrixFormatError, parse_matrix, read_matrix_file,

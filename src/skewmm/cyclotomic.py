@@ -1,12 +1,14 @@
 """Exact arithmetic in the cyclotomic field Q(beta) of an odd prime p.
 
 beta is a p-th primitive root of unity: beta^(p-1) + ... + beta + 1 = 0,
-so the field has degree p - 1 over Q.  Elements store their exact rational
-coordinates in the power basis {beta, beta^2, ..., beta^(p-1)}; beta^0 is
-not a basis vector, since 1 = -(beta + ... + beta^(p-1)).  In this basis
-the automorphism sigma: beta -> beta^r (r the smallest primitive root of
-Z_p) and the change to the normal basis {v_i = beta^(r^(i-1))} are pure
-coordinate permutations, which is why the basis was chosen.
+so the field has degree p - 1 over Q.  Elements store their coordinates in
+the power basis {beta, beta^2, ..., beta^(p-1)} as ints over one common
+denominator (FLINT's fmpq_poly layout), so operations pay one gcd per
+result; beta^0 is not a basis vector, since 1 = -(beta + ... + beta^(p-1)).
+In this basis the automorphism sigma: beta -> beta^r (r the smallest
+primitive root of Z_p) and the change to the normal basis
+{v_i = beta^(r^(i-1))} are pure coordinate permutations, which is why the
+basis was chosen.
 
 No element is ever inverted: interpolation needs only products by powers
 of beta (mul_beta_power) and quotients by 1 - beta^m
@@ -24,10 +26,6 @@ import functools
 import math
 
 from .rational import Rat, SCALAR_TYPES, as_rat
-
-_ZERO = Rat(0)
-_ONE = Rat(1)
-_NEG_ONE = Rat(-1)
 
 #: Largest prime the CLI accepts (--p, --p-list) and a matrix-file header may
 #: name; larger primes are refused before any context is built.  It is the
@@ -104,12 +102,12 @@ class CycCtx:
         self.s_perm = tuple(q[(p - i) - 1] for i in range(1, p))  # s(i) = q(p - i)
         self.k_idx = self.q(p - 1)
 
-        zero = (_ZERO,) * n
+        zero = (0,) * n
         self._zero = CycElem(self, zero)
-        self._one = CycElem(self, (_NEG_ONE,) * n)
+        self._one = CycElem(self, (-1,) * n)
         units = [self._one]
         for k in range(1, p):
-            units.append(CycElem(self, zero[: k - 1] + (_ONE,) + zero[k:]))
+            units.append(CycElem(self, zero[: k - 1] + (1,) + zero[k:]))
         self._units = tuple(units)
         self._vw = None
         self._orientation = None
@@ -138,10 +136,7 @@ class CycCtx:
 
     def elem(self, values) -> CycElem:
         """Build an element from p-1 exact rational coordinates."""
-        coords = tuple(as_rat(v) for v in values)
-        if len(coords) != self.p - 1:
-            raise ValueError(f"expected {self.p - 1} coordinates, got {len(coords)}")
-        return CycElem(self, coords)
+        return _from_rats(self, range(1, self.p), values)
 
     def __repr__(self):
         return f"CycCtx(p={self.p}, r={self.r})"
@@ -164,25 +159,43 @@ def _check_same_ctx(a: CycElem, b: CycElem):
 
 
 class CycElem:
-    """An element of Q(beta): rational coefficients of beta^1 .. beta^(p-1).
+    """An element of Q(beta): (num[0] beta + ... + num[p-2] beta^(p-1)) / den.
 
-    Canonical and unique (the scalars self-normalize and the power basis is
-    a Q-basis), so equality is exact coordinatewise comparison.
+    The constructor divides the p-1 ints `num` and the positive int `den` by
+    their gcd, so the form is unique (zero is all zeros over 1) and equality
+    is a tuple comparison.  Rational coordinates are built only on demand.
     """
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx: CycCtx, coords: tuple):
+    def __init__(self, ctx: CycCtx, num, den: int = 1):
+        num = tuple(num)
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
         self.ctx = ctx
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        """The p-1 power coordinates as rationals."""
+        return tuple(Rat(x, self.den) for x in self.num)
+
+    def vector(self, den: int) -> list:
+        """den * self as a length-p int list indexed by beta-exponent, with
+        slot 0 (beta^0) zero; den must be a multiple of self.den."""
+        scale = den // self.den
+        return [0, *self.num] if scale == 1 else [0, *(x * scale for x in self.num)]
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, CycElem):
             return NotImplemented
-        return self.ctx.p == other.ctx.p and self.coords == other.coords
+        return self.ctx.p == other.ctx.p and self.den == other.den and self.num == other.num
 
     def __add__(self, other):
         if not isinstance(other, CycElem):
@@ -211,14 +224,25 @@ class CycElem:
         return "CycElem(" + (" + ".join(parts) if parts else "0") + ")"
 
 
+def _from_rats(ctx: CycCtx, exponents, values) -> CycElem:
+    """sum values[j] * beta^exponents[j] for p-1 exact rationals `values`."""
+    coords = [as_rat(v) for v in values]
+    if len(coords) != ctx.p - 1:
+        raise ValueError(f"expected {ctx.p - 1} coordinates, got {len(coords)}")
+    den = math.lcm(*{x.denominator for x in coords})
+    return CycElem(ctx, int_vector(ctx.p, exponents, coords, den)[1:], den)
+
+
 def cyc_add(a: CycElem, b: CycElem) -> CycElem:
-    """Coordinatewise exact sum."""
+    """Exact sum, over the lcm of the two denominators."""
     _check_same_ctx(a, b)
-    return CycElem(a.ctx, tuple(x + y for x, y in zip(a.coords, b.coords)))
+    g = math.gcd(a.den, b.den)
+    sa, sb = b.den // g, a.den // g
+    return CycElem(a.ctx, [x * sa + y * sb for x, y in zip(a.num, b.num)], a.den * sa)
 
 
 def cyc_neg(a: CycElem) -> CycElem:
-    return CycElem(a.ctx, tuple(-x for x in a.coords))
+    return CycElem(a.ctx, [-x for x in a.num], a.den)
 
 
 def cyc_scale(a: CycElem, c) -> CycElem:
@@ -226,54 +250,40 @@ def cyc_scale(a: CycElem, c) -> CycElem:
     c = as_rat(c)
     if not c:
         return a.ctx.zero
-    return CycElem(a.ctx, tuple(x * c for x in a.coords))
+    k = c.numerator
+    return CycElem(a.ctx, [x * k for x in a.num], a.den * c.denominator)
 
 
 def cyc_mul(a: CycElem, b: CycElem) -> CycElem:
     """Exact field product.
 
-    Cyclic convolution of beta-exponents mod p, then elimination of the
-    beta^0 component via beta^0 = -(beta + ... + beta^(p-1)).  Sparse
-    operands are skipped, so multiplying by a monomial costs O(p).
+    Cyclic convolution of the numerators' beta-exponents mod p over the
+    product of the denominators, then elimination of the beta^0 component via
+    beta^0 = -(beta + ... + beta^(p-1)).  Zero numerators are skipped, so
+    multiplying by a monomial costs O(p).
     """
     _check_same_ctx(a, b)
     ctx = a.ctx
     p = ctx.p
-    acc = [_ZERO] * p  # index = beta exponent 0..p-1
-    for i, ai in enumerate(a.coords):
+    acc = [0] * p  # index = beta exponent 0..p-1
+    for i, ai in enumerate(a.num):
         if not ai:
             continue
         base = i + 2  # exponent (i+1) + (j+1) at j = 0
-        for j, bj in enumerate(b.coords):
+        for j, bj in enumerate(b.num):
             if bj:
-                e = (base + j) % p
-                acc[e] = acc[e] + ai * bj
+                acc[(base + j) % p] += ai * bj
     c0 = acc[0]
-    if c0:
-        return CycElem(ctx, tuple(acc[k] - c0 for k in range(1, p)))
-    return CycElem(ctx, tuple(acc[1:]))
+    return CycElem(ctx, [x - c0 for x in acc[1:]], a.den * b.den)
 
 
 def mul_beta_power(a: CycElem, k: int) -> CycElem:
-    """Multiply by beta^k: an exponent shift plus beta^0 reduction, O(p)."""
-    ctx = a.ctx
-    p = ctx.p
+    """Multiply by beta^k: a rotation plus beta^0 reduction, O(p)."""
+    p = a.ctx.p
     k %= p
     if k == 0:
         return a
-    out = [_ZERO] * (p - 1)
-    spill = _ZERO
-    for i, c in enumerate(a.coords):
-        if not c:
-            continue
-        e = (i + 1 + k) % p
-        if e == 0:
-            spill = c
-        else:
-            out[e - 1] = c
-    if spill:
-        out = [x - spill for x in out]
-    return CycElem(ctx, tuple(out))
+    return CycElem(a.ctx, rotated_sum(p, [(a.vector(a.den), k)]), a.den)
 
 
 def int_vector(p: int, exponents, scalars, den: int) -> list:
@@ -311,21 +321,20 @@ def div_one_minus_beta_power(a: CycElem, m: int) -> CycElem:
     y = sum Y_e beta^e with Y_0 = 0 solves y - beta^m y = a when
     Y_e = Y_(e-m) + a_e + c along e = m, 2m, ..., (p-1)m, where the constant
     c = -(sum of a's coordinates)/p absorbs 1 + beta + ... + beta^(p-1) = 0.
-    The walk runs on ints scaled by p times the lcm D of a's denominators.
+    The walk runs on p times a's numerators, so the result is over p * a.den.
     """
     ctx = a.ctx
     p = ctx.p
     m %= p
     if m == 0:
         raise ZeroDivisionError("1 - beta^m is zero for m = 0 (mod p)")
-    den = math.lcm(*{x.denominator for x in a.coords})
-    num = int_vector(p, range(1, p), a.coords, den)
+    num = a.vector(a.den)
     c = -sum(num)
     out = [0] * p
     for k in range(1, p):
         e = k * m % p
         out[e] = out[(e - m) % p] + p * num[e] + c
-    return CycElem(ctx, tuple(Rat(y, p * den) for y in out[1:]))
+    return CycElem(ctx, out[1:], p * a.den)
 
 
 def cyc_sigma(a: CycElem, k: int = 1) -> CycElem:
@@ -335,11 +344,10 @@ def cyc_sigma(a: CycElem, k: int = 1) -> CycElem:
     m = ctx.pow_r[k % (p - 1)]
     if m == 1:
         return a
-    out = [_ZERO] * (p - 1)
-    for i, c in enumerate(a.coords):
-        if c:
-            out[(i + 1) * m % p - 1] = c
-    return CycElem(ctx, tuple(out))
+    out = [0] * (p - 1)
+    for i, c in enumerate(a.num):
+        out[(i + 1) * m % p - 1] = c
+    return CycElem(ctx, out, a.den)
 
 
 def normal_coords(a: CycElem) -> tuple:
@@ -355,14 +363,7 @@ def normal_coords(a: CycElem) -> tuple:
 
 def from_normal_coords(ctx: CycCtx, values) -> CycElem:
     """Inverse of normal_coords."""
-    n = ctx.p - 1
-    vals = list(values)
-    if len(vals) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(vals)}")
-    out = [_ZERO] * n
-    for j, u in enumerate(ctx.pow_r):
-        out[u - 1] = as_rat(vals[j])
-    return CycElem(ctx, tuple(out))
+    return _from_rats(ctx, ctx.pow_r, values)
 
 
 def power_of_v1(ctx: CycCtx, i: int) -> CycElem:

@@ -19,7 +19,7 @@ import operator
 
 from .cyclotomic import (CycElem, cyc_mul, cyc_sigma,
                          div_one_minus_beta_power, from_normal_coords,
-                         int_vector, mul_beta_power, power_of_v1, rotated_sum)
+                         mul_beta_power, power_of_v1, rotated_sum)
 from .multiply import cubic_multiply
 
 
@@ -310,12 +310,10 @@ def _moduli(p: int):
 def _reduce_mod(a: CycElem, q: int, zeta_pows) -> int | None:
     """The image sum a_i zeta^i of a in F_q, or None if q divides one of
     a's denominators."""
-    p = a.ctx.p
-    den = math.lcm(*{x.denominator for x in a.coords})
+    den = a.den
     if den % q == 0:
         return None
-    vec = int_vector(p, range(1, p), a.coords, den)
-    return sum(map(operator.mul, vec, zeta_pows)) * pow(den, -1, q) % q
+    return sum(map(operator.mul, a.vector(den), zeta_pows)) * pow(den, -1, q) % q
 
 
 def _berlekamp_massey_mod(s, q: int):
@@ -380,18 +378,17 @@ def _agrees(f: SkewPoly, values, start: int) -> bool:
 
     The term c x^e contributes c * beta^(u l), u the beta-exponent of v_(e+1),
     so each value is a rotated_sum of int vectors under the lcm D of f's
-    denominators, compared with D times the value.
+    coefficients' denominators, compared with the value's numerators.
     """
     p = f.ctx.p
     terms = f.sorted_terms()
-    den = math.lcm(*{x.denominator for _, c in terms for x in c.coords})
-    vecs = [(f.ctx.v_exponent(e + 1), int_vector(p, range(1, p), c.coords, den))
-            for e, c in terms]
+    den = math.lcm(*{c.den for _, c in terms})
+    vecs = [(f.ctx.v_exponent(e + 1), c.vector(den)) for e, c in terms]
     for l in range(start, len(values)):
         coords = rotated_sum(p, [(vec, u * l % p) for u, vec in vecs])
-        for y, x in zip(coords, values[l].coords):
-            if y * x.denominator != x.numerator * den:
-                return False
+        value = values[l]
+        if [y * value.den for y in coords] != [x * den for x in value.num]:
+            return False
     return True
 
 

@@ -143,7 +143,7 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
 
     The work runs on Python ints under one common denominator D (the lcm of
     C's denominators): O(p^3) integer additions, one beta^0 reduction per
-    coefficient, and rationals are formed once per output scalar, over p*D.
+    coefficient, and each coefficient is built directly over p*D.
     """
     if ctx is None:
         ctx = shared_ctx(C.p)
@@ -163,7 +163,7 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
         coords = rotated_sum(p, [(vec, p - pow_r[(i + k) % n]) for k, vec in b]
                              + [(neg_total, 0)])
         if any(coords):
-            terms[i] = CycElem(ctx, tuple(Rat(x, out_den) for x in coords))
+            terms[i] = CycElem(ctx, coords, out_den)
     return SkewPoly(ctx, terms)
 
 
@@ -182,8 +182,8 @@ def skew_to_mat(f: SkewPoly) -> RatMatrix:
     n = p - 1
     pow_r = ctx.pow_r
     terms = f.sorted_terms()
-    den = math.lcm(*{x.denominator for _, c in terms for x in c.coords})
-    vecs = [(e, int_vector(p, range(1, p), c.coords, den)) for e, c in terms]
+    den = math.lcm(*{c.den for _, c in terms})
+    vecs = [(e, c.vector(den)) for e, c in terms]
     rows = []
     for i in range(n):
         coords = rotated_sum(p, [(vec, pow_r[(i + e) % n]) for e, vec in vecs])

@@ -1,6 +1,7 @@
 """Shared helpers: seeded random field elements, polynomials and matrices."""
 
 import random
+from fractions import Fraction
 
 from skewmm import RatMatrix, SkewPoly
 
@@ -43,3 +44,20 @@ def rand_rational_matrix(p, rng, bound=9, den_bound=7):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def solve_square(matrix, rhs):
+    """Solve M x = rhs over the rationals by Gaussian elimination; raises
+    ZeroDivisionError when M is singular."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(matrix, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col] / a[col][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] / a[i][i] for i in range(n)]

@@ -72,6 +72,31 @@ def test_analyze_zero_matrix(workdir, capsys):
     assert "support: {}" in out
 
 
+def test_analyze_output_is_pinned(workdir, capsys):
+    # the whole stdout, with each norm[e] computed here from the Fraction
+    # coordinates of the polynomial the file encodes
+    from fractions import Fraction
+
+    from skewmm import SkewPoly, shared_ctx, skew_to_mat
+
+    p = 7
+    ctx = shared_ctx(p)
+    coords = {
+        1: [Fraction(3, 4), Fraction(-5, 6), 0, Fraction(1, 12), 0, Fraction(-7, 2)],
+        3: [Fraction(-2, 9), 0, 0, Fraction(4, 9), 0, 0],
+        4: [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), 0, 0, Fraction(3, 2)],
+    }
+    M = skew_to_mat(SkewPoly(ctx, {e: ctx.elem(c) for e, c in coords.items()}))
+    assert any(x.denominator > 1 for row in M.rows for x in row)
+    path = workdir / "r.mat"
+    write_matrix_file(path, M)
+    assert run_cli("analyze", str(path)) == EXIT_OK
+    want = [f"p: {p}", "skew-sparsity: 3", "support: {1, 3, 4}"]
+    want += [f"norm[{e}]: {sum(abs(Fraction(x)) for x in c)}" for e, c in sorted(coords.items())]
+    assert want[3:] == ["norm[1]: 31/6", "norm[3]: 2/3", "norm[4]: 3"]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
 def test_gen_rejects_bad_input(workdir):
     out = workdir / "x.mat"
     assert run_cli("gen", "--p", "9", "--layers", "0", "-o", str(out)) == EXIT_USAGE

@@ -2,12 +2,12 @@
 
 import pytest
 
-from conftest import rand_matrix, seeded
+from conftest import rand_matrix, seeded, solve_square
 from skewmm import (RatMatrix, SkewPoly, antidiag_perm, build_AB_perm, build_P,
                     build_Q, build_X, build_Y, l0_characterization_check,
                     layer_basis_elem, naive_mul, random_layered,
                     det_mul, shared_ctx, shift_rows_up, skew_sparsity,
-                    skew_to_mat, solve_square, y_power_row)
+                    skew_to_mat, y_power_row)
 from skewmm.rational import Rat
 
 
