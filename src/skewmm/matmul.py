@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import shared_ctx
+from .cyclotomic import normal_coords, shared_ctx
 from .multiply import OpCounter, cubic_multiply
 from .skewpoly import (InterpolationError, batch_evaluate_via_matrices,
                        interpolate_known_support, sparse_interpolate, sumset)
@@ -55,8 +55,10 @@ class MulReport:
     the dense t x (p-1) by (p-1) x (p-1) product it replaces, the product
     with the outer factor by cubic_multiply (for naive_mul: the whole
     product).  final_T is the last sparsity bound tried by mc_mul; fallback
-    flags the cap-and-verify-failed escape hatch, which indicates a bug
-    rather than an input condition.  wall_time is measured, never asserted.
+    flags that mc_mul's direct round, the product read off all p-1 values,
+    failed verification and the schoolbook product was returned instead,
+    which indicates a bug rather than an input condition.  wall_time is
+    measured, never asserted.
     """
 
     algorithm: Algorithm
@@ -111,6 +113,15 @@ def naive_mul(A: RatMatrix, B: RatMatrix, counter: OpCounter | None = None) -> R
     return RatMatrix(A.p, cubic_multiply(A.rows, B.rows, counter))
 
 
+def _product_from_rows(ctx, values):
+    """The product matrix from the values at v_1^1 .. v_1^(p-1): the value at
+    v_1^l is row q(l) of the product, in normal coordinates."""
+    rows = [None] * (ctx.p - 1)
+    for l, value in enumerate(values, 1):
+        rows[ctx.q(l) - 1] = normal_coords(value)
+    return RatMatrix(ctx.p, rows)
+
+
 def _ordered_factors(ctx, A, B):
     # the product map applies one factor's map first; which one is fixed by
     # the orientation probe, so the evaluation rows come out as those of A*B
@@ -126,7 +137,8 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     the two pullbacks; with t its size, t evaluations of the product map are
     read off the input matrices themselves (t gathered rows of one factor
     times the other), and one known-support interpolation reconstructs
-    the polynomial, which maps back to the answer.
+    the polynomial, which maps back to the answer.  At t = p-1 the values
+    are all the rows of the answer, which is read off them directly.
     """
     _check_pair(A, B)
     start = time.perf_counter()
@@ -141,9 +153,12 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
                            wall_time=time.perf_counter() - start)
         return RatMatrix.zeros(A.p), report
     inner, outer = _ordered_factors(ctx, A, B)
-    values = batch_evaluate_via_matrices(ctx, range(t), inner, outer, counter)
-    product_poly = interpolate_known_support(list(enumerate(values)), support, ctx=ctx)
-    result = skew_to_mat(product_poly)
+    values = batch_evaluate_via_matrices(ctx, range(1, t + 1), inner, outer, counter)
+    if t == A.p - 1:
+        result = _product_from_rows(ctx, values)
+    else:
+        product_poly = interpolate_known_support(list(enumerate(values, 1)), support, ctx=ctx)
+        result = skew_to_mat(product_poly)
     report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
                        rational_mul_count=counter.muls,
                        wall_time=time.perf_counter() - start)
@@ -182,19 +197,21 @@ def _ceil_log2(m: int) -> int:
 def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulReport]:
     """Monte Carlo product: correct with probability at least 1 - nu.
 
-    Doubles a sparsity bound T = 1, 2, 4, ... (capped at p-1): each round
-    evaluates the product map at v_1^0 .. v_1^(2T-1) (reusing earlier
-    values; only the new ones are computed), interpolates under the bound,
-    and verifies the candidate with the randomized check at error budget
+    Doubles a sparsity bound T = 1, 2, 4, ... while 2T < p-1: each round
+    evaluates the product map at v_1^1 .. v_1^(2T) (reusing earlier values;
+    only the new ones are computed), interpolates under the bound, and
+    verifies the candidate with the randomized check at error budget
     nu / ceil(log2(p-1)).  sparse_interpolate finds the support modulo a
     fixed prime and solves for the coefficients exactly; a candidate it
     returns agrees with all 2T values, so it is the product polynomial
     whenever the product has at most T terms.  An undersized bound raises
     InterpolationError or yields a candidate the verifier rejects; both
-    double T.  At the cap the support is taken to be everything, so
-    interpolation is exact with no prime involved.  If verification still
-    fails there, the schoolbook product is returned with the report flagged,
-    surfacing the bug loudly while keeping the function total.
+    double T.  The first T with 2T >= p-1 is the direct round: the values
+    up to v_1^(p-1) are evaluated, and they are the product's rows, so no
+    interpolation is needed; t_used is then the sparsity of the product's
+    pullback.  The direct round is verified too; if it fails,
+    the schoolbook product is returned with the report flagged, surfacing
+    the bug loudly while keeping the function total.
     """
     _check_pair(A, B)
     nu_frac = _check_probability(nu, "nu")
@@ -203,7 +220,7 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     ctx = shared_ctx(A.p)
     n = A.p - 1
     # the doubling loop evaluates the product map straight from the input
-    # matrices, so the polynomial pullbacks themselves are never needed
+    # matrices, so the factors' polynomial pullbacks are never needed
     inner, outer = _ordered_factors(ctx, A, B)
     mu = nu_frac / _ceil_log2(n)
     master = random.Random(seed)
@@ -213,14 +230,17 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     iterations = 0
     while True:
         iterations += 1
-        if len(values) < 2 * T:
-            values.extend(batch_evaluate_via_matrices(
-                ctx, range(len(values), 2 * T), inner, outer, counter))
+        direct = 2 * T >= n
+        values.extend(batch_evaluate_via_matrices(
+            ctx, range(len(values) + 1, min(2 * T, n) + 1), inner, outer, counter))
         try:
-            candidate_poly = sparse_interpolate(values[: 2 * T], T, ctx=ctx)
-            candidate = skew_to_mat(candidate_poly)
+            if direct:  # the values at v_1^1 .. v_1^(p-1) are the product's rows
+                candidate = _product_from_rows(ctx, values)
+                candidate_poly = mat_to_skew(candidate, ctx)
+            else:
+                candidate_poly = sparse_interpolate(values, T, ctx=ctx)
+                candidate = skew_to_mat(candidate_poly)
         except InterpolationError:
-            candidate_poly = None
             candidate = None
         round_seed = master.getrandbits(64)
         if candidate is not None and freivalds(candidate, A, B, mu, round_seed) is FreivaldsResult.EQUAL:
@@ -228,11 +248,11 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
                                iterations=iterations, rational_mul_count=counter.muls,
                                wall_time=time.perf_counter() - start, final_T=T)
             return candidate, report
-        if T == n:
+        if direct:
             result = naive_mul(A, B)
             report = MulReport(Algorithm.MONTE_CARLO, t_used=0, iterations=iterations,
                                rational_mul_count=counter.muls,
                                wall_time=time.perf_counter() - start,
                                final_T=T, fallback=True)
             return result, report
-        T = min(2 * T, n)
+        T *= 2

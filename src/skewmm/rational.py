@@ -1,7 +1,7 @@
 """Exact rational scalars shared across the package.
 
-gmpy2's mpq is used when available (an order of magnitude faster for the
-dense elimination work); the stdlib Fraction is a drop-in fallback.  Both
+gmpy2's mpq is used when it is installed; the stdlib Fraction, the only
+backend the tests and benchmarks have run on, is the fallback.  Both
 normalize to lowest terms with a positive denominator, and both print as
 "n" or "n/d", which is the canonical text form used by the file format.
 No floating point is allowed anywhere in the toolchain.

@@ -8,7 +8,7 @@ the matrices these polynomials encode.
 
 Evaluation treats a polynomial as the linear map sum a_i sigma^(e_i) on
 Q(beta); interpolation recovers the polynomial from values of that map at
-the points 1, v_1, v_1^2, ...  Both directions are exact.
+the points v_1, v_1^2, v_1^3, ...  Both directions are exact.
 """
 
 from __future__ import annotations
@@ -176,39 +176,30 @@ def sp_evaluate(f: SkewPoly, b: CycElem) -> CycElem:
 
 
 def power_points(ctx, count: int):
-    """The standard evaluation points v_1^0, v_1^1, ..., v_1^(count-1)."""
-    return [power_of_v1(ctx, i) for i in range(count)]
+    """The standard evaluation points v_1^1, v_1^2, ..., v_1^count."""
+    return [power_of_v1(ctx, i) for i in range(1, count + 1)]
 
 
 def batch_evaluate_via_matrices(ctx, indices, inner, outer, counter=None):
-    """Evaluate the product map at the points v_1^i, i in `indices`, from the
-    factor matrices alone.
+    """Evaluate the product map at the points v_1^l, l in `indices`, from the
+    factor matrices alone; each l must lie in 1..p-1.
 
     `inner` and `outer` are the matrices of the first-applied and
-    second-applied maps (RatMatrix or raw rows).  Row i of P * inner * outer,
-    with P the normal coordinates of the points, is exactly the
-    normal-coordinate vector of the i-th evaluation, so the product
-    polynomial is never formed termwise.  v_1^i = beta^(i mod p) is the unit
-    vector of normal coordinate q(i mod p) unless i = 0 (mod p), where it is
-    all -1; so P * inner is a gather of inner's rows (minus their sum for
-    the all -1 point), and only the product with `outer` runs through
-    `cubic_multiply`.
+    second-applied maps (RatMatrix or raw rows).  v_1^l = beta^l is the unit
+    vector of normal coordinate q(l), so the value at v_1^l is row q(l) of
+    inner * outer, read as normal coordinates: a gather of inner's rows, and
+    only the product with `outer` runs through `cubic_multiply`.
     """
     inner_rows = getattr(inner, "rows", inner)
     outer_rows = getattr(outer, "rows", outer)
     n = ctx.p - 1
     if len(inner_rows) != n or len(outer_rows) != n:
         raise ValueError("matrix dimension does not match the context")
-    minus_sum = None
     mid = []
-    for i in indices:
-        m = i % ctx.p
-        if m:
-            mid.append(inner_rows[ctx.q(m) - 1])
-        else:
-            if minus_sum is None:
-                minus_sum = tuple(-sum(col) for col in zip(*inner_rows))
-            mid.append(minus_sum)
+    for l in indices:
+        if not 1 <= l <= n:
+            raise ValueError(f"evaluation index must be in 1..{n}, got {l!r}")
+        mid.append(inner_rows[ctx.q(l) - 1])
     # the gather stands in for the dense t x n by n x n product; charge its
     # nominal count so rational_mul_count stays the paper's 2 t (p-1)^2
     if counter is not None:
@@ -219,14 +210,15 @@ def batch_evaluate_via_matrices(ctx, indices, inner, outer, counter=None):
 
 def interpolate_known_support(points_values, support: SupportSet, ctx=None):
     """Recover the unique polynomial with supp(f) inside `support` from its
-    values at v_1^0 .. v_1^(t-1), where t = len(support).
+    values at v_1^1 .. v_1^t, where t = len(support).
 
     `points_values` is a list of (index, value) pairs with indices exactly
-    0..t-1 in any order.  a_l = sum_j c_j w_j^l with distinct nodes
-    w_j = v_(e_j+1) = beta^(u_j) is a transposed Vandermonde system, solved
-    by the dual Bjorck-Pereyra scheme (Golub & Van Loan, Alg. 4.6.2) in
-    O(t^2) beta-shifts and divisions by w_i - w_k = beta^(u_i) (1 -
-    beta^(u_k - u_i)), each O(p) by div_one_minus_beta_power.
+    1..t in any order.  a_l = sum_j (c_j w_j) w_j^(l-1) with distinct nodes
+    w_j = v_(e_j+1) = beta^(u_j) is a transposed Vandermonde system in the
+    unknowns c_j w_j, solved by the dual Bjorck-Pereyra scheme (Golub & Van
+    Loan, Alg. 4.6.2) in O(t^2) beta-shifts and divisions by w_i - w_k =
+    beta^(u_i) (1 - beta^(u_k - u_i)), each O(p) by div_one_minus_beta_power;
+    one last shift by beta^(-u_j) divides out w_j.
     """
     pairs = sorted(points_values, key=lambda pv: pv[0])
     t = len(support)
@@ -238,8 +230,8 @@ def interpolate_known_support(points_values, support: SupportSet, ctx=None):
         ctx = pairs[0][1].ctx
     if t == 0:
         return SkewPoly.zero(ctx)
-    if [i for i, _ in pairs] != list(range(t)):
-        raise ValueError("evaluation indices must be exactly 0..t-1")
+    if [i for i, _ in pairs] != list(range(1, t + 1)):
+        raise ValueError("evaluation indices must be exactly 1..t")
     exps = list(support)
     if exps[-1] > ctx.p - 2:
         raise ValueError("support exponents must lie in {0..p-2}")
@@ -254,7 +246,7 @@ def interpolate_known_support(points_values, support: SupportSet, ctx=None):
             b[i] = div_one_minus_beta_power(mul_beta_power(b[i], -u[i]), u[i - k - 1] - u[i])
         for i in range(k, t - 1):
             b[i] = b[i] - b[i + 1]
-    return SkewPoly(ctx, dict(zip(exps, b)))
+    return SkewPoly(ctx, {e: mul_beta_power(c, -uj) for e, c, uj in zip(exps, b, u)})
 
 
 #: How many primes sparse_interpolate tries for the support before it gives
@@ -374,26 +366,27 @@ def _support_mod(a, bound: int, ctx, q: int, zeta_pows) -> SupportSet | None:
 
 
 def _agrees(f: SkewPoly, values, start: int) -> bool:
-    """Whether f's map at v_1^l equals values[l] for every l >= start.
+    """Whether f's map at v_1^(k+1) equals values[k] for every k >= start.
 
-    The term c x^e contributes c * beta^(u l), u the beta-exponent of v_(e+1),
-    so each value is a rotated_sum of int vectors under the lcm D of f's
-    coefficients' denominators, compared with the value's numerators.
+    The term c x^e contributes c * beta^(u l) at v_1^l, u the beta-exponent
+    of v_(e+1), so each value is a rotated_sum of int vectors under the lcm D
+    of f's coefficients' denominators, compared with the value's numerators.
     """
     p = f.ctx.p
     terms = f.sorted_terms()
     den = math.lcm(*{c.den for _, c in terms})
     vecs = [(f.ctx.v_exponent(e + 1), c.vector(den)) for e, c in terms]
-    for l in range(start, len(values)):
-        coords = rotated_sum(p, [(vec, u * l % p) for u, vec in vecs])
-        value = values[l]
+    for k in range(start, len(values)):
+        coords = rotated_sum(p, [(vec, u * (k + 1) % p) for u, vec in vecs])
+        value = values[k]
         if [y * value.den for y in coords] != [x * den for x in value.num]:
             return False
     return True
 
 
 def sparse_interpolate(values, bound: int, ctx=None) -> SkewPoly:
-    """Recover f from 2*bound evaluations a_l = f(v_1^l), given #f <= bound.
+    """Recover f from 2*bound evaluations a_l = f(v_1^l), l = 1..2*bound,
+    given #f <= bound; values[k] is a_(k+1).
 
     Ben-Or & Tiwari, with the support found over a finite field (Giesbrecht
     & Roche, ISSAC 2011): (1) map the values to F_q, q = 1 (mod p) prime,
@@ -436,7 +429,7 @@ def sparse_interpolate(values, bound: int, ctx=None) -> SkewPoly:
         if support is None:
             continue
         t = len(support)
-        candidate = interpolate_known_support(list(enumerate(a[:t])), support, ctx=ctx)
+        candidate = interpolate_known_support(list(enumerate(a[:t], 1)), support, ctx=ctx)
         # the solve is exact on the first t values; check the rest
         if _agrees(candidate, a, t):
             return candidate

@@ -103,33 +103,18 @@ class RatMatrix:
 
 
 def build_V(ctx: CycCtx):
-    """Matrix of normal-basis translates: entry (i, j) is v_(i+j-1).
-
-    Returned as rows of field elements; cached per context together with W.
-    """
-    return _basis_matrices(ctx)[0]
+    """Matrix of normal-basis translates: entry (i, j) is v_(i+j-1), as rows
+    of field elements."""
+    n = ctx.p - 1
+    return tuple(tuple(ctx.beta_power(ctx.pow_r[(i + j) % n]) for j in range(n))
+                 for i in range(n))
 
 
 def build_W(ctx: CycCtx):
     """Companion matrix with entries 1/v_(i+j-1) - 1; satisfies V W = p I."""
-    return _basis_matrices(ctx)[1]
-
-
-def _basis_matrices(ctx: CycCtx):
-    cached = ctx._vw
-    if cached is not None:
-        return cached
-    p = ctx.p
-    n = p - 1
-    one = ctx.one
-    v_rows = []
-    w_rows = []
-    for i in range(n):
-        v_rows.append(tuple(ctx.beta_power(ctx.pow_r[(i + j) % n]) for j in range(n)))
-        w_rows.append(tuple(ctx.beta_power(p - ctx.pow_r[(i + j) % n]) - one for j in range(n)))
-    cached = (tuple(v_rows), tuple(w_rows))
-    ctx._vw = cached
-    return cached
+    n = ctx.p - 1
+    return tuple(tuple(ctx.beta_power(-ctx.pow_r[(i + j) % n]) - ctx.one for j in range(n))
+                 for i in range(n))
 
 
 def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:

@@ -109,6 +109,26 @@ def test_det_cancellation_family():
         assert report.t_used == k + 2
 
 
+def test_det_at_full_support_reads_the_product_off_the_rows(monkeypatch):
+    # at t = p-1 the values at v_1^1 .. v_1^(p-1) are the product's rows:
+    # nothing is interpolated or pushed forward
+    from skewmm import matmul
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("dense det interpolated or pushed forward")
+
+    monkeypatch.setattr(matmul, "interpolate_known_support", forbidden)
+    monkeypatch.setattr(matmul, "skew_to_mat", forbidden)
+    for p in (3, 13, 31):
+        rng = seeded(500 + p)
+        A = rand_rational_matrix(p, rng)
+        B = rand_matrix(p, rng)
+        product, report = det_mul(A, B)
+        assert product == naive_mul(A, B)
+        assert report.t_used == p - 1
+        assert report.rational_mul_count == 2 * (p - 1) ** 3
+
+
 def test_det_evaluation_count_scales_linearly():
     # nominal count of the cubic kernel: 2 * t * (p-1)^2
     p = 13
@@ -271,16 +291,35 @@ def test_mc_smallest_prime():
         assert report.final_T <= 2
 
 
-def test_mc_dense_at_p31_reaches_the_cap_without_fallback():
-    # the cap round solves on the full support, with no prime to be unlucky
+def test_mc_dense_at_p31_reads_the_product_off_the_rows():
+    # T = 16 is the first bound with 2T >= 30: the direct round evaluates the
+    # rows not yet held and takes them as the product, so each of the 30
+    # rows is evaluated exactly once
     ctx = shared_ctx(31)
     A = random_layered(ctx, set(range(30)), 31)
     B = random_layered(ctx, set(range(30)), 32)
     product, report = mc_mul(A, B, "1/20", 33)
     assert product == naive_mul(A, B)
     assert not report.fallback
-    assert report.final_T == 30
+    assert report.final_T == 16
+    assert report.iterations == 5
+    assert report.rational_mul_count == 2 * 30 * 30 ** 2
     assert report.t_used == mat_to_skew(product).sparsity
+
+
+def test_mc_falls_back_loudly_when_verification_always_fails(monkeypatch):
+    from skewmm import matmul
+
+    monkeypatch.setattr(matmul, "freivalds", lambda *_args: FreivaldsResult.NOT_EQUAL)
+    for p in (3, 7, 13):
+        rng = seeded(600 + p)
+        A = rand_rational_matrix(p, rng)
+        B = rand_matrix(p, rng)
+        product, report = mc_mul(A, B, "1/20", 7)
+        assert product == naive_mul(A, B)
+        assert report.fallback
+        assert report.t_used == 0
+        assert 2 * report.final_T >= p - 1 > report.final_T
 
 
 def test_mc_validation():

@@ -5,7 +5,8 @@ non-integer denominators, skew-sparse ones (a few layers with rational
 coefficients), rank-one and zero matrices, and the telescoping pair
 (1 - x) * (1 + x + ... + x^k), whose product has two terms (none at
 k = p-2).  Besides the product, the doubling loop must stop at the first
-bound that covers the product's true sparsity, with no fallback.  nu is
+bound that covers the product's true sparsity, or at the direct round where
+the product is read off its rows, with no fallback.  nu is
 2^-40, so a wrong candidate surviving verification would be a bug, not
 bad luck.
 """
@@ -58,9 +59,11 @@ def operand_pairs(draw):
 
 
 def first_bound_covering(t, cap):
+    # doubling stops at the first bound that covers t, or at the direct
+    # round, the first T with 2T >= cap, where the product is read off rows
     T = 1
-    while T < t and T < cap:
-        T = min(2 * T, cap)
+    while T < t and 2 * T < cap:
+        T *= 2
     return T
 
 

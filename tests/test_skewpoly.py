@@ -183,10 +183,10 @@ def test_evaluation_is_multiplicative_as_operator():
 
 
 def test_batch_evaluate_identity_case():
-    # with both maps the identity, the value at v_1^i is the point itself
+    # with both maps the identity, the value at v_1^l is the point itself
     ctx = shared_ctx(7)
     ident = skew_to_mat(SkewPoly.one(ctx))
-    indices = [1, 0, 7, 3, 14, 13]
+    indices = [1, 5, 3, 6, 3, 2, 4]
     got = batch_evaluate_via_matrices(ctx, indices, ident, ident)
     assert got == [power_of_v1(ctx, i) for i in indices]
 
@@ -200,28 +200,29 @@ def test_batch_evaluate_matches_direct_product_evaluation():
             g = rand_poly(ctx, rng, rng.randint(1, p - 1))
             prod = sp_mul(f, g)
             # g acts first, so its matrix is the inner one
-            t = rng.randint(1, 2 * p)
-            got = batch_evaluate_via_matrices(ctx, range(t), skew_to_mat(g), skew_to_mat(f))
+            t = rng.randint(1, p - 1)
+            got = batch_evaluate_via_matrices(ctx, range(1, t + 1), skew_to_mat(g),
+                                              skew_to_mat(f))
             want = [sp_evaluate(prod, pt) for pt in power_points(ctx, t)]
             assert got == want
             # a tail of the indices, as mc_mul's doubling rounds ask for
-            start = rng.randint(0, t - 1)
-            tail = batch_evaluate_via_matrices(ctx, range(start, t),
+            start = rng.randint(1, t)
+            tail = batch_evaluate_via_matrices(ctx, range(start, t + 1),
                                                skew_to_mat(g), skew_to_mat(f))
-            assert tail == want[start:]
+            assert tail == want[start - 1:]
 
 
-def test_batch_evaluate_handles_all_minus_one_row():
-    # v_1^0 = v_1^p = 1 has normal coordinates (-1, ..., -1), not a unit vector
+def test_batch_evaluate_rejects_indices_outside_1_to_p_minus_1():
+    # only v_1^1 .. v_1^(p-1) are unit vectors in normal coordinates; v_1^0 =
+    # v_1^p = 1 is all -1, and no index is taken modulo p
     ctx = shared_ctx(5)
-    rng = seeded(85)
-    f = rand_poly(ctx, rng, 2)
-    g = rand_poly(ctx, rng, 2)
+    ident = skew_to_mat(SkewPoly.one(ctx))
     assert set(normal_coords(power_of_v1(ctx, 0))) == {-1}
+    for bad in (0, 5, -1):
+        with pytest.raises(ValueError, match="1..4"):
+            batch_evaluate_via_matrices(ctx, [1, bad], ident, ident)
     counter = OpCounter()
-    got = batch_evaluate_via_matrices(ctx, [0, 5], skew_to_mat(g), skew_to_mat(f), counter)
-    want = sp_evaluate(sp_mul(f, g), ctx.one)
-    assert got == [want, want]
+    batch_evaluate_via_matrices(ctx, [1, 4], ident, ident, counter)
     assert counter.muls == 2 * 2 * 4 ** 2  # nominal: two dense 2 x 4 by 4 x 4 products
 
 
@@ -230,9 +231,9 @@ def test_batch_evaluate_dimension_check():
     ident = skew_to_mat(SkewPoly.one(ctx))
     wrong = skew_to_mat(SkewPoly.one(shared_ctx(7)))
     with pytest.raises(ValueError):
-        batch_evaluate_via_matrices(ctx, [0, 1], wrong, ident)
+        batch_evaluate_via_matrices(ctx, [1, 2], wrong, ident)
     with pytest.raises(ValueError):
-        batch_evaluate_via_matrices(ctx, [0, 1], ident, wrong)
+        batch_evaluate_via_matrices(ctx, [1, 2], ident, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def test_batch_evaluate_dimension_check():
 def test_interpolate_zero():
     ctx = shared_ctx(7)
     support = SupportSet([0, 2, 5])
-    pairs = [(i, ctx.zero) for i in range(3)]
+    pairs = [(i, ctx.zero) for i in range(1, 4)]
     assert interpolate_known_support(pairs, support, ctx=ctx) == SkewPoly.zero(ctx)
 
 
@@ -256,7 +257,7 @@ def test_interpolate_roundtrip_random():
             f = rand_poly(ctx, rng, t, den_bound=den_bound)
             support = f.support()
             t = len(support)
-            pairs = [(i, sp_evaluate(f, pt)) for i, pt in enumerate(power_points(ctx, t))]
+            pairs = [(i, sp_evaluate(f, pt)) for i, pt in enumerate(power_points(ctx, t), 1)]
             assert interpolate_known_support(pairs, support, ctx=ctx) == f
 
 
@@ -276,7 +277,7 @@ def test_interpolate_makes_no_field_product_inversion_or_elimination(monkeypatch
     g_values = evaluations(g, 14)
     for module in (cyclotomic, skewpoly):
         monkeypatch.setattr(module, "cyc_mul", forbidden)
-    assert interpolate_known_support(list(enumerate(f_values[:12])), f.support(), ctx=ctx) == f
+    assert interpolate_known_support(list(enumerate(f_values[:12], 1)), f.support(), ctx=ctx) == f
     assert sparse_interpolate(f_values, 12, ctx=ctx) == f
     assert sparse_interpolate(g_values, 7, ctx=ctx) == g
     with pytest.raises(InterpolationError):
@@ -292,7 +293,7 @@ def test_interpolate_superset_support_yields_exact_zeros():
     prod = sp_mul(f, g)
     support = sumset(f, g)
     t = len(support)
-    pairs = [(i, sp_evaluate(prod, pt)) for i, pt in enumerate(power_points(ctx, t))]
+    pairs = [(i, sp_evaluate(prod, pt)) for i, pt in enumerate(power_points(ctx, t), 1)]
     recovered = interpolate_known_support(pairs, support, ctx=ctx)
     assert recovered == prod
     assert recovered.sparsity == 2
@@ -302,9 +303,11 @@ def test_interpolate_input_validation():
     ctx = shared_ctx(5)
     support = SupportSet([0, 1])
     with pytest.raises(ValueError):
-        interpolate_known_support([(0, ctx.one)], support, ctx=ctx)
+        interpolate_known_support([(1, ctx.one)], support, ctx=ctx)
     with pytest.raises(ValueError):
-        interpolate_known_support([(0, ctx.one), (2, ctx.one)], support, ctx=ctx)
+        interpolate_known_support([(1, ctx.one), (3, ctx.one)], support, ctx=ctx)
+    with pytest.raises(ValueError, match="exactly 1..t"):
+        interpolate_known_support([(0, ctx.one), (1, ctx.one)], support, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
