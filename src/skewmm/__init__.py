@@ -8,8 +8,8 @@ verification.  Everything is exact rational arithmetic; nothing here ever
 touches floating point.
 """
 
-from .cyclotomic import (CycCtx, CycElem, ctx_new, cyc_add, cyc_mul, cyc_neg,
-                         cyc_scale, cyc_sigma, div_one_minus_beta_power,
+from .cyclotomic import (CycCtx, CycElem, cyc_add, cyc_mul, cyc_neg, cyc_scale,
+                         cyc_sigma, div_one_minus_beta_power,
                          find_primitive_root, from_normal_coords, is_odd_prime,
                          mul_beta_power, normal_coords, power_of_v1, shared_ctx)
 from .matmul import (Algorithm, FreivaldsResult, MulReport, det_mul, freivalds,

@@ -77,12 +77,12 @@ class CycCtx:
 
     q_perm and s_perm realize the bijections q, s of {1..p-1} defined by
     r^(q(i)-1) = i (mod p) and r^(s(i)-1) = -i (mod p); k_idx is the index
-    with r^(k_idx-1) = p-1 (mod p).  The last slot caches the orientation
-    probe; the context is otherwise immutable after construction.
+    with r^(k_idx-1) = p-1 (mod p).  The context is immutable after
+    construction.
     """
 
     __slots__ = ("p", "r", "pow_r", "q_perm", "s_perm", "k_idx",
-                 "_units", "_one", "_zero", "_orientation")
+                 "_units", "_one", "_zero")
 
     def __init__(self, p: int):
         _check_odd_prime(p)
@@ -108,7 +108,6 @@ class CycCtx:
         for k in range(1, p):
             units.append(CycElem(self, zero[: k - 1] + (1,) + zero[k:]))
         self._units = tuple(units)
-        self._orientation = None
 
     def q(self, i: int) -> int:
         return self.q_perm[(i - 1) % (self.p - 1)]
@@ -138,11 +137,6 @@ class CycCtx:
 
     def __repr__(self):
         return f"CycCtx(p={self.p}, r={self.r})"
-
-
-def ctx_new(p: int) -> CycCtx:
-    """Fresh context for the prime p (propagates primality errors)."""
-    return CycCtx(p)
 
 
 @functools.lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ from .cyclotomic import normal_coords, shared_ctx
 from .multiply import OpCounter, cubic_multiply
 from .skewpoly import (InterpolationError, batch_evaluate_via_matrices,
                        interpolate_known_support, sparse_interpolate, sumset)
-from .transform import Orientation, RatMatrix, mat_to_skew, phi_orientation, skew_to_mat
+from .transform import RatMatrix, mat_to_skew, skew_to_mat
 
 MAX_SEED = 2 ** 64
 
@@ -51,9 +51,9 @@ class MulReport:
     """Instrumentation attached to every multiplication.
 
     rational_mul_count is the nominal multiplication count of the
-    evaluation stage, 2 t (p-1)^2 for t points: the row gather is charged as
-    the dense t x (p-1) by (p-1) x (p-1) product it replaces, the product
-    with the outer factor by cubic_multiply (for naive_mul: the whole
+    evaluation stage, 2 t (p-1)^2 for t points: the gather of A's rows is
+    charged as the dense t x (p-1) by (p-1) x (p-1) product it replaces,
+    their product with B by cubic_multiply (for naive_mul: the whole
     product).  final_T is the last sparsity bound tried by mc_mul; fallback
     flags that mc_mul's direct round, the product read off all p-1 values,
     failed verification and the schoolbook product was returned instead,
@@ -122,23 +122,16 @@ def _product_from_rows(ctx, values):
     return RatMatrix(ctx.p, rows)
 
 
-def _ordered_factors(ctx, A, B):
-    # the product map applies one factor's map first; which one is fixed by
-    # the orientation probe, so the evaluation rows come out as those of A*B
-    if phi_orientation(ctx) is Orientation.REVERSED:
-        return A, B
-    return B, A
-
-
 def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     """Deterministic skew-sparse product: always exactly equals naive_mul.
 
     The product polynomial's support is covered by the exponent sumset of
-    the two pullbacks; with t its size, t evaluations of the product map are
-    read off the input matrices themselves (t gathered rows of one factor
-    times the other), and one known-support interpolation reconstructs
-    the polynomial, which maps back to the answer.  At t = p-1 the values
-    are all the rows of the answer, which is read off them directly.
+    the two pullbacks; with t its size, the product map's values at v_1^1 ..
+    v_1^t are rows of A*B, so they are read off the input matrices (t
+    gathered rows of A times B), and one known-support interpolation
+    reconstructs the polynomial, which maps back to the answer.  At t = p-1
+    the values are all the rows of the answer, which is read off them
+    directly.
     """
     _check_pair(A, B)
     start = time.perf_counter()
@@ -152,12 +145,11 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
         report = MulReport(Algorithm.DETERMINISTIC, t_used=0,
                            wall_time=time.perf_counter() - start)
         return RatMatrix.zeros(A.p), report
-    inner, outer = _ordered_factors(ctx, A, B)
-    values = batch_evaluate_via_matrices(ctx, range(1, t + 1), inner, outer, counter)
+    values = batch_evaluate_via_matrices(ctx, range(1, t + 1), A, B, counter)
     if t == A.p - 1:
         result = _product_from_rows(ctx, values)
     else:
-        product_poly = interpolate_known_support(list(enumerate(values, 1)), support, ctx=ctx)
+        product_poly = interpolate_known_support(values, support, ctx)
         result = skew_to_mat(product_poly)
     report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
                        rational_mul_count=counter.muls,
@@ -198,9 +190,10 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     """Monte Carlo product: correct with probability at least 1 - nu.
 
     Doubles a sparsity bound T = 1, 2, 4, ... while 2T < p-1: each round
-    evaluates the product map at v_1^1 .. v_1^(2T) (reusing earlier values;
-    only the new ones are computed), interpolates under the bound, and
-    verifies the candidate with the randomized check at error budget
+    evaluates the product map at v_1^1 .. v_1^(2T), rows of A*B gathered
+    from A and multiplied by B (reusing earlier values; only the new ones
+    are computed), interpolates under the bound, and verifies the
+    candidate with the randomized check at error budget
     nu / ceil(log2(p-1)).  sparse_interpolate finds the support modulo a
     fixed prime and solves for the coefficients exactly; a candidate it
     returns agrees with all 2T values, so it is the product polynomial
@@ -219,9 +212,6 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     start = time.perf_counter()
     ctx = shared_ctx(A.p)
     n = A.p - 1
-    # the doubling loop evaluates the product map straight from the input
-    # matrices, so the factors' polynomial pullbacks are never needed
-    inner, outer = _ordered_factors(ctx, A, B)
     mu = nu_frac / _ceil_log2(n)
     master = random.Random(seed)
     counter = OpCounter()
@@ -232,7 +222,7 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
         iterations += 1
         direct = 2 * T >= n
         values.extend(batch_evaluate_via_matrices(
-            ctx, range(len(values) + 1, min(2 * T, n) + 1), inner, outer, counter))
+            ctx, range(len(values) + 1, min(2 * T, n) + 1), A, B, counter))
         try:
             if direct:  # the values at v_1^1 .. v_1^(p-1) are the product's rows
                 candidate = _product_from_rows(ctx, values)

@@ -180,64 +180,71 @@ def power_points(ctx, count: int):
     return [power_of_v1(ctx, i) for i in range(1, count + 1)]
 
 
-def batch_evaluate_via_matrices(ctx, indices, inner, outer, counter=None):
-    """Evaluate the product map at the points v_1^l, l in `indices`, from the
-    factor matrices alone; each l must lie in 1..p-1.
+def values_at_beta_powers(f: SkewPoly, exponents):
+    """f's map at beta^l for each l in `exponents`, as (D, rows): D is the lcm
+    of f's coefficients' denominators, and rows[k] holds D times the p-1 power
+    coordinates of the value at beta^exponents[k].
 
-    `inner` and `outer` are the matrices of the first-applied and
-    second-applied maps (RatMatrix or raw rows).  v_1^l = beta^l is the unit
-    vector of normal coordinate q(l), so the value at v_1^l is row q(l) of
-    inner * outer, read as normal coordinates: a gather of inner's rows, and
-    only the product with `outer` runs through `cubic_multiply`.
+    The term c x^e sends beta^l to c * beta^(l r^e), so each value is one
+    rotated_sum of the coefficients' int vectors: O(p * #f) integer additions
+    and no gcd.
     """
-    inner_rows = getattr(inner, "rows", inner)
-    outer_rows = getattr(outer, "rows", outer)
+    ctx = f.ctx
+    p = ctx.p
+    terms = f.sorted_terms()
+    den = math.lcm(*{c.den for _, c in terms})
+    vecs = [(ctx.pow_r[e], c.vector(den)) for e, c in terms]
+    return den, [rotated_sum(p, [(vec, u * l % p) for u, vec in vecs]) for l in exponents]
+
+
+def batch_evaluate_via_matrices(ctx, indices, A, B, counter=None):
+    """The map of the product A*B at the points v_1^l, l in `indices`, from
+    the two RatMatrix factors alone; each l must lie in 1..p-1.
+
+    Any matrix's map sends v_1^l = beta^l, the unit vector of normal
+    coordinate q(l), to that matrix's row q(l).  So the value is row q(l) of
+    A*B, read as normal coordinates: a gather of A's rows, and only the
+    product with B runs through `cubic_multiply`.
+    """
     n = ctx.p - 1
-    if len(inner_rows) != n or len(outer_rows) != n:
+    if A.p != ctx.p or B.p != ctx.p:
         raise ValueError("matrix dimension does not match the context")
     mid = []
     for l in indices:
         if not 1 <= l <= n:
             raise ValueError(f"evaluation index must be in 1..{n}, got {l!r}")
-        mid.append(inner_rows[ctx.q(l) - 1])
+        mid.append(A.rows[ctx.q(l) - 1])
     # the gather stands in for the dense t x n by n x n product; charge its
     # nominal count so rational_mul_count stays the paper's 2 t (p-1)^2
     if counter is not None:
         counter.muls += len(mid) * n * n
-    rows = cubic_multiply(mid, outer_rows, counter)
+    rows = cubic_multiply(mid, B.rows, counter)
     return [from_normal_coords(ctx, row) for row in rows]
 
 
-def interpolate_known_support(points_values, support: SupportSet, ctx=None):
+def interpolate_known_support(values, support: SupportSet, ctx) -> SkewPoly:
     """Recover the unique polynomial with supp(f) inside `support` from its
-    values at v_1^1 .. v_1^t, where t = len(support).
+    values at v_1^1 .. v_1^t, where t = len(support); values[k] is
+    f(v_1^(k+1)), as in sparse_interpolate.
 
-    `points_values` is a list of (index, value) pairs with indices exactly
-    1..t in any order.  a_l = sum_j (c_j w_j) w_j^(l-1) with distinct nodes
-    w_j = v_(e_j+1) = beta^(u_j) is a transposed Vandermonde system in the
-    unknowns c_j w_j, solved by the dual Bjorck-Pereyra scheme (Golub & Van
-    Loan, Alg. 4.6.2) in O(t^2) beta-shifts and divisions by w_i - w_k =
-    beta^(u_i) (1 - beta^(u_k - u_i)), each O(p) by div_one_minus_beta_power;
-    one last shift by beta^(-u_j) divides out w_j.
+    a_l = sum_j (c_j w_j) w_j^(l-1) with distinct nodes w_j = v_(e_j+1) =
+    beta^(u_j) is a transposed Vandermonde system in the unknowns c_j w_j,
+    solved by the dual Bjorck-Pereyra scheme (Golub & Van Loan, Alg. 4.6.2)
+    in O(t^2) beta-shifts and divisions by w_i - w_k = beta^(u_i) (1 -
+    beta^(u_k - u_i)), each O(p) by div_one_minus_beta_power; one last shift
+    by beta^(-u_j) divides out w_j.
     """
-    pairs = sorted(points_values, key=lambda pv: pv[0])
     t = len(support)
-    if len(pairs) != t:
-        raise ValueError(f"need {t} evaluations for a support of size {t}, got {len(pairs)}")
-    if ctx is None:
-        if not pairs:
-            raise ValueError("cannot infer the context from an empty input")
-        ctx = pairs[0][1].ctx
+    if len(values) != t:
+        raise ValueError(f"need {t} evaluations for a support of size {t}, got {len(values)}")
     if t == 0:
         return SkewPoly.zero(ctx)
-    if [i for i, _ in pairs] != list(range(1, t + 1)):
-        raise ValueError("evaluation indices must be exactly 1..t")
     exps = list(support)
     if exps[-1] > ctx.p - 2:
         raise ValueError("support exponents must lie in {0..p-2}")
 
     u = [ctx.v_exponent(e + 1) for e in exps]
-    b = [value for _, value in pairs]
+    b = list(values)
     for k in range(t - 1):
         for i in range(t - 1, k, -1):
             b[i] = b[i] - mul_beta_power(b[i - 1], u[k])
@@ -366,25 +373,14 @@ def _support_mod(a, bound: int, ctx, q: int, zeta_pows) -> SupportSet | None:
 
 
 def _agrees(f: SkewPoly, values, start: int) -> bool:
-    """Whether f's map at v_1^(k+1) equals values[k] for every k >= start.
-
-    The term c x^e contributes c * beta^(u l) at v_1^l, u the beta-exponent
-    of v_(e+1), so each value is a rotated_sum of int vectors under the lcm D
-    of f's coefficients' denominators, compared with the value's numerators.
-    """
-    p = f.ctx.p
-    terms = f.sorted_terms()
-    den = math.lcm(*{c.den for _, c in terms})
-    vecs = [(f.ctx.v_exponent(e + 1), c.vector(den)) for e, c in terms]
-    for k in range(start, len(values)):
-        coords = rotated_sum(p, [(vec, u * (k + 1) % p) for u, vec in vecs])
-        value = values[k]
-        if [y * value.den for y in coords] != [x * den for x in value.num]:
-            return False
-    return True
+    """Whether f's map at v_1^(k+1) = beta^(k+1) equals values[k] for every
+    k >= start; the numerators are compared under both denominators."""
+    den, rows = values_at_beta_powers(f, range(start + 1, len(values) + 1))
+    return all([y * value.den for y in row] == [x * den for x in value.num]
+               for row, value in zip(rows, values[start:]))
 
 
-def sparse_interpolate(values, bound: int, ctx=None) -> SkewPoly:
+def sparse_interpolate(values, bound: int, ctx) -> SkewPoly:
     """Recover f from 2*bound evaluations a_l = f(v_1^l), l = 1..2*bound,
     given #f <= bound; values[k] is a_(k+1).
 
@@ -410,10 +406,6 @@ def sparse_interpolate(values, bound: int, ctx=None) -> SkewPoly:
     that every one of the primes fails.
     """
     values = list(values)
-    if ctx is None:
-        if not values:
-            raise ValueError("cannot infer the context from an empty input")
-        ctx = values[0].ctx
     p = ctx.p
     if not 1 <= bound <= p - 1:
         raise ValueError(f"sparsity bound must be in 1..{p - 1}, got {bound}")
@@ -429,7 +421,7 @@ def sparse_interpolate(values, bound: int, ctx=None) -> SkewPoly:
         if support is None:
             continue
         t = len(support)
-        candidate = interpolate_known_support(list(enumerate(a[:t], 1)), support, ctx=ctx)
+        candidate = interpolate_known_support(a[:t], support, ctx)
         # the solve is exact on the first t values; check the rest
         if _agrees(candidate, a, t):
             return candidate

@@ -9,14 +9,15 @@ algebra.  Both directions are implemented here:
                          (the basis matrix V of normal-basis translates and
                          W of their reciprocals satisfy V W = p I);
   polynomial -> matrix   row i is the normal-coordinate vector of the image
-                         of v_i, which in the power-basis representation is
-                         a permutation away.
+                         of v_i = beta^(r^(i-1)), one of the values
+                         skewpoly.values_at_beta_powers computes.
 
-Whether the bijection is a homomorphism or an anti-homomorphism depends on
-a composition-order convention that is easy to get wrong by symbol pushing,
-so it is settled empirically once per context by `phi_orientation` and
-cached; the multiplication algorithms consult the probe instead of trusting
-a derivation.
+The same row fact drives the multiplication algorithms: any matrix's map
+sends v_1^l = beta^l to the matrix's row q(l), so the product map's values
+are rows of A*B whichever order the ring product is written in.  Whether
+the bijection is a homomorphism or an anti-homomorphism is therefore never
+needed to multiply; `phi_orientation` settles it with a fixed probe, as a
+check of the convention.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from .cyclotomic import CycCtx, CycElem, int_vector, rotated_sum, shared_ctx
 from .multiply import cubic_multiply
 from .rational import Rat, as_rat
-from .skewpoly import SkewPoly, sp_mul
+from .skewpoly import SkewPoly, sp_mul, values_at_beta_powers
 
 _ZERO = Rat(0)
 _ONE = Rat(1)
@@ -155,25 +156,16 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
 def skew_to_mat(f: SkewPoly) -> RatMatrix:
     """The matrix of the linear map of f in the normal basis.
 
-    Row i is the normal-coordinate vector of the image of v_i, the sum over
-    terms (e, c) of v_(i+e) * c.  Each v_(i+e) is a power of beta, so with
-    the coefficients laid out as int vectors under their common denominator
-    D, a row is a sum of rotations with one beta^0 reduction, and reading it
-    in normal coordinates is a permutation: O(p^2 * #f) integer additions in
-    all, and rationals are formed once per entry, over D.
+    Row i is the normal-coordinate vector of the image of v_(i+1) =
+    beta^(r^i), which values_at_beta_powers gives in power coordinates under
+    one common denominator D; reading it in normal coordinates is a
+    permutation.  O(p^2 * #f) integer additions in all, and rationals are
+    formed once per entry, over D.
     """
     ctx = f.ctx
-    p = ctx.p
-    n = p - 1
     pow_r = ctx.pow_r
-    terms = f.sorted_terms()
-    den = math.lcm(*{c.den for _, c in terms})
-    vecs = [(e, c.vector(den)) for e, c in terms]
-    rows = []
-    for i in range(n):
-        coords = rotated_sum(p, [(vec, pow_r[(i + e) % n]) for e, vec in vecs])
-        rows.append([Rat(coords[u - 1], den) for u in pow_r])
-    return RatMatrix(p, rows)
+    den, rows = values_at_beta_powers(f, pow_r)
+    return RatMatrix(ctx.p, [[Rat(row[u - 1], den) for u in pow_r] for row in rows])
 
 
 class Orientation(enum.Enum):
@@ -184,27 +176,23 @@ class Orientation(enum.Enum):
 
 
 def phi_orientation(ctx: CycCtx) -> Orientation:
-    """Settle the composition order once per context with a fixed probe.
+    """The composition order, settled by a fixed probe.
 
     The probe multiplies the non-commuting pair f = x, g = beta x^2 and
-    compares the matrix of f*g against both matrix-product orders.  Exactly
-    one matches; the answer is cached on the context.  The three probe
-    matrices have integer entries, so both products run on int rows.
+    compares the matrix of f*g against both matrix-product orders; exactly
+    one matches.  The three probe matrices have integer entries, so both
+    products run on int rows.  Nothing is cached: the multiplication
+    algorithms do not need the answer, and `selftest` and the tests call it
+    to check the convention.
     """
-    cached = ctx._orientation
-    if cached is not None:
-        return cached
     f = SkewPoly.monomial(ctx, 1)
     g = SkewPoly.monomial(ctx, 2, ctx.beta_power(1))
     mf, mg, mh = ([tuple(x.numerator for x in row) for row in skew_to_mat(h).rows]
                   for h in (f, g, sp_mul(f, g)))
     if mh == cubic_multiply(mf, mg):
-        result = Orientation.DIRECT
-    elif mh == cubic_multiply(mg, mf):
-        result = Orientation.REVERSED
-    else:
-        raise RuntimeError(
-            "orientation probe failed: the product matrix matches neither "
-            "operand order -- the transform is internally inconsistent")
-    ctx._orientation = result
-    return result
+        return Orientation.DIRECT
+    if mh == cubic_multiply(mg, mf):
+        return Orientation.REVERSED
+    raise RuntimeError(
+        "orientation probe failed: the product matrix matches neither "
+        "operand order -- the transform is internally inconsistent")

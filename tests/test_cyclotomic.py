@@ -3,8 +3,8 @@
 import pytest
 
 from conftest import rand_elem, seeded
-from skewmm import (cyc_add, cyc_mul, cyc_neg, cyc_scale, cyc_sigma,
-                    ctx_new, div_one_minus_beta_power, find_primitive_root,
+from skewmm import (CycCtx, cyc_add, cyc_mul, cyc_neg, cyc_scale, cyc_sigma,
+                    div_one_minus_beta_power, find_primitive_root,
                     from_normal_coords, normal_coords, power_of_v1, shared_ctx)
 from skewmm.rational import Rat
 
@@ -44,7 +44,7 @@ def test_find_primitive_root_rejects_non_odd_primes(bad):
 
 
 def test_ctx_p3_tables():
-    ctx = ctx_new(3)
+    ctx = CycCtx(3)
     assert ctx.r == 2
     assert ctx.q_perm == (1, 2)
     assert ctx.s_perm == (2, 1)
@@ -53,14 +53,14 @@ def test_ctx_p3_tables():
 
 def test_ctx_p5_q_perm():
     # powers of 2 mod 5 are 1, 2, 4, 3
-    ctx = ctx_new(5)
+    ctx = CycCtx(5)
     assert ctx.r == 2
     assert [ctx.q(i) for i in (1, 2, 4, 3)] == [1, 2, 3, 4]
 
 
 def test_ctx_s_is_q_shifted_by_half_group_order():
     for p in (7, 11, 13):
-        ctx = ctx_new(p)
+        ctx = CycCtx(p)
         half = (p - 1) // 2
         for i in range(1, p):
             assert ctx.s(i) == (ctx.q(i) + half - 1) % (p - 1) + 1
@@ -68,7 +68,7 @@ def test_ctx_s_is_q_shifted_by_half_group_order():
 
 def test_ctx_permutations_are_bijections():
     for p in (3, 5, 7, 11, 13):
-        ctx = ctx_new(p)
+        ctx = CycCtx(p)
         assert sorted(ctx.q_perm) == list(range(1, p))
         assert sorted(ctx.s_perm) == list(range(1, p))
         assert pow(ctx.r, ctx.k_idx - 1, p) == p - 1

@@ -4,11 +4,11 @@ import dataclasses
 
 import pytest
 
-from conftest import rand_matrix, rand_rational_matrix, seeded
+from conftest import rand_matrix, rand_poly, rand_rational_matrix, seeded
 from skewmm import (Algorithm, FreivaldsResult, OpCounter, RatMatrix, SkewPoly,
-                    det_mul, freivalds, mat_to_skew, mc_mul, naive_mul,
-                    random_layered, rounds_for, shared_ctx,
-                    skew_to_mat, sumset)
+                    batch_evaluate_via_matrices, det_mul, freivalds,
+                    from_normal_coords, mat_to_skew, mc_mul, naive_mul,
+                    random_layered, rounds_for, shared_ctx, skew_to_mat, sumset)
 
 
 def geometric_matrix(ctx, k):
@@ -127,6 +127,32 @@ def test_det_at_full_support_reads_the_product_off_the_rows(monkeypatch):
         assert product == naive_mul(A, B)
         assert report.t_used == p - 1
         assert report.rational_mul_count == 2 * (p - 1) ** 3
+
+
+def test_products_do_not_consult_the_orientation_probe(monkeypatch):
+    # the value at v_1^l is row q(l) of A*B whichever order the ring product
+    # is written in, so neither algorithm needs the composition order
+    from skewmm import matmul, transform
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the orientation probe was consulted")
+
+    monkeypatch.setattr(transform, "phi_orientation", forbidden)
+    monkeypatch.setattr(matmul, "phi_orientation", forbidden, raising=False)
+    for p in (3, 7, 13):
+        ctx = shared_ctx(p)
+        rng = seeded(530 + p)
+        sparse = [skew_to_mat(rand_poly(ctx, rng, t, den_bound=7)) for t in (1, 2, 1)]
+        pairs = [(rand_rational_matrix(p, rng), rand_rational_matrix(p, rng)),
+                 (sparse[0], sparse[1]), (sparse[1], sparse[2]),
+                 (one_minus_x_matrix(ctx), geometric_matrix(ctx, p - 2))]
+        for A, B in pairs:
+            want = naive_mul(A, B)
+            assert det_mul(A, B)[0] == want
+            assert mc_mul(A, B, "1/20", p)[0] == want
+            values = batch_evaluate_via_matrices(ctx, range(1, p), A, B)
+            assert values == [from_normal_coords(ctx, (A @ B).rows[ctx.q(l) - 1])
+                              for l in range(1, p)]
 
 
 def test_det_evaluation_count_scales_linearly():

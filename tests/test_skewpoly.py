@@ -3,11 +3,12 @@
 import pytest
 
 from conftest import rand_elem, rand_poly, seeded
-from skewmm import (InterpolationError, OpCounter, SkewPoly, SupportSet,
+from skewmm import (CycElem, InterpolationError, OpCounter, SkewPoly, SupportSet,
                     batch_evaluate_via_matrices, cyc_sigma,
                     interpolate_known_support, normal_coords, power_of_v1,
                     power_points, shared_ctx, skew_to_mat, sp_add, sp_evaluate,
                     sp_mul, sp_neg, sparse_interpolate, sumset)
+from skewmm.skewpoly import values_at_beta_powers
 
 
 def geometric_poly(ctx, k):
@@ -17,6 +18,11 @@ def geometric_poly(ctx, k):
 
 def one_minus_x(ctx):
     return SkewPoly(ctx, {0: ctx.one, 1: -ctx.one})
+
+
+def evaluations(f, count):
+    """f's values at v_1^1 .. v_1^count, by direct evaluation."""
+    return [sp_evaluate(f, pt) for pt in power_points(f.ctx, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +188,23 @@ def test_evaluation_is_multiplicative_as_operator():
             assert sp_evaluate(sp_mul(f, g), b) == sp_evaluate(f, sp_evaluate(g, b))
 
 
+def test_values_at_beta_powers_match_direct_evaluation():
+    # one rotated_sum per value, under the lcm of the coefficients'
+    # denominators; exponents past p-1 and the zero polynomial included
+    for p in (3, 5, 7, 13):
+        ctx = shared_ctx(p)
+        rng = seeded(110 + p)
+        exponents = list(range(1, p)) + [0, p, p + 1, 2 * p + 3, 5 * p - 1]
+        polys = [SkewPoly.zero(ctx)] + [
+            rand_poly(ctx, rng, rng.randint(1, p - 1), den_bound=7) for _ in range(4)]
+        for f in polys:
+            den, rows = values_at_beta_powers(f, exponents)
+            assert len(rows) == len(exponents)
+            for l, row in zip(exponents, rows):
+                assert CycElem(ctx, row, den) == sp_evaluate(f, ctx.beta_power(l))
+        assert values_at_beta_powers(SkewPoly.zero(ctx), [1, 2]) == (1, [[0] * (p - 1)] * 2)
+
+
 def test_batch_evaluate_identity_case():
     # with both maps the identity, the value at v_1^l is the point itself
     ctx = shared_ctx(7)
@@ -199,7 +222,8 @@ def test_batch_evaluate_matches_direct_product_evaluation():
             f = rand_poly(ctx, rng, rng.randint(1, p - 1))
             g = rand_poly(ctx, rng, rng.randint(1, p - 1))
             prod = sp_mul(f, g)
-            # g acts first, so its matrix is the inner one
+            # the values are rows of the product's matrix, which for f * g is
+            # skew_to_mat(g) @ skew_to_mat(f) in the probed orientation
             t = rng.randint(1, p - 1)
             got = batch_evaluate_via_matrices(ctx, range(1, t + 1), skew_to_mat(g),
                                               skew_to_mat(f))
@@ -243,8 +267,7 @@ def test_batch_evaluate_dimension_check():
 def test_interpolate_zero():
     ctx = shared_ctx(7)
     support = SupportSet([0, 2, 5])
-    pairs = [(i, ctx.zero) for i in range(1, 4)]
-    assert interpolate_known_support(pairs, support, ctx=ctx) == SkewPoly.zero(ctx)
+    assert interpolate_known_support([ctx.zero] * 3, support, ctx) == SkewPoly.zero(ctx)
 
 
 def test_interpolate_roundtrip_random():
@@ -257,8 +280,7 @@ def test_interpolate_roundtrip_random():
             f = rand_poly(ctx, rng, t, den_bound=den_bound)
             support = f.support()
             t = len(support)
-            pairs = [(i, sp_evaluate(f, pt)) for i, pt in enumerate(power_points(ctx, t), 1)]
-            assert interpolate_known_support(pairs, support, ctx=ctx) == f
+            assert interpolate_known_support(evaluations(f, t), support, ctx) == f
 
 
 def test_interpolate_makes_no_field_product_inversion_or_elimination(monkeypatch):
@@ -277,7 +299,7 @@ def test_interpolate_makes_no_field_product_inversion_or_elimination(monkeypatch
     g_values = evaluations(g, 14)
     for module in (cyclotomic, skewpoly):
         monkeypatch.setattr(module, "cyc_mul", forbidden)
-    assert interpolate_known_support(list(enumerate(f_values[:12], 1)), f.support(), ctx=ctx) == f
+    assert interpolate_known_support(f_values[:12], f.support(), ctx) == f
     assert sparse_interpolate(f_values, 12, ctx=ctx) == f
     assert sparse_interpolate(g_values, 7, ctx=ctx) == g
     with pytest.raises(InterpolationError):
@@ -293,8 +315,7 @@ def test_interpolate_superset_support_yields_exact_zeros():
     prod = sp_mul(f, g)
     support = sumset(f, g)
     t = len(support)
-    pairs = [(i, sp_evaluate(prod, pt)) for i, pt in enumerate(power_points(ctx, t), 1)]
-    recovered = interpolate_known_support(pairs, support, ctx=ctx)
+    recovered = interpolate_known_support(evaluations(prod, t), support, ctx)
     assert recovered == prod
     assert recovered.sparsity == 2
 
@@ -303,20 +324,14 @@ def test_interpolate_input_validation():
     ctx = shared_ctx(5)
     support = SupportSet([0, 1])
     with pytest.raises(ValueError):
-        interpolate_known_support([(1, ctx.one)], support, ctx=ctx)
+        interpolate_known_support([ctx.one], support, ctx)
     with pytest.raises(ValueError):
-        interpolate_known_support([(1, ctx.one), (3, ctx.one)], support, ctx=ctx)
-    with pytest.raises(ValueError, match="exactly 1..t"):
-        interpolate_known_support([(0, ctx.one), (1, ctx.one)], support, ctx=ctx)
+        interpolate_known_support([ctx.one] * 3, support, ctx)
 
 
 # ---------------------------------------------------------------------------
 # interpolation with only a sparsity bound
 # ---------------------------------------------------------------------------
-
-def evaluations(f, count):
-    return [sp_evaluate(f, pt) for pt in power_points(f.ctx, count)]
-
 
 def test_sparse_interpolate_zero_sequence():
     ctx = shared_ctx(13)
