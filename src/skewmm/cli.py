@@ -52,9 +52,9 @@ def _parse_probability(text, name):
     return value
 
 
-def _parse_seed(value):
+def _parse_seed(value, flag="--seed"):
     if not 0 <= value < matmul.MAX_SEED:
-        raise UsageError(f"--seed must be a 64-bit unsigned integer, got {value}")
+        raise UsageError(f"{flag} must be a 64-bit unsigned integer, got {value}")
     return value
 
 
@@ -81,17 +81,22 @@ def _parse_int_list(text, name):
 
 
 def _parse_seed_list(text):
-    """Either "1,2,3" or an inclusive range "1..5"."""
+    """Either "1,2,3" or an inclusive range "1..5" of 64-bit unsigned seeds.
+
+    A range is checked at both ends and returned as a `range`, so it is
+    iterated lazily however wide it is.
+    """
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
             lo, hi = int(lo), int(hi)
         except ValueError as exc:
             raise UsageError(f"--seeds range must be <int>..<int>, got {text!r}") from exc
+        lo, hi = _parse_seed(lo, "--seeds"), _parse_seed(hi, "--seeds")
         if hi < lo:
             raise UsageError("--seeds range is empty")
-        return list(range(lo, hi + 1))
-    return _parse_int_list(text, "seeds")
+        return range(lo, hi + 1)
+    return [_parse_seed(s, "--seeds") for s in _parse_int_list(text, "seeds")]
 
 
 def _load_pair(path_a, path_b):
@@ -238,7 +243,7 @@ def cmd_bench(args):
     for algo in algos:
         if algo not in ("naive", "det", "mc"):
             raise UsageError(f"unknown algorithm {algo!r} in --algos")
-    seeds = [_parse_seed(s) for s in _parse_seed_list(args.seeds)]
+    seeds = _parse_seed_list(args.seeds)
     nu = _parse_probability(args.nu, "nu")
     for p in p_list:
         _check_prime_ceiling(p, "--p-list entry")
@@ -247,13 +252,17 @@ def cmd_bench(args):
         if any(not 1 <= t <= p - 1 for t in t_list):
             raise UsageError(f"every t must lie in 1..{p - 1} for p={p}")
 
-    records = [_bench_cell(p, t, algo, seed, nu, args.check)
-               for p in p_list for t in t_list for algo in algos for seed in seeds]
-
+    # each record is written as soon as it is made, and the seed range is
+    # walked lazily (itertools.product would build it as a tuple), so memory
+    # stays flat however many cells the grid holds
     out = open(args.json, "w", encoding="utf-8") if args.json else sys.stdout
     try:
-        for record in records:
-            out.write(json.dumps(record) + "\n")
+        for p in p_list:
+            for t in t_list:
+                for algo in algos:
+                    for seed in seeds:
+                        record = _bench_cell(p, t, algo, seed, nu, args.check)
+                        out.write(json.dumps(record) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()

@@ -346,11 +346,11 @@ def normal_coords(a: CycElem) -> tuple:
     """Coordinates of a w.r.t. the normal basis {v_1, ..., v_(p-1)}.
 
     Normal coordinate j is power coordinate r^(j-1) mod p; an exact
-    permutation in both directions.
+    permutation in both directions.  One Rat per coordinate, read straight
+    off a's int numerators over its denominator.
     """
-    ctx = a.ctx
-    c = a.coords
-    return tuple(c[u - 1] for u in ctx.pow_r)
+    num, den = a.num, a.den
+    return tuple(Rat(num[u - 1], den) for u in a.ctx.pow_r)
 
 
 def from_normal_coords(ctx: CycCtx, values) -> CycElem:

@@ -2,7 +2,8 @@
 
 Three routes to the same exact product of (p-1) x (p-1) rational matrices:
 
-  naive_mul  schoolbook ground truth: one cubic_multiply of the two factors;
+  naive_mul  schoolbook ground truth: one int product of the two factors,
+             rows and columns scaled by their denominators' lcms;
   det_mul    deterministic: pull both factors back to polynomials, bound the
              product's support by the exponent sumset of size t, evaluate
              the product map at t points straight from the input matrices,
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import normal_coords, shared_ctx
-from .multiply import OpCounter, cubic_multiply
+from .multiply import OpCounter, rational_product
+from .rational import Rat
 from .skewpoly import (InterpolationError, batch_evaluate_via_matrices,
                        interpolate_known_support, sparse_interpolate, sumset)
 from .transform import RatMatrix, mat_to_skew, skew_to_mat
@@ -54,7 +56,10 @@ class MulReport:
     evaluation stage, 2 t (p-1)^2 for t points: the gather of A's rows is
     charged as the dense t x (p-1) by (p-1) x (p-1) product it replaces,
     their product with B by cubic_multiply (for naive_mul: the whole
-    product).  final_T is the last sparsity bound tried by mc_mul; fallback
+    product).  The count stays nominal: those products run on ints, each
+    row and column scaled by its own denominators' lcm, so one counted
+    multiplication is an int product, not a rational one with its gcd.
+    final_T is the last sparsity bound tried by mc_mul; fallback
     flags that mc_mul's direct round, the product read off all p-1 values,
     failed verification and the schoolbook product was returned instead,
     which indicates a bug rather than an input condition.  wall_time is
@@ -108,9 +113,16 @@ def _sum_columns(rows, cols):
 
 
 def naive_mul(A: RatMatrix, B: RatMatrix, counter: OpCounter | None = None) -> RatMatrix:
-    """Exact schoolbook product; the oracle every other route is checked against."""
+    """Exact schoolbook product; the oracle every other route is checked against.
+
+    The product runs on ints (`rational_product`): A's rows and B's columns
+    are scaled by their own denominators' lcms, and each entry is one Rat
+    over its row's and column's scales.
+    """
     _check_pair(A, B)
-    return RatMatrix(A.p, cubic_multiply(A.rows, B.rows, counter))
+    d, e, S = rational_product(A.rows, B.rows, counter)
+    return RatMatrix(A.p, [[Rat(s, di * ek) for s, ek in zip(row, e)]
+                           for row, di in zip(S, d)])
 
 
 def _product_from_rows(ctx, values):

@@ -1,10 +1,16 @@
 """Exact schoolbook matrix kernel with nominal multiplication counting.
 
-Both the oracle (`naive_mul`) and the evaluation stage of the structured
-algorithms call `cubic_multiply` directly.  It charges the nominal m*n*k
+Every rational matrix product in the package -- the oracle (`naive_mul`),
+`RatMatrix.__matmul__` and the evaluation stage of the structured
+algorithms -- goes through `rational_product`, which scales each row of the
+left factor and each column of the right factor to ints and runs
+`cubic_multiply` on them.  `cubic_multiply` charges the nominal m*n*k
 multiplication count to an explicit `OpCounter` argument; that count is the
 asserted cost model.
 """
+
+import math
+import operator
 
 
 class OpCounter:
@@ -22,14 +28,33 @@ class OpCounter:
 def cubic_multiply(x_rows, y_rows, counter=None):
     """Schoolbook product of row-major matrices: (m x n) * (n x k).
 
+    Works on any exact ring elements; `rational_product` feeds it ints.
     Returns a list of tuples.  Charges m*n*k multiplications to `counter`.
     """
     n = len(y_rows)
     if any(len(row) != n for row in x_rows):
         raise ValueError("inner dimensions do not match")
     y_cols = list(zip(*y_rows))
-    out = [tuple(sum(a * b for a, b in zip(xrow, col)) for col in y_cols)
-           for xrow in x_rows]
+    mul = operator.mul
+    out = [tuple(sum(map(mul, xrow, col)) for col in y_cols) for xrow in x_rows]
     if counter is not None:
         counter.muls += len(x_rows) * n * len(y_cols)
     return out
+
+
+def rational_product(x_rows, y_rows, counter=None):
+    """The product of two rational matrices on ints, as (d, e, S).
+
+    d[i] is the lcm of the denominators in row i of x, e[k] the lcm of those
+    in column k of y, and S = cubic_multiply of d[i] * x's row i by e[k] *
+    y's column k, so entry (i, k) of the product is S[i][k] / (d[i] e[k]).
+    Per-row and per-column scales keep the ints as short as each entry's own
+    denominators allow; one global lcm would make every product as long as
+    the longest.  The entries need `numerator` and `denominator` (int,
+    Fraction, mpq).  Charges cubic_multiply's nominal count to `counter`.
+    """
+    d = [math.lcm(*[x.denominator for x in row]) for row in x_rows]
+    e = [math.lcm(*[y.denominator for y in col]) for col in zip(*y_rows)]
+    xs = [[x.numerator * (di // x.denominator) for x in row] for row, di in zip(x_rows, d)]
+    ys = [[y.numerator * (ek // y.denominator) for y, ek in zip(row, e)] for row in y_rows]
+    return d, e, cubic_multiply(xs, ys, counter)

@@ -10,6 +10,7 @@ arithmetic means every check is a strict equality.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from . import matmul
 from .cyclotomic import cyc_mul, cyc_scale, shared_ctx
@@ -26,6 +27,23 @@ DEFAULT_PRIMES = (3, 5, 7, 11, 13)
 def _rand_matrix(p, rng, bound=9):
     n = p - 1
     return RatMatrix(p, [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+
+
+#: denominators for the rational operands: small ones and two long ones
+_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 3 ** 40, 2 ** 61 - 1)
+
+
+def _rand_rational_matrix(p, rng, bound=9):
+    n = p - 1
+    return RatMatrix(p, [[Fraction(rng.randint(-bound, bound), rng.choice(_DENOMINATORS))
+                          for _ in range(n)] for _ in range(n)])
+
+
+def _schoolbook(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The product as a plain Fraction triple loop, apart from the int kernel."""
+    cols = list(zip(*b.rows))
+    return RatMatrix(a.p, [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)),
+                                Fraction(0)) for col in cols] for row in a.rows])
 
 
 def _rand_elem(ctx, rng, bound=9):
@@ -161,6 +179,28 @@ def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
     return True
 
 
+def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
+    """naive_mul and det_mul against a Fraction schoolbook on operands with
+    denominators, which the int kernel's row and column scales must undo:
+    dense pairs (det reads the product off its rows) and layered pairs
+    scaled by 1/d (det interpolates)."""
+    rng = random.Random(606)
+    for p in primes:
+        ctx = shared_ctx(p)
+        for _ in range(cases):
+            A = _rand_rational_matrix(p, rng)
+            B = _rand_rational_matrix(p, rng)
+            La = random_layered(ctx, {0}, rng.getrandbits(32)).scale(
+                Fraction(1, rng.choice(_DENOMINATORS[1:])))
+            Lb = random_layered(ctx, {0, 1}, rng.getrandbits(32)).scale(
+                Fraction(1, rng.choice(_DENOMINATORS[1:])))
+            for X, Y in ((A, B), (La, Lb), (La, B)):
+                want = _schoolbook(X, Y)
+                if matmul.naive_mul(X, Y) != want or matmul.det_mul(X, Y)[0] != want:
+                    return False
+    return True
+
+
 def check_sparse_interpolation(p=13, cases=6) -> bool:
     rng = random.Random(31337)
     ctx = shared_ctx(p)
@@ -202,6 +242,8 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
         ("sparse interpolation roundtrip", check_sparse_interpolation),
         ("skew-sparsity reporting", check_sparsity_reporting),
         ("det/mc multiplication vs schoolbook oracle", check_multiplication),
+        ("naive/det products with denominators vs Fraction schoolbook",
+         check_rational_products),
     ]
     for name, fn in checks:
         if not fn():

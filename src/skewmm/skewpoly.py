@@ -18,9 +18,9 @@ import math
 import operator
 
 from .cyclotomic import (CycElem, cyc_mul, cyc_sigma,
-                         div_one_minus_beta_power, from_normal_coords,
-                         mul_beta_power, power_of_v1, rotated_sum)
-from .multiply import cubic_multiply
+                         div_one_minus_beta_power, mul_beta_power,
+                         power_of_v1, rotated_sum)
+from .multiply import rational_product
 
 
 class InterpolationError(RuntimeError):
@@ -204,7 +204,10 @@ def batch_evaluate_via_matrices(ctx, indices, A, B, counter=None):
     Any matrix's map sends v_1^l = beta^l, the unit vector of normal
     coordinate q(l), to that matrix's row q(l).  So the value is row q(l) of
     A*B, read as normal coordinates: a gather of A's rows, and only the
-    product with B runs through `cubic_multiply`.
+    product with B runs, on ints, through `rational_product`.  Entry (i, k)
+    of that product is S[i][k] / (d_i e_k), and column k is power coordinate
+    r^k, so each value is S's row permuted to power order, scaled to
+    E = lcm(e) and put over d_i E: one gcd per value, no rationals.
     """
     n = ctx.p - 1
     if A.p != ctx.p or B.p != ctx.p:
@@ -218,8 +221,13 @@ def batch_evaluate_via_matrices(ctx, indices, A, B, counter=None):
     # nominal count so rational_mul_count stays the paper's 2 t (p-1)^2
     if counter is not None:
         counter.muls += len(mid) * n * n
-    rows = cubic_multiply(mid, B.rows, counter)
-    return [from_normal_coords(ctx, row) for row in rows]
+    d, e, S = rational_product(mid, B.rows, counter)
+    big_e = math.lcm(*e)
+    # power coordinate m is normal coordinate q(m), at S-column q(m) - 1
+    cols = [k - 1 for k in ctx.q_perm]
+    scales = [big_e // e[k] for k in cols]
+    return [CycElem(ctx, [row[k] * c for k, c in zip(cols, scales)], di * big_e)
+            for row, di in zip(S, d)]
 
 
 def interpolate_known_support(values, support: SupportSet, ctx) -> SkewPoly:

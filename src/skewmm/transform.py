@@ -26,7 +26,7 @@ import enum
 import math
 
 from .cyclotomic import CycCtx, CycElem, int_vector, rotated_sum, shared_ctx
-from .multiply import cubic_multiply
+from .multiply import cubic_multiply, rational_product
 from .rational import Rat, as_rat
 from .skewpoly import SkewPoly, sp_mul, values_at_beta_powers
 
@@ -82,9 +82,15 @@ class RatMatrix:
         return RatMatrix(self.p, [tuple(-a for a in r) for r in self.rows])
 
     def __matmul__(self, other):
-        """Plain exact product (uncounted); the benchmarked paths use matmul."""
+        """Plain exact product (uncounted); the benchmarked paths use matmul.
+
+        Runs on ints through `rational_product`: one Rat per entry, over its
+        row's and column's denominators.
+        """
         self._check_pair(other)
-        return RatMatrix(self.p, cubic_multiply(self.rows, other.rows))
+        d, e, S = rational_product(self.rows, other.rows)
+        return RatMatrix(self.p, [[Rat(s, di * ek) for s, ek in zip(row, e)]
+                                  for row, di in zip(S, d)])
 
     def scale(self, c) -> RatMatrix:
         c = as_rat(c)

@@ -61,3 +61,19 @@ def solve_square(matrix, rhs):
                 factor = a[r][col] / a[col][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def fraction_product(a_rows, b_rows):
+    """The product of two row-major matrices as a plain Fraction triple loop,
+    written apart from the package's int kernel so that it can check it."""
+    n, k = len(b_rows), len(b_rows[0])
+    out = []
+    for row in a_rows:
+        out_row = []
+        for j in range(k):
+            acc = Fraction(0)
+            for i in range(n):
+                acc += Fraction(row[i]) * Fraction(b_rows[i][j])
+            out_row.append(acc)
+        out.append(out_row)
+    return out

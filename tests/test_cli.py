@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -354,6 +356,46 @@ def test_bench_validation(workdir):
                    "--json", out) == EXIT_USAGE
     assert run_cli("bench", "--p-list", "7", "--t-list", "1", "--seeds", "5..1",
                    "--json", out) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("seeds", ["0..18446744073709551616", "-1..3", "18446744073709551616",
+                                   "1,-2"])
+def test_bench_seed_out_of_range_is_a_usage_error(workdir, seeds, capsys):
+    out = workdir / "b.jsonl"
+    assert run_cli("bench", "--p-list", "3", "--t-list", "1", "--algos", "det",
+                   f"--seeds={seeds}", "--json", str(out)) == EXIT_USAGE
+    assert "--seeds must be a 64-bit unsigned integer" in capsys.readouterr().err
+
+
+def test_bench_seed_range_is_lazy_up_to_the_last_seed(workdir):
+    # the widest range is accepted without being built
+    seeds = cli._parse_seed_list("0..18446744073709551615")
+    assert (seeds[0], seeds[-1]) == (0, 2 ** 64 - 1)
+    out = workdir / "b.jsonl"
+    assert run_cli("bench", "--p-list", "3", "--t-list", "1", "--algos", "det",
+                   "--seeds", "18446744073709551614..18446744073709551615",
+                   "--check", "--json", str(out)) == EXIT_OK
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [rec["seed"] for rec in records] == [2 ** 64 - 2, 2 ** 64 - 1]
+    assert all(rec["correct"] for rec in records)
+
+
+def test_bench_jsonl_matches_the_committed_records(workdir, capsys):
+    # bench --p-list 5,7 --t-list 1,2 --algos naive,det,mc --seeds 1..2 --check,
+    # saved with wall_time_ms set to 0: every other byte must stay the same,
+    # on stdout and in the --json file alike
+    from skewmm.rational import Rat
+
+    golden = (Path(__file__).parent / "data" / "bench_p5_p7.jsonl").read_text()
+    golden = golden.replace('"backend": "Fraction"', f'"backend": "{type(Rat(0)).__name__}"')
+    argv = ("bench", "--p-list", "5,7", "--t-list", "1,2", "--algos", "naive,det,mc",
+            "--seeds", "1..2", "--check")
+    out = workdir / "b.jsonl"
+    assert run_cli(*argv, "--json", str(out)) == EXIT_OK
+    assert run_cli(*argv) == EXIT_OK
+    untimed = lambda text: re.sub(r'"wall_time_ms": [^,]+', '"wall_time_ms": 0', text)
+    assert untimed(out.read_text()) == golden
+    assert untimed(capsys.readouterr().out) == golden
 
 
 # ---------------------------------------------------------------------------
