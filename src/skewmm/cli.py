@@ -28,7 +28,7 @@ from .matrixfile import MatrixFormatError, read_matrix_file, write_matrix_file
 from .multiply import OpCounter
 from .rational import Rat
 from .skewstructure import random_layered
-from .transform import mat_to_skew
+from .transform import pullback
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -189,6 +189,8 @@ def cmd_mul(args):
         if not correct and args.algo != "mc":
             print("check failed: product differs from the schoolbook oracle", file=sys.stderr)
             return EXIT_CHECK_FAILED
+    if report.pullback:  # det's routes; mul's report only, bench records omit them
+        extra["pullback"] = list(report.pullback)
     write_matrix_file(args.output, product)
     print(json.dumps(_report_json(report, extra)), file=sys.stderr)
     return EXIT_OK
@@ -196,7 +198,7 @@ def cmd_mul(args):
 
 def cmd_analyze(args):
     M = read_matrix_file(args.matrix)
-    f = mat_to_skew(M)
+    f, _ = pullback(M)
     print(f"p: {M.p}")
     print(f"skew-sparsity: {f.sparsity}")
     print(f"support: {f.support()!r}")

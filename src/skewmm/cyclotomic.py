@@ -32,8 +32,10 @@ from .rational import Rat, SCALAR_TYPES, as_rat
 #: largest of the primes 31..61 at which `gen` of two dense matrices, then
 #: `mul --algo det`, `mul --algo naive` and `mul --algo mc` on them, fit a
 #: 60 s budget.  On a 2-core x86 box (Python 3.11, fractions.Fraction) the
-#: four commands took 0.8 s in all at p=31, 1.6 s at p=43, 2.4 s at p=53 and
-#: 3.4 s at p=61 (gen 0.3, det 1.1, naive 0.9, mc 1.1).
+#: four commands took 0.6 s in all at p=31 and 0.8 s at p=61 (gen 0.25,
+#: det 0.17, naive 0.15, mc 0.26), most of it process start-up.  Raising it
+#: waits on inputs whose entries all have distinct prime denominators, on
+#: which det stays far slower than naive.
 MAX_P = 61
 
 

@@ -4,7 +4,8 @@ Three routes to the same exact product of (p-1) x (p-1) rational matrices:
 
   naive_mul  schoolbook ground truth: one int product of the two factors,
              rows and columns scaled by their denominators' lcms;
-  det_mul    deterministic: pull both factors back to polynomials, bound the
+  det_mul    deterministic: pull both factors back to polynomials (from
+             their own rows, certified, when they are sparse), bound the
              product's support by the exponent sumset of size t, evaluate
              the product map at t points straight from the input matrices,
              interpolate on the known support, push forward;
@@ -32,7 +33,7 @@ from .multiply import OpCounter, rational_product
 from .rational import Rat
 from .skewpoly import (InterpolationError, batch_evaluate_via_matrices,
                        interpolate_known_support, sparse_interpolate, sumset)
-from .transform import RatMatrix, mat_to_skew, skew_to_mat
+from .transform import RatMatrix, mat_to_skew, pullback, skew_to_mat
 
 MAX_SEED = 2 ** 64
 
@@ -62,8 +63,10 @@ class MulReport:
     final_T is the last sparsity bound tried by mc_mul; fallback
     flags that mc_mul's direct round, the product read off all p-1 values,
     failed verification and the schoolbook product was returned instead,
-    which indicates a bug rather than an input condition.  wall_time is
-    measured, never asserted.
+    which indicates a bug rather than an input condition.  pullback is the
+    route det_mul's pullback took for A and for B, each "sparse" (read off
+    the factor's rows and certified) or "dense" (mat_to_skew); it is empty
+    for naive_mul and mc_mul.  wall_time is measured, never asserted.
     """
 
     algorithm: Algorithm
@@ -73,6 +76,7 @@ class MulReport:
     wall_time: float = 0.0
     final_T: int = 0
     fallback: bool = False
+    pullback: tuple = ()
 
 
 def _check_pair(a: RatMatrix, b: RatMatrix):
@@ -137,25 +141,32 @@ def _product_from_rows(ctx, values):
 def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     """Deterministic skew-sparse product: always exactly equals naive_mul.
 
-    The product polynomial's support is covered by the exponent sumset of
-    the two pullbacks; with t its size, the product map's values at v_1^1 ..
+    Each factor is pulled back by `pullback`: a factor with s terms, s at
+    most the sparse bound T(p), is read off its own rows by sparse
+    interpolation and certified against the rest in O(s p^2 + T^2 p);
+    any other factor goes through the dense O(p^3) mat_to_skew.  The
+    product polynomial's support is covered by the exponent sumset of the
+    two pullbacks; with t its size, the product map's values at v_1^1 ..
     v_1^t are rows of A*B, so they are read off the input matrices (t
-    gathered rows of A times B), and one known-support interpolation
-    reconstructs the polynomial, which maps back to the answer.  At t = p-1
-    the values are all the rows of the answer, which is read off them
-    directly.
+    gathered rows of A times B, O(t p^2)), one known-support interpolation
+    (O(t^2 p)) reconstructs the polynomial, and the pushforward (O(t p^2))
+    maps it back to the answer.  When both factors take the sparse route,
+    the whole product costs O((s_A + s_B + t) p^2 + t^2 p), with no cubic
+    stage.  At t = p-1 the values are all the rows of the answer, which is
+    read off them directly.
     """
     _check_pair(A, B)
     start = time.perf_counter()
     ctx = shared_ctx(A.p)
-    f_a = mat_to_skew(A, ctx)
-    f_b = mat_to_skew(B, ctx)
+    f_a, route_a = pullback(A, ctx)
+    f_b, route_b = pullback(B, ctx)
+    routes = (route_a, route_b)
     support = sumset(f_a, f_b)
     t = len(support)
     counter = OpCounter()
     if t == 0:
         report = MulReport(Algorithm.DETERMINISTIC, t_used=0,
-                           wall_time=time.perf_counter() - start)
+                           wall_time=time.perf_counter() - start, pullback=routes)
         return RatMatrix.zeros(A.p), report
     values = batch_evaluate_via_matrices(ctx, range(1, t + 1), A, B, counter)
     if t == A.p - 1:
@@ -165,7 +176,7 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
         result = skew_to_mat(product_poly)
     report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
                        rational_mul_count=counter.muls,
-                       wall_time=time.perf_counter() - start)
+                       wall_time=time.perf_counter() - start, pullback=routes)
     return result, report
 
 

@@ -1,9 +1,10 @@
 """Built-in invariant suite behind `skewmm selftest`.
 
-Runs the library's structural identities at p in {3, 5, 7, 11, 13} with
-fixed seeds, prints one line per property plus the empirically resolved
-conventions (composition orientation of the transform, conjugation side of
-the layer-0 closed form), and reports the first failure by name.  Exact
+Runs the library's structural identities at p in {3, 5, 7, 11, 13} (the
+sparse pullback at p in {13, 17, 31}) with fixed seeds, prints one line per
+property plus the empirically resolved conventions (composition orientation
+of the transform, conjugation side of the layer-0 closed form), and reports
+the first failure by name.  Exact
 arithmetic means every check is a strict equality.
 """
 
@@ -18,10 +19,12 @@ from .skewpoly import SkewPoly, sp_mul, sparse_interpolate, sp_evaluate, power_p
 from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             build_X, build_Y, l0_characterization_check,
                             random_layered, skew_sparsity, y_power_row)
-from .transform import (Orientation, RatMatrix, build_V, build_W, mat_to_skew,
-                        phi_orientation, skew_to_mat)
+from .transform import (Orientation, RatMatrix, _sparse_bound, build_V, build_W,
+                        mat_to_skew, phi_orientation, pullback, skew_to_mat)
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13)
+#: pullback's sparse route is off up to p=13, so its check adds larger primes
+SPARSE_PULLBACK_PRIMES = (13, 17, 31)
 
 
 def _rand_matrix(p, rng, bound=9):
@@ -201,6 +204,33 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
     return True
 
 
+def check_sparse_pullback(primes=SPARSE_PULLBACK_PRIMES) -> bool:
+    """pullback against mat_to_skew: one random layered matrix per prime,
+    taking the sparse route exactly when its sparsity is within the bound;
+    then, at the largest prime, a sparse matrix with one entry changed in
+    row q(p-1), past the 2T rows the interpolation reads.  Those rows fit
+    the sparse candidate, so only the certificate can reject it; the result
+    must be the dense pullback, and det_mul on it must equal naive_mul."""
+    rng = random.Random(4242)
+    for p in primes:
+        ctx = shared_ctx(p)
+        bound = _sparse_bound(p)
+        s = rng.randint(1, bound + 1)
+        M = random_layered(ctx, rng.sample(range(p - 1), s), rng.getrandbits(32))
+        if pullback(M, ctx) != (mat_to_skew(M, ctx), "sparse" if s <= bound else "dense"):
+            return False
+    p = primes[-1]
+    ctx = shared_ctx(p)
+    M = random_layered(ctx, rng.sample(range(p - 1), _sparse_bound(p)), rng.getrandbits(32))
+    rows = [list(row) for row in M.rows]
+    rows[ctx.q(p - 1) - 1][0] += 1
+    M = RatMatrix(p, rows)
+    if pullback(M, ctx) != (mat_to_skew(M, ctx), "dense"):
+        return False
+    B = random_layered(ctx, [0, 1], rng.getrandbits(32))
+    return matmul.det_mul(M, B)[0] == matmul.naive_mul(M, B)
+
+
 def check_sparse_interpolation(p=13, cases=6) -> bool:
     rng = random.Random(31337)
     ctx = shared_ctx(p)
@@ -240,6 +270,8 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
          lambda: check_generator_identities()),
         ("layer-0 closed-form identity", check_l0_characterization),
         ("sparse interpolation roundtrip", check_sparse_interpolation),
+        ("sparse pullback vs mat_to_skew, certificate rejects a changed late row",
+         check_sparse_pullback),
         ("skew-sparsity reporting", check_sparsity_reporting),
         ("det/mc multiplication vs schoolbook oracle", check_multiplication),
         ("naive/det products with denominators vs Fraction schoolbook",

@@ -297,21 +297,42 @@ def _is_prime(n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _moduli(p: int):
-    """The NUM_MODULI largest primes q = 1 (mod p) below 2^61, largest first,
-    each paired with zeta^0 .. zeta^(p-1) for a fixed primitive p-th root of
-    unity zeta mod q.  beta -> zeta is then a ring map Z[1/D][beta] -> F_q for
-    every D prime to q."""
-    out = []
-    q = 2 ** 61 - 1 - (2 ** 61 - 2) % (2 * p)  # odd, and 1 (mod p)
-    while len(out) < NUM_MODULI:
-        if _is_prime(q):
-            h = 2
-            while (zeta := pow(h, (q - 1) // p, q)) == 1:
-                h += 1
-            out.append((q, tuple(pow(zeta, i, q) for i in range(p))))
+def _modulus(p: int, i: int):
+    """The i-th largest prime q = 1 (mod p) below 2^61, paired with zeta^0 ..
+    zeta^(p-1) for a fixed primitive p-th root of unity zeta mod q.  Found
+    by stepping down from the (i-1)-th, so each prime is searched for once."""
+    if i:
+        q = _modulus(p, i - 1)[0] - 2 * p
+    else:
+        q = 2 ** 61 - 1 - (2 ** 61 - 2) % (2 * p)  # odd, and 1 (mod p)
+    while not _is_prime(q):
         q -= 2 * p
-    return tuple(out)
+    h = 2
+    while (zeta := pow(h, (q - 1) // p, q)) == 1:
+        h += 1
+    return q, tuple(pow(zeta, k, q) for k in range(p))
+
+
+class _Moduli:
+    """The NUM_MODULI primes of _modulus(p, i), largest first, found only as
+    iteration reaches them: most searches end at the first."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __len__(self):
+        return NUM_MODULI
+
+    def __iter__(self):
+        return (_modulus(self.p, i) for i in range(NUM_MODULI))
+
+
+def _moduli(p: int) -> _Moduli:
+    """The primes sparse_interpolate tries for p, with their zeta powers:
+    beta -> zeta is a ring map Z[1/D][beta] -> F_q for every D prime to q."""
+    return _Moduli(p)
 
 
 def _reduce_mod(a: CycElem, q: int, zeta_pows) -> int | None:

@@ -20,7 +20,7 @@ import random
 from .cyclotomic import CycCtx
 from .rational import Rat, as_rat
 from .skewpoly import SkewPoly, SupportSet
-from .transform import RatMatrix, mat_to_skew, skew_to_mat
+from .transform import RatMatrix, pullback, skew_to_mat
 
 _ZERO = Rat(0)
 _ONE = Rat(1)
@@ -144,7 +144,7 @@ def layer_basis_elem(ctx: CycCtx, i: int, j: int) -> RatMatrix:
 
 def skew_sparsity(C: RatMatrix) -> tuple[int, SupportSet]:
     """(number of layers, layer index set) of C via the polynomial pullback."""
-    f = mat_to_skew(C)
+    f, _ = pullback(C)
     return f.sparsity, f.support()
 
 

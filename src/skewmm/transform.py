@@ -5,9 +5,13 @@ that map in the normal basis {v_1, ..., v_(p-1)} gives a (p-1) x (p-1)
 rational matrix, and the assignment is a bijection onto the full matrix
 algebra.  Both directions are implemented here:
 
-  matrix -> polynomial   scaled application of the inverse basis matrix W
-                         (the basis matrix V of normal-basis translates and
-                         W of their reciprocals satisfy V W = p I);
+  matrix -> polynomial   mat_to_skew, the definition: scaled application
+                         of the inverse basis matrix W (the basis matrix V
+                         of normal-basis translates and W of their
+                         reciprocals satisfy V W = p I), O(p^3);
+                         pullback, the same result, read off the matrix's
+                         own rows by sparse interpolation and certified
+                         against the rest when the polynomial is sparse;
   polynomial -> matrix   row i is the normal-coordinate vector of the image
                          of v_i = beta^(r^(i-1)), one of the values
                          skewpoly.values_at_beta_powers computes.
@@ -28,7 +32,8 @@ import math
 from .cyclotomic import CycCtx, CycElem, int_vector, rotated_sum, shared_ctx
 from .multiply import cubic_multiply, rational_product
 from .rational import Rat, as_rat
-from .skewpoly import SkewPoly, sp_mul, values_at_beta_powers
+from .skewpoly import (InterpolationError, SkewPoly, sp_mul, sparse_interpolate,
+                       values_at_beta_powers)
 
 _ZERO = Rat(0)
 _ONE = Rat(1)
@@ -137,10 +142,7 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
     C's denominators): O(p^3) integer additions, one beta^0 reduction per
     coefficient, and each coefficient is built directly over p*D.
     """
-    if ctx is None:
-        ctx = shared_ctx(C.p)
-    elif ctx.p != C.p:
-        raise ValueError(f"dimension mismatch: matrix p={C.p}, context p={ctx.p}")
+    ctx = _ctx_for(C, ctx)
     p = ctx.p
     n = p - 1
     pow_r = ctx.pow_r
@@ -157,6 +159,77 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
         if any(coords):
             terms[i] = CycElem(ctx, coords, out_den)
     return SkewPoly(ctx, terms)
+
+
+def _ctx_for(C: RatMatrix, ctx: CycCtx | None) -> CycCtx:
+    if ctx is None:
+        return shared_ctx(C.p)
+    if ctx.p != C.p:
+        raise ValueError(f"dimension mismatch: matrix p={C.p}, context p={ctx.p}")
+    return ctx
+
+
+def _sparse_bound(p: int) -> int:
+    """The sparsity bound T pullback interpolates under at p; 0 turns the
+    sparse route off.
+
+    Fitted to in-process timings of the sparse route against mat_to_skew
+    (README, "Sparse pullback"): at p=13 it won only for one term, by less
+    than a failed attempt costs, and above p=13 a larger bound adds little
+    beyond the sparsity where the route stops winning.
+    """
+    return p // 6 if p > 13 else 0
+
+
+def _value_on_ints(C: RatMatrix, ctx: CycCtx, l: int):
+    """The value of C's map at beta^l (1 <= l <= p-1), which is C's row q(l),
+    as (numerators, den): den is the lcm of the row's own denominators, so
+    the pair is already in lowest terms, and numerator m-1 is the power
+    coordinate of beta^m."""
+    pairs = [x.as_integer_ratio() for x in C.rows[ctx.q(l) - 1]]
+    den = math.lcm(*[d for _, d in pairs])
+    # power coordinate m is normal coordinate q(m)
+    return [n * (den // d) for n, d in (pairs[k - 1] for k in ctx.q_perm)], den
+
+
+def _certified(f: SkewPoly, C: RatMatrix, exponents) -> bool:
+    """Whether f's map at beta^l equals C's row q(l) for every l in
+    `exponents`, compared in lowest terms on ints."""
+    den, values = values_at_beta_powers(f, exponents)
+    for l, value in zip(exponents, values):
+        g = math.gcd(den, *value)
+        want, want_den = _value_on_ints(C, f.ctx, l)
+        if den // g != want_den or [x // g for x in value] != want:
+            return False
+    return True
+
+
+def pullback(C: RatMatrix, ctx: CycCtx | None = None) -> tuple[SkewPoly, str]:
+    """(mat_to_skew(C, ctx), route): the same polynomial, found from C's own
+    rows when it is sparse; route is "sparse" or "dense", the way it was found.
+
+    C's map sends beta^l to C's row q(l), so the values that Ben-Or & Tiwari
+    interpolation needs are rows of C, gathered with no arithmetic.  With T
+    the bound _sparse_bound(p), sparse_interpolate on the values at beta^1 ..
+    beta^(2T) gives a candidate that agrees with them, and the candidate is
+    certified exactly against the rows for l = 2T+1 .. p-1.  Agreement at
+    every beta^l, l = 1..p-1, is agreement on a basis of Q(beta), so the
+    candidate's matrix is C and the candidate is C's pullback.  For s <= T
+    terms this costs O(p^2 + T^2 p + s p^2) integer operations.  When no
+    candidate fits, the certificate fails, or T is 0, the dense O(p^3)
+    mat_to_skew answers.  Either way the result is exactly mat_to_skew's.
+    """
+    ctx = _ctx_for(C, ctx)
+    bound = _sparse_bound(ctx.p)
+    if bound:
+        head = [CycElem(ctx, *_value_on_ints(C, ctx, l)) for l in range(1, 2 * bound + 1)]
+        try:
+            f = sparse_interpolate(head, bound, ctx)
+        except InterpolationError:
+            f = None
+        if f is not None and _certified(f, C, range(2 * bound + 1, ctx.p)):
+            return f, "sparse"
+    return mat_to_skew(C, ctx), "dense"
 
 
 def skew_to_mat(f: SkewPoly) -> RatMatrix:
