@@ -42,13 +42,22 @@ class UsageError(Exception):
     pass
 
 
+#: Smallest error probability --mu and --nu accept.  Freivalds runs
+#: ceil(log2(1/mu)) rounds, so without a floor the run time grows with the
+#: digits of the value's denominator; at 2^-128 it is 128 rounds for verify
+#: (README, "Error budgets").
+MIN_PROBABILITY = Fraction(1, 2 ** 128)
+
+
 def _parse_probability(text, name):
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--{name} must be a rational in (0,1), got {text!r}") from exc
+        raise UsageError(f"--{name} must be a rational in [2^-128, 1), got {text!r}") from exc
     if not 0 < value < 1:
         raise UsageError(f"--{name} must lie strictly between 0 and 1, got {text}")
+    if value < MIN_PROBABILITY:
+        raise UsageError(f"--{name} must be at least 2^-128, got {text}")
     return value
 
 
@@ -120,7 +129,7 @@ def _shared_ctx_checked(p):
         raise UsageError(str(exc)) from exc
 
 
-#: name of the scalar type every rational runs on (Fraction, or gmpy2's mpq)
+#: name of the scalar type every rational runs on, reported as `backend`
 _BACKEND = type(Rat(0)).__name__
 
 
@@ -308,7 +317,7 @@ def build_parser():
     mul.add_argument("--algo", choices=("naive", "det", "mc"), required=True)
     mul.add_argument("a", help="left operand file")
     mul.add_argument("b", help="right operand file")
-    mul.add_argument("--nu", help="error probability for mc, in (0,1)")
+    mul.add_argument("--nu", help="error probability for mc, in [2^-128, 1)")
     mul.add_argument("--seed", type=int, help="seed for mc")
     mul.add_argument("--check", action="store_true",
                      help="also run the schoolbook oracle and compare")
@@ -323,7 +332,7 @@ def build_parser():
     verify.add_argument("m", help="claimed product file")
     verify.add_argument("a")
     verify.add_argument("b")
-    verify.add_argument("--mu", required=True, help="error probability in (0,1)")
+    verify.add_argument("--mu", required=True, help="error probability in [2^-128, 1)")
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(handler=cmd_verify)
 
@@ -334,7 +343,7 @@ def build_parser():
                        help="target sumset sizes (layer sets are {0} and {0..t-1})")
     bench.add_argument("--algos", default="det", help="subset of naive,det,mc")
     bench.add_argument("--seeds", default="1", help="'1,2,3' or '1..5'")
-    bench.add_argument("--nu", default="1/20", help="error probability for mc cells")
+    bench.add_argument("--nu", default="1/20", help="error probability for mc cells, in [2^-128, 1)")
     bench.add_argument("--check", action="store_true", help="record agreement with naive")
     bench.add_argument("--json", help="write records to this file instead of stdout")
     bench.set_defaults(handler=cmd_bench)

@@ -3,8 +3,9 @@
 beta is a p-th primitive root of unity: beta^(p-1) + ... + beta + 1 = 0,
 so the field has degree p - 1 over Q.  Elements store their coordinates in
 the power basis {beta, beta^2, ..., beta^(p-1)} as ints over one common
-denominator (FLINT's fmpq_poly layout), so operations pay one gcd per
-result; beta^0 is not a basis vector, since 1 = -(beta + ... + beta^(p-1)).
+denominator (the layout of FLINT's rational polynomials), so operations
+pay one gcd per result; beta^0 is not a basis vector, since
+1 = -(beta + ... + beta^(p-1)).
 In this basis the automorphism sigma: beta -> beta^r (r the smallest
 primitive root of Z_p) and the change to the normal basis
 {v_i = beta^(r^(i-1))} are pure coordinate permutations, which is why the
@@ -39,16 +40,34 @@ from .rational import Rat, SCALAR_TYPES, as_rat
 MAX_P = 61
 
 
-def is_odd_prime(p) -> bool:
-    """Trial-division primality test, adequate at desk scale."""
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, which is
+    deterministic for every n below 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def is_odd_prime(p) -> bool:
+    """Whether p is an int and an odd prime (bools and other types are not)."""
+    return isinstance(p, int) and p >= 3 and p % 2 == 1 and _is_prime(p)
 
 
 def _check_odd_prime(p):
@@ -147,7 +166,8 @@ def shared_ctx(p: int) -> CycCtx:
     return CycCtx(p)
 
 
-def _check_same_ctx(a: CycElem, b: CycElem):
+def _check_same_ctx(a, b):
+    """Refuse two field elements, or two polynomials, over different primes."""
     if a.ctx.p != b.ctx.p:
         raise ValueError(f"context mismatch: p={a.ctx.p} vs p={b.ctx.p}")
 

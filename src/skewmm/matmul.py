@@ -164,10 +164,6 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     support = sumset(f_a, f_b)
     t = len(support)
     counter = OpCounter()
-    if t == 0:
-        report = MulReport(Algorithm.DETERMINISTIC, t_used=0,
-                           wall_time=time.perf_counter() - start, pullback=routes)
-        return RatMatrix.zeros(A.p), report
     values = batch_evaluate_via_matrices(ctx, range(1, t + 1), A, B, counter)
     if t == A.p - 1:
         result = _product_from_rows(ctx, values)

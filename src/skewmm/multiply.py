@@ -50,8 +50,8 @@ def rational_product(x_rows, y_rows, counter=None):
     y's column k, so entry (i, k) of the product is S[i][k] / (d[i] e[k]).
     Per-row and per-column scales keep the ints as short as each entry's own
     denominators allow; one global lcm would make every product as long as
-    the longest.  The entries need `numerator` and `denominator` (int,
-    Fraction, mpq).  Charges cubic_multiply's nominal count to `counter`.
+    the longest.  The entries need `numerator` and `denominator` (int or
+    Fraction).  Charges cubic_multiply's nominal count to `counter`.
     """
     d = [math.lcm(*[x.denominator for x in row]) for row in x_rows]
     e = [math.lcm(*[y.denominator for y in col]) for col in zip(*y_rows)]

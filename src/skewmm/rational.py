@@ -1,25 +1,21 @@
 """Exact rational scalars shared across the package.
 
-gmpy2's mpq is used when it is installed; the stdlib Fraction, the only
-backend the tests and benchmarks have run on, is the fallback.  Both
-normalize to lowest terms with a positive denominator, and both print as
-"n" or "n/d", which is the canonical text form used by the file format.
-No floating point is allowed anywhere in the toolchain.
+Every rational is a stdlib `fractions.Fraction`, bound here to the name
+`Rat`.  It normalizes to lowest terms with a positive denominator and
+prints as "n" or "n/d", which is the canonical text form used by the file
+format.  No floating point is allowed anywhere in the toolchain.
 """
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    Rat = Fraction
+Rat = Fraction
 
 #: types accepted wherever a rational scalar is expected
-SCALAR_TYPES = (int, Fraction, type(Rat(0)))
+SCALAR_TYPES = (int, Fraction)
 
 
 def as_rat(value):
-    """Coerce an int/Fraction/Rat/decimal-free string to Rat.
+    """Coerce an int/Fraction/decimal-free string to Rat.
 
     A value that already is a Rat is canonical and is returned unchanged.
     Floats are rejected: exactness is a hard invariant of this package.

@@ -17,7 +17,7 @@ import functools
 import math
 import operator
 
-from .cyclotomic import (CycElem, cyc_mul, cyc_sigma,
+from .cyclotomic import (CycElem, _check_same_ctx, _is_prime, cyc_mul, cyc_sigma,
                          div_one_minus_beta_power, mul_beta_power,
                          power_of_v1, rotated_sum)
 from .multiply import rational_product
@@ -123,11 +123,6 @@ class SkewPoly:
         if not self.terms:
             return "SkewPoly(0)"
         return "SkewPoly(" + " + ".join(f"({c!r})*x^{e}" for e, c in self.sorted_terms()) + ")"
-
-
-def _check_same_ctx(f: SkewPoly, g: SkewPoly):
-    if f.ctx.p != g.ctx.p:
-        raise ValueError(f"context mismatch: p={f.ctx.p} vs p={g.ctx.p}")
 
 
 def sp_add(f: SkewPoly, g: SkewPoly) -> SkewPoly:
@@ -271,31 +266,6 @@ def interpolate_known_support(values, support: SupportSet, ctx) -> SkewPoly:
 NUM_MODULI = 4
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases, which is
-    deterministic for every n below 2^64."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for b in bases:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @functools.lru_cache(maxsize=None)
 def _modulus(p: int, i: int):
     """The i-th largest prime q = 1 (mod p) below 2^61, paired with zeta^0 ..
@@ -401,12 +371,21 @@ def _support_mod(a, bound: int, ctx, q: int, zeta_pows) -> SupportSet | None:
     return SupportSet(support)
 
 
-def _agrees(f: SkewPoly, values, start: int) -> bool:
-    """Whether f's map at v_1^(k+1) = beta^(k+1) equals values[k] for every
-    k >= start; the numerators are compared under both denominators."""
-    den, rows = values_at_beta_powers(f, range(start + 1, len(values) + 1))
-    return all([y * value.den for y in row] == [x * den for x in value.num]
-               for row, value in zip(rows, values[start:]))
+def _agrees(f: SkewPoly, exponents, expected) -> bool:
+    """Whether f's map at beta^l equals the matching value of `expected` for
+    every l in `exponents`.
+
+    Each expected value is a (numerators, den) pair in lowest terms, den > 0
+    and numerator m-1 the power coordinate of beta^m, as CycElem holds it.
+    f's value is put in lowest terms on ints and compared with it; the pairs
+    are drawn one at a time, and none after the first mismatch.
+    """
+    den, rows = values_at_beta_powers(f, exponents)
+    for row, (want, want_den) in zip(rows, expected):
+        g = math.gcd(den, *row)
+        if den // g != want_den or [x // g for x in row] != [*want]:
+            return False
+    return True
 
 
 def sparse_interpolate(values, bound: int, ctx) -> SkewPoly:
@@ -452,7 +431,7 @@ def sparse_interpolate(values, bound: int, ctx) -> SkewPoly:
         t = len(support)
         candidate = interpolate_known_support(a[:t], support, ctx)
         # the solve is exact on the first t values; check the rest
-        if _agrees(candidate, a, t):
+        if _agrees(candidate, range(t + 1, 2 * bound + 1), ((v.num, v.den) for v in a[t:])):
             return candidate
     raise InterpolationError(
         f"found no polynomial with at most {bound} terms that fits the {2 * bound} values")

@@ -32,8 +32,8 @@ import math
 from .cyclotomic import CycCtx, CycElem, int_vector, rotated_sum, shared_ctx
 from .multiply import cubic_multiply, rational_product
 from .rational import Rat, as_rat
-from .skewpoly import (InterpolationError, SkewPoly, sp_mul, sparse_interpolate,
-                       values_at_beta_powers)
+from .skewpoly import (InterpolationError, SkewPoly, _agrees, sp_mul,
+                       sparse_interpolate, values_at_beta_powers)
 
 _ZERO = Rat(0)
 _ONE = Rat(1)
@@ -192,18 +192,6 @@ def _value_on_ints(C: RatMatrix, ctx: CycCtx, l: int):
     return [n * (den // d) for n, d in (pairs[k - 1] for k in ctx.q_perm)], den
 
 
-def _certified(f: SkewPoly, C: RatMatrix, exponents) -> bool:
-    """Whether f's map at beta^l equals C's row q(l) for every l in
-    `exponents`, compared in lowest terms on ints."""
-    den, values = values_at_beta_powers(f, exponents)
-    for l, value in zip(exponents, values):
-        g = math.gcd(den, *value)
-        want, want_den = _value_on_ints(C, f.ctx, l)
-        if den // g != want_den or [x // g for x in value] != want:
-            return False
-    return True
-
-
 def pullback(C: RatMatrix, ctx: CycCtx | None = None) -> tuple[SkewPoly, str]:
     """(mat_to_skew(C, ctx), route): the same polynomial, found from C's own
     rows when it is sparse; route is "sparse" or "dense", the way it was found.
@@ -212,7 +200,9 @@ def pullback(C: RatMatrix, ctx: CycCtx | None = None) -> tuple[SkewPoly, str]:
     interpolation needs are rows of C, gathered with no arithmetic.  With T
     the bound _sparse_bound(p), sparse_interpolate on the values at beta^1 ..
     beta^(2T) gives a candidate that agrees with them, and the candidate is
-    certified exactly against the rows for l = 2T+1 .. p-1.  Agreement at
+    certified exactly against the rows for l = 2T+1 .. p-1: skewpoly's
+    _agrees compares its values there with the rows in lowest terms, on
+    ints, and converts each row only when it gets to it.  Agreement at
     every beta^l, l = 1..p-1, is agreement on a basis of Q(beta), so the
     candidate's matrix is C and the candidate is C's pullback.  For s <= T
     terms this costs O(p^2 + T^2 p + s p^2) integer operations.  When no
@@ -227,7 +217,8 @@ def pullback(C: RatMatrix, ctx: CycCtx | None = None) -> tuple[SkewPoly, str]:
             f = sparse_interpolate(head, bound, ctx)
         except InterpolationError:
             f = None
-        if f is not None and _certified(f, C, range(2 * bound + 1, ctx.p)):
+        tail = range(2 * bound + 1, ctx.p)
+        if f is not None and _agrees(f, tail, (_value_on_ints(C, ctx, l) for l in tail)):
             return f, "sparse"
     return mat_to_skew(C, ctx), "dense"
 

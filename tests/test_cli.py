@@ -293,6 +293,48 @@ def test_verify_validation(workdir):
     assert run_cli("verify", str(a), str(a), str(a), "--mu", "1") == EXIT_USAGE
 
 
+#: the smallest error budget --mu and --nu accept, and a value just below it
+AT_FLOOR = f"1/{2 ** 128}"
+BELOW_FLOOR = f"1/{2 ** 128 + 1}"
+
+
+@pytest.fixture
+def no_product(monkeypatch):
+    """Fail the test if the CLI runs a product or a verification."""
+    def refuse(*args):
+        raise AssertionError("a product or a verification ran")
+    for name in ("naive_mul", "det_mul", "mc_mul", "freivalds"):
+        monkeypatch.setattr(cli.matmul, name, refuse)
+
+
+def test_error_budget_below_the_floor_is_a_usage_error(workdir, no_product, capsys):
+    a = gen(workdir, "a.mat")
+    out, records = workdir / "c.mat", workdir / "b.jsonl"
+    capsys.readouterr()
+    for argv in (("verify", str(a), str(a), str(a), "--mu", BELOW_FLOOR),
+                 ("mul", "--algo", "mc", "--nu", BELOW_FLOOR, str(a), str(a), "-o", str(out)),
+                 ("bench", "--p-list", "7", "--t-list", "1", "--algos", "mc",
+                  "--nu", BELOW_FLOOR, "--json", str(records))):
+        assert run_cli(*argv) == EXIT_USAGE
+        assert "at least 2^-128" in capsys.readouterr().err
+    assert not out.exists() and not records.exists()
+
+
+def test_error_budget_at_the_floor_is_accepted(workdir, capsys):
+    a = gen(workdir, "a.mat", layers="dense", seed=11)
+    b = gen(workdir, "b.mat", layers="dense", seed=12)
+    c, d = workdir / "c.mat", workdir / "d.mat"
+    assert run_cli("mul", "--algo", "naive", str(a), str(b), "-o", str(c)) == EXIT_OK
+    assert run_cli("mul", "--algo", "mc", "--nu", AT_FLOOR, "--seed", "7",
+                   str(a), str(b), "-o", str(d)) == EXIT_OK
+    assert d.read_bytes() == c.read_bytes()
+    capsys.readouterr()
+    assert run_cli("verify", str(c), str(a), str(b), "--mu", AT_FLOOR) == EXIT_OK
+    assert capsys.readouterr().out == "rounds: 128\nequal\n"
+    assert run_cli("bench", "--p-list", "7", "--t-list", "1", "--algos", "mc",
+                   "--nu", AT_FLOOR, "--json", str(workdir / "b.jsonl")) == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

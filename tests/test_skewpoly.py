@@ -399,6 +399,7 @@ def test_sparse_interpolate_recurrence_longer_than_bound():
 
 
 def test_moduli_are_primes_one_mod_p_with_a_primitive_root_of_unity():
+    from skewmm.cyclotomic import is_odd_prime
     from skewmm.skewpoly import NUM_MODULI, _is_prime, _moduli
 
     def by_trial_division(n):
@@ -406,6 +407,9 @@ def test_moduli_are_primes_one_mod_p_with_a_primitive_root_of_unity():
 
     assert [n for n in range(2000) if _is_prime(n)] == [
         n for n in range(2000) if by_trial_division(n)]
+    assert [n for n in range(2000) if is_odd_prime(n)] == [
+        n for n in range(3, 2000) if by_trial_division(n)]
+    assert not any(is_odd_prime(x) for x in (0, 1, 2, 9, -3, True, 3.0, "5"))
     # strong pseudoprimes to the first few prime bases, and Mersenne primes
     for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
               341550071728321, 3825123056546413051, (2 ** 31 - 1) * (2 ** 61 - 1)):

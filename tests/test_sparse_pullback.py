@@ -25,7 +25,7 @@ from skewmm.matrixfile import write_matrix_file
 from skewmm.rational import Rat
 from skewmm.skewpoly import _moduli
 from skewmm.skewstructure import random_layered
-from skewmm.transform import _sparse_bound
+from skewmm.transform import _sparse_bound, _value_on_ints
 
 PRIMES = (3, 5, 7, 13, 31)
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 3 ** 40, 2 ** 61 - 1)
@@ -96,11 +96,15 @@ def assert_products_exact(M, ctx, rng):
 
 
 @pytest.mark.parametrize("p", (31, 61))
-@pytest.mark.parametrize("s", (1, "bound"))
-def test_certificate_rejects_a_changed_row_past_the_first_2T(monkeypatch, p, s):
+@pytest.mark.parametrize(("s", "change"),
+                         [(1, "add"), ("bound", "add"), (1, "halve"), ("bound", "halve")],
+                         ids=["1", "bound", "1-halve", "bound-halve"])
+def test_certificate_rejects_a_changed_row_past_the_first_2T(monkeypatch, p, s, change):
     # case (a): rows q(1)..q(2T) are those of a sparse matrix, so the
-    # interpolation finds its polynomial; one changed entry in a later row
-    # must make the certificate reject it
+    # interpolation finds its polynomial; one changed later row must make
+    # the certificate reject it.  "add" changes one entry; "halve" halves
+    # the row, which keeps its lowest-terms numerators and changes only its
+    # denominator, so the certificate must compare denominators too
     ctx = shared_ctx(p)
     bound = _sparse_bound(p)
     s = bound if s == "bound" else s
@@ -108,8 +112,14 @@ def test_certificate_rejects_a_changed_row_past_the_first_2T(monkeypatch, p, s):
     for l in (2 * bound + 1, p - 1):
         sparse = random_layered(ctx, rng.sample(range(p - 1), s), rng.getrandbits(32))
         rows = [list(row) for row in sparse.rows]
-        rows[ctx.q(l) - 1][rng.randrange(p - 1)] += Rat(1, 3)
+        if change == "add":
+            rows[ctx.q(l) - 1][rng.randrange(p - 1)] += Rat(1, 3)
+        else:
+            rows[ctx.q(l) - 1] = [x / 2 for x in rows[ctx.q(l) - 1]]
         M = RatMatrix(p, rows)
+        if change == "halve":
+            (num, den), (old_num, old_den) = (_value_on_ints(X, ctx, l) for X in (M, sparse))
+            assert num == old_num and den == 2 * old_den
         outcomes = recording_interpolation(monkeypatch)
         assert pullback(M, ctx) == (mat_to_skew(M, ctx), "dense")
         assert outcomes == [s]
