@@ -28,12 +28,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import normal_coords, shared_ctx
-from .multiply import OpCounter, rational_product
-from .rational import Rat
+from .cyclotomic import shared_ctx
+from .multiply import OpCounter
 from .skewpoly import (InterpolationError, batch_evaluate_via_matrices,
                        interpolate_known_support, sparse_interpolate, sumset)
-from .transform import RatMatrix, mat_to_skew, pullback, skew_to_mat
+from .transform import RatMatrix, mat_to_skew, product_matrix, pullback, skew_to_mat
 
 MAX_SEED = 2 ** 64
 
@@ -119,23 +118,27 @@ def _sum_columns(rows, cols):
 def naive_mul(A: RatMatrix, B: RatMatrix, counter: OpCounter | None = None) -> RatMatrix:
     """Exact schoolbook product; the oracle every other route is checked against.
 
-    The product runs on ints (`rational_product`): A's rows and B's columns
-    are scaled by their own denominators' lcms, and each entry is one Rat
-    over its row's and column's scales.
+    The product runs on the factors' ints (`rational_product`): A's rows
+    and B's columns are scaled by their own denominators' lcms, and each
+    entry of the int product is put over its row's and column's scales and
+    reduced, one map(gcd) per row and none for a row over 1.  No Fraction
+    is built.
     """
     _check_pair(A, B)
-    d, e, S = rational_product(A.rows, B.rows, counter)
-    return RatMatrix(A.p, [[Rat(s, di * ek) for s, ek in zip(row, e)]
-                           for row, di in zip(S, d)])
+    return product_matrix(A, B, counter)
 
 
 def _product_from_rows(ctx, values):
     """The product matrix from the values at v_1^1 .. v_1^(p-1): the value at
-    v_1^l is row q(l) of the product, in normal coordinates."""
-    rows = [None] * (ctx.p - 1)
+    v_1^l is row q(l) of the product, in normal coordinates, which read its
+    int numerators in the order of pow_r, over its one denominator."""
+    n = ctx.p - 1
+    rows, dens = [None] * n, [None] * n
     for l, value in enumerate(values, 1):
-        rows[ctx.q(l) - 1] = normal_coords(value)
-    return RatMatrix(ctx.p, rows)
+        i = ctx.q(l) - 1
+        rows[i] = [value.num[u - 1] for u in ctx.pow_r]
+        dens[i] = (value.den,) * n
+    return RatMatrix._reduced(ctx.p, rows, dens)
 
 
 def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
@@ -182,7 +185,8 @@ def freivalds(M: RatMatrix, A: RatMatrix, B: RatMatrix, mu, seed: int) -> Freiva
     Runs ceil(log2(1/mu)) independent rounds; each draws y uniformly from
     {0,1}^(p-1) and compares M y with A (B y) exactly.  A true product is
     always accepted; a wrong one survives each round with probability at
-    most 1/2.
+    most 1/2.  The check runs on Fractions, reading each matrix's `rows`
+    view once.
     """
     _check_pair(A, B)
     _check_pair(M, A)
@@ -190,12 +194,13 @@ def freivalds(M: RatMatrix, A: RatMatrix, B: RatMatrix, mu, seed: int) -> Freiva
     k = rounds_for(mu)
     rng = random.Random(seed)
     n = A.p - 1
+    m_rows, a_rows, b_rows = M.rows, A.rows, B.rows
     for _ in range(k):
         word = rng.getrandbits(n)
         picked = [j for j in range(n) if (word >> (n - 1 - j)) & 1]
         # y is 0/1, so M y and B y are sums of the picked columns
-        my = _sum_columns(M.rows, picked)
-        aby = _mat_vec(A.rows, _sum_columns(B.rows, picked))
+        my = _sum_columns(m_rows, picked)
+        aby = _mat_vec(a_rows, _sum_columns(b_rows, picked))
         if my != aby:
             return FreivaldsResult.NOT_EQUAL
     return FreivaldsResult.EQUAL

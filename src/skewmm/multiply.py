@@ -42,19 +42,26 @@ def cubic_multiply(x_rows, y_rows, counter=None):
     return out
 
 
-def rational_product(x_rows, y_rows, counter=None):
+def rational_product(x_nums, x_dens, y_nums, y_dens, counter=None):
     """The product of two rational matrices on ints, as (d, e, S).
 
-    d[i] is the lcm of the denominators in row i of x, e[k] the lcm of those
-    in column k of y, and S = cubic_multiply of d[i] * x's row i by e[k] *
-    y's column k, so entry (i, k) of the product is S[i][k] / (d[i] e[k]).
-    Per-row and per-column scales keep the ints as short as each entry's own
+    Each factor is given as its rows of int numerators and the matching rows
+    of positive int denominators (RatMatrix's layout).  d[i] is the lcm of
+    the denominators in row i of x, e[k] the lcm of those in column k of y,
+    and S = cubic_multiply of d[i] * x's row i by e[k] * y's column k, so
+    entry (i, k) of the product is S[i][k] / (d[i] e[k]).  Per-row and
+    per-column scales keep the ints as short as each entry's own
     denominators allow; one global lcm would make every product as long as
-    the longest.  The entries need `numerator` and `denominator` (int or
-    Fraction).  Charges cubic_multiply's nominal count to `counter`.
+    the longest.  Rows of x over 1, and y when all of it is over 1, are
+    used unscaled.  Charges cubic_multiply's nominal count to `counter`.
     """
-    d = [math.lcm(*[x.denominator for x in row]) for row in x_rows]
-    e = [math.lcm(*[y.denominator for y in col]) for col in zip(*y_rows)]
-    xs = [[x.numerator * (di // x.denominator) for x in row] for row, di in zip(x_rows, d)]
-    ys = [[y.numerator * (ek // y.denominator) for y, ek in zip(row, e)] for row in y_rows]
+    d = [math.lcm(*dens) for dens in x_dens]
+    e = [math.lcm(*col) for col in zip(*y_dens)]
+    xs = [nums if di == 1 else [x * (di // dx) for x, dx in zip(nums, dens)]
+          for nums, dens, di in zip(x_nums, x_dens, d)]
+    if max(e, default=1) == 1:
+        ys = y_nums
+    else:
+        ys = [[y * (ek // dy) for y, dy, ek in zip(nums, dens, e)]
+              for nums, dens in zip(y_nums, y_dens)]
     return d, e, cubic_multiply(xs, ys, counter)

@@ -10,11 +10,12 @@ arithmetic means every check is a strict equality.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from . import matmul
-from .cyclotomic import cyc_mul, cyc_scale, shared_ctx
+from .cyclotomic import _is_prime, cyc_mul, cyc_scale, shared_ctx
 from .skewpoly import SkewPoly, sp_mul, sparse_interpolate, sp_evaluate, power_points
 from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             build_X, build_Y, l0_characterization_check,
@@ -40,6 +41,15 @@ def _rand_rational_matrix(p, rng, bound=9):
     n = p - 1
     return RatMatrix(p, [[Fraction(rng.randint(-bound, bound), rng.choice(_DENOMINATORS))
                           for _ in range(n)] for _ in range(n)])
+
+
+def _distinct_prime_pair(p, rng):
+    """Two matrices whose 2 (p-1)^2 entries all lie over distinct primes:
+    the worst case for the int kernel's row and column scales."""
+    n = p - 1
+    primes = filter(_is_prime, itertools.count(2))
+    return [RatMatrix(p, [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), next(primes))
+                           for _ in range(n)] for _ in range(n)]) for _ in range(2)]
 
 
 def _schoolbook(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -185,8 +195,9 @@ def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
 def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
     """naive_mul and det_mul against a Fraction schoolbook on operands with
     denominators, which the int kernel's row and column scales must undo:
-    dense pairs (det reads the product off its rows) and layered pairs
-    scaled by 1/d (det interpolates)."""
+    dense pairs (det reads the product off its rows), layered pairs scaled
+    by 1/d (det interpolates) and, at p=7, a pair whose entries all lie over
+    distinct primes."""
     rng = random.Random(606)
     for p in primes:
         ctx = shared_ctx(p)
@@ -201,7 +212,9 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
                 want = _schoolbook(X, Y)
                 if matmul.naive_mul(X, Y) != want or matmul.det_mul(X, Y)[0] != want:
                     return False
-    return True
+    X, Y = _distinct_prime_pair(7, rng)
+    want = _schoolbook(X, Y)
+    return matmul.naive_mul(X, Y) == want and matmul.det_mul(X, Y)[0] == want
 
 
 def check_sparse_pullback(primes=SPARSE_PULLBACK_PRIMES) -> bool:

@@ -184,12 +184,19 @@ def values_at_beta_powers(f: SkewPoly, exponents):
     rotated_sum of the coefficients' int vectors: O(p * #f) integer additions
     and no gcd.
     """
+    den, values = _lazy_values(f, exponents)
+    return den, list(values)
+
+
+def _lazy_values(f: SkewPoly, exponents):
+    """values_at_beta_powers with the rows as an iterator: each value is
+    built only when it is drawn."""
     ctx = f.ctx
     p = ctx.p
     terms = f.sorted_terms()
     den = math.lcm(*{c.den for _, c in terms})
     vecs = [(ctx.pow_r[e], c.vector(den)) for e, c in terms]
-    return den, [rotated_sum(p, [(vec, u * l % p) for u, vec in vecs]) for l in exponents]
+    return den, (rotated_sum(p, [(vec, u * l % p) for u, vec in vecs]) for l in exponents)
 
 
 def batch_evaluate_via_matrices(ctx, indices, A, B, counter=None):
@@ -207,16 +214,17 @@ def batch_evaluate_via_matrices(ctx, indices, A, B, counter=None):
     n = ctx.p - 1
     if A.p != ctx.p or B.p != ctx.p:
         raise ValueError("matrix dimension does not match the context")
-    mid = []
+    picked = []
     for l in indices:
         if not 1 <= l <= n:
             raise ValueError(f"evaluation index must be in 1..{n}, got {l!r}")
-        mid.append(A.rows[ctx.q(l) - 1])
+        picked.append(ctx.q(l) - 1)
     # the gather stands in for the dense t x n by n x n product; charge its
     # nominal count so rational_mul_count stays the paper's 2 t (p-1)^2
     if counter is not None:
-        counter.muls += len(mid) * n * n
-    d, e, S = rational_product(mid, B.rows, counter)
+        counter.muls += len(picked) * n * n
+    d, e, S = rational_product([A.nums[i] for i in picked], [A.dens[i] for i in picked],
+                               B.nums, B.dens, counter)
     big_e = math.lcm(*e)
     # power coordinate m is normal coordinate q(m), at S-column q(m) - 1
     cols = [k - 1 for k in ctx.q_perm]
@@ -377,10 +385,11 @@ def _agrees(f: SkewPoly, exponents, expected) -> bool:
 
     Each expected value is a (numerators, den) pair in lowest terms, den > 0
     and numerator m-1 the power coordinate of beta^m, as CycElem holds it.
-    f's value is put in lowest terms on ints and compared with it; the pairs
-    are drawn one at a time, and none after the first mismatch.
+    f's value is put in lowest terms on ints and compared with it; f's values
+    are built and the pairs drawn one at a time, and none after the first
+    mismatch.
     """
-    den, rows = values_at_beta_powers(f, exponents)
+    den, rows = _lazy_values(f, exponents)
     for row, (want, want_den) in zip(rows, expected):
         g = math.gcd(den, *row)
         if den // g != want_den or [x // g for x in row] != [*want]:

@@ -28,41 +28,84 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 
-from .cyclotomic import CycCtx, CycElem, int_vector, rotated_sum, shared_ctx
+from .cyclotomic import CycCtx, CycElem, rotated_sum, shared_ctx
 from .multiply import cubic_multiply, rational_product
 from .rational import Rat, as_rat
 from .skewpoly import (InterpolationError, SkewPoly, _agrees, sp_mul,
                        sparse_interpolate, values_at_beta_powers)
 
-_ZERO = Rat(0)
-_ONE = Rat(1)
-
 
 class RatMatrix:
-    """Dense (p-1) x (p-1) matrix of exact rationals, row-major, canonical."""
+    """Dense (p-1) x (p-1) matrix of exact rationals, row-major, canonical.
 
-    __slots__ = ("p", "rows")
+    Entry (i, j) is nums[i][j] / dens[i][j]: int tuples per row, each entry
+    in lowest terms with a positive denominator, so zero is 0/1 and equality
+    compares the two tuples.  The products, the pullback and the pushforward
+    read and write these ints.  `rows` is a Fraction view of the same
+    entries for the boundary (files, the CLI, Freivalds, tests): built on
+    first use and kept, and the constructor, which takes rationals, keeps
+    the rows it was given as that view.
+    """
+
+    __slots__ = ("p", "nums", "dens", "_rows")
 
     def __init__(self, p: int, rows):
-        if not isinstance(p, int) or p < 3:
-            raise ValueError(f"matrix dimension parameter must be a prime >= 3, got {p!r}")
+        _check_p(p)
         n = p - 1
         frozen = tuple(tuple(as_rat(x) for x in row) for row in rows)
         if len(frozen) != n or any(len(row) != n for row in frozen):
             raise ValueError(f"expected a {n} x {n} matrix for p={p}")
         self.p = p
-        self.rows = frozen
+        self.nums = tuple(tuple(x.numerator for x in row) for row in frozen)
+        self.dens = tuple(tuple(x.denominator for x in row) for row in frozen)
+        self._rows = frozen
+
+    @classmethod
+    def _from_ints(cls, p: int, nums, dens) -> RatMatrix:
+        """The matrix of canonical int rows: tuples, in lowest terms."""
+        M = object.__new__(cls)
+        M.p, M.nums, M.dens, M._rows = p, nums, dens, None
+        return M
+
+    @classmethod
+    def _reduced(cls, p: int, nums, dens) -> RatMatrix:
+        """The matrix with entry (i, j) = nums[i][j] / dens[i][j], for int
+        rows and tuples of positive int denominators not yet in lowest
+        terms: one map(gcd) per row, and none for a row over 1."""
+        ones = (1,) * (p - 1)
+        out_n, out_d = [], []
+        for num, den in zip(nums, dens):
+            if den == ones:
+                out_n.append(tuple(num))
+                out_d.append(ones)
+            else:
+                g = tuple(map(math.gcd, num, den))
+                out_n.append(tuple(map(operator.floordiv, num, g)))
+                out_d.append(tuple(map(operator.floordiv, den, g)))
+        return cls._from_ints(p, tuple(out_n), tuple(out_d))
 
     @classmethod
     def zeros(cls, p: int) -> RatMatrix:
+        _check_p(p)
         n = p - 1
-        return cls(p, [[_ZERO] * n for _ in range(n)])
+        return cls._from_ints(p, ((0,) * n,) * n, ((1,) * n,) * n)
 
     @classmethod
     def identity(cls, p: int) -> RatMatrix:
+        _check_p(p)
         n = p - 1
-        return cls(p, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        nums = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+        return cls._from_ints(p, nums, ((1,) * n,) * n)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as a tuple of Fraction rows (read-only)."""
+        if self._rows is None:
+            self._rows = tuple(tuple(map(Rat, num, den))
+                               for num, den in zip(self.nums, self.dens))
+        return self._rows
 
     @property
     def n(self) -> int:
@@ -71,7 +114,7 @@ class RatMatrix:
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self.p == other.p and self.rows == other.rows
+        return self.p == other.p and self.nums == other.nums and self.dens == other.dens
 
     def __add__(self, other):
         self._check_pair(other)
@@ -84,25 +127,23 @@ class RatMatrix:
                                   for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return RatMatrix(self.p, [tuple(-a for a in r) for r in self.rows])
+        return RatMatrix._from_ints(self.p, tuple(tuple(-x for x in num) for num in self.nums),
+                                    self.dens)
 
     def __matmul__(self, other):
         """Plain exact product (uncounted); the benchmarked paths use matmul.
 
-        Runs on ints through `rational_product`: one Rat per entry, over its
-        row's and column's denominators.
+        Runs on ints through `rational_product`, like naive_mul.
         """
         self._check_pair(other)
-        d, e, S = rational_product(self.rows, other.rows)
-        return RatMatrix(self.p, [[Rat(s, di * ek) for s, ek in zip(row, e)]
-                                  for row, di in zip(S, d)])
+        return product_matrix(self, other)
 
     def scale(self, c) -> RatMatrix:
         c = as_rat(c)
         return RatMatrix(self.p, [tuple(a * c for a in r) for r in self.rows])
 
     def transpose(self) -> RatMatrix:
-        return RatMatrix(self.p, list(zip(*self.rows)))
+        return RatMatrix._from_ints(self.p, tuple(zip(*self.nums)), tuple(zip(*self.dens)))
 
     def _check_pair(self, other):
         if not isinstance(other, RatMatrix):
@@ -112,6 +153,20 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix(p={self.p})"
+
+
+def _check_p(p):
+    if not isinstance(p, int) or p < 3:
+        raise ValueError(f"matrix dimension parameter must be a prime >= 3, got {p!r}")
+
+
+def product_matrix(A: RatMatrix, B: RatMatrix, counter=None) -> RatMatrix:
+    """A*B on ints: `rational_product` of the two, each entry S[i][k] put
+    over d_i e_k and reduced, one map(gcd) per row and none for a row over
+    1.  Charges rational_product's nominal count to `counter`."""
+    d, e, S = rational_product(A.nums, A.dens, B.nums, B.dens, counter)
+    e = tuple(e)
+    return RatMatrix._reduced(A.p, S, [e if di == 1 else tuple(di * ek for ek in e) for di in d])
 
 
 def build_V(ctx: CycCtx):
@@ -146,8 +201,9 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
     p = ctx.p
     n = p - 1
     pow_r = ctx.pow_r
-    den = math.lcm(*{x.denominator for row in C.rows for x in row})
-    b = [(k, int_vector(p, pow_r, row, den)) for k, row in enumerate(C.rows) if any(row)]
+    den = math.lcm(*(math.lcm(*dens) for dens in C.dens))
+    b = [(k, [0, *_power_ints(num, dens, den, ctx)])
+         for k, (num, dens) in enumerate(zip(C.nums, C.dens)) if any(num)]
     if not b:
         return SkewPoly.zero(ctx)
     neg_total = [-x for x in map(sum, zip(*(vec for _, vec in b)))]
@@ -181,15 +237,24 @@ def _sparse_bound(p: int) -> int:
     return p // 6 if p > 13 else 0
 
 
+def _power_ints(num, dens, den: int, ctx: CycCtx) -> list:
+    """den times the row num/dens, read as normal coordinates, in power
+    coordinates: entry m-1, for beta^m, is normal coordinate q(m).  den must
+    be a multiple of every entry's denominator."""
+    if den == 1:
+        return [num[k - 1] for k in ctx.q_perm]
+    return [num[k - 1] * (den // dens[k - 1]) for k in ctx.q_perm]
+
+
 def _value_on_ints(C: RatMatrix, ctx: CycCtx, l: int):
     """The value of C's map at beta^l (1 <= l <= p-1), which is C's row q(l),
     as (numerators, den): den is the lcm of the row's own denominators, so
     the pair is already in lowest terms, and numerator m-1 is the power
     coordinate of beta^m."""
-    pairs = [x.as_integer_ratio() for x in C.rows[ctx.q(l) - 1]]
-    den = math.lcm(*[d for _, d in pairs])
-    # power coordinate m is normal coordinate q(m)
-    return [n * (den // d) for n, d in (pairs[k - 1] for k in ctx.q_perm)], den
+    i = ctx.q(l) - 1
+    dens = C.dens[i]
+    den = math.lcm(*dens)
+    return _power_ints(C.nums[i], dens, den, ctx), den
 
 
 def pullback(C: RatMatrix, ctx: CycCtx | None = None) -> tuple[SkewPoly, str]:
@@ -202,12 +267,12 @@ def pullback(C: RatMatrix, ctx: CycCtx | None = None) -> tuple[SkewPoly, str]:
     beta^(2T) gives a candidate that agrees with them, and the candidate is
     certified exactly against the rows for l = 2T+1 .. p-1: skewpoly's
     _agrees compares its values there with the rows in lowest terms, on
-    ints, and converts each row only when it gets to it.  Agreement at
-    every beta^l, l = 1..p-1, is agreement on a basis of Q(beta), so the
-    candidate's matrix is C and the candidate is C's pullback.  For s <= T
-    terms this costs O(p^2 + T^2 p + s p^2) integer operations.  When no
-    candidate fits, the certificate fails, or T is 0, the dense O(p^3)
-    mat_to_skew answers.  Either way the result is exactly mat_to_skew's.
+    ints, one value and one row at a time, up to the first mismatch.
+    Agreement at every beta^l, l = 1..p-1, is agreement on a basis of
+    Q(beta), so the candidate's matrix is C and the candidate is C's
+    pullback.  For s <= T terms this costs O(p^2 + T^2 p + s p^2) integer
+    operations.  When no candidate fits, the certificate fails, or T is 0,
+    the dense O(p^3) mat_to_skew answers.  Either way the result is exactly mat_to_skew's.
     """
     ctx = _ctx_for(C, ctx)
     bound = _sparse_bound(ctx.p)
@@ -229,13 +294,15 @@ def skew_to_mat(f: SkewPoly) -> RatMatrix:
     Row i is the normal-coordinate vector of the image of v_(i+1) =
     beta^(r^i), which values_at_beta_powers gives in power coordinates under
     one common denominator D; reading it in normal coordinates is a
-    permutation.  O(p^2 * #f) integer additions in all, and rationals are
-    formed once per entry, over D.
+    permutation.  O(p^2 * #f) integer additions in all, and each entry is
+    put in lowest terms over D by one gcd (none when D is 1).
     """
     ctx = f.ctx
     pow_r = ctx.pow_r
     den, rows = values_at_beta_powers(f, pow_r)
-    return RatMatrix(ctx.p, [[Rat(row[u - 1], den) for u in pow_r] for row in rows])
+    dens = (den,) * (ctx.p - 1)
+    return RatMatrix._reduced(ctx.p, [[row[u - 1] for u in pow_r] for row in rows],
+                           [dens] * len(rows))
 
 
 class Orientation(enum.Enum):
@@ -251,14 +318,13 @@ def phi_orientation(ctx: CycCtx) -> Orientation:
     The probe multiplies the non-commuting pair f = x, g = beta x^2 and
     compares the matrix of f*g against both matrix-product orders; exactly
     one matches.  The three probe matrices have integer entries, so both
-    products run on int rows.  Nothing is cached: the multiplication
+    products run on their numerators.  Nothing is cached: the multiplication
     algorithms do not need the answer, and `selftest` and the tests call it
     to check the convention.
     """
     f = SkewPoly.monomial(ctx, 1)
     g = SkewPoly.monomial(ctx, 2, ctx.beta_power(1))
-    mf, mg, mh = ([tuple(x.numerator for x in row) for row in skew_to_mat(h).rows]
-                  for h in (f, g, sp_mul(f, g)))
+    mf, mg, mh = (list(skew_to_mat(h).nums) for h in (f, g, sp_mul(f, g)))
     if mh == cubic_multiply(mf, mg):
         return Orientation.DIRECT
     if mh == cubic_multiply(mg, mf):

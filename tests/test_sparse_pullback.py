@@ -128,6 +128,39 @@ def test_certificate_rejects_a_changed_row_past_the_first_2T(monkeypatch, p, s, 
         assert_products_exact(M, ctx, rng)
 
 
+def test_certificate_stops_at_the_first_mismatch(monkeypatch):
+    # a one-term matrix at p=61 (T = 10) with row q(21), the first row the
+    # certificate reads, changed: the certificate must build f's value at
+    # beta^21 and no other, where building all p-1-2T = 40 first would do
+    p = 61
+    ctx = shared_ctx(p)
+    bound = _sparse_bound(p)
+    l = 2 * bound + 1
+    rng = seeded(2161)
+    sparse = random_layered(ctx, [rng.randrange(p - 1)], rng.getrandbits(32))
+    rows = [list(row) for row in sparse.rows]
+    rows[ctx.q(l) - 1][0] += 1
+    M = RatMatrix(p, rows)
+    built = []
+    real_agrees, real_rotated_sum = skewpoly._agrees, skewpoly.rotated_sum
+
+    def counting_rotated_sum(p, shifted):
+        built.append(1)
+        return real_rotated_sum(p, shifted)
+
+    def certificate(f, exponents, expected):
+        assert list(exponents) == list(range(l, p))
+        monkeypatch.setattr(skewpoly, "rotated_sum", counting_rotated_sum)
+        try:
+            return real_agrees(f, exponents, expected)
+        finally:
+            monkeypatch.setattr(skewpoly, "rotated_sum", real_rotated_sum)
+
+    monkeypatch.setattr(transform, "_agrees", certificate)
+    assert pullback(M, ctx) == (mat_to_skew(M, ctx), "dense")
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("p", (31, 61))
 def test_every_prime_failing_falls_back_to_the_dense_pullback(monkeypatch, p):
     # case (b): every value's denominator holds every prime the support
