@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 from .rational import Rat, SCALAR_TYPES, as_rat
 
@@ -98,12 +99,13 @@ class CycCtx:
 
     q_perm and s_perm realize the bijections q, s of {1..p-1} defined by
     r^(q(i)-1) = i (mod p) and r^(s(i)-1) = -i (mod p); k_idx is the index
-    with r^(k_idx-1) = p-1 (mod p).  The context is immutable after
-    construction.
+    with r^(k_idx-1) = p-1 (mod p).  to_power and to_normal are the one
+    place a vector is permuted between normal and power coordinates.  The
+    context is immutable after construction.
     """
 
     __slots__ = ("p", "r", "pow_r", "q_perm", "s_perm", "k_idx",
-                 "_units", "_one", "_zero")
+                 "_power_order", "_normal_order", "_units", "_one", "_zero")
 
     def __init__(self, p: int):
         _check_odd_prime(p)
@@ -121,6 +123,8 @@ class CycCtx:
         self.q_perm = tuple(q)  # q_perm[i-1] = q(i)
         self.s_perm = tuple(q[(p - i) - 1] for i in range(1, p))  # s(i) = q(p - i)
         self.k_idx = self.q(p - 1)
+        self._power_order = operator.itemgetter(*(k - 1 for k in q))
+        self._normal_order = operator.itemgetter(*(u - 1 for u in pow_r))
 
         zero = (0,) * n
         self._zero = CycElem(self, zero)
@@ -153,8 +157,19 @@ class CycCtx:
         return self._units[k % self.p]
 
     def elem(self, values) -> CycElem:
-        """Build an element from p-1 exact rational coordinates."""
-        return _from_rats(self, range(1, self.p), values)
+        """Build an element from its p-1 power coordinates, exact rationals."""
+        coords = [as_rat(v) for v in values]
+        _check_length(self, coords)
+        den = math.lcm(*{x.denominator for x in coords})
+        return CycElem(self, [x.numerator * (den // x.denominator) for x in coords], den)
+
+    def to_power(self, normal) -> tuple:
+        """Power coordinates: entry m-1, for beta^m, is normal coordinate q(m)."""
+        return self._power_order(normal)
+
+    def to_normal(self, power) -> tuple:
+        """Normal coordinates: entry j, for v_(j+1), is power coordinate r^j."""
+        return self._normal_order(power)
 
     def __repr__(self):
         return f"CycCtx(p={self.p}, r={self.r})"
@@ -238,13 +253,9 @@ class CycElem:
         return "CycElem(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def _from_rats(ctx: CycCtx, exponents, values) -> CycElem:
-    """sum values[j] * beta^exponents[j] for p-1 exact rationals `values`."""
-    coords = [as_rat(v) for v in values]
+def _check_length(ctx: CycCtx, coords):
     if len(coords) != ctx.p - 1:
         raise ValueError(f"expected {ctx.p - 1} coordinates, got {len(coords)}")
-    den = math.lcm(*{x.denominator for x in coords})
-    return CycElem(ctx, int_vector(ctx.p, exponents, coords, den)[1:], den)
 
 
 def cyc_add(a: CycElem, b: CycElem) -> CycElem:
@@ -298,18 +309,6 @@ def mul_beta_power(a: CycElem, k: int) -> CycElem:
     if k == 0:
         return a
     return CycElem(a.ctx, rotated_sum(p, [(a.vector(a.den), k)]), a.den)
-
-
-def int_vector(p: int, exponents, scalars, den: int) -> list:
-    """den * scalars as a length-p int list indexed by beta-exponent.
-
-    Scalar j goes to slot exponents[j]; slot 0 (beta^0) and any slot not
-    named stay 0.  `den` must be a multiple of every scalar's denominator.
-    """
-    vec = [0] * p
-    for e, x in zip(exponents, scalars):
-        vec[e] = x.numerator * (den // x.denominator)
-    return vec
 
 
 def rotated_sum(p: int, shifted) -> list:
@@ -367,17 +366,18 @@ def cyc_sigma(a: CycElem, k: int = 1) -> CycElem:
 def normal_coords(a: CycElem) -> tuple:
     """Coordinates of a w.r.t. the normal basis {v_1, ..., v_(p-1)}.
 
-    Normal coordinate j is power coordinate r^(j-1) mod p; an exact
-    permutation in both directions.  One Rat per coordinate, read straight
-    off a's int numerators over its denominator.
+    Normal coordinate j is power coordinate r^(j-1) mod p (ctx.to_normal).
+    One Rat per coordinate, read straight off a's int numerators over its
+    denominator.
     """
-    num, den = a.num, a.den
-    return tuple(Rat(num[u - 1], den) for u in a.ctx.pow_r)
+    den = a.den
+    return tuple(Rat(x, den) for x in a.ctx.to_normal(a.num))
 
 
 def from_normal_coords(ctx: CycCtx, values) -> CycElem:
-    """Inverse of normal_coords."""
-    return _from_rats(ctx, ctx.pow_r, values)
+    """Inverse of normal_coords, for a sequence of p-1 exact rationals."""
+    _check_length(ctx, values)
+    return ctx.elem(ctx.to_power(values))
 
 
 def power_of_v1(ctx: CycCtx, i: int) -> CycElem:

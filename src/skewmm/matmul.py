@@ -32,7 +32,8 @@ from .cyclotomic import shared_ctx
 from .multiply import OpCounter
 from .skewpoly import (InterpolationError, batch_evaluate_via_matrices,
                        interpolate_known_support, sparse_interpolate, sumset)
-from .transform import RatMatrix, mat_to_skew, product_matrix, pullback, skew_to_mat
+from .transform import (RatMatrix, mat_to_skew, matrix_of_values, product_matrix, pullback,
+                        skew_to_mat)
 
 MAX_SEED = 2 ** 64
 
@@ -128,19 +129,6 @@ def naive_mul(A: RatMatrix, B: RatMatrix, counter: OpCounter | None = None) -> R
     return product_matrix(A, B, counter)
 
 
-def _product_from_rows(ctx, values):
-    """The product matrix from the values at v_1^1 .. v_1^(p-1): the value at
-    v_1^l is row q(l) of the product, in normal coordinates, which read its
-    int numerators in the order of pow_r, over its one denominator."""
-    n = ctx.p - 1
-    rows, dens = [None] * n, [None] * n
-    for l, value in enumerate(values, 1):
-        i = ctx.q(l) - 1
-        rows[i] = [value.num[u - 1] for u in ctx.pow_r]
-        dens[i] = (value.den,) * n
-    return RatMatrix._reduced(ctx.p, rows, dens)
-
-
 def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     """Deterministic skew-sparse product: always exactly equals naive_mul.
 
@@ -169,7 +157,7 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     counter = OpCounter()
     values = batch_evaluate_via_matrices(ctx, range(1, t + 1), A, B, counter)
     if t == A.p - 1:
-        result = _product_from_rows(ctx, values)
+        result = matrix_of_values(ctx, [(v.num, v.den) for v in values])
     else:
         product_poly = interpolate_known_support(values, support, ctx)
         result = skew_to_mat(product_poly)
@@ -249,7 +237,7 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
             ctx, range(len(values) + 1, min(2 * T, n) + 1), A, B, counter))
         try:
             if direct:  # the values at v_1^1 .. v_1^(p-1) are the product's rows
-                candidate = _product_from_rows(ctx, values)
+                candidate = matrix_of_values(ctx, [(v.num, v.den) for v in values])
                 candidate_poly = mat_to_skew(candidate, ctx)
             else:
                 candidate_poly = sparse_interpolate(values, T, ctx=ctx)

@@ -10,10 +10,10 @@ makes generated files safe to diff and hash.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .cyclotomic import MAX_P, is_odd_prime
-from .rational import Rat
 from .transform import RatMatrix
 
 HEADER_RE = re.compile(r"skewmm-matrix v1 p=([1-9][0-9]*)\Z")
@@ -24,14 +24,14 @@ class MatrixFormatError(ValueError):
     """Input text is not a canonical v1 matrix file."""
 
 
-def format_rational(x) -> str:
-    """Canonical token for one entry ("3", "-7/2", "0")."""
-    return str(x)
+def _token(num: int, den: int) -> str:
+    """Canonical token for the entry num/den in lowest terms ("3", "-7/2", "0")."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def serialize_matrix(M: RatMatrix) -> str:
     lines = [f"skewmm-matrix v1 p={M.p}"]
-    lines.extend(" ".join(format_rational(x) for x in row) for row in M.rows)
+    lines.extend(" ".join(map(_token, num, den)) for num, den in zip(M.nums, M.dens))
     return "\n".join(lines) + "\n"
 
 
@@ -64,12 +64,14 @@ def parse_matrix(text: str) -> RatMatrix:
         for tok in tokens:
             if TOKEN_RE.fullmatch(tok) is None:
                 raise MatrixFormatError(f"line {lineno}: bad rational token {tok!r}")
-            value = Rat(tok)
-            if format_rational(value) != tok:
+            a, _, b = tok.partition("/")
+            x, d = int(a), int(b or 1)
+            if math.gcd(x, d) != 1 or _token(x, d) != tok:
                 raise MatrixFormatError(f"line {lineno}: non-canonical rational {tok!r}")
-            row.append(value)
-        rows.append(row)
-    return RatMatrix(p, rows)
+            row.append((x, d))
+        rows.append(tuple(zip(*row)))  # (numerators, denominators)
+    nums, dens = zip(*rows)
+    return RatMatrix._from_ints(p, nums, dens)
 
 
 def write_matrix_file(path, M: RatMatrix) -> None:

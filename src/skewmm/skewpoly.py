@@ -207,9 +207,9 @@ def batch_evaluate_via_matrices(ctx, indices, A, B, counter=None):
     coordinate q(l), to that matrix's row q(l).  So the value is row q(l) of
     A*B, read as normal coordinates: a gather of A's rows, and only the
     product with B runs, on ints, through `rational_product`.  Entry (i, k)
-    of that product is S[i][k] / (d_i e_k), and column k is power coordinate
-    r^k, so each value is S's row permuted to power order, scaled to
-    E = lcm(e) and put over d_i E: one gcd per value, no rationals.
+    of that product is S[i][k] / (d_i e_k), so each value is S's row
+    permuted to power order by ctx.to_power, scaled to E = lcm(e) and put
+    over d_i E: one gcd per value, no rationals.
     """
     n = ctx.p - 1
     if A.p != ctx.p or B.p != ctx.p:
@@ -226,10 +226,8 @@ def batch_evaluate_via_matrices(ctx, indices, A, B, counter=None):
     d, e, S = rational_product([A.nums[i] for i in picked], [A.dens[i] for i in picked],
                                B.nums, B.dens, counter)
     big_e = math.lcm(*e)
-    # power coordinate m is normal coordinate q(m), at S-column q(m) - 1
-    cols = [k - 1 for k in ctx.q_perm]
-    scales = [big_e // e[k] for k in cols]
-    return [CycElem(ctx, [row[k] * c for k, c in zip(cols, scales)], di * big_e)
+    scales = ctx.to_power([big_e // ek for ek in e])
+    return [CycElem(ctx, map(operator.mul, ctx.to_power(row), scales), di * big_e)
             for row, di in zip(S, d)]
 
 

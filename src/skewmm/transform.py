@@ -12,9 +12,8 @@ algebra.  Both directions are implemented here:
                          pullback, the same result, read off the matrix's
                          own rows by sparse interpolation and certified
                          against the rest when the polynomial is sparse;
-  polynomial -> matrix   row i is the normal-coordinate vector of the image
-                         of v_i = beta^(r^(i-1)), one of the values
-                         skewpoly.values_at_beta_powers computes.
+  polynomial -> matrix   skew_to_mat: f's values at beta^1 .. beta^(p-1),
+                         read off as rows by matrix_of_values.
 
 The same row fact drives the multiplication algorithms: any matrix's map
 sends v_1^l = beta^l to the matrix's row q(l), so the product map's values
@@ -30,7 +29,7 @@ import enum
 import math
 import operator
 
-from .cyclotomic import CycCtx, CycElem, rotated_sum, shared_ctx
+from .cyclotomic import CycCtx, CycElem, _check_odd_prime, rotated_sum, shared_ctx
 from .multiply import cubic_multiply, rational_product
 from .rational import Rat, as_rat
 from .skewpoly import (InterpolationError, SkewPoly, _agrees, sp_mul,
@@ -52,7 +51,7 @@ class RatMatrix:
     __slots__ = ("p", "nums", "dens", "_rows")
 
     def __init__(self, p: int, rows):
-        _check_p(p)
+        _check_odd_prime(p)
         n = p - 1
         frozen = tuple(tuple(as_rat(x) for x in row) for row in rows)
         if len(frozen) != n or any(len(row) != n for row in frozen):
@@ -88,13 +87,13 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, p: int) -> RatMatrix:
-        _check_p(p)
+        _check_odd_prime(p)
         n = p - 1
         return cls._from_ints(p, ((0,) * n,) * n, ((1,) * n,) * n)
 
     @classmethod
     def identity(cls, p: int) -> RatMatrix:
-        _check_p(p)
+        _check_odd_prime(p)
         n = p - 1
         nums = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
         return cls._from_ints(p, nums, ((1,) * n,) * n)
@@ -153,11 +152,6 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix(p={self.p})"
-
-
-def _check_p(p):
-    if not isinstance(p, int) or p < 3:
-        raise ValueError(f"matrix dimension parameter must be a prime >= 3, got {p!r}")
 
 
 def product_matrix(A: RatMatrix, B: RatMatrix, counter=None) -> RatMatrix:
@@ -237,13 +231,13 @@ def _sparse_bound(p: int) -> int:
     return p // 6 if p > 13 else 0
 
 
-def _power_ints(num, dens, den: int, ctx: CycCtx) -> list:
+def _power_ints(num, dens, den: int, ctx: CycCtx) -> tuple:
     """den times the row num/dens, read as normal coordinates, in power
-    coordinates: entry m-1, for beta^m, is normal coordinate q(m).  den must
-    be a multiple of every entry's denominator."""
-    if den == 1:
-        return [num[k - 1] for k in ctx.q_perm]
-    return [num[k - 1] * (den // dens[k - 1]) for k in ctx.q_perm]
+    coordinates (ctx.to_power).  den must be a multiple of every entry's
+    denominator."""
+    if den != 1:
+        num = [x * (den // d) for x, d in zip(num, dens)]
+    return ctx.to_power(num)
 
 
 def _value_on_ints(C: RatMatrix, ctx: CycCtx, l: int):
@@ -288,21 +282,31 @@ def pullback(C: RatMatrix, ctx: CycCtx | None = None) -> tuple[SkewPoly, str]:
     return mat_to_skew(C, ctx), "dense"
 
 
+def matrix_of_values(ctx: CycCtx, values) -> RatMatrix:
+    """The matrix whose map sends v_1^l = beta^l to values[l-1], l = 1..p-1.
+
+    Each value is a (power numerators, den) pair.  beta^l is the unit vector
+    of normal coordinate q(l), so its value is row q(l): listed by l, like
+    power coordinates, the values come in row order through ctx.to_normal,
+    and so do each row's numerators.  Each row is put over its den in lowest
+    terms by RatMatrix._reduced.  The pushforward, det at t = p-1 and mc's
+    direct round all read their matrix off values here.
+    """
+    n = ctx.p - 1
+    rows = ctx.to_normal(values)
+    return RatMatrix._reduced(ctx.p, [ctx.to_normal(num) for num, _ in rows],
+                              [(den,) * n for _, den in rows])
+
+
 def skew_to_mat(f: SkewPoly) -> RatMatrix:
     """The matrix of the linear map of f in the normal basis.
 
-    Row i is the normal-coordinate vector of the image of v_(i+1) =
-    beta^(r^i), which values_at_beta_powers gives in power coordinates under
-    one common denominator D; reading it in normal coordinates is a
-    permutation.  O(p^2 * #f) integer additions in all, and each entry is
-    put in lowest terms over D by one gcd (none when D is 1).
+    values_at_beta_powers gives f's values at beta^1 .. beta^(p-1) over one
+    common denominator, O(p^2 * #f) integer additions in all.
     """
     ctx = f.ctx
-    pow_r = ctx.pow_r
-    den, rows = values_at_beta_powers(f, pow_r)
-    dens = (den,) * (ctx.p - 1)
-    return RatMatrix._reduced(ctx.p, [[row[u - 1] for u in pow_r] for row in rows],
-                           [dens] * len(rows))
+    den, rows = values_at_beta_powers(f, range(1, ctx.p))
+    return matrix_of_values(ctx, [(row, den) for row in rows])
 
 
 class Orientation(enum.Enum):

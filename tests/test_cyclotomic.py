@@ -292,3 +292,30 @@ def test_no_floats_accepted():
     ctx = shared_ctx(5)
     with pytest.raises(TypeError):
         ctx.elem([0.5, 0, 0, 0])
+
+
+def test_to_power_and_to_normal_are_inverse_permutations():
+    for p in (3, 5, 7, 13, 31):
+        ctx = shared_ctx(p)
+        n = p - 1
+        idx = list(range(n))
+        assert sorted(ctx.to_power(idx)) == idx == sorted(ctx.to_normal(idx))
+        assert ctx.to_normal(ctx.to_power(idx)) == tuple(idx) == ctx.to_power(ctx.to_normal(idx))
+        for j in range(1, p):
+            # v_j = beta^(r^(j-1)) is the unit vector of normal coordinate j
+            unit = tuple(int(k == j - 1) for k in range(n))
+            assert ctx.to_normal(ctx.beta_power(ctx.v_exponent(j)).num) == unit
+            assert ctx.to_power(unit) == ctx.beta_power(ctx.v_exponent(j)).num
+        rng = seeded(700 + p)
+        for _ in range(4):
+            a = rand_elem(ctx, rng, den_bound=7)
+            assert tuple(Rat(x, a.den) for x in ctx.to_normal(a.num)) == normal_coords(a)
+            assert from_normal_coords(ctx, normal_coords(a)) == a
+
+
+def test_from_normal_coords_refuses_a_wrong_length():
+    for p in (3, 5, 7, 13, 31):
+        ctx = shared_ctx(p)
+        for length in (p - 2, p):
+            with pytest.raises(ValueError, match="coordinates"):
+                from_normal_coords(ctx, [Rat(1, 2)] * length)

@@ -14,9 +14,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_product, rand_elem, seeded
-from skewmm import (RatMatrix, SkewPoly, det_mul, mat_to_skew, naive_mul, pullback,
-                    shared_ctx, skew_to_mat)
+from conftest import fraction_product, rand_elem, rand_rational_matrix, seeded
+from skewmm import (RatMatrix, SkewPoly, det_mul, mat_to_skew, naive_mul, parse_matrix,
+                    pullback, serialize_matrix, shared_ctx, skew_to_mat)
 from skewmm.skewstructure import random_layered
 from skewmm.transform import _sparse_bound
 
@@ -117,3 +117,21 @@ def test_products_and_pullbacks_never_build_the_fraction_view(monkeypatch):
     assert det[-1][1].t_used == p - 1  # read off the rows, no interpolation
     for (A, B), got, (product, _) in zip(pairs, naive, det):
         assert got == product == RatMatrix(p, fraction_product(A.rows, B.rows))
+
+
+def test_matrix_files_round_trip_without_the_fraction_view(monkeypatch):
+    text = serialize_matrix(rand_rational_matrix(7, seeded(17), bound=99, den_bound=12))
+    assert "/" in text and "-" in text
+
+    def no_view(self):
+        raise AssertionError("the Fraction view was built")
+
+    monkeypatch.setattr(RatMatrix, "rows", property(no_view))
+    M = parse_matrix(text)
+    again = serialize_matrix(M)
+    monkeypatch.undo()
+
+    assert again == text
+    assert_canonical(M)
+    assert M == RatMatrix(7, [[Fraction(tok) for tok in line.split(" ")]
+                              for line in text.splitlines()[1:]])

@@ -246,3 +246,14 @@ def test_dimension_mismatch():
     ctx = shared_ctx(5)
     with pytest.raises(ValueError):
         mat_to_skew(RatMatrix.identity(7), ctx)
+
+
+def test_ratmatrix_refuses_composite_p():
+    for p in (4, 9):
+        n = p - 1
+        with pytest.raises(ValueError, match="odd prime"):
+            RatMatrix.identity(p)
+        with pytest.raises(ValueError, match="odd prime"):
+            RatMatrix.zeros(p)
+        with pytest.raises(ValueError, match="odd prime"):
+            RatMatrix(p, [[i * n + j for j in range(n)] for i in range(n)])
