@@ -6,7 +6,9 @@ Exit codes are a stable contract:
   3  verification answered "not equal"
   4  a property check failed (selftest, or --check on the deterministic path)
   5  I/O failure
-  6  file-content error (malformed matrix file, or inputs whose primes differ)
+  6  file-content error (malformed matrix file, inputs whose primes differ,
+     or a number past sys.get_int_max_str_digits() digits in an input or
+     in the product to be written)
 
 Randomized commands are reproducible from their flags plus --seed; every
 matrix file written is canonical, so identical invocations produce
@@ -200,6 +202,7 @@ def cmd_mul(args):
             return EXIT_CHECK_FAILED
     if report.pullback:  # det's routes; mul's report only, bench records omit them
         extra["pullback"] = list(report.pullback)
+        extra["product"] = report.product
     write_matrix_file(args.output, product)
     print(json.dumps(_report_json(report, extra)), file=sys.stderr)
     return EXIT_OK

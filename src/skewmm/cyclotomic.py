@@ -13,9 +13,10 @@ basis was chosen.
 
 No element is ever inverted: interpolation needs only products by powers
 of beta (mul_beta_power) and quotients by 1 - beta^m
-(div_one_minus_beta_power), both O(p).  cyc_mul, the O(p^2) product,
-serves the ring product sp_mul and sp_evaluate, which the multiplication
-algorithms never call.
+(div_one_minus_beta_power), both O(p).  cyc_mul, the general product,
+packs each operand into one int and multiplies once (Kronecker
+substitution); it serves the ring product sp_mul, which det_mul's direct
+route calls, and sp_evaluate.
 
 All values are immutable and all operations are pure functions, so every
 object here can be shared freely across threads.
@@ -279,25 +280,47 @@ def cyc_scale(a: CycElem, c) -> CycElem:
     return CycElem(a.ctx, [x * k for x in a.num], a.den * c.denominator)
 
 
-def cyc_mul(a: CycElem, b: CycElem) -> CycElem:
-    """Exact field product.
+def _slot_bytes(a_num, b_num) -> int:
+    """Bytes per slot of cyc_mul's packed ints for the numerators a_num, b_num.
 
-    Cyclic convolution of the numerators' beta-exponents mod p over the
-    product of the denominators, then elimination of the beta^0 component via
-    beta^0 = -(beta + ... + beta^(p-1)).  Zero numerators are skipped, so
-    multiplying by a monomial costs O(p).
+    Every slot cyc_mul reads, before or after the fold, is a sum of products
+    a_i b_j with each j at most once, so its size is at most
+    max|a| * sum|b| <= (p-1) max|a| max|b|.  The slot takes that bound's
+    bits plus a sign bit, rounded up to whole bytes, so its width w gives
+    |slot| <= 2^(w-1) - 1.
+    """
+    bound = max(map(abs, a_num)) * sum(map(abs, b_num))
+    return (bound.bit_length() + 8) // 8
+
+
+def cyc_mul(a: CycElem, b: CycElem) -> CycElem:
+    """Exact field product, by one big-int product (Kronecker substitution).
+
+    Each operand's numerators are packed into one int, numerator i (for
+    beta^(i+1)) in a signed slot of w bits at X^(i+1), X = 2^w, with w from
+    _slot_bytes.  The product of the two ints is the product polynomial at
+    X.  It is folded mod X^p - 1 on ints: its part above X^p is split off
+    (rounding to nearest, which is exact because the part below is less
+    than X^p / 2 in size) and added to the part below.  Then the p slots,
+    one per beta-exponent, are read off its bytes with a bias of 2^(w-1)
+    each, and beta^0 is eliminated via beta^0 = -(beta + ... +
+    beta^(p-1)); the biases cancel in that subtraction.  The result is over
+    the product of the denominators.  O(p) interpreter steps and one
+    big-int product, against O(p^2) steps for the cyclic convolution.
     """
     _check_same_ctx(a, b)
     ctx = a.ctx
     p = ctx.p
-    acc = [0] * p  # index = beta exponent 0..p-1
-    for i, ai in enumerate(a.num):
-        if not ai:
-            continue
-        base = i + 2  # exponent (i+1) + (j+1) at j = 0
-        for j, bj in enumerate(b.num):
-            if bj:
-                acc[(base + j) % p] += ai * bj
+    k = _slot_bytes(a.num, b.num)
+    w = 8 * k
+    slots = range(w, w * p, w)
+    prod = sum(map(operator.lshift, a.num, slots)) * sum(map(operator.lshift, b.num, slots))
+    wp = w * p
+    high = (prod + (1 << (wp - 1))) >> wp
+    folded = prod - (high << wp) + high
+    raw = (folded + int.from_bytes((bytes(k - 1) + b"\x80") * p, "little")).to_bytes(
+        k * p, "little")
+    acc = [int.from_bytes(raw[i:i + k], "little") for i in range(0, k * p, k)]
     c0 = acc[0]
     return CycElem(ctx, [x - c0 for x in acc[1:]], a.den * b.den)
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .cyclotomic import shared_ctx
 from .multiply import OpCounter
 from .skewpoly import (InterpolationError, batch_evaluate_via_matrices,
-                       interpolate_known_support, sparse_interpolate, sumset)
+                       interpolate_known_support, sp_mul, sparse_interpolate, sumset)
 from .transform import (RatMatrix, mat_to_skew, matrix_of_values, product_matrix, pullback,
                         skew_to_mat)
 
@@ -54,7 +54,8 @@ class MulReport:
     """Instrumentation attached to every multiplication.
 
     rational_mul_count is the nominal multiplication count of the
-    evaluation stage, 2 t (p-1)^2 for t points: the gather of A's rows is
+    evaluation stage, 2 t (p-1)^2 for t points, whichever stage det_mul
+    actually runs: the gather of A's rows is
     charged as the dense t x (p-1) by (p-1) x (p-1) product it replaces,
     their product with B by cubic_multiply (for naive_mul: the whole
     product).  The count stays nominal: those products run on ints, each
@@ -65,8 +66,11 @@ class MulReport:
     failed verification and the schoolbook product was returned instead,
     which indicates a bug rather than an input condition.  pullback is the
     route det_mul's pullback took for A and for B, each "sparse" (read off
-    the factor's rows and certified) or "dense" (mat_to_skew); it is empty
-    for naive_mul and mc_mul.  wall_time is measured, never asserted.
+    the factor's rows and certified) or "dense" (mat_to_skew); product is
+    the stage det_mul formed the product by, "direct", "evaluate" or
+    "rows" (see det_mul).  Both are empty for naive_mul and mc_mul.  For
+    det_mul, t_used is the sumset size t on every route.  wall_time is
+    measured, never asserted.
     """
 
     algorithm: Algorithm
@@ -77,6 +81,7 @@ class MulReport:
     final_T: int = 0
     fallback: bool = False
     pullback: tuple = ()
+    product: str = ""
 
 
 def _check_pair(a: RatMatrix, b: RatMatrix):
@@ -129,6 +134,34 @@ def naive_mul(A: RatMatrix, B: RatMatrix, counter: OpCounter | None = None) -> R
     return product_matrix(A, B, counter)
 
 
+def _product_route(s_a: int, s_b: int, t: int, p: int) -> str:
+    """The stage det_mul forms the product by, from the factors' sparsities
+    s_a and s_b, the sumset size t and p: "direct", "evaluate" or "rows".
+
+    At t = p-1 the values at all p-1 points are wanted, and they are the
+    rows of A*B ("rows").  Otherwise the direct product of the two
+    polynomials is taken when it needs at most two field products per term
+    of the sumset, s_a s_b <= 2 t, which holds whenever one factor has a
+    single term; else the product is evaluated at t points and
+    interpolated.  The rule has no fitted constant; README, "Product
+    stage", tabulates the three stages against it.
+    """
+    if t == p - 1:
+        return "rows"
+    return "direct" if s_a * s_b <= 2 * t else "evaluate"
+
+
+def _form_product(route: str, A: RatMatrix, B: RatMatrix, f_a, f_b, support, ctx) -> RatMatrix:
+    """A*B by the named stage of det_mul, from the pullbacks f_a, f_b of A
+    and B and their exponent sumset; every stage gives the same matrix."""
+    if route == "direct":
+        return skew_to_mat(sp_mul(f_b, f_a))
+    if route == "evaluate":
+        values = batch_evaluate_via_matrices(ctx, range(1, len(support) + 1), A, B)
+        return skew_to_mat(interpolate_known_support(values, support, ctx))
+    return product_matrix(A, B)
+
+
 def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     """Deterministic skew-sparse product: always exactly equals naive_mul.
 
@@ -137,33 +170,34 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     interpolation and certified against the rest in O(s p^2 + T^2 p);
     any other factor goes through the dense O(p^3) mat_to_skew.  The
     product polynomial's support is covered by the exponent sumset of the
-    two pullbacks; with t its size, the product map's values at v_1^1 ..
-    v_1^t are rows of A*B, so they are read off the input matrices (t
-    gathered rows of A times B, O(t p^2)), one known-support interpolation
-    (O(t^2 p)) reconstructs the polynomial, and the pushforward (O(t p^2))
-    maps it back to the answer.  When both factors take the sparse route,
-    the whole product costs O((s_A + s_B + t) p^2 + t^2 p), with no cubic
-    stage.  At t = p-1 the values are all the rows of the answer, which is
-    read off them directly.
+    two pullbacks, of size t.  Then _product_route picks, from s_A, s_B, t
+    and p, one of three exact ways to form the product (_form_product):
+      direct    skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products,
+                each one big-int product, then the pushforward (O(t p^2));
+                A @ B is the matrix of f_B * f_A (phi_orientation);
+      evaluate  the product map's values at v_1^1 .. v_1^t, which are rows
+                of A*B read off the inputs (t gathered rows of A times B,
+                O(t p^2)), one known-support interpolation (O(t^2 p)) and
+                the pushforward;
+      rows      all p-1 values, which are the rows of A*B: the int product
+                of A and B, with no interpolation or pushforward.
+    The report names the route in `product`; t_used is t whatever the
+    route, and rational_mul_count the nominal 2 t (p-1)^2.
     """
     _check_pair(A, B)
     start = time.perf_counter()
-    ctx = shared_ctx(A.p)
+    p = A.p
+    ctx = shared_ctx(p)
     f_a, route_a = pullback(A, ctx)
     f_b, route_b = pullback(B, ctx)
-    routes = (route_a, route_b)
     support = sumset(f_a, f_b)
     t = len(support)
-    counter = OpCounter()
-    values = batch_evaluate_via_matrices(ctx, range(1, t + 1), A, B, counter)
-    if t == A.p - 1:
-        result = matrix_of_values(ctx, [(v.num, v.den) for v in values])
-    else:
-        product_poly = interpolate_known_support(values, support, ctx)
-        result = skew_to_mat(product_poly)
+    product = _product_route(f_a.sparsity, f_b.sparsity, t, p)
+    result = _form_product(product, A, B, f_a, f_b, support, ctx)
     report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
-                       rational_mul_count=counter.muls,
-                       wall_time=time.perf_counter() - start, pullback=routes)
+                       rational_mul_count=2 * t * (p - 1) ** 2,
+                       wall_time=time.perf_counter() - start,
+                       pullback=(route_a, route_b), product=product)
     return result, report
 
 

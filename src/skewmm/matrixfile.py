@@ -6,12 +6,18 @@ lowest terms with a positive denominator.  UTF-8, LF line endings, a final
 newline, no trailing whitespace, no floats.  The parser is strict enough
 that parse -> serialize reproduces the input bytes exactly, which is what
 makes generated files safe to diff and hash.
+
+Every numerator and denominator has at most sys.get_int_max_str_digits()
+decimal digits (4300 by default), the most CPython converts between int
+and str.  Reading refuses a longer one, naming its line, and writing
+refuses a matrix with a longer entry before the file is opened.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 
 from .cyclotomic import MAX_P, is_odd_prime
 from .transform import RatMatrix
@@ -29,9 +35,22 @@ def _token(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def _too_long(where: str) -> MatrixFormatError:
+    """The error for an int past CPython's int/str conversion limit, which
+    is the only ValueError int() and str() raise on canonical tokens."""
+    return MatrixFormatError(
+        f"{where}: an entry has more than {sys.get_int_max_str_digits()} digits")
+
+
 def serialize_matrix(M: RatMatrix) -> str:
+    """The canonical text of M; MatrixFormatError if an entry has more
+    digits than CPython converts to str."""
     lines = [f"skewmm-matrix v1 p={M.p}"]
-    lines.extend(" ".join(map(_token, num, den)) for num, den in zip(M.nums, M.dens))
+    for lineno, (num, den) in enumerate(zip(M.nums, M.dens), start=2):
+        try:
+            lines.append(" ".join(map(_token, num, den)))
+        except ValueError as exc:
+            raise _too_long(f"cannot write line {lineno}") from exc
     return "\n".join(lines) + "\n"
 
 
@@ -65,7 +84,10 @@ def parse_matrix(text: str) -> RatMatrix:
             if TOKEN_RE.fullmatch(tok) is None:
                 raise MatrixFormatError(f"line {lineno}: bad rational token {tok!r}")
             a, _, b = tok.partition("/")
-            x, d = int(a), int(b or 1)
+            try:
+                x, d = int(a), int(b or 1)
+            except ValueError as exc:
+                raise _too_long(f"line {lineno}") from exc
             if math.gcd(x, d) != 1 or _token(x, d) != tok:
                 raise MatrixFormatError(f"line {lineno}: non-canonical rational {tok!r}")
             row.append((x, d))
@@ -75,8 +97,11 @@ def parse_matrix(text: str) -> RatMatrix:
 
 
 def write_matrix_file(path, M: RatMatrix) -> None:
+    """Write M's canonical text; it is built first, so a matrix that cannot
+    be written leaves no file behind."""
+    text = serialize_matrix(M)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(serialize_matrix(M))
+        fh.write(text)
 
 
 def read_matrix_file(path) -> RatMatrix:

@@ -1,7 +1,8 @@
 """Built-in invariant suite behind `skewmm selftest`.
 
 Runs the library's structural identities at p in {3, 5, 7, 11, 13} (the
-sparse pullback at p in {13, 17, 31}) with fixed seeds, prints one line per
+sparse pullback at p in {13, 17, 31}, products with denominators also at
+p=31) with fixed seeds, prints one line per
 property plus the empirically resolved conventions (composition orientation
 of the transform, conjugation side of the layer-0 closed form), and reports
 the first failure by name.  Exact
@@ -16,7 +17,8 @@ from fractions import Fraction
 
 from . import matmul
 from .cyclotomic import _is_prime, cyc_mul, cyc_scale, shared_ctx
-from .skewpoly import SkewPoly, sp_mul, sparse_interpolate, sp_evaluate, power_points
+from .skewpoly import (SkewPoly, sp_mul, sparse_interpolate, sp_evaluate, power_points,
+                       sumset)
 from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             build_X, build_Y, l0_characterization_check,
                             random_layered, skew_sparsity, y_power_row)
@@ -195,26 +197,42 @@ def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
 def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
     """naive_mul and det_mul against a Fraction schoolbook on operands with
     denominators, which the int kernel's row and column scales must undo:
-    dense pairs (det reads the product off its rows), layered pairs scaled
-    by 1/d (det interpolates) and, at p=7, a pair whose entries all lie over
-    distinct primes."""
+    dense pairs, layered pairs scaled by 1/d, at p=7 a pair whose entries
+    all lie over distinct primes, and at p=31 a layered pair and a pair
+    whose supports are one subgroup of Z_30, so that their sumset
+    collapses.  On every pair each of det's three product stages (direct,
+    evaluate, rows) is also run on its own, whichever one det_mul picks."""
     rng = random.Random(606)
+
+    def agree(X, Y):
+        want = _schoolbook(X, Y)
+        if matmul.naive_mul(X, Y) != want or matmul.det_mul(X, Y)[0] != want:
+            return False
+        ctx = shared_ctx(X.p)
+        f_x, f_y = pullback(X, ctx)[0], pullback(Y, ctx)[0]
+        support = sumset(f_x, f_y)
+        return all(matmul._form_product(route, X, Y, f_x, f_y, support, ctx) == want
+                   for route in ("direct", "evaluate", "rows"))
+
+    def scaled_layered(ctx, layers):
+        return random_layered(ctx, layers, rng.getrandbits(32)).scale(
+            Fraction(1, rng.choice(_DENOMINATORS[1:])))
+
     for p in primes:
         ctx = shared_ctx(p)
         for _ in range(cases):
             A = _rand_rational_matrix(p, rng)
             B = _rand_rational_matrix(p, rng)
-            La = random_layered(ctx, {0}, rng.getrandbits(32)).scale(
-                Fraction(1, rng.choice(_DENOMINATORS[1:])))
-            Lb = random_layered(ctx, {0, 1}, rng.getrandbits(32)).scale(
-                Fraction(1, rng.choice(_DENOMINATORS[1:])))
-            for X, Y in ((A, B), (La, Lb), (La, B)):
-                want = _schoolbook(X, Y)
-                if matmul.naive_mul(X, Y) != want or matmul.det_mul(X, Y)[0] != want:
-                    return False
-    X, Y = _distinct_prime_pair(7, rng)
-    want = _schoolbook(X, Y)
-    return matmul.naive_mul(X, Y) == want and matmul.det_mul(X, Y)[0] == want
+            La = scaled_layered(ctx, {0})
+            Lb = scaled_layered(ctx, {0, 1})
+            if not all(agree(X, Y) for X, Y in ((A, B), (La, Lb), (La, B))):
+                return False
+    if not agree(*_distinct_prime_pair(7, rng)):
+        return False
+    ctx = shared_ctx(31)
+    subgroup = range(0, 30, 6)
+    return all(agree(scaled_layered(ctx, layers_a), scaled_layered(ctx, layers_b))
+               for layers_a, layers_b in (({0}, range(4)), (subgroup, subgroup)))
 
 
 def check_sparse_pullback(primes=SPARSE_PULLBACK_PRIMES) -> bool:
@@ -287,8 +305,8 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
          check_sparse_pullback),
         ("skew-sparsity reporting", check_sparsity_reporting),
         ("det/mc multiplication vs schoolbook oracle", check_multiplication),
-        ("naive/det products with denominators vs Fraction schoolbook",
-         check_rational_products),
+        ("naive/det products with denominators vs Fraction schoolbook, "
+         "det's direct, evaluate and rows stages", check_rational_products),
     ]
     for name, fn in checks:
         if not fn():

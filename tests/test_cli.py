@@ -257,6 +257,51 @@ def test_corrupt_file_is_format_error(workdir):
                    "-o", str(workdir / "c.mat")) == EXIT_FORMAT
 
 
+def long_entry_file(path, digits):
+    """A p=3 file whose first entry has the given number of digits."""
+    path.write_text(f"skewmm-matrix v1 p=3\n{'7' * digits} 1\n0 -1\n")
+    return path
+
+
+#: the most digits CPython converts between int and str (4300 by default;
+#: 0 = no limit, as before Python 3.10.7)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int/str conversion unlimited")
+
+
+@needs_digit_limit
+def test_entry_above_the_digit_limit_is_format_error(workdir, capsys):
+    big = long_entry_file(workdir / "big.mat", DIGIT_LIMIT + 1)
+    out = workdir / "c.mat"
+    assert run_cli("mul", "--algo", "naive", str(big), str(big), "-o", str(out)) == EXIT_FORMAT
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@needs_digit_limit
+def test_product_above_the_digit_limit_leaves_no_file(workdir, capsys):
+    # each input entry is within the limit; the product's entry 7...7^2 has
+    # twice as many digits, which is past it
+    a = long_entry_file(workdir / "a.mat", DIGIT_LIMIT // 2 + 1)
+    out = workdir / "c.mat"
+    assert run_cli("mul", "--algo", "naive", str(a), str(a), "-o", str(out)) == EXIT_FORMAT
+    assert "more than" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mul_reports_det_product_stage_and_bench_omits_it(workdir, capsys):
+    a = gen(workdir, "a.mat", p=31, layers="0", seed=1)
+    b = gen(workdir, "b.mat", p=31, layers="0,1,2", seed=2)
+    assert run_cli("mul", "--algo", "det", str(a), str(b), "-o", str(workdir / "c.mat")) == EXIT_OK
+    report = json.loads(capsys.readouterr().err)
+    assert (report["pullback"], report["product"]) == (["sparse", "sparse"], "direct")
+    assert run_cli("mul", "--algo", "naive", str(a), str(b), "-o", str(workdir / "d.mat")) == EXIT_OK
+    assert "product" not in json.loads(capsys.readouterr().err)
+    out = workdir / "bench.jsonl"
+    assert run_cli("bench", "--p-list", "31", "--t-list", "3", "--json", str(out)) == EXIT_OK
+    assert "product" not in json.loads(out.read_text())
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
