@@ -16,7 +16,7 @@ from .matmul import (Algorithm, FreivaldsResult, MulReport, det_mul, freivalds,
                      mc_mul, naive_mul, rounds_for)
 from .matrixfile import (MatrixFormatError, parse_matrix, read_matrix_file,
                          serialize_matrix, write_matrix_file)
-from .multiply import OpCounter, cubic_multiply
+from .multiply import cubic_multiply
 from .skewpoly import (InterpolationError, SkewPoly, SupportSet,
                        batch_evaluate_via_matrices, interpolate_known_support,
                        power_points, sp_add, sp_evaluate, sp_mul, sp_neg,

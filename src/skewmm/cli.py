@@ -7,8 +7,8 @@ Exit codes are a stable contract:
   4  a property check failed (selftest, or --check on the deterministic path)
   5  I/O failure
   6  file-content error (malformed matrix file, inputs whose primes differ,
-     or a number past sys.get_int_max_str_digits() digits in an input or
-     in the product to be written)
+     or a number past sys.get_int_max_str_digits() digits in an input, in
+     the product to be written or in analyze's report)
 
 Randomized commands are reproducible from their flags plus --seed; every
 matrix file written is canonical, so identical invocations produce
@@ -27,7 +27,6 @@ from fractions import Fraction
 from . import matmul, selftest
 from .cyclotomic import MAX_P, shared_ctx
 from .matrixfile import MatrixFormatError, read_matrix_file, write_matrix_file
-from .multiply import OpCounter
 from .rational import Rat
 from .skewstructure import random_layered
 from .transform import pullback
@@ -154,11 +153,10 @@ def _report_json(report, extra=None):
 def _multiply(algo, A, B, nu, seed):
     """Multiply A by B with one algorithm; returns (product, MulReport)."""
     if algo == "naive":
-        counter = OpCounter()
         start = time.perf_counter()
-        product = matmul.naive_mul(A, B, counter)
+        product = matmul.naive_mul(A, B)
         return product, matmul.MulReport(matmul.Algorithm.NAIVE,
-                                         rational_mul_count=counter.muls,
+                                         rational_mul_count=(A.p - 1) ** 3,
                                          wall_time=time.perf_counter() - start)
     if algo == "det":
         return matmul.det_mul(A, B)
@@ -211,12 +209,16 @@ def cmd_mul(args):
 def cmd_analyze(args):
     M = read_matrix_file(args.matrix)
     f, _ = pullback(M)
-    print(f"p: {M.p}")
-    print(f"skew-sparsity: {f.sparsity}")
-    print(f"support: {f.support()!r}")
-    for e, coeff in f.sorted_terms():
-        norm = sum(abs(c) for c in coeff.coords)
-        print(f"norm[{e}]: {norm}")
+    # the whole report is built before any of it is printed, so a norm past
+    # CPython's int/str digit limit leaves stdout empty
+    try:
+        lines = [f"p: {M.p}", f"skew-sparsity: {f.sparsity}", f"support: {f.support()!r}",
+                 *(f"norm[{e}]: {Rat(sum(map(abs, coeff.num)), coeff.den)}"
+                   for e, coeff in f.sorted_terms())]
+    except ValueError as exc:
+        raise MatrixFormatError(f"{args.matrix}: a norm has more than "
+                                f"{sys.get_int_max_str_digits()} digits") from exc
+    print("\n".join(lines))
     return EXIT_OK
 
 

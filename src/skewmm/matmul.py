@@ -17,7 +17,7 @@ Three routes to the same exact product of (p-1) x (p-1) rational matrices:
 Randomness is pinned to Python's Mersenne Twister (random.Random) seeded
 with an explicit 64-bit unsigned seed; verification vectors consume the
 bits of one getrandbits(p-1) word most-significant-bit first.  Identical
-(inputs, seed) give bit-identical outputs, reports and counters.
+(inputs, seed) give bit-identical outputs and reports.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import shared_ctx
-from .multiply import OpCounter
 from .skewpoly import (InterpolationError, batch_evaluate_via_matrices,
                        interpolate_known_support, sp_mul, sparse_interpolate, sumset)
 from .transform import (RatMatrix, mat_to_skew, matrix_of_values, product_matrix, pullback,
@@ -53,14 +52,15 @@ class FreivaldsResult(enum.Enum):
 class MulReport:
     """Instrumentation attached to every multiplication.
 
-    rational_mul_count is the nominal multiplication count of the
-    evaluation stage, 2 t (p-1)^2 for t points, whichever stage det_mul
-    actually runs: the gather of A's rows is
-    charged as the dense t x (p-1) by (p-1) x (p-1) product it replaces,
-    their product with B by cubic_multiply (for naive_mul: the whole
-    product).  The count stays nominal: those products run on ints, each
-    row and column scaled by its own denominators' lcm, so one counted
-    multiplication is an int product, not a rational one with its gcd.
+    rational_mul_count is the nominal multiplication count, a closed form
+    in p and the number of evaluation points: (p-1)^3 for naive_mul;
+    2 t (p-1)^2 for det_mul's t points, whichever stage it actually runs;
+    2 m (p-1)^2 for mc_mul's m = min(2 final_T, p-1) values.  Each point is
+    charged as a row of the dense t x (p-1) by (p-1) x (p-1) product that
+    the gather of A's rows replaces, plus that row's product with B.  The
+    count stays nominal: the products run on ints, each row and column
+    scaled by its own denominators' lcm, so one counted multiplication is
+    an int product, not a rational one with its gcd.
     final_T is the last sparsity bound tried by mc_mul; fallback
     flags that mc_mul's direct round, the product read off all p-1 values,
     failed verification and the schoolbook product was returned instead,
@@ -121,7 +121,7 @@ def _sum_columns(rows, cols):
     return [sum([row[j] for j in cols]) for row in rows]
 
 
-def naive_mul(A: RatMatrix, B: RatMatrix, counter: OpCounter | None = None) -> RatMatrix:
+def naive_mul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     """Exact schoolbook product; the oracle every other route is checked against.
 
     The product runs on the factors' ints (`rational_product`): A's rows
@@ -131,7 +131,7 @@ def naive_mul(A: RatMatrix, B: RatMatrix, counter: OpCounter | None = None) -> R
     is built.
     """
     _check_pair(A, B)
-    return product_matrix(A, B, counter)
+    return product_matrix(A, B)
 
 
 def _product_route(s_a: int, s_b: int, t: int, p: int) -> str:
@@ -260,7 +260,6 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     n = A.p - 1
     mu = nu_frac / _ceil_log2(n)
     master = random.Random(seed)
-    counter = OpCounter()
     values = []
     T = 1
     iterations = 0
@@ -268,7 +267,7 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
         iterations += 1
         direct = 2 * T >= n
         values.extend(batch_evaluate_via_matrices(
-            ctx, range(len(values) + 1, min(2 * T, n) + 1), A, B, counter))
+            ctx, range(len(values) + 1, min(2 * T, n) + 1), A, B))
         try:
             if direct:  # the values at v_1^1 .. v_1^(p-1) are the product's rows
                 candidate = matrix_of_values(ctx, [(v.num, v.den) for v in values])
@@ -281,13 +280,13 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
         round_seed = master.getrandbits(64)
         if candidate is not None and freivalds(candidate, A, B, mu, round_seed) is FreivaldsResult.EQUAL:
             report = MulReport(Algorithm.MONTE_CARLO, t_used=candidate_poly.sparsity,
-                               iterations=iterations, rational_mul_count=counter.muls,
+                               iterations=iterations, rational_mul_count=2 * len(values) * n * n,
                                wall_time=time.perf_counter() - start, final_T=T)
             return candidate, report
         if direct:
             result = naive_mul(A, B)
             report = MulReport(Algorithm.MONTE_CARLO, t_used=0, iterations=iterations,
-                               rational_mul_count=counter.muls,
+                               rational_mul_count=2 * len(values) * n * n,
                                wall_time=time.perf_counter() - start,
                                final_T=T, fallback=True)
             return result, report

@@ -1,48 +1,32 @@
-"""Exact schoolbook matrix kernel with nominal multiplication counting.
+"""Exact schoolbook matrix kernel.
 
 Every rational matrix product in the package -- the oracle (`naive_mul`),
 `RatMatrix.__matmul__` and the evaluation stage of the structured
 algorithms -- goes through `rational_product`, which scales each row of the
 left factor and each column of the right factor to ints and runs
-`cubic_multiply` on them.  `cubic_multiply` charges the nominal m*n*k
-multiplication count to an explicit `OpCounter` argument; that count is the
-asserted cost model.
+`cubic_multiply` on them.  No multiplication is counted here: each
+algorithm reports its nominal count as a closed form (`MulReport`).
 """
 
 import math
 import operator
 
 
-class OpCounter:
-    """Accumulates a nominal rational-multiplication count."""
-
-    __slots__ = ("muls",)
-
-    def __init__(self):
-        self.muls = 0
-
-    def __repr__(self):
-        return f"OpCounter(muls={self.muls})"
-
-
-def cubic_multiply(x_rows, y_rows, counter=None):
+def cubic_multiply(x_rows, y_rows):
     """Schoolbook product of row-major matrices: (m x n) * (n x k).
 
     Works on any exact ring elements; `rational_product` feeds it ints.
-    Returns a list of tuples.  Charges m*n*k multiplications to `counter`.
+    Returns a list of tuples.
     """
     n = len(y_rows)
     if any(len(row) != n for row in x_rows):
         raise ValueError("inner dimensions do not match")
     y_cols = list(zip(*y_rows))
     mul = operator.mul
-    out = [tuple(sum(map(mul, xrow, col)) for col in y_cols) for xrow in x_rows]
-    if counter is not None:
-        counter.muls += len(x_rows) * n * len(y_cols)
-    return out
+    return [tuple(sum(map(mul, xrow, col)) for col in y_cols) for xrow in x_rows]
 
 
-def rational_product(x_nums, x_dens, y_nums, y_dens, counter=None):
+def rational_product(x_nums, x_dens, y_nums, y_dens):
     """The product of two rational matrices on ints, as (d, e, S).
 
     Each factor is given as its rows of int numerators and the matching rows
@@ -53,7 +37,7 @@ def rational_product(x_nums, x_dens, y_nums, y_dens, counter=None):
     per-column scales keep the ints as short as each entry's own
     denominators allow; one global lcm would make every product as long as
     the longest.  Rows of x over 1, and y when all of it is over 1, are
-    used unscaled.  Charges cubic_multiply's nominal count to `counter`.
+    used unscaled.
     """
     d = [math.lcm(*dens) for dens in x_dens]
     e = [math.lcm(*col) for col in zip(*y_dens)]
@@ -64,4 +48,4 @@ def rational_product(x_nums, x_dens, y_nums, y_dens, counter=None):
     else:
         ys = [[y * (ek // dy) for y, dy, ek in zip(nums, dens, e)]
               for nums, dens in zip(y_nums, y_dens)]
-    return d, e, cubic_multiply(xs, ys, counter)
+    return d, e, cubic_multiply(xs, ys)

@@ -177,20 +177,14 @@ def power_points(ctx, count: int):
 
 def values_at_beta_powers(f: SkewPoly, exponents):
     """f's map at beta^l for each l in `exponents`, as (D, rows): D is the lcm
-    of f's coefficients' denominators, and rows[k] holds D times the p-1 power
-    coordinates of the value at beta^exponents[k].
+    of f's coefficients' denominators, and rows is an iterator whose k-th
+    item holds D times the p-1 power coordinates of the value at
+    beta^exponents[k]; each value is built only when it is drawn.
 
     The term c x^e sends beta^l to c * beta^(l r^e), so each value is one
     rotated_sum of the coefficients' int vectors: O(p * #f) integer additions
     and no gcd.
     """
-    den, values = _lazy_values(f, exponents)
-    return den, list(values)
-
-
-def _lazy_values(f: SkewPoly, exponents):
-    """values_at_beta_powers with the rows as an iterator: each value is
-    built only when it is drawn."""
     ctx = f.ctx
     p = ctx.p
     terms = f.sorted_terms()
@@ -199,7 +193,7 @@ def _lazy_values(f: SkewPoly, exponents):
     return den, (rotated_sum(p, [(vec, u * l % p) for u, vec in vecs]) for l in exponents)
 
 
-def batch_evaluate_via_matrices(ctx, indices, A, B, counter=None):
+def batch_evaluate_via_matrices(ctx, indices, A, B):
     """The map of the product A*B at the points v_1^l, l in `indices`, from
     the two RatMatrix factors alone; each l must lie in 1..p-1.
 
@@ -219,12 +213,8 @@ def batch_evaluate_via_matrices(ctx, indices, A, B, counter=None):
         if not 1 <= l <= n:
             raise ValueError(f"evaluation index must be in 1..{n}, got {l!r}")
         picked.append(ctx.q(l) - 1)
-    # the gather stands in for the dense t x n by n x n product; charge its
-    # nominal count so rational_mul_count stays the paper's 2 t (p-1)^2
-    if counter is not None:
-        counter.muls += len(picked) * n * n
     d, e, S = rational_product([A.nums[i] for i in picked], [A.dens[i] for i in picked],
-                               B.nums, B.dens, counter)
+                               B.nums, B.dens)
     big_e = math.lcm(*e)
     scales = ctx.to_power([big_e // ek for ek in e])
     return [CycElem(ctx, map(operator.mul, ctx.to_power(row), scales), di * big_e)
@@ -289,26 +279,13 @@ def _modulus(p: int, i: int):
     return q, tuple(pow(zeta, k, q) for k in range(p))
 
 
-class _Moduli:
-    """The NUM_MODULI primes of _modulus(p, i), largest first, found only as
-    iteration reaches them: most searches end at the first."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def __len__(self):
-        return NUM_MODULI
-
-    def __iter__(self):
-        return (_modulus(self.p, i) for i in range(NUM_MODULI))
-
-
-def _moduli(p: int) -> _Moduli:
-    """The primes sparse_interpolate tries for p, with their zeta powers:
-    beta -> zeta is a ring map Z[1/D][beta] -> F_q for every D prime to q."""
-    return _Moduli(p)
+def _moduli(p: int):
+    """The NUM_MODULI primes sparse_interpolate tries for p, largest first,
+    with their zeta powers: beta -> zeta is a ring map Z[1/D][beta] -> F_q
+    for every D prime to q.  Each is found only when iteration reaches it:
+    most searches end at the first."""
+    for i in range(NUM_MODULI):
+        yield _modulus(p, i)
 
 
 def _reduce_mod(a: CycElem, q: int, zeta_pows) -> int | None:
@@ -387,7 +364,7 @@ def _agrees(f: SkewPoly, exponents, expected) -> bool:
     are built and the pairs drawn one at a time, and none after the first
     mismatch.
     """
-    den, rows = _lazy_values(f, exponents)
+    den, rows = values_at_beta_powers(f, exponents)
     for row, (want, want_den) in zip(rows, expected):
         g = math.gcd(den, *row)
         if den // g != want_den or [x // g for x in row] != [*want]:

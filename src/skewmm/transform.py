@@ -154,11 +154,11 @@ class RatMatrix:
         return f"RatMatrix(p={self.p})"
 
 
-def product_matrix(A: RatMatrix, B: RatMatrix, counter=None) -> RatMatrix:
+def product_matrix(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     """A*B on ints: `rational_product` of the two, each entry S[i][k] put
     over d_i e_k and reduced, one map(gcd) per row and none for a row over
-    1.  Charges rational_product's nominal count to `counter`."""
-    d, e, S = rational_product(A.nums, A.dens, B.nums, B.dens, counter)
+    1."""
+    d, e, S = rational_product(A.nums, A.dens, B.nums, B.dens)
     e = tuple(e)
     return RatMatrix._reduced(A.p, S, [e if di == 1 else tuple(di * ek for ek in e) for di in d])
 
@@ -289,8 +289,8 @@ def matrix_of_values(ctx: CycCtx, values) -> RatMatrix:
     of normal coordinate q(l), so its value is row q(l): listed by l, like
     power coordinates, the values come in row order through ctx.to_normal,
     and so do each row's numerators.  Each row is put over its den in lowest
-    terms by RatMatrix._reduced.  The pushforward, det at t = p-1 and mc's
-    direct round all read their matrix off values here.
+    terms by RatMatrix._reduced.  The pushforward and mc's direct round
+    read their matrix off values here.
     """
     n = ctx.p - 1
     rows = ctx.to_normal(values)

@@ -191,7 +191,7 @@ def test_mul_check_failure_exits_4(workdir, monkeypatch, capsys):
     a = gen(workdir, "a.mat", layers="1", seed=9)
     b = gen(workdir, "b.mat", layers="0,1", seed=10)
     monkeypatch.setattr(matmul_mod, "naive_mul",
-                        lambda A, B, counter=None: RatMatrix.zeros(A.p))
+                        lambda A, B: RatMatrix.zeros(A.p))
     rc = run_cli("mul", "--algo", "det", str(a), str(b),
                  "-o", str(workdir / "c.mat"), "--check")
     assert rc == EXIT_CHECK_FAILED
@@ -287,6 +287,20 @@ def test_product_above_the_digit_limit_leaves_no_file(workdir, capsys):
     assert run_cli("mul", "--algo", "naive", str(a), str(a), "-o", str(out)) == EXIT_FORMAT
     assert "more than" in capsys.readouterr().err
     assert not out.exists()
+
+
+@needs_digit_limit
+def test_analyze_norm_above_the_digit_limit_is_format_error(workdir, capsys):
+    # each entry parses, but a coefficient of the pullback lies over the
+    # product of the two coprime denominators 10^k and 10^k + 1, whose
+    # digits add up past the limit; nothing of the report is printed
+    k = DIGIT_LIMIT // 2 + 100
+    path = workdir / "big.mat"
+    path.write_text(f"skewmm-matrix v1 p=3\n1/{10 ** k} 1/{10 ** k + 1}\n0 1\n")
+    assert run_cli("analyze", str(path)) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than" in captured.err
 
 
 def test_mul_reports_det_product_stage_and_bench_omits_it(workdir, capsys):

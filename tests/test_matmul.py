@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from conftest import rand_matrix, rand_poly, rand_rational_matrix, seeded
-from skewmm import (Algorithm, FreivaldsResult, OpCounter, RatMatrix, SkewPoly,
+from skewmm import (Algorithm, FreivaldsResult, RatMatrix, SkewPoly,
                     batch_evaluate_via_matrices, det_mul, freivalds,
                     from_normal_coords, mat_to_skew, mc_mul, naive_mul,
                     random_layered, rounds_for, shared_ctx, skew_to_mat, sumset)
@@ -34,13 +34,6 @@ def test_naive_hand_product_p3():
     A = RatMatrix(3, [[1, 2], [3, 4]])
     B = RatMatrix(3, [[5, -6], [7, 8]])
     assert naive_mul(A, B) == RatMatrix(3, [[19, 10], [43, 14]])
-
-
-def test_naive_counts_cubic_work():
-    counter = OpCounter()
-    rng = seeded(1)
-    naive_mul(rand_matrix(7, rng), rand_matrix(7, rng), counter)
-    assert counter.muls == 6 ** 3
 
 
 def test_naive_dimension_mismatch():
@@ -331,6 +324,19 @@ def test_mc_dense_at_p31_reads_the_product_off_the_rows():
     assert report.iterations == 5
     assert report.rational_mul_count == 2 * 30 * 30 ** 2
     assert report.t_used == mat_to_skew(product).sparsity
+
+
+@pytest.mark.parametrize("p, t, seed", [(7, 1, 41), (13, 2, 42), (13, 3, 43), (31, 5, 44)])
+def test_mc_counts_the_values_it_evaluated_below_the_direct_round(p, t, seed):
+    # an accepted round below the direct one holds the values at v_1^1 ..
+    # v_1^(2 final_T); each is charged 2 (p-1)^2, as det charges its t points
+    ctx = shared_ctx(p)
+    A = random_layered(ctx, {0}, seed)
+    B = random_layered(ctx, set(range(t)), seed + 1)
+    product, report = mc_mul(A, B, "1/20", seed + 2)
+    assert product == naive_mul(A, B)
+    assert 2 * report.final_T < p - 1
+    assert report.rational_mul_count == 2 * min(2 * report.final_T, p - 1) * (p - 1) ** 2
 
 
 def test_mc_falls_back_loudly_when_verification_always_fails(monkeypatch):

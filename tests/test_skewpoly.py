@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import rand_elem, rand_poly, seeded
-from skewmm import (CycElem, InterpolationError, OpCounter, SkewPoly, SupportSet,
+from skewmm import (CycElem, InterpolationError, SkewPoly, SupportSet,
                     batch_evaluate_via_matrices, cyc_sigma,
                     interpolate_known_support, normal_coords, power_of_v1,
                     power_points, shared_ctx, skew_to_mat, sp_add, sp_evaluate,
@@ -199,10 +199,12 @@ def test_values_at_beta_powers_match_direct_evaluation():
             rand_poly(ctx, rng, rng.randint(1, p - 1), den_bound=7) for _ in range(4)]
         for f in polys:
             den, rows = values_at_beta_powers(f, exponents)
+            rows = list(rows)
             assert len(rows) == len(exponents)
             for l, row in zip(exponents, rows):
                 assert CycElem(ctx, row, den) == sp_evaluate(f, ctx.beta_power(l))
-        assert values_at_beta_powers(SkewPoly.zero(ctx), [1, 2]) == (1, [[0] * (p - 1)] * 2)
+        den, rows = values_at_beta_powers(SkewPoly.zero(ctx), [1, 2])
+        assert (den, list(rows)) == (1, [[0] * (p - 1)] * 2)
 
 
 def test_batch_evaluate_identity_case():
@@ -245,9 +247,6 @@ def test_batch_evaluate_rejects_indices_outside_1_to_p_minus_1():
     for bad in (0, 5, -1):
         with pytest.raises(ValueError, match="1..4"):
             batch_evaluate_via_matrices(ctx, [1, bad], ident, ident)
-    counter = OpCounter()
-    batch_evaluate_via_matrices(ctx, [1, 4], ident, ident, counter)
-    assert counter.muls == 2 * 2 * 4 ** 2  # nominal: two dense 2 x 4 by 4 x 4 products
 
 
 def test_batch_evaluate_dimension_check():
@@ -416,7 +415,7 @@ def test_moduli_are_primes_one_mod_p_with_a_primitive_root_of_unity():
         assert not _is_prime(n)
     assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1)
     for p in (3, 5, 7, 13, 31, 61):
-        moduli = _moduli(p)
+        moduli = list(_moduli(p))
         qs = [q for q, _ in moduli]
         assert len(qs) == NUM_MODULI and qs == sorted(qs, reverse=True)
         # the largest such primes: every q = 1 (mod p) skipped is composite
@@ -478,7 +477,7 @@ def test_sparse_interpolate_skips_a_prime_dividing_a_denominator(monkeypatch):
 def test_sparse_interpolate_at_the_cap_needs_no_prime(monkeypatch):
     # a coefficient that vanishes modulo every prime: below the cap the
     # search gives up loudly; at bound = p-1 no prime is used at all
-    from skewmm.skewpoly import _moduli
+    from skewmm.skewpoly import NUM_MODULI, _moduli
 
     ctx = shared_ctx(7)
     every_q = 1
@@ -488,7 +487,7 @@ def test_sparse_interpolate_at_the_cap_needs_no_prime(monkeypatch):
     calls = recording_support_search(monkeypatch)
     with pytest.raises(InterpolationError, match="found no polynomial"):
         sparse_interpolate(evaluations(f, 6), 3, ctx=ctx)
-    assert len(calls) == len(_moduli(7))
+    assert len(calls) == NUM_MODULI
     calls.clear()
     assert sparse_interpolate(evaluations(f, 12), 6, ctx=ctx) == f
     assert calls == []

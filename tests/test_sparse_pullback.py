@@ -223,4 +223,4 @@ def test_support_primes_are_found_on_demand():
     C = random_layered(ctx, [1, 4], seeded(3).getrandbits(32))
     assert pullback(C, ctx)[1] == "sparse"
     assert skewpoly._modulus.cache_info().currsize == 1
-    assert len(list(_moduli(31))) == len(_moduli(31)) == skewpoly.NUM_MODULI
+    assert len(list(_moduli(31))) == skewpoly.NUM_MODULI
