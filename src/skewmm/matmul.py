@@ -166,9 +166,12 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     """Deterministic skew-sparse product: always exactly equals naive_mul.
 
     Each factor is pulled back by `pullback`: a factor with s terms, s at
-    most the sparse bound T(p), is read off its own rows by sparse
-    interpolation and certified against the rest in O(s p^2 + T^2 p);
-    any other factor goes through the dense O(p^3) mat_to_skew.  The
+    most the sparse bound T(p) (0 below p=61), is read off its own rows by
+    sparse interpolation and certified against the rest in
+    O(s p^2 + T^2 p); any other factor goes through the dense mat_to_skew,
+    one cyclic correlation packed into a big int (O(p^2) interpreter steps
+    and p-1 shifted adds of a p(p-1)-slot int), or O(p^3) int additions
+    when its scaled entries are too long for 64-bit slots.  The
     product polynomial's support is covered by the exponent sumset of the
     two pullbacks, of size t.  Then _product_route picks, from s_A, s_B, t
     and p, one of three exact ways to form the product (_form_product):

@@ -1,17 +1,18 @@
 """Built-in invariant suite behind `skewmm selftest`.
 
 Runs the library's structural identities at p in {3, 5, 7, 11, 13} (the
-sparse pullback at p in {13, 17, 31}, products with denominators also at
-p=31) with fixed seeds, prints one line per
-property plus the empirically resolved conventions (composition orientation
-of the transform, conjugation side of the layer-0 closed form), and reports
-the first failure by name.  Exact
-arithmetic means every check is a strict equality.
+sparse pullback at p in {13, 31, 61}, both paths of the dense pullback and
+products with denominators also at p=31) with fixed seeds, prints one line
+per property plus the empirically resolved conventions (composition
+orientation of the transform, conjugation side of the layer-0 closed form),
+and reports the first failure by name.  Exact arithmetic means every check
+is a strict equality.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,12 +23,13 @@ from .skewpoly import (SkewPoly, sp_mul, sparse_interpolate, sp_evaluate, power_
 from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             build_X, build_Y, l0_characterization_check,
                             random_layered, skew_sparsity, y_power_row)
-from .transform import (Orientation, RatMatrix, _sparse_bound, build_V, build_W,
-                        mat_to_skew, phi_orientation, pullback, skew_to_mat)
+from .transform import (Orientation, RatMatrix, _looped_coefficients, _scaled_row,
+                        _sparse_bound, build_V, build_W, mat_to_skew, phi_orientation,
+                        pullback, skew_to_mat)
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13)
-#: pullback's sparse route is off up to p=13, so its check adds larger primes
-SPARSE_PULLBACK_PRIMES = (13, 17, 31)
+#: pullback's sparse route is off below p=61, so its check adds larger primes
+SPARSE_PULLBACK_PRIMES = (13, 31, 61)
 
 
 def _rand_matrix(p, rng, bound=9):
@@ -236,20 +238,21 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
 
 
 def check_sparse_pullback(primes=SPARSE_PULLBACK_PRIMES) -> bool:
-    """pullback against mat_to_skew: one random layered matrix per prime,
-    taking the sparse route exactly when its sparsity is within the bound;
-    then, at the largest prime, a sparse matrix with one entry changed in
-    row q(p-1), past the 2T rows the interpolation reads.  Those rows fit
+    """pullback against mat_to_skew: per prime, one random layered matrix
+    of each sparsity 1 .. T+1, taking the sparse route exactly when its
+    sparsity is within the bound T; then, at the largest prime, a sparse
+    matrix with one entry changed in row q(p-1), past the 2T rows the
+    interpolation reads.  Those rows fit
     the sparse candidate, so only the certificate can reject it; the result
     must be the dense pullback, and det_mul on it must equal naive_mul."""
     rng = random.Random(4242)
     for p in primes:
         ctx = shared_ctx(p)
         bound = _sparse_bound(p)
-        s = rng.randint(1, bound + 1)
-        M = random_layered(ctx, rng.sample(range(p - 1), s), rng.getrandbits(32))
-        if pullback(M, ctx) != (mat_to_skew(M, ctx), "sparse" if s <= bound else "dense"):
-            return False
+        for s in range(1, bound + 2):
+            M = random_layered(ctx, rng.sample(range(p - 1), s), rng.getrandbits(32))
+            if pullback(M, ctx) != (mat_to_skew(M, ctx), "sparse" if s <= bound else "dense"):
+                return False
     p = primes[-1]
     ctx = shared_ctx(p)
     M = random_layered(ctx, rng.sample(range(p - 1), _sparse_bound(p)), rng.getrandbits(32))
@@ -260,6 +263,26 @@ def check_sparse_pullback(primes=SPARSE_PULLBACK_PRIMES) -> bool:
         return False
     B = random_layered(ctx, [0, 1], rng.getrandbits(32))
     return matmul.det_mul(M, B)[0] == matmul.naive_mul(M, B)
+
+
+def check_dense_pullback_paths(p=31) -> bool:
+    """mat_to_skew's two paths against the rotated-sum definition, one
+    rotated_sum per coefficient: a matrix of small ints, whose slots fit 16
+    bits and take the packed correlation, and one over denominators up to
+    3^40 and 2^61 - 1, whose slots would need more than 64 bits and take
+    the rotated-sum loop; each must also round-trip through skew_to_mat."""
+    rng = random.Random(3131)
+    ctx = shared_ctx(p)
+    for C in (_rand_matrix(p, rng), _rand_rational_matrix(p, rng)):
+        den = math.lcm(*(math.lcm(*dens) for dens in C.dens))
+        rows = [_scaled_row(num, dens, den) for num, dens in zip(C.nums, C.dens)]
+        coefficients = _looped_coefficients(ctx, rows)
+        want = SkewPoly(ctx, {i: ctx.elem([Fraction(x, p * den) for x in coords])
+                              for i, coords in enumerate(coefficients) if any(coords)})
+        f = mat_to_skew(C, ctx)
+        if f != want or skew_to_mat(f) != C:
+            return False
+    return True
 
 
 def check_sparse_interpolation(p=13, cases=6) -> bool:
@@ -301,6 +324,8 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
          lambda: check_generator_identities()),
         ("layer-0 closed-form identity", check_l0_characterization),
         ("sparse interpolation roundtrip", check_sparse_interpolation),
+        ("dense pullback, packed and looped, vs the rotated-sum definition",
+         check_dense_pullback_paths),
         ("sparse pullback vs mat_to_skew, certificate rejects a changed late row",
          check_sparse_pullback),
         ("skew-sparsity reporting", check_sparsity_reporting),

@@ -8,7 +8,11 @@ algebra.  Both directions are implemented here:
   matrix -> polynomial   mat_to_skew, the definition: scaled application
                          of the inverse basis matrix W (the basis matrix V
                          of normal-basis translates and W of their
-                         reciprocals satisfy V W = p I), O(p^3);
+                         reciprocals satisfy V W = p I), run as one cyclic
+                         correlation of length p(p-1) packed into a big
+                         int (O(p^2) interpreter steps and p-1 big-int
+                         shifted adds), or, for entries too long for
+                         64-bit slots, as O(p^3) int additions;
                          pullback, the same result, read off the matrix's
                          own rows by sparse interpolation and certified
                          against the rest when the polynomial is sparse;
@@ -26,8 +30,11 @@ check of the convention.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 import operator
+import struct
 
 from .cyclotomic import CycCtx, CycElem, _check_odd_prime, rotated_sum, shared_ctx
 from .multiply import cubic_multiply, rational_product
@@ -183,32 +190,119 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
 
     Row k of C is already the normal-coordinate vector of the image b_k of
     v_k; the coefficient vector is (1/p) * W * (b_1, ..., b_(p-1)).  W's
-    entries are reciprocal-translates minus one, beta^(-u) - 1, so each
-    product is a rotation of b_k's beta-exponent vector, and the "- 1" parts
-    add up to the same -sum_k b_k in every coefficient.
+    entries are reciprocal-translates minus one, beta^(-u) - 1 with
+    u = r^(i+k) for coefficient i and row k, so each product is a rotation
+    of b_k's beta-exponent vector, and the "- 1" parts add up to the same
+    -sum_k b_k in every coefficient.  The work runs on Python ints under
+    one common denominator D (the lcm of C's denominators), and each
+    coefficient is built directly over p*D.
 
-    The work runs on Python ints under one common denominator D (the lcm of
-    C's denominators): O(p^3) integer additions, one beta^0 reduction per
-    coefficient, and each coefficient is built directly over p*D.
+    The rotations form one cyclic correlation over C_(p-1) x C_p, which is
+    C_(p(p-1)) because gcd(p-1, p) = 1 (Good's prime-factor index map): a
+    pair (a, x) is the position c with c = a mod p-1 and c = x mod p.  Row
+    k, in power coordinates and offset by M = max|entry| (so nothing is
+    negative), fills the slots (-k, x) of one packed int, the beta^0 slots
+    holding M; the sum of its p-1 shifts by (j, -r^j), folded once mod
+    X^(p(p-1)) - 1, holds in slot (i, x) coefficient i's beta^x part.  Each
+    slot is a sum of p-1 terms in [0, 2M], so a slot of w bits with
+    2 (p-1) M < 2^w never carries; the offsets cancel when beta^0 is
+    eliminated (_packed_coefficients).  w is rounded up to 8, 16, 32 or 64
+    bits so that the slots convert through struct; an input needing more
+    takes the rotated-sum loop instead (_looped_coefficients), O(p^3) int
+    additions, which on such long ints costs less than the wider slots.
     """
     ctx = _ctx_for(C, ctx)
     p = ctx.p
+    den = math.lcm(*(math.lcm(*dens) for dens in C.dens))
+    rows = [_scaled_row(num, dens, den) for num, dens in zip(C.nums, C.dens)]
+    bound = max(max(map(max, rows)), -min(map(min, rows)))
+    if not bound:
+        return SkewPoly.zero(ctx)
+    bits = (2 * (p - 1) * bound).bit_length()
+    if bits > 64:
+        coefficients = _looped_coefficients(ctx, rows)
+    else:
+        size = next(k for k in (1, 2, 4, 8) if 8 * k >= bits)
+        coefficients = _packed_coefficients(ctx, rows, bound, size)
+    out_den = p * den
+    return SkewPoly(ctx, {i: CycElem(ctx, coords, out_den)
+                          for i, coords in enumerate(coefficients) if any(coords)})
+
+
+def _packed_coefficients(ctx: CycCtx, rows, bound: int, size: int):
+    """mat_to_skew's coefficients, power numerators over p*D, from its
+    scaled rows by one packed correlation in slots of `size` bytes (1, 2, 4
+    or 8), where 2 (p-1) bound < 2^(8 size) and bound >= max|entry|.
+
+    The rows are gathered into CRT order and packed as signed slots; taking
+    the sign bits back out gives the true signed int, and adding bound to
+    every slot makes each slot nonnegative.  After the shifts and the fold,
+    coefficient i is slot (i, x) minus slot (i, 0), which removes the
+    offsets and eliminates beta^0, minus the x-th power coordinate of
+    sum_k b_k.
+    """
+    count = ctx.p * (ctx.p - 1)
+    gather, shifts, reads, zeros = _crt_layout(ctx.p)
+    signed, unsigned = _slot_structs(count, size)
+    w = 8 * size
+    span = w * count
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
+    raw = int.from_bytes(signed.pack(*gather([*itertools.chain.from_iterable(rows), 0])),
+                         "little")
+    packed = raw - (((raw >> (w - 1)) & ones) << w) + bound * ones
+    acc = sum(packed << (w * s) for s in shifts)
+    folded = (acc & ((1 << span) - 1)) + (acc >> span)
+    slots = unsigned.unpack(folded.to_bytes(span // 8, "little"))
+    total = ctx.to_power(list(map(sum, zip(*rows))))
+    return ([x - c0 - t for x, t in zip(read(slots), total)]
+            for read, c0 in zip(reads, zeros(slots)))
+
+
+def _looped_coefficients(ctx: CycCtx, rows):
+    """mat_to_skew's coefficients by one rotated_sum each over the nonzero
+    scaled rows: O(p^3) int additions, the path for entries too long for
+    64-bit slots."""
+    p = ctx.p
     n = p - 1
     pow_r = ctx.pow_r
-    den = math.lcm(*(math.lcm(*dens) for dens in C.dens))
-    b = [(k, [0, *_power_ints(num, dens, den, ctx)])
-         for k, (num, dens) in enumerate(zip(C.nums, C.dens)) if any(num)]
-    if not b:
-        return SkewPoly.zero(ctx)
+    b = [(k, [0, *ctx.to_power(row)]) for k, row in enumerate(rows) if any(row)]
     neg_total = [-x for x in map(sum, zip(*(vec for _, vec in b)))]
-    out_den = p * den
-    terms = {}
-    for i in range(n):  # coefficient of x^i
-        coords = rotated_sum(p, [(vec, p - pow_r[(i + k) % n]) for k, vec in b]
-                             + [(neg_total, 0)])
-        if any(coords):
-            terms[i] = CycElem(ctx, coords, out_den)
-    return SkewPoly(ctx, terms)
+    return (rotated_sum(p, [(vec, p - pow_r[(i + k) % n]) for k, vec in b] + [(neg_total, 0)])
+            for i in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _crt_layout(p: int):
+    """mat_to_skew's packed layout at p, built once per prime: (gather,
+    shifts, reads, zeros).
+
+    Position c of the packed int stands for the pair (c mod p-1, c mod p).
+    gather picks, from the n = p-1 scaled rows laid end to end plus one
+    trailing 0, the value for each position: slot (a, x) holds row -a's
+    power coordinate x, that is its normal coordinate q(x), and 0 at x = 0.
+    shifts lists the positions of (j, -r^j), j = 0..p-2.  reads[i] picks
+    coefficient i's slots (i, 1) .. (i, p-1), zeros the slots (i, 0).
+    """
+    ctx = shared_ctx(p)
+    n = p - 1
+
+    def pos(a, x):
+        x %= p
+        return x + p * ((a - x) % n)
+
+    gather = [n * n if c % p == 0 else (-c % n) * n + ctx.q(c % p) - 1 for c in range(n * p)]
+    return (operator.itemgetter(*gather),
+            tuple(pos(j, -ctx.pow_r[j]) for j in range(n)),
+            tuple(operator.itemgetter(*(pos(i, x) for x in range(1, p))) for i in range(n)),
+            operator.itemgetter(*(pos(i, 0) for i in range(n))))
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_structs(count: int, size: int):
+    """Little-endian (signed, unsigned) formats for `count` slots of `size`
+    bytes."""
+    code = {1: "b", 2: "h", 4: "i", 8: "q"}[size]
+    return struct.Struct(f"<{count}{code}"), struct.Struct(f"<{count}{code.upper()}")
 
 
 def _ctx_for(C: RatMatrix, ctx: CycCtx | None) -> CycCtx:
@@ -223,21 +317,19 @@ def _sparse_bound(p: int) -> int:
     """The sparsity bound T pullback interpolates under at p; 0 turns the
     sparse route off.
 
-    Fitted to in-process timings of the sparse route against mat_to_skew
-    (README, "Sparse pullback"): at p=13 it won only for one term, by less
-    than a failed attempt costs, and above p=13 a larger bound adds little
-    beyond the sparsity where the route stops winning.
+    Fitted to in-process timings of the sparse route against the packed
+    mat_to_skew (README, "Sparse pullback"): below p=61 the sparse route
+    lost to it even at one term, and a failed attempt adds up to 25% to
+    the dense pullback that follows; p=61 is the break-even point for one
+    term, and near p=127 two terms win.
     """
-    return p // 6 if p > 13 else 0
+    return p // 50 if p >= 61 else 0
 
 
-def _power_ints(num, dens, den: int, ctx: CycCtx) -> tuple:
-    """den times the row num/dens, read as normal coordinates, in power
-    coordinates (ctx.to_power).  den must be a multiple of every entry's
-    denominator."""
-    if den != 1:
-        num = [x * (den // d) for x, d in zip(num, dens)]
-    return ctx.to_power(num)
+def _scaled_row(num, dens, den: int):
+    """The numerators of den times the row num/dens; den must be a multiple
+    of every entry's denominator."""
+    return num if den == 1 else [x * (den // d) for x, d in zip(num, dens)]
 
 
 def _value_on_ints(C: RatMatrix, ctx: CycCtx, l: int):
@@ -248,7 +340,7 @@ def _value_on_ints(C: RatMatrix, ctx: CycCtx, l: int):
     i = ctx.q(l) - 1
     dens = C.dens[i]
     den = math.lcm(*dens)
-    return _power_ints(C.nums[i], dens, den, ctx), den
+    return ctx.to_power(_scaled_row(C.nums[i], dens, den)), den
 
 
 def pullback(C: RatMatrix, ctx: CycCtx | None = None) -> tuple[SkewPoly, str]:
@@ -266,7 +358,9 @@ def pullback(C: RatMatrix, ctx: CycCtx | None = None) -> tuple[SkewPoly, str]:
     Q(beta), so the candidate's matrix is C and the candidate is C's
     pullback.  For s <= T terms this costs O(p^2 + T^2 p + s p^2) integer
     operations.  When no candidate fits, the certificate fails, or T is 0,
-    the dense O(p^3) mat_to_skew answers.  Either way the result is exactly mat_to_skew's.
+    the dense mat_to_skew answers: O(p^2) interpreter steps on its packed
+    path, against which the sparse route only wins from p=61 on, hence T.
+    Either way the result is exactly mat_to_skew's.
     """
     ctx = _ctx_for(C, ctx)
     bound = _sparse_bound(ctx.p)

@@ -304,8 +304,9 @@ def test_analyze_norm_above_the_digit_limit_is_format_error(workdir, capsys):
 
 
 def test_mul_reports_det_product_stage_and_bench_omits_it(workdir, capsys):
-    a = gen(workdir, "a.mat", p=31, layers="0", seed=1)
-    b = gen(workdir, "b.mat", p=31, layers="0,1,2", seed=2)
+    # one term each, within the sparse bound T = 1 at p=61
+    a = gen(workdir, "a.mat", p=61, layers="0", seed=1)
+    b = gen(workdir, "b.mat", p=61, layers="2", seed=2)
     assert run_cli("mul", "--algo", "det", str(a), str(b), "-o", str(workdir / "c.mat")) == EXIT_OK
     report = json.loads(capsys.readouterr().err)
     assert (report["pullback"], report["product"]) == (["sparse", "sparse"], "direct")

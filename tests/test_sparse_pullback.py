@@ -2,12 +2,14 @@
 
 pullback reads a sparse polynomial off the first 2T rows of its matrix and
 certifies it against the rest; whatever route it takes, the result must be
-exactly mat_to_skew's.  The sparse route is off up to p=13 (T = 0), so
-p in {3, 5, 7, 13} checks the plain fallback and p=31 the sparse route, at
-sparsities on both sides of its bound.  Two adversarial inputs must fall
-back: (a) a matrix whose first 2T rows fit a sparse candidate that a later
-row contradicts, and (b) a matrix over a denominator every support prime
-divides.
+exactly mat_to_skew's.  The sparse route is off below p=61 (T = 0), so
+p in {3, 5, 7, 13, 31} checks the plain fallback and p=61 (T = 1) the
+sparse route, at sparsities on both sides of its bound.  Two adversarial
+inputs must fall back: (a) a matrix whose first 2T rows fit a sparse
+candidate that a later row contradicts, and (b) a matrix over a
+denominator every support prime divides.  Both run at p=61 and, under a
+bound of 5 pinned in place of the fitted 0, at p=31, so that candidates of
+several terms meet the certificate too.
 """
 
 import json
@@ -27,7 +29,7 @@ from skewmm.skewpoly import _moduli
 from skewmm.skewstructure import random_layered
 from skewmm.transform import _sparse_bound, _value_on_ints
 
-PRIMES = (3, 5, 7, 13, 31)
+PRIMES = (3, 5, 7, 13, 31, 61)
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 3 ** 40, 2 ** 61 - 1)
 
 
@@ -65,14 +67,29 @@ def test_zero_and_identity(p):
     assert pullback(RatMatrix.identity(p), ctx) == (SkewPoly.one(ctx), route)
 
 
-def test_sparse_route_is_off_up_to_13_and_certifies_above():
-    assert [_sparse_bound(p) for p in (3, 5, 7, 11, 13)] == [0] * 5
-    for p in (17, 31, 61, 127):
+def test_sparse_route_is_off_below_61_and_certifies_above():
+    assert [_sparse_bound(p) for p in (3, 5, 7, 11, 13, 17, 31, 53, 59)] == [0] * 9
+    for p in (61, 101, 127):
         assert 1 <= _sparse_bound(p) and 2 * _sparse_bound(p) < p - 1
 
 
-def recording_interpolation(monkeypatch):
-    """Wrap the sparse_interpolate pullback calls; returns the outcomes."""
+#: bounds pinned in place of the fitted one.  The certificate must reject a
+#: changed row under any bound; at p=31, where the fitted T is 0, the bound
+#: 5 (p // 6, fitted before the packed mat_to_skew) lets candidates of up
+#: to 5 terms reach it, more than the fitted T allows at any prime up to 61
+PINNED_BOUNDS = {31: 5}
+
+
+def sparse_bound(p):
+    """The bound the certificate tests run pullback under at p."""
+    return PINNED_BOUNDS.get(p, _sparse_bound(p))
+
+
+def recording_interpolation(monkeypatch, p=None):
+    """Wrap the sparse_interpolate pullback calls, and pin the sparse bound
+    if PINNED_BOUNDS names p; returns the outcomes."""
+    if p in PINNED_BOUNDS:
+        monkeypatch.setattr(transform, "_sparse_bound", lambda q: PINNED_BOUNDS[q])
     outcomes = []
     real = transform.sparse_interpolate
 
@@ -106,7 +123,7 @@ def test_certificate_rejects_a_changed_row_past_the_first_2T(monkeypatch, p, s, 
     # the row, which keeps its lowest-terms numerators and changes only its
     # denominator, so the certificate must compare denominators too
     ctx = shared_ctx(p)
-    bound = _sparse_bound(p)
+    bound = sparse_bound(p)
     s = bound if s == "bound" else s
     rng = seeded(p * 100 + s)
     for l in (2 * bound + 1, p - 1):
@@ -120,7 +137,7 @@ def test_certificate_rejects_a_changed_row_past_the_first_2T(monkeypatch, p, s, 
         if change == "halve":
             (num, den), (old_num, old_den) = (_value_on_ints(X, ctx, l) for X in (M, sparse))
             assert num == old_num and den == 2 * old_den
-        outcomes = recording_interpolation(monkeypatch)
+        outcomes = recording_interpolation(monkeypatch, p)
         assert pullback(M, ctx) == (mat_to_skew(M, ctx), "dense")
         assert outcomes == [s]
         assert mat_to_skew(M, ctx).sparsity > bound
@@ -129,9 +146,9 @@ def test_certificate_rejects_a_changed_row_past_the_first_2T(monkeypatch, p, s, 
 
 
 def test_certificate_stops_at_the_first_mismatch(monkeypatch):
-    # a one-term matrix at p=61 (T = 10) with row q(21), the first row the
+    # a one-term matrix at p=61 (T = 1) with row q(3), the first row the
     # certificate reads, changed: the certificate must build f's value at
-    # beta^21 and no other, where building all p-1-2T = 40 first would do
+    # beta^3 and no other, where building all p-1-2T = 58 first would do
     p = 61
     ctx = shared_ctx(p)
     bound = _sparse_bound(p)
@@ -164,14 +181,16 @@ def test_certificate_stops_at_the_first_mismatch(monkeypatch):
 @pytest.mark.parametrize("p", (31, 61))
 def test_every_prime_failing_falls_back_to_the_dense_pullback(monkeypatch, p):
     # case (b): every value's denominator holds every prime the support
-    # search uses, so each prime is skipped and the interpolation gives up
+    # search uses, so each prime is skipped and the interpolation gives up,
+    # though the matrix's T or fewer terms would otherwise be found
     ctx = shared_ctx(p)
     every_q = 1
     for q, _ in _moduli(p):
         every_q *= q
     rng = seeded(p)
-    M = random_layered(ctx, [0, 5], rng.getrandbits(32)).scale(Rat(1, every_q))
-    outcomes = recording_interpolation(monkeypatch)
+    layers = [0, 5][:sparse_bound(p)]
+    M = random_layered(ctx, layers, rng.getrandbits(32)).scale(Rat(1, every_q))
+    outcomes = recording_interpolation(monkeypatch, p)
     assert pullback(M, ctx) == (mat_to_skew(M, ctx), "dense")
     assert outcomes == ["raised"]
     monkeypatch.undo()
@@ -180,9 +199,9 @@ def test_every_prime_failing_falls_back_to_the_dense_pullback(monkeypatch, p):
 
 def test_det_reports_each_factors_route():
     rng = seeded(7)
-    ctx = shared_ctx(31)
-    sparse = random_layered(ctx, [0, 2], rng.getrandbits(32))
-    wide = random_layered(ctx, list(range(_sparse_bound(31) + 1)), rng.getrandbits(32))
+    ctx = shared_ctx(61)
+    sparse = random_layered(ctx, [2], rng.getrandbits(32))
+    wide = random_layered(ctx, list(range(_sparse_bound(61) + 1)), rng.getrandbits(32))
     for A, B, routes in ((sparse, wide, ("sparse", "dense")),
                          (wide, sparse, ("dense", "sparse")),
                          (sparse, sparse, ("sparse", "sparse"))):
@@ -192,11 +211,11 @@ def test_det_reports_each_factors_route():
     ctx = shared_ctx(13)
     A = random_layered(ctx, [0], rng.getrandbits(32))
     assert det_mul(A, A)[1].pullback == ("dense", "dense")
-    assert det_mul(RatMatrix.zeros(31), sparse)[1].pullback == ("sparse", "sparse")
+    assert det_mul(RatMatrix.zeros(61), sparse)[1].pullback == ("sparse", "sparse")
 
 
 def test_mul_reports_the_route_and_analyze_is_unchanged(tmp_path, capsys):
-    ctx = shared_ctx(31)
+    ctx = shared_ctx(61)
     rng = seeded(11)
     A = random_layered(ctx, [0], rng.getrandbits(32)).scale(Rat(1, 5))
     a, b, out = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "c.mat"
@@ -211,7 +230,7 @@ def test_mul_reports_the_route_and_analyze_is_unchanged(tmp_path, capsys):
     assert pullback(A)[1] == "sparse"
     assert main(["analyze", str(a)]) == 0
     f = mat_to_skew(A)
-    expected = ["p: 31", f"skew-sparsity: {f.sparsity}", f"support: {f.support()!r}"]
+    expected = ["p: 61", f"skew-sparsity: {f.sparsity}", f"support: {f.support()!r}"]
     expected += [f"norm[{e}]: {sum(abs(c) for c in coeff.coords)}"
                  for e, coeff in f.sorted_terms()]
     assert capsys.readouterr().out.splitlines() == expected
@@ -219,8 +238,8 @@ def test_mul_reports_the_route_and_analyze_is_unchanged(tmp_path, capsys):
 
 def test_support_primes_are_found_on_demand():
     skewpoly._modulus.cache_clear()
-    ctx = shared_ctx(31)
-    C = random_layered(ctx, [1, 4], seeded(3).getrandbits(32))
+    ctx = shared_ctx(61)
+    C = random_layered(ctx, [4], seeded(3).getrandbits(32))
     assert pullback(C, ctx)[1] == "sparse"
     assert skewpoly._modulus.cache_info().currsize == 1
-    assert len(list(_moduli(31))) == skewpoly.NUM_MODULI
+    assert len(list(_moduli(61))) == skewpoly.NUM_MODULI

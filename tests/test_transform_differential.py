@@ -2,17 +2,21 @@
 definitions: mat_to_skew against (1/p) * W * b with full field products over
 build_W's entries, and skew_to_mat against evaluating the polynomial's map at
 each normal-basis element.  Inputs cover zero and single-entry matrices,
-zero rows, negative and very large numerators, and large coprime
-denominators."""
+zero rows, all-negative rows, a single nonzero row, negative and very large
+numerators, and large coprime denominators.  mat_to_skew has two paths, a
+packed correlation in slots of 1, 2, 4 or 8 bytes and a rotated-sum loop for
+inputs that need wider slots; both are checked, at each slot-width edge."""
 
 import math
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewmm import (RatMatrix, SkewPoly, build_W, cyc_add, cyc_mul, cyc_scale,
                     from_normal_coords, mat_to_skew, normal_coords, shared_ctx,
-                    skew_to_mat, sp_evaluate)
+                    skew_to_mat, sp_evaluate, transform)
 from skewmm.rational import Rat
 
 PRIMES = (3, 5, 7, 13)
@@ -28,6 +32,10 @@ denominators = st.one_of(
     st.sampled_from([7, 2 ** 61 - 1, 2 ** 89 - 1, 3 ** 40]),
 )
 rationals = st.builds(Rat, numerators, denominators)
+#: entries whose scaled numerators fit the packed path's slots, unless
+#: denominators such as 7 and 2^61 - 1 meet in one matrix
+narrow_rationals = st.builds(Rat, st.integers(-9, 9),
+                             st.sampled_from([1, 2, 3, 7, 2 ** 61 - 1, 3 ** 40]))
 
 kernel_settings = settings(deadline=None, max_examples=40)
 
@@ -65,17 +73,26 @@ def pushforward_by_definition(f):
 def matrices(draw):
     p = draw(st.sampled_from(PRIMES))
     n = p - 1
-    shape = draw(st.sampled_from(["dense", "zero-rows", "single", "zero"]))
+    entries = draw(st.sampled_from([rationals, narrow_rationals]))
+    shape = draw(st.sampled_from(["dense", "zero-rows", "single", "single-row",
+                                  "negative-rows", "zero"]))
     rows = [[Rat(0)] * n for _ in range(n)]
     if shape == "single":
         rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
-            rationals.filter(bool))
+            entries.filter(bool))
+    elif shape == "single-row":
+        rows[draw(st.integers(0, n - 1))] = draw(st.lists(entries, min_size=n, max_size=n))
     elif shape != "zero":
         zero_rows = (draw(st.sets(st.integers(0, n - 1), max_size=n))
                      if shape == "zero-rows" else set())
+        negative_rows = (draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+                         if shape == "negative-rows" else set())
         for i in range(n):
-            if i not in zero_rows:
-                rows[i] = draw(st.lists(rationals, min_size=n, max_size=n))
+            if i in negative_rows:
+                rows[i] = [-abs(x) or Rat(-1) for x in
+                           draw(st.lists(entries, min_size=n, max_size=n))]
+            elif i not in zero_rows:
+                rows[i] = draw(st.lists(entries, min_size=n, max_size=n))
     return RatMatrix(p, rows)
 
 
@@ -133,3 +150,75 @@ def test_coprime_denominators_share_one_pullback():
     f = mat_to_skew(C, ctx)
     assert f == pullback_by_definition(C, ctx)
     assert skew_to_mat(f) == C
+
+
+def recording_paths(monkeypatch):
+    """Wrap mat_to_skew's two paths; returns the slot size of each packed
+    call and "loop" for each looped one."""
+    paths = []
+    packed, looped = transform._packed_coefficients, transform._looped_coefficients
+
+    def recording_packed(ctx, rows, bound, size):
+        paths.append(size)
+        return packed(ctx, rows, bound, size)
+
+    def recording_looped(ctx, rows):
+        paths.append("loop")
+        return looped(ctx, rows)
+
+    monkeypatch.setattr(transform, "_packed_coefficients", recording_packed)
+    monkeypatch.setattr(transform, "_looped_coefficients", recording_looped)
+    return paths
+
+
+@pytest.mark.parametrize("p", (3, 13))
+@pytest.mark.parametrize("size", (1, 2, 4, 8))
+@pytest.mark.parametrize("over", (0, 1), ids=["at", "over"])
+@pytest.mark.parametrize("sign", (1, -1), ids=["pos", "neg"])
+def test_slot_width_edges(monkeypatch, p, size, over, sign):
+    # every slot sums p-1 terms in [0, 2M], M = max|entry|: M at the limit
+    # 2 (p-1) M < 2^(8 size) fills a slot of `size` bytes; one more takes
+    # the next size, or after 8 bytes the rotated-sum loop
+    n = p - 1
+    limit = (2 ** (8 * size) - 1) // (2 * n)
+    rng = random.Random(p * 100 + size)
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    rows[rng.randrange(n)][rng.randrange(n)] = sign * (limit + over)
+    C = RatMatrix(p, rows)
+    paths = recording_paths(monkeypatch)
+    f = mat_to_skew(C)
+    assert paths == [("loop" if size == 8 else 2 * size) if over else size]
+    monkeypatch.undo()
+    assert f == pullback_by_definition(C, shared_ctx(p))
+    assert skew_to_mat(f) == C
+
+
+@pytest.mark.parametrize("p", (3, 13))
+@pytest.mark.parametrize(("dens", "path"), [((2 ** 61 - 1,), "packed"), ((3 ** 40,), "packed"),
+                                            ((2 ** 61 - 1, 7), "loop")],
+                         ids=["over 2^61-1", "over 3^40", "over 2^61-1 and 7"])
+def test_long_denominators_pick_the_path(monkeypatch, p, dens, path):
+    # a matrix over 2^61 - 1 alone, or 3^40 alone, scales to its own small
+    # numerators and is packed; 7 next to 2^61 - 1 scales them past 2^64
+    n = p - 1
+    rng = random.Random(p)
+    C = RatMatrix(p, [[Rat(rng.choice((-1, 1)) * rng.randint(1, 9), dens[(i + j) % len(dens)])
+                       for j in range(n)] for i in range(n)])
+    paths = recording_paths(monkeypatch)
+    f = mat_to_skew(C)
+    assert ["loop" if x == "loop" else "packed" for x in paths] == [path]
+    monkeypatch.undo()
+    assert f == pullback_by_definition(C, shared_ctx(p))
+
+
+def test_p31_pullback_matches_definition(monkeypatch):
+    # one dense rational matrix at the benchmark's prime, on the packed path
+    rng = random.Random(31)
+    C = RatMatrix(31, [[Rat(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(30)]
+                       for _ in range(30)])
+    ctx = shared_ctx(31)
+    paths = recording_paths(monkeypatch)
+    f = mat_to_skew(C, ctx)
+    assert paths == [4]
+    monkeypatch.undo()
+    assert f == pullback_by_definition(C, ctx)
