@@ -26,6 +26,6 @@ from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             layer_basis_elem, random_layered, shift_rows_up,
                             skew_sparsity, y_power_row)
 from .transform import (Orientation, RatMatrix, build_V, build_W, mat_to_skew,
-                        phi_orientation, pullback, skew_to_mat)
+                        phi_orientation, skew_to_mat)
 
 __version__ = "1.0.0"

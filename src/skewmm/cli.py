@@ -29,7 +29,7 @@ from .cyclotomic import MAX_P, shared_ctx
 from .matrixfile import MatrixFormatError, read_matrix_file, write_matrix_file
 from .rational import Rat
 from .skewstructure import random_layered
-from .transform import pullback
+from .transform import mat_to_skew
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -198,8 +198,7 @@ def cmd_mul(args):
         if not correct and args.algo != "mc":
             print("check failed: product differs from the schoolbook oracle", file=sys.stderr)
             return EXIT_CHECK_FAILED
-    if report.pullback:  # det's routes; mul's report only, bench records omit them
-        extra["pullback"] = list(report.pullback)
+    if report.product:  # det's stage; mul's report only, bench records omit it
         extra["product"] = report.product
     write_matrix_file(args.output, product)
     print(json.dumps(_report_json(report, extra)), file=sys.stderr)
@@ -208,7 +207,7 @@ def cmd_mul(args):
 
 def cmd_analyze(args):
     M = read_matrix_file(args.matrix)
-    f, _ = pullback(M)
+    f = mat_to_skew(M)
     # the whole report is built before any of it is printed, so a norm past
     # CPython's int/str digit limit leaves stdout empty
     try:

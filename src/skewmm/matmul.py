@@ -4,11 +4,12 @@ Three routes to the same exact product of (p-1) x (p-1) rational matrices:
 
   naive_mul  schoolbook ground truth: one int product of the two factors,
              rows and columns scaled by their denominators' lcms;
-  det_mul    deterministic: pull both factors back to polynomials (from
-             their own rows, certified, when they are sparse), bound the
-             product's support by the exponent sumset of size t, evaluate
-             the product map at t points straight from the input matrices,
-             interpolate on the known support, push forward;
+  det_mul    deterministic: pull both factors back to polynomials
+             (mat_to_skew), bound the product's support by the exponent
+             sumset of size t, and form the product by one of three exact
+             stages: the direct product of the polynomials, evaluation at
+             t points read off the input matrices and known-support
+             interpolation, or the int product of all p-1 rows;
   mc_mul     Monte Carlo: guess the product's sparsity by doubling a bound,
              interpolate with the locator-based routine (support found
              modulo a prime, coefficients solved exactly), and accept the
@@ -31,8 +32,7 @@ from fractions import Fraction
 from .cyclotomic import shared_ctx
 from .skewpoly import (InterpolationError, batch_evaluate_via_matrices,
                        interpolate_known_support, sp_mul, sparse_interpolate, sumset)
-from .transform import (RatMatrix, mat_to_skew, matrix_of_values, product_matrix, pullback,
-                        skew_to_mat)
+from .transform import RatMatrix, mat_to_skew, matrix_of_values, product_matrix, skew_to_mat
 
 MAX_SEED = 2 ** 64
 
@@ -64,13 +64,11 @@ class MulReport:
     final_T is the last sparsity bound tried by mc_mul; fallback
     flags that mc_mul's direct round, the product read off all p-1 values,
     failed verification and the schoolbook product was returned instead,
-    which indicates a bug rather than an input condition.  pullback is the
-    route det_mul's pullback took for A and for B, each "sparse" (read off
-    the factor's rows and certified) or "dense" (mat_to_skew); product is
-    the stage det_mul formed the product by, "direct", "evaluate" or
-    "rows" (see det_mul).  Both are empty for naive_mul and mc_mul.  For
-    det_mul, t_used is the sumset size t on every route.  wall_time is
-    measured, never asserted.
+    which indicates a bug rather than an input condition.  product is the
+    stage det_mul formed the product by, "direct", "evaluate" or "rows"
+    (see det_mul), and is empty for naive_mul and mc_mul.  For det_mul,
+    t_used is the sumset size t on every route.  wall_time is measured,
+    never asserted.
     """
 
     algorithm: Algorithm
@@ -80,7 +78,6 @@ class MulReport:
     wall_time: float = 0.0
     final_T: int = 0
     fallback: bool = False
-    pullback: tuple = ()
     product: str = ""
 
 
@@ -165,16 +162,13 @@ def _form_product(route: str, A: RatMatrix, B: RatMatrix, f_a, f_b, support, ctx
 def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     """Deterministic skew-sparse product: always exactly equals naive_mul.
 
-    Each factor is pulled back by `pullback`: a factor with s terms, s at
-    most the sparse bound T(p) (0 below p=61), is read off its own rows by
-    sparse interpolation and certified against the rest in
-    O(s p^2 + T^2 p); any other factor goes through the dense mat_to_skew,
-    one cyclic correlation packed into a big int (O(p^2) interpreter steps
-    and p-1 shifted adds of a p(p-1)-slot int), or O(p^3) int additions
-    when its scaled entries are too long for 64-bit slots.  The
-    product polynomial's support is covered by the exponent sumset of the
-    two pullbacks, of size t.  Then _product_route picks, from s_A, s_B, t
-    and p, one of three exact ways to form the product (_form_product):
+    Each factor is pulled back by mat_to_skew, one cyclic correlation
+    packed into a big int (O(p^2) interpreter steps and p-1 shifted adds
+    of a p(p-1)-slot int), or O(p^3) int additions when its scaled entries
+    are too long for 64-bit slots.  The product polynomial's support is
+    covered by the exponent sumset of the two pullbacks, of size t.  Then
+    _product_route picks, from s_A, s_B, t and p, one of three exact ways
+    to form the product (_form_product):
       direct    skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products,
                 each one big-int product, then the pushforward (O(t p^2));
                 A @ B is the matrix of f_B * f_A (phi_orientation);
@@ -191,16 +185,15 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     start = time.perf_counter()
     p = A.p
     ctx = shared_ctx(p)
-    f_a, route_a = pullback(A, ctx)
-    f_b, route_b = pullback(B, ctx)
+    f_a = mat_to_skew(A, ctx)
+    f_b = mat_to_skew(B, ctx)
     support = sumset(f_a, f_b)
     t = len(support)
     product = _product_route(f_a.sparsity, f_b.sparsity, t, p)
     result = _form_product(product, A, B, f_a, f_b, support, ctx)
     report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
                        rational_mul_count=2 * t * (p - 1) ** 2,
-                       wall_time=time.perf_counter() - start,
-                       pullback=(route_a, route_b), product=product)
+                       wall_time=time.perf_counter() - start, product=product)
     return result, report
 
 

@@ -10,7 +10,9 @@ makes generated files safe to diff and hash.
 Every numerator and denominator has at most sys.get_int_max_str_digits()
 decimal digits (4300 by default), the most CPython converts between int
 and str.  Reading refuses a longer one, naming its line, and writing
-refuses a matrix with a longer entry before the file is opened.
+refuses a matrix with a longer entry before the file is opened.  Reading
+also refuses, as malformed, a file that is not UTF-8 and a header prime
+with more digits than MAX_P, before converting it.
 """
 
 from __future__ import annotations
@@ -66,7 +68,13 @@ def parse_matrix(text: str) -> RatMatrix:
     header = HEADER_RE.fullmatch(lines[0])
     if header is None:
         raise MatrixFormatError(f"bad header line: {lines[0]!r}")
-    p = int(header.group(1))
+    digits = header.group(1)
+    # a number longer than MAX_P is above it; checked before int(), which
+    # refuses a number past the int/str digit limit
+    if len(digits) > len(str(MAX_P)):
+        raise MatrixFormatError(f"header prime of {len(digits)} digits is above the "
+                                f"supported ceiling {MAX_P}")
+    p = int(digits)
     if p > MAX_P:
         raise MatrixFormatError(f"header prime {p} is above the supported ceiling {MAX_P}")
     if not is_odd_prime(p):
@@ -105,5 +113,11 @@ def write_matrix_file(path, M: RatMatrix) -> None:
 
 
 def read_matrix_file(path) -> RatMatrix:
+    """Parse the file at path; MatrixFormatError if it is not UTF-8 text
+    or not a canonical v1 matrix."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_matrix(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return parse_matrix(text)

@@ -1,8 +1,8 @@
 """Built-in invariant suite behind `skewmm selftest`.
 
-Runs the library's structural identities at p in {3, 5, 7, 11, 13} (the
-sparse pullback at p in {13, 31, 61}, both paths of the dense pullback and
-products with denominators also at p=31) with fixed seeds, prints one line
+Runs the library's structural identities at p in {3, 5, 7, 11, 13} (both
+paths of the pullback mat_to_skew and products with denominators also at
+p=31) with fixed seeds, prints one line
 per property plus the empirically resolved conventions (composition
 orientation of the transform, conjugation side of the layer-0 closed form),
 and reports the first failure by name.  Exact arithmetic means every check
@@ -24,12 +24,9 @@ from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             build_X, build_Y, l0_characterization_check,
                             random_layered, skew_sparsity, y_power_row)
 from .transform import (Orientation, RatMatrix, _looped_coefficients, _scaled_row,
-                        _sparse_bound, build_V, build_W, mat_to_skew, phi_orientation,
-                        pullback, skew_to_mat)
+                        build_V, build_W, mat_to_skew, phi_orientation, skew_to_mat)
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13)
-#: pullback's sparse route is off below p=61, so its check adds larger primes
-SPARSE_PULLBACK_PRIMES = (13, 31, 61)
 
 
 def _rand_matrix(p, rng, bound=9):
@@ -211,7 +208,7 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
         if matmul.naive_mul(X, Y) != want or matmul.det_mul(X, Y)[0] != want:
             return False
         ctx = shared_ctx(X.p)
-        f_x, f_y = pullback(X, ctx)[0], pullback(Y, ctx)[0]
+        f_x, f_y = mat_to_skew(X, ctx), mat_to_skew(Y, ctx)
         support = sumset(f_x, f_y)
         return all(matmul._form_product(route, X, Y, f_x, f_y, support, ctx) == want
                    for route in ("direct", "evaluate", "rows"))
@@ -237,35 +234,7 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
                for layers_a, layers_b in (({0}, range(4)), (subgroup, subgroup)))
 
 
-def check_sparse_pullback(primes=SPARSE_PULLBACK_PRIMES) -> bool:
-    """pullback against mat_to_skew: per prime, one random layered matrix
-    of each sparsity 1 .. T+1, taking the sparse route exactly when its
-    sparsity is within the bound T; then, at the largest prime, a sparse
-    matrix with one entry changed in row q(p-1), past the 2T rows the
-    interpolation reads.  Those rows fit
-    the sparse candidate, so only the certificate can reject it; the result
-    must be the dense pullback, and det_mul on it must equal naive_mul."""
-    rng = random.Random(4242)
-    for p in primes:
-        ctx = shared_ctx(p)
-        bound = _sparse_bound(p)
-        for s in range(1, bound + 2):
-            M = random_layered(ctx, rng.sample(range(p - 1), s), rng.getrandbits(32))
-            if pullback(M, ctx) != (mat_to_skew(M, ctx), "sparse" if s <= bound else "dense"):
-                return False
-    p = primes[-1]
-    ctx = shared_ctx(p)
-    M = random_layered(ctx, rng.sample(range(p - 1), _sparse_bound(p)), rng.getrandbits(32))
-    rows = [list(row) for row in M.rows]
-    rows[ctx.q(p - 1) - 1][0] += 1
-    M = RatMatrix(p, rows)
-    if pullback(M, ctx) != (mat_to_skew(M, ctx), "dense"):
-        return False
-    B = random_layered(ctx, [0, 1], rng.getrandbits(32))
-    return matmul.det_mul(M, B)[0] == matmul.naive_mul(M, B)
-
-
-def check_dense_pullback_paths(p=31) -> bool:
+def check_pullback_paths(p=31) -> bool:
     """mat_to_skew's two paths against the rotated-sum definition, one
     rotated_sum per coefficient: a matrix of small ints, whose slots fit 16
     bits and take the packed correlation, and one over denominators up to
@@ -324,10 +293,8 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
          lambda: check_generator_identities()),
         ("layer-0 closed-form identity", check_l0_characterization),
         ("sparse interpolation roundtrip", check_sparse_interpolation),
-        ("dense pullback, packed and looped, vs the rotated-sum definition",
-         check_dense_pullback_paths),
-        ("sparse pullback vs mat_to_skew, certificate rejects a changed late row",
-         check_sparse_pullback),
+        ("pullback, packed and looped, vs the rotated-sum definition",
+         check_pullback_paths),
         ("skew-sparsity reporting", check_sparsity_reporting),
         ("det/mc multiplication vs schoolbook oracle", check_multiplication),
         ("naive/det products with denominators vs Fraction schoolbook, "

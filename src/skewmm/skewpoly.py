@@ -355,21 +355,15 @@ def _support_mod(a, bound: int, ctx, q: int, zeta_pows) -> SupportSet | None:
 
 
 def _agrees(f: SkewPoly, exponents, expected) -> bool:
-    """Whether f's map at beta^l equals the matching value of `expected` for
-    every l in `exponents`.
+    """Whether f's map at beta^l equals the matching CycElem of `expected`
+    for every l in `exponents`.
 
-    Each expected value is a (numerators, den) pair in lowest terms, den > 0
-    and numerator m-1 the power coordinate of beta^m, as CycElem holds it.
-    f's value is put in lowest terms on ints and compared with it; f's values
-    are built and the pairs drawn one at a time, and none after the first
-    mismatch.
+    f's values are built one at a time, each as a CycElem in lowest terms,
+    so equality compares numerators and denominator; none is built after
+    the first mismatch.
     """
     den, rows = values_at_beta_powers(f, exponents)
-    for row, (want, want_den) in zip(rows, expected):
-        g = math.gcd(den, *row)
-        if den // g != want_den or [x // g for x in row] != [*want]:
-            return False
-    return True
+    return all(CycElem(f.ctx, row, den) == want for row, want in zip(rows, expected))
 
 
 def sparse_interpolate(values, bound: int, ctx) -> SkewPoly:
@@ -415,7 +409,7 @@ def sparse_interpolate(values, bound: int, ctx) -> SkewPoly:
         t = len(support)
         candidate = interpolate_known_support(a[:t], support, ctx)
         # the solve is exact on the first t values; check the rest
-        if _agrees(candidate, range(t + 1, 2 * bound + 1), ((v.num, v.den) for v in a[t:])):
+        if _agrees(candidate, range(t + 1, 2 * bound + 1), a[t:]):
             return candidate
     raise InterpolationError(
         f"found no polynomial with at most {bound} terms that fits the {2 * bound} values")

@@ -5,7 +5,7 @@ row-shift (the image of the indeterminate x), and Y, the image of the root
 of unity beta.  The products X^i Y^j with 0 <= i <= p-2 and 1 <= j <= p-1
 form a basis, and the span of {X^i Y^j : j} is the i-th layer L_i; a matrix
 lies in the sum of the layers indexed by the support of its polynomial
-pullback, which is what "skew-sparsity" counts.
+pullback (mat_to_skew), which is what "skew-sparsity" counts.
 
 Layer 0 (the image of the ground field) has a closed form: conjugates of a
 zero-diagonal Toeplitz template minus a rank-one template, with the
@@ -20,7 +20,7 @@ import random
 from .cyclotomic import CycCtx
 from .rational import Rat, as_rat
 from .skewpoly import SkewPoly, SupportSet
-from .transform import RatMatrix, pullback, skew_to_mat
+from .transform import RatMatrix, mat_to_skew, skew_to_mat
 
 _ZERO = Rat(0)
 _ONE = Rat(1)
@@ -144,7 +144,7 @@ def layer_basis_elem(ctx: CycCtx, i: int, j: int) -> RatMatrix:
 
 def skew_sparsity(C: RatMatrix) -> tuple[int, SupportSet]:
     """(number of layers, layer index set) of C via the polynomial pullback."""
-    f, _ = pullback(C)
+    f = mat_to_skew(C)
     return f.sparsity, f.support()
 
 

@@ -12,10 +12,9 @@ algebra.  Both directions are implemented here:
                          correlation of length p(p-1) packed into a big
                          int (O(p^2) interpreter steps and p-1 big-int
                          shifted adds), or, for entries too long for
-                         64-bit slots, as O(p^3) int additions;
-                         pullback, the same result, read off the matrix's
-                         own rows by sparse interpolation and certified
-                         against the rest when the polynomial is sparse;
+                         64-bit slots, as O(p^3) int additions.  It is
+                         the only map this way: det, analyze and
+                         skew_sparsity all call it;
   polynomial -> matrix   skew_to_mat: f's values at beta^1 .. beta^(p-1),
                          read off as rows by matrix_of_values.
 
@@ -39,8 +38,7 @@ import struct
 from .cyclotomic import CycCtx, CycElem, _check_odd_prime, rotated_sum, shared_ctx
 from .multiply import cubic_multiply, rational_product
 from .rational import Rat, as_rat
-from .skewpoly import (InterpolationError, SkewPoly, _agrees, sp_mul,
-                       sparse_interpolate, values_at_beta_powers)
+from .skewpoly import SkewPoly, sp_mul, values_at_beta_powers
 
 
 class RatMatrix:
@@ -313,67 +311,10 @@ def _ctx_for(C: RatMatrix, ctx: CycCtx | None) -> CycCtx:
     return ctx
 
 
-def _sparse_bound(p: int) -> int:
-    """The sparsity bound T pullback interpolates under at p; 0 turns the
-    sparse route off.
-
-    Fitted to in-process timings of the sparse route against the packed
-    mat_to_skew (README, "Sparse pullback"): below p=61 the sparse route
-    lost to it even at one term, and a failed attempt adds up to 25% to
-    the dense pullback that follows; p=61 is the break-even point for one
-    term, and near p=127 two terms win.
-    """
-    return p // 50 if p >= 61 else 0
-
-
 def _scaled_row(num, dens, den: int):
     """The numerators of den times the row num/dens; den must be a multiple
     of every entry's denominator."""
     return num if den == 1 else [x * (den // d) for x, d in zip(num, dens)]
-
-
-def _value_on_ints(C: RatMatrix, ctx: CycCtx, l: int):
-    """The value of C's map at beta^l (1 <= l <= p-1), which is C's row q(l),
-    as (numerators, den): den is the lcm of the row's own denominators, so
-    the pair is already in lowest terms, and numerator m-1 is the power
-    coordinate of beta^m."""
-    i = ctx.q(l) - 1
-    dens = C.dens[i]
-    den = math.lcm(*dens)
-    return ctx.to_power(_scaled_row(C.nums[i], dens, den)), den
-
-
-def pullback(C: RatMatrix, ctx: CycCtx | None = None) -> tuple[SkewPoly, str]:
-    """(mat_to_skew(C, ctx), route): the same polynomial, found from C's own
-    rows when it is sparse; route is "sparse" or "dense", the way it was found.
-
-    C's map sends beta^l to C's row q(l), so the values that Ben-Or & Tiwari
-    interpolation needs are rows of C, gathered with no arithmetic.  With T
-    the bound _sparse_bound(p), sparse_interpolate on the values at beta^1 ..
-    beta^(2T) gives a candidate that agrees with them, and the candidate is
-    certified exactly against the rows for l = 2T+1 .. p-1: skewpoly's
-    _agrees compares its values there with the rows in lowest terms, on
-    ints, one value and one row at a time, up to the first mismatch.
-    Agreement at every beta^l, l = 1..p-1, is agreement on a basis of
-    Q(beta), so the candidate's matrix is C and the candidate is C's
-    pullback.  For s <= T terms this costs O(p^2 + T^2 p + s p^2) integer
-    operations.  When no candidate fits, the certificate fails, or T is 0,
-    the dense mat_to_skew answers: O(p^2) interpreter steps on its packed
-    path, against which the sparse route only wins from p=61 on, hence T.
-    Either way the result is exactly mat_to_skew's.
-    """
-    ctx = _ctx_for(C, ctx)
-    bound = _sparse_bound(ctx.p)
-    if bound:
-        head = [CycElem(ctx, *_value_on_ints(C, ctx, l)) for l in range(1, 2 * bound + 1)]
-        try:
-            f = sparse_interpolate(head, bound, ctx)
-        except InterpolationError:
-            f = None
-        tail = range(2 * bound + 1, ctx.p)
-        if f is not None and _agrees(f, tail, (_value_on_ints(C, ctx, l) for l in tail)):
-            return f, "sparse"
-    return mat_to_skew(C, ctx), "dense"
 
 
 def matrix_of_values(ctx: CycCtx, values) -> RatMatrix:

@@ -303,13 +303,46 @@ def test_analyze_norm_above_the_digit_limit_is_format_error(workdir, capsys):
     assert "more than" in captured.err
 
 
+#: two malformed files that once escaped as tracebacks with exit 1: bytes
+#: that are not UTF-8 (a UTF-16 byte-order mark), and a header prime with
+#: more digits than CPython converts to int
+MALFORMED = {
+    "not-utf8": b"\xff\xfeskewmm-matrix v1 p=7\n",
+    "header-prime-past-the-digit-limit":
+        f"skewmm-matrix v1 p={'7' * ((DIGIT_LIMIT or 4300) + 1)}\n".encode(),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_file_exits_6_with_no_output(workdir, capsys, case):
+    bad = workdir / "bad.mat"
+    bad.write_bytes(MALFORMED[case])
+    a = gen(workdir, "a.mat")
+    out = workdir / "c.mat"
+    capsys.readouterr()
+    for argv in (["analyze", bad],
+                 ["mul", "--algo", "det", bad, a, "-o", out],
+                 ["mul", "--algo", "naive", a, bad, "-o", out],
+                 ["verify", bad, a, a, "--mu", "1/2"]):
+        assert run_cli(*map(str, argv)) == EXIT_FORMAT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("format error: ")
+    assert not out.exists()
+    # the same through the console entry point, in a fresh process
+    proc = subprocess.run([sys.executable, "-m", "skewmm.cli", "analyze", str(bad)],
+                          capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout) == (EXIT_FORMAT, "")
+    assert "Traceback" not in proc.stderr
+
+
 def test_mul_reports_det_product_stage_and_bench_omits_it(workdir, capsys):
-    # one term each, within the sparse bound T = 1 at p=61
+    # one term each, at the ceiling p=61
     a = gen(workdir, "a.mat", p=61, layers="0", seed=1)
     b = gen(workdir, "b.mat", p=61, layers="2", seed=2)
     assert run_cli("mul", "--algo", "det", str(a), str(b), "-o", str(workdir / "c.mat")) == EXIT_OK
     report = json.loads(capsys.readouterr().err)
-    assert (report["pullback"], report["product"]) == (["sparse", "sparse"], "direct")
+    assert report["product"] == "direct"
     assert run_cli("mul", "--algo", "naive", str(a), str(b), "-o", str(workdir / "d.mat")) == EXIT_OK
     assert "product" not in json.loads(capsys.readouterr().err)
     out = workdir / "bench.jsonl"
@@ -519,18 +552,22 @@ def test_usage_error_exit_code():
     assert run_cli() == EXIT_USAGE
 
 
-def test_console_entry_point(workdir):
+def child_env():
+    """The environment for a child process that imports the same skewmm as
+    this process, installed or not."""
     import skewmm
 
-    out = workdir / "a.mat"
-    # the child imports the same skewmm as this process, installed or not
     src = os.path.dirname(os.path.dirname(skewmm.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_console_entry_point(workdir):
+    out = workdir / "a.mat"
     proc = subprocess.run(
         [sys.executable, "-m", "skewmm.cli", "gen", "--p", "5", "--layers", "0,1",
          "--seed", "2", "-o", str(out)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     M = read_matrix_file(out)
     assert M.p == 5

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import fraction_product, rand_rational_matrix, seeded
-from skewmm import RatMatrix, det_mul, naive_mul, pullback, shared_ctx, sumset
+from skewmm import RatMatrix, det_mul, mat_to_skew, naive_mul, shared_ctx, sumset
 from skewmm import matmul
 from skewmm.matmul import _product_route
 from skewmm.skewstructure import random_layered
@@ -63,7 +63,7 @@ def test_each_route_equals_the_fraction_product(case, monkeypatch):
     assert report.product == route
     assert product == RatMatrix(P, fraction_product(A.rows, B.rows)) == naive_mul(A, B)
     ctx = shared_ctx(P)
-    t = len(sumset(pullback(A, ctx)[0], pullback(B, ctx)[0]))
+    t = len(sumset(mat_to_skew(A, ctx), mat_to_skew(B, ctx)))
     assert report.t_used == t
     assert report.rational_mul_count == 2 * t * (P - 1) ** 2
 
@@ -92,7 +92,7 @@ def test_every_route_is_exact_at_every_prime(route, monkeypatch):
 def test_collapsing_sumsets():
     ctx = shared_ctx(P)
     for case, size in (("evaluate", 5), ("evaluate, s = t = 10", 10)):
-        f_a, f_b = (pullback(M, ctx)[0] for M in PAIRS[case]())
+        f_a, f_b = (mat_to_skew(M, ctx) for M in PAIRS[case]())
         assert f_a.sparsity == f_b.sparsity == len(sumset(f_a, f_b)) == size
 
 

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import fraction_product, rand_elem, rand_rational_matrix, seeded
 from skewmm import (RatMatrix, SkewPoly, det_mul, mat_to_skew, naive_mul, parse_matrix,
-                    pullback, serialize_matrix, shared_ctx, skew_to_mat)
+                    serialize_matrix, shared_ctx, skew_to_mat)
 from skewmm.skewstructure import random_layered
-from skewmm.transform import _sparse_bound
 
 denominators = st.one_of(st.integers(1, 12), st.sampled_from([3 ** 40, 2 ** 61 - 1]))
 numerators = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
@@ -92,12 +91,12 @@ def test_zero_identity_and_transpose_are_canonical():
 def test_products_and_pullbacks_never_build_the_fraction_view(monkeypatch):
     # the operands are naive_mul's and skew_to_mat's outputs, so none has
     # a view yet; with `rows` patched to raise, any read of it fails the test
-    p = 61  # the smallest prime with a sparse route (T = 1)
+    p = 31
     ctx = shared_ctx(p)
     rng = seeded(13)
     third = RatMatrix.identity(p).scale(Fraction(1, 3))
     sparse = naive_mul(random_layered(ctx, [4], rng.getrandbits(32)), third)
-    wide = naive_mul(third, random_layered(ctx, range(_sparse_bound(p) + 1), rng.getrandbits(32)))
+    wide = naive_mul(third, random_layered(ctx, range(8), rng.getrandbits(32)))
     dense = naive_mul(skew_to_mat(SkewPoly(ctx, {e: rand_elem(ctx, rng, den_bound=7)
                                                  for e in range(p - 1)})), third)
     pairs = ((sparse, sparse), (sparse, wide), (wide, sparse), (dense, sparse))
@@ -108,12 +107,11 @@ def test_products_and_pullbacks_never_build_the_fraction_view(monkeypatch):
     monkeypatch.setattr(RatMatrix, "rows", property(no_view))
     naive = [naive_mul(A, B) for A, B in pairs]
     det = [det_mul(A, B) for A, B in pairs]
-    pulled = [pullback(M, ctx) for M in (sparse, wide, dense)]
-    dense_pullbacks = [mat_to_skew(M, ctx) for M in (sparse, wide, dense)]
+    pulled = [mat_to_skew(M, ctx) for M in (sparse, wide, dense)]
     monkeypatch.undo()
 
-    assert pulled == [(f, route) for f, route in zip(dense_pullbacks,
-                                                     ("sparse", "dense", "dense"))]
+    assert [f.sparsity for f in pulled] == [1, 8, p - 1]
+    assert [skew_to_mat(f) for f in pulled] == [sparse, wide, dense]
     assert det[-1][1].t_used == p - 1  # read off the rows, no interpolation
     for (A, B), got, (product, _) in zip(pairs, naive, det):
         assert got == product == RatMatrix(p, fraction_product(A.rows, B.rows))

@@ -8,7 +8,8 @@ from skewmm import (CycElem, InterpolationError, SkewPoly, SupportSet,
                     interpolate_known_support, normal_coords, power_of_v1,
                     power_points, shared_ctx, skew_to_mat, sp_add, sp_evaluate,
                     sp_mul, sp_neg, sparse_interpolate, sumset)
-from skewmm.skewpoly import values_at_beta_powers
+from skewmm import skewpoly
+from skewmm.skewpoly import _agrees, _moduli, values_at_beta_powers
 
 
 def geometric_poly(ctx, k):
@@ -503,6 +504,61 @@ def test_sparse_interpolate_rejects_values_no_polynomial_fits():
         values[-1] = values[-1] + ctx.one
         with pytest.raises(InterpolationError):
             sparse_interpolate(values, bound, ctx=ctx)
+
+
+@pytest.mark.parametrize("change", ["add", "halve"])
+def test_certificate_rejects_a_changed_value(change):
+    # _agrees, sparse_interpolate's exact check, on f's own values at
+    # beta^1 .. beta^(p-1) with one of them changed.  "halve" keeps the
+    # value's lowest-terms numerators and changes only its denominator, so
+    # the check must compare denominators too
+    p = 31
+    ctx = shared_ctx(p)
+    f = rand_poly(ctx, seeded(3161), 2, den_bound=4)
+    values = evaluations(f, p - 1)
+    assert _agrees(f, range(1, p), values)
+    for l in (1, p - 1):
+        changed = list(values)
+        old = values[l - 1]
+        if change == "add":
+            changed[l - 1] = old + ctx.one
+        else:
+            changed[l - 1] = CycElem(ctx, old.num, 2 * old.den)
+            assert changed[l - 1].num == old.num
+        assert not _agrees(f, range(1, p), changed)
+
+
+def test_certificate_stops_at_the_first_mismatch(monkeypatch):
+    # f's values at beta^3 .. beta^60 at p=61, the first of them changed:
+    # the check must build f's value at beta^3 and no other, where building
+    # all 58 first would do
+    p = 61
+    ctx = shared_ctx(p)
+    rng = seeded(2161)
+    f = SkewPoly(ctx, {rng.randrange(p - 1): rand_elem(ctx, rng)})
+    expected = evaluations(f, p - 1)[2:]
+    expected[0] = expected[0] + ctx.one
+    built = []
+    real_rotated_sum = skewpoly.rotated_sum
+
+    def counting_rotated_sum(p, shifted):
+        built.append(1)
+        return real_rotated_sum(p, shifted)
+
+    monkeypatch.setattr(skewpoly, "rotated_sum", counting_rotated_sum)
+    assert not _agrees(f, range(3, p), expected)
+    assert len(built) == 1
+
+
+def test_support_primes_are_found_on_demand():
+    # a one-term f at p=61 is found modulo the first prime, so only that
+    # prime is searched for; the others are found when iteration reaches them
+    skewpoly._modulus.cache_clear()
+    ctx = shared_ctx(61)
+    f = SkewPoly(ctx, {4: rand_elem(ctx, seeded(3))})
+    assert sparse_interpolate(evaluations(f, 2), 1, ctx=ctx) == f
+    assert skewpoly._modulus.cache_info().currsize == 1
+    assert len(list(_moduli(61))) == skewpoly.NUM_MODULI
 
 
 def test_sparse_interpolate_input_validation():

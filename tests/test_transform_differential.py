@@ -47,7 +47,7 @@ def assert_canonical(values):
         assert math.gcd(x.numerator, x.denominator) == 1
 
 
-def pullback_by_definition(C, ctx):
+def mat_to_skew_by_definition(C, ctx):
     """(1/p) * W * b, entrywise with field products."""
     p = ctx.p
     n = p - 1
@@ -118,7 +118,7 @@ def polynomials(draw):
 def test_pullback_matches_definition(C):
     ctx = shared_ctx(C.p)
     f = mat_to_skew(C, ctx)
-    assert f == pullback_by_definition(C, ctx)
+    assert f == mat_to_skew_by_definition(C, ctx)
     for coeff in f.terms.values():
         assert coeff
         assert_canonical(coeff.coords)
@@ -148,7 +148,7 @@ def test_coprime_denominators_share_one_pullback():
     C = RatMatrix(p, rows)
     ctx = shared_ctx(p)
     f = mat_to_skew(C, ctx)
-    assert f == pullback_by_definition(C, ctx)
+    assert f == mat_to_skew_by_definition(C, ctx)
     assert skew_to_mat(f) == C
 
 
@@ -189,7 +189,7 @@ def test_slot_width_edges(monkeypatch, p, size, over, sign):
     f = mat_to_skew(C)
     assert paths == [("loop" if size == 8 else 2 * size) if over else size]
     monkeypatch.undo()
-    assert f == pullback_by_definition(C, shared_ctx(p))
+    assert f == mat_to_skew_by_definition(C, shared_ctx(p))
     assert skew_to_mat(f) == C
 
 
@@ -208,7 +208,7 @@ def test_long_denominators_pick_the_path(monkeypatch, p, dens, path):
     f = mat_to_skew(C)
     assert ["loop" if x == "loop" else "packed" for x in paths] == [path]
     monkeypatch.undo()
-    assert f == pullback_by_definition(C, shared_ctx(p))
+    assert f == mat_to_skew_by_definition(C, shared_ctx(p))
 
 
 def test_p31_pullback_matches_definition(monkeypatch):
@@ -221,4 +221,4 @@ def test_p31_pullback_matches_definition(monkeypatch):
     f = mat_to_skew(C, ctx)
     assert paths == [4]
     monkeypatch.undo()
-    assert f == pullback_by_definition(C, ctx)
+    assert f == mat_to_skew_by_definition(C, ctx)
