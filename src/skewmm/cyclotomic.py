@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 
 from .rational import Rat, SCALAR_TYPES, as_rat
 
@@ -298,20 +299,23 @@ def cyc_mul(a: CycElem, b: CycElem) -> CycElem:
 
     Each operand's numerators are packed into one int, numerator i (for
     beta^(i+1)) in a signed slot of w bits at X^(i+1), X = 2^w, with w from
-    _slot_bytes.  The product of the two ints is the product polynomial at
-    X.  It is folded mod X^p - 1 on ints: its part above X^p is split off
-    (rounding to nearest, which is exact because the part below is less
-    than X^p / 2 in size) and added to the part below.  Then the p slots,
-    one per beta-exponent, are read off its bytes with a bias of 2^(w-1)
-    each, and beta^0 is eliminated via beta^0 = -(beta + ... +
-    beta^(p-1)); the biases cancel in that subtraction.  The result is over
-    the product of the denominators.  O(p) interpreter steps and one
-    big-int product, against O(p^2) steps for the cyclic convolution.
+    _slot_bytes, rounded up to 1, 2, 4 or 8 bytes when it is at most 8.
+    The product of the two ints is the product polynomial at X.  It is
+    folded mod X^p - 1 on ints: its part above X^p is split off (rounding
+    to nearest, which is exact because the part below is less than X^p / 2
+    in size) and added to the part below.  Then the p slots, one per
+    beta-exponent, are read off its bytes with a bias of 2^(w-1) each,
+    through one struct for widths up to 8 bytes and by slices above, and
+    beta^0 is eliminated via beta^0 = -(beta + ... + beta^(p-1)); the
+    biases cancel in that subtraction.  The result is over the product of
+    the denominators.  O(p) interpreter steps and one big-int product,
+    against O(p^2) steps for the cyclic convolution.
     """
     _check_same_ctx(a, b)
     ctx = a.ctx
     p = ctx.p
     k = _slot_bytes(a.num, b.num)
+    k = _word_bytes(8 * k) or k
     w = 8 * k
     slots = range(w, w * p, w)
     prod = sum(map(operator.lshift, a.num, slots)) * sum(map(operator.lshift, b.num, slots))
@@ -320,18 +324,38 @@ def cyc_mul(a: CycElem, b: CycElem) -> CycElem:
     folded = prod - (high << wp) + high
     raw = (folded + int.from_bytes((bytes(k - 1) + b"\x80") * p, "little")).to_bytes(
         k * p, "little")
-    acc = [int.from_bytes(raw[i:i + k], "little") for i in range(0, k * p, k)]
+    if k <= 8:
+        acc = _slot_structs(p, k)[1].unpack(raw)
+    else:
+        acc = [int.from_bytes(raw[i:i + k], "little") for i in range(0, k * p, k)]
     c0 = acc[0]
     return CycElem(ctx, [x - c0 for x in acc[1:]], a.den * b.den)
 
 
+def _word_bytes(bits: int) -> int | None:
+    """The least of 1, 2, 4 or 8 bytes that holds `bits` bits, or None
+    above 64 bits: the slot widths a struct converts."""
+    return next((k for k in (1, 2, 4, 8) if 8 * k >= bits), None)
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_structs(count: int, size: int):
+    """Little-endian (signed, unsigned) formats for `count` slots of `size`
+    bytes (1, 2, 4 or 8)."""
+    code = {1: "b", 2: "h", 4: "i", 8: "q"}[size]
+    return struct.Struct(f"<{count}{code}"), struct.Struct(f"<{count}{code.upper()}")
+
+
 def mul_beta_power(a: CycElem, k: int) -> CycElem:
-    """Multiply by beta^k: a rotation plus beta^0 reduction, O(p)."""
-    p = a.ctx.p
-    k %= p
+    """Multiply by beta^k: the exponent vector (0, *num) rotated by k
+    places, then its beta^0 entry subtracted from the rest, O(p)."""
+    k %= a.ctx.p
     if k == 0:
         return a
-    return CycElem(a.ctx, rotated_sum(p, [(a.vector(a.den), k)]), a.den)
+    vec = (0, *a.num)
+    rotated = vec[-k:] + vec[:-k]
+    c0 = rotated[0]
+    return CycElem(a.ctx, [x - c0 for x in rotated[1:]], a.den)
 
 
 def rotated_sum(p: int, shifted) -> list:
@@ -374,16 +398,23 @@ def div_one_minus_beta_power(a: CycElem, m: int) -> CycElem:
 
 
 def cyc_sigma(a: CycElem, k: int = 1) -> CycElem:
-    """Apply sigma^k (beta -> beta^(r^k)): a pure coordinate permutation."""
+    """Apply sigma^k (beta -> beta^(r^k)): a pure coordinate permutation,
+    one cached itemgetter per (p, r^k mod p)."""
     ctx = a.ctx
     p = ctx.p
     m = ctx.pow_r[k % (p - 1)]
     if m == 1:
         return a
-    out = [0] * (p - 1)
-    for i, c in enumerate(a.num):
-        out[(i + 1) * m % p - 1] = c
-    return CycElem(ctx, out, a.den)
+    return CycElem(ctx, _sigma_permutation(p, m)(a.num), a.den)
+
+
+@functools.lru_cache(maxsize=None)
+def _sigma_permutation(p: int, m: int):
+    """The gather taking power numerators to those of beta -> beta^m:
+    coordinate j (for beta^(j+1)) is old coordinate i with (i+1) m = j+1
+    (mod p)."""
+    m_inv = pow(m, -1, p)
+    return operator.itemgetter(*((j * m_inv) % p - 1 for j in range(1, p)))
 
 
 def normal_coords(a: CycElem) -> tuple:

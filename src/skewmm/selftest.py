@@ -239,7 +239,9 @@ def check_pullback_paths(p=31) -> bool:
     rotated_sum per coefficient: a matrix of small ints, whose slots fit 16
     bits and take the packed correlation, and one over denominators up to
     3^40 and 2^61 - 1, whose slots would need more than 64 bits and take
-    the rotated-sum loop; each must also round-trip through skew_to_mat."""
+    the rotated-sum loop; each must also round-trip through skew_to_mat,
+    whose pushforward takes the packed words (16-bit slots) on the first
+    and one rotated_sum per value on the second."""
     rng = random.Random(3131)
     ctx = shared_ctx(p)
     for C in (_rand_matrix(p, rng), _rand_rational_matrix(p, rng)):
@@ -293,8 +295,8 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
          lambda: check_generator_identities()),
         ("layer-0 closed-form identity", check_l0_characterization),
         ("sparse interpolation roundtrip", check_sparse_interpolation),
-        ("pullback, packed and looped, vs the rotated-sum definition",
-         check_pullback_paths),
+        ("pullback and pushforward, packed and looped, vs the rotated-sum "
+         "definition", check_pullback_paths),
         ("skew-sparsity reporting", check_sparsity_reporting),
         ("det/mc multiplication vs schoolbook oracle", check_multiplication),
         ("naive/det products with denominators vs Fraction schoolbook, "

@@ -17,8 +17,8 @@ import functools
 import math
 import operator
 
-from .cyclotomic import (CycElem, _check_same_ctx, _is_prime, cyc_mul, cyc_sigma,
-                         div_one_minus_beta_power, mul_beta_power,
+from .cyclotomic import (CycElem, _check_same_ctx, _is_prime, _slot_structs, _word_bytes,
+                         cyc_mul, cyc_sigma, div_one_minus_beta_power, mul_beta_power,
                          power_of_v1, rotated_sum)
 from .multiply import rational_product
 
@@ -181,16 +181,50 @@ def values_at_beta_powers(f: SkewPoly, exponents):
     item holds D times the p-1 power coordinates of the value at
     beta^exponents[k]; each value is built only when it is drawn.
 
-    The term c x^e sends beta^l to c * beta^(l r^e), so each value is one
-    rotated_sum of the coefficients' int vectors: O(p * #f) integer additions
-    and no gcd.
+    The term c x^e sends beta^l to c * beta^(l u) with u = r^e, so the
+    value is the sum of f's t coefficient vectors (slot x for beta^x, over
+    D), each rotated by its u l mod p places.  The vectors are packed once,
+    each into a p-slot int offset by M = max|entry| (_packed_values), and a
+    value is one sum of t rotated words, unpacked once: no slot sum exceeds
+    2 t M, and the offsets cancel when beta^0 is eliminated.  The slots are
+    8, 16, 32 or 64 bits, the least with 2 t M < 2^w; wider entries take
+    one rotated_sum per value, O(p t) int additions.  No gcd either way.
     """
     ctx = f.ctx
     p = ctx.p
     terms = f.sorted_terms()
     den = math.lcm(*{c.den for _, c in terms})
     vecs = [(ctx.pow_r[e], c.vector(den)) for e, c in terms]
-    return den, (rotated_sum(p, [(vec, u * l % p) for u, vec in vecs]) for l in exponents)
+    bound = max((max(map(abs, vec)) for _, vec in vecs), default=0)
+    size = _word_bytes((2 * len(vecs) * bound).bit_length())
+    if size is None:
+        return den, (rotated_sum(p, [(vec, u * l % p) for u, vec in vecs]) for l in exponents)
+    return den, _packed_values(p, vecs, bound, size, exponents)
+
+
+def _packed_values(p: int, vecs, bound: int, size: int, exponents):
+    """values_at_beta_powers' rows for the (u, vec) pairs, in slots of `size`
+    bytes with 2 t bound < 2^(8 size), built one per exponent drawn.
+
+    Each vector, offset by bound, is one word C of p slots, kept doubled
+    as C + C X^p (X = 2^w, w = 8 size): its slice of p slots starting at
+    slot p - s is C rotated s places towards the top.  The t slices are
+    summed with one mask at the end, which is exact because no slot of the
+    sum reaches 2^w, so nothing carries out of the low p slots.
+    """
+    unsigned = _slot_structs(p, size)[1]
+    w = 8 * size
+    span = w * p
+    mask = (1 << span) - 1
+    words = []
+    for u, vec in vecs:
+        word = int.from_bytes(unsigned.pack(*[x + bound for x in vec]), "little")
+        words.append((u, word | (word << span)))
+    for l in exponents:
+        acc = sum(word >> (span - w * (u * l % p)) for u, word in words) & mask
+        slots = unsigned.unpack(acc.to_bytes(span // 8, "little"))
+        c0 = slots[0]
+        yield [x - c0 for x in slots[1:]]
 
 
 def batch_evaluate_via_matrices(ctx, indices, A, B):

@@ -16,7 +16,11 @@ algebra.  Both directions are implemented here:
                          the only map this way: det, analyze and
                          skew_sparsity all call it;
   polynomial -> matrix   skew_to_mat: f's values at beta^1 .. beta^(p-1),
-                         read off as rows by matrix_of_values.
+                         each one sum of f's #f coefficient vectors
+                         packed into rotated words (O(p) interpreter
+                         steps and #f big-int shifted adds per value, or
+                         one rotated_sum for entries too long for 64-bit
+                         slots), read off as rows by matrix_of_values.
 
 The same row fact drives the multiplication algorithms: any matrix's map
 sends v_1^l = beta^l to the matrix's row q(l), so the product map's values
@@ -33,9 +37,9 @@ import functools
 import itertools
 import math
 import operator
-import struct
 
-from .cyclotomic import CycCtx, CycElem, _check_odd_prime, rotated_sum, shared_ctx
+from .cyclotomic import (CycCtx, CycElem, _check_odd_prime, _slot_structs, _word_bytes,
+                         rotated_sum, shared_ctx)
 from .multiply import cubic_multiply, rational_product
 from .rational import Rat, as_rat
 from .skewpoly import SkewPoly, sp_mul, values_at_beta_powers
@@ -216,11 +220,10 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
     bound = max(max(map(max, rows)), -min(map(min, rows)))
     if not bound:
         return SkewPoly.zero(ctx)
-    bits = (2 * (p - 1) * bound).bit_length()
-    if bits > 64:
+    size = _word_bytes((2 * (p - 1) * bound).bit_length())
+    if size is None:
         coefficients = _looped_coefficients(ctx, rows)
     else:
-        size = next(k for k in (1, 2, 4, 8) if 8 * k >= bits)
         coefficients = _packed_coefficients(ctx, rows, bound, size)
     out_den = p * den
     return SkewPoly(ctx, {i: CycElem(ctx, coords, out_den)
@@ -295,14 +298,6 @@ def _crt_layout(p: int):
             operator.itemgetter(*(pos(i, 0) for i in range(n))))
 
 
-@functools.lru_cache(maxsize=None)
-def _slot_structs(count: int, size: int):
-    """Little-endian (signed, unsigned) formats for `count` slots of `size`
-    bytes."""
-    code = {1: "b", 2: "h", 4: "i", 8: "q"}[size]
-    return struct.Struct(f"<{count}{code}"), struct.Struct(f"<{count}{code.upper()}")
-
-
 def _ctx_for(C: RatMatrix, ctx: CycCtx | None) -> CycCtx:
     if ctx is None:
         return shared_ctx(C.p)
@@ -337,7 +332,8 @@ def skew_to_mat(f: SkewPoly) -> RatMatrix:
     """The matrix of the linear map of f in the normal basis.
 
     values_at_beta_powers gives f's values at beta^1 .. beta^(p-1) over one
-    common denominator, O(p^2 * #f) integer additions in all.
+    common denominator, each one sum of #f rotated words: O(p^2)
+    interpreter steps and p #f big-int shifted adds in all.
     """
     ctx = f.ctx
     den, rows = values_at_beta_powers(f, range(1, ctx.p))

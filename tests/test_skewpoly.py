@@ -528,26 +528,26 @@ def test_certificate_rejects_a_changed_value(change):
         assert not _agrees(f, range(1, p), changed)
 
 
-def test_certificate_stops_at_the_first_mismatch(monkeypatch):
+def test_certificate_stops_at_the_first_mismatch():
     # f's values at beta^3 .. beta^60 at p=61, the first of them changed:
     # the check must build f's value at beta^3 and no other, where building
-    # all 58 first would do
+    # all 58 first would do.  A value cannot be built before its exponent is
+    # drawn, so the spy counts the exponents the check draws.
     p = 61
     ctx = shared_ctx(p)
     rng = seeded(2161)
     f = SkewPoly(ctx, {rng.randrange(p - 1): rand_elem(ctx, rng)})
     expected = evaluations(f, p - 1)[2:]
     expected[0] = expected[0] + ctx.one
-    built = []
-    real_rotated_sum = skewpoly.rotated_sum
+    drawn = []
 
-    def counting_rotated_sum(p, shifted):
-        built.append(1)
-        return real_rotated_sum(p, shifted)
+    def counting_exponents():
+        for l in range(3, p):
+            drawn.append(l)
+            yield l
 
-    monkeypatch.setattr(skewpoly, "rotated_sum", counting_rotated_sum)
-    assert not _agrees(f, range(3, p), expected)
-    assert len(built) == 1
+    assert not _agrees(f, counting_exponents(), expected)
+    assert drawn == [3]
 
 
 def test_support_primes_are_found_on_demand():
