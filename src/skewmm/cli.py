@@ -13,6 +13,12 @@ Exit codes are a stable contract:
 Randomized commands are reproducible from their flags plus --seed; every
 matrix file written is canonical, so identical invocations produce
 byte-identical files.
+
+Modules that one command alone needs are imported inside that command:
+selftest by cmd_selftest, and skewstructure (the seeded generator) by
+cmd_gen and the bench cells.  A mul, verify or analyze process, which
+start-up dominates at the primes the CLI accepts, compiles neither
+(README, "CLI start-up").
 """
 
 from __future__ import annotations
@@ -24,11 +30,10 @@ import sys
 import time
 from fractions import Fraction
 
-from . import matmul, selftest
+from . import matmul
 from .cyclotomic import MAX_P, shared_ctx
 from .matrixfile import MatrixFormatError, read_matrix_file, write_matrix_file
 from .rational import Rat
-from .skewstructure import random_layered
 from .transform import mat_to_skew
 
 EXIT_OK = 0
@@ -166,6 +171,8 @@ def _multiply(algo, A, B, nu, seed):
 # --- commands ---------------------------------------------------------------
 
 def cmd_gen(args):
+    from .skewstructure import random_layered
+
     _check_prime_ceiling(args.p, "--p")
     ctx = _shared_ctx_checked(args.p)
     layers = _parse_layers(args.layers, args.p)
@@ -236,6 +243,8 @@ def cmd_verify(args):
 
 
 def _bench_cell(p, t, algo, seed, nu, check):
+    from .skewstructure import random_layered
+
     ctx = shared_ctx(p)
     # fold (seed, p, t) into one master seed so cells never share streams
     master = random.Random((seed * 2 ** 32 + p * 1024 + t * 8) % matmul.MAX_SEED)
@@ -285,6 +294,8 @@ def cmd_bench(args):
 
 
 def cmd_selftest(_args):
+    from . import selftest
+
     ok, failed = selftest.run_selftest(stream=sys.stdout)
     if ok:
         print("selftest: all properties hold")

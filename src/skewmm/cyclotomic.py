@@ -209,6 +209,14 @@ class CycElem:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _from_ints(cls, ctx: CycCtx, num: tuple, den: int) -> CycElem:
+        """The element of a numerator tuple and a denominator already in
+        lowest terms together: no tuple() and no gcd."""
+        a = object.__new__(cls)
+        a.ctx, a.num, a.den = ctx, num, den
+        return a
+
     @property
     def coords(self) -> tuple:
         """The p-1 power coordinates as rationals."""
@@ -355,7 +363,8 @@ def mul_beta_power(a: CycElem, k: int) -> CycElem:
     vec = (0, *a.num)
     rotated = vec[-k:] + vec[:-k]
     c0 = rotated[0]
-    return CycElem(a.ctx, [x - c0 for x in rotated[1:]], a.den)
+    # beta^k is a unit of Z[beta], so the numerators keep their content
+    return CycElem._from_ints(a.ctx, tuple([x - c0 for x in rotated[1:]]), a.den)
 
 
 def rotated_sum(p: int, shifted) -> list:
@@ -405,7 +414,8 @@ def cyc_sigma(a: CycElem, k: int = 1) -> CycElem:
     m = ctx.pow_r[k % (p - 1)]
     if m == 1:
         return a
-    return CycElem(ctx, _sigma_permutation(p, m)(a.num), a.den)
+    # a permutation of the numerators keeps their content
+    return CycElem._from_ints(ctx, _sigma_permutation(p, m)(a.num), a.den)
 
 
 @functools.lru_cache(maxsize=None)

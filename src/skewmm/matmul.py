@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import shared_ctx
@@ -48,9 +48,17 @@ class FreivaldsResult(enum.Enum):
     NOT_EQUAL = "not equal"
 
 
-@dataclass
-class MulReport:
+class MulReport(namedtuple("MulReport", ("algorithm", "t_used", "iterations",
+                                         "rational_mul_count", "wall_time", "final_T",
+                                         "fallback", "product"),
+                           defaults=(0, 0, 0, 0.0, 0, False, ""))):
     """Instrumentation attached to every multiplication.
+
+    An immutable named tuple: algorithm is an Algorithm, wall_time a float
+    in seconds, product a str, fallback a bool and the other fields ints;
+    r._replace(field=value) gives a changed copy.  It is not a dataclass,
+    so that importing the package does not import dataclasses (and with
+    it inspect), which would cost every CLI process about 10 ms.
 
     rational_mul_count is the nominal multiplication count, a closed form
     in p and the number of evaluation points: (p-1)^3 for naive_mul;
@@ -71,14 +79,7 @@ class MulReport:
     never asserted.
     """
 
-    algorithm: Algorithm
-    t_used: int = 0
-    iterations: int = 0
-    rational_mul_count: int = 0
-    wall_time: float = 0.0
-    final_T: int = 0
-    fallback: bool = False
-    product: str = ""
+    __slots__ = ()
 
 
 def _check_pair(a: RatMatrix, b: RatMatrix):

@@ -572,3 +572,66 @@ def test_console_entry_point(workdir):
     M = read_matrix_file(out)
     assert M.p == 5
     assert serialize_matrix(M).encode() == out.read_bytes()
+
+
+#: every name `skewmm` exports; the twelve from `skewmm.skewstructure` are
+#: imported on first access
+EXPORTED = (
+    "Algorithm", "CycCtx", "CycElem", "FreivaldsResult", "InterpolationError",
+    "MatrixFormatError", "MulReport", "Orientation", "RatMatrix", "SkewPoly", "SupportSet",
+    "antidiag_perm", "batch_evaluate_via_matrices", "build_AB_perm", "build_P", "build_Q",
+    "build_V", "build_W", "build_X", "build_Y", "cubic_multiply", "cyc_add", "cyc_mul",
+    "cyc_neg", "cyc_scale", "cyc_sigma", "det_mul", "div_one_minus_beta_power",
+    "find_primitive_root", "freivalds", "from_normal_coords", "interpolate_known_support",
+    "is_odd_prime", "l0_characterization_check", "layer_basis_elem", "mat_to_skew", "mc_mul",
+    "mul_beta_power", "naive_mul", "normal_coords", "parse_matrix", "phi_orientation",
+    "power_of_v1", "power_points", "random_layered", "read_matrix_file", "rounds_for",
+    "serialize_matrix", "shared_ctx", "shift_rows_up", "skew_sparsity", "skew_to_mat",
+    "sp_add", "sp_evaluate", "sp_mul", "sp_neg", "sparse_interpolate", "sumset",
+    "write_matrix_file", "y_power_row")
+
+#: modules that a mul, verify or analyze process does not use
+OFF_THE_CLI_PATH = ("dataclasses", "inspect", "skewmm.selftest", "skewmm.skewstructure")
+
+_FOOTPRINT_SCRIPT = f"""
+import json, sys
+import skewmm.cli
+loaded = sorted(set({OFF_THE_CLI_PATH!r}) & set(sys.modules))
+from skewmm import random_layered, skew_sparsity
+import skewmm
+missing = [name for name in {EXPORTED!r} if not hasattr(skewmm, name)]
+try:
+    skewmm.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({{"loaded": loaded, "missing": missing, "unknown": unknown}}))
+"""
+
+
+def test_cli_import_footprint():
+    # -S: a site hook that imports one of these modules would hide a
+    # regression; the check counts modules, so it needs no timing
+    proc = subprocess.run([sys.executable, "-S", "-c", _FOOTPRINT_SCRIPT],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert found["loaded"] == []
+    assert found["missing"] == []
+    assert found["unknown"] == "module 'skewmm' has no attribute 'no_such_name'"
+
+
+def test_bench_in_a_fresh_process_matches_the_committed_records():
+    # in-process tests run after pytest has imported every module, so only a
+    # child process exercises the imports that cli defers to its commands
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewmm.cli", "bench", "--p-list", "5", "--t-list", "1,2",
+         "--algos", "naive,det,mc", "--seeds", "1", "--check"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    golden = [line for line in
+              (Path(__file__).parent / "data" / "bench_p5_p7.jsonl").read_text().splitlines()
+              if json.loads(line)["p"] == 5 and json.loads(line)["seed"] == 1]
+    assert len(golden) == 6
+    untimed = lambda text: re.sub(r'"wall_time_ms": [^,]+', '"wall_time_ms": 0', text)
+    assert untimed(proc.stdout).splitlines() == golden
