@@ -6,10 +6,9 @@ Three routes to the same exact product of (p-1) x (p-1) rational matrices:
              rows and columns scaled by their denominators' lcms;
   det_mul    deterministic: pull both factors back to polynomials
              (mat_to_skew), bound the product's support by the exponent
-             sumset of size t, and form the product by one of three exact
-             stages: the direct product of the polynomials, evaluation at
-             t points read off the input matrices and known-support
-             interpolation, or the int product of all p-1 rows;
+             sumset of size t, and form the product by one of two exact
+             stages: the direct product of the polynomials pushed forward,
+             or the int product of all p-1 rows;
   mc_mul     Monte Carlo: guess the product's sparsity by doubling a bound,
              interpolate with the locator-based routine (support found
              modulo a prime, coefficients solved exactly), and accept the
@@ -30,8 +29,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import shared_ctx
-from .skewpoly import (InterpolationError, batch_evaluate_via_matrices,
-                       interpolate_known_support, sp_mul, sparse_interpolate, sumset)
+from .skewpoly import (InterpolationError, batch_evaluate_via_matrices, sp_mul,
+                       sparse_interpolate, sumset)
 from .transform import RatMatrix, mat_to_skew, matrix_of_values, product_matrix, skew_to_mat
 
 MAX_SEED = 2 ** 64
@@ -62,7 +61,8 @@ class MulReport(namedtuple("MulReport", ("algorithm", "t_used", "iterations",
 
     rational_mul_count is the nominal multiplication count, a closed form
     in p and the number of evaluation points: (p-1)^3 for naive_mul;
-    2 t (p-1)^2 for det_mul's t points, whichever stage it actually runs;
+    2 t (p-1)^2 for det_mul's t points, though neither of its stages
+    evaluates;
     2 m (p-1)^2 for mc_mul's m = min(2 final_T, p-1) values.  Each point is
     charged as a row of the dense t x (p-1) by (p-1) x (p-1) product that
     the gather of A's rows replaces, plus that row's product with B.  The
@@ -73,10 +73,9 @@ class MulReport(namedtuple("MulReport", ("algorithm", "t_used", "iterations",
     flags that mc_mul's direct round, the product read off all p-1 values,
     failed verification and the schoolbook product was returned instead,
     which indicates a bug rather than an input condition.  product is the
-    stage det_mul formed the product by, "direct", "evaluate" or "rows"
-    (see det_mul), and is empty for naive_mul and mc_mul.  For det_mul,
-    t_used is the sumset size t on every route.  wall_time is measured,
-    never asserted.
+    stage det_mul formed the product by, "direct" or "rows" (see det_mul),
+    and is empty for naive_mul and mc_mul.  For det_mul, t_used is the
+    sumset size t on either route.  wall_time is measured, never asserted.
     """
 
     __slots__ = ()
@@ -132,31 +131,25 @@ def naive_mul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     return product_matrix(A, B)
 
 
-def _product_route(s_a: int, s_b: int, t: int, p: int) -> str:
+def _product_route(s_a: int, s_b: int, p: int) -> str:
     """The stage det_mul forms the product by, from the factors' sparsities
-    s_a and s_b, the sumset size t and p: "direct", "evaluate" or "rows".
+    s_a and s_b and p: "direct" while 16 s_a s_b <= (p-1)^2, else "rows".
 
-    At t = p-1 the values at all p-1 points are wanted, and they are the
-    rows of A*B ("rows").  Otherwise the direct product of the two
-    polynomials is taken when it needs at most two field products per term
-    of the sumset, s_a s_b <= 2 t, which holds whenever one factor has a
-    single term; else the product is evaluated at t points and
-    interpolated.  The rule has no fitted constant; README, "Product
-    stage", tabulates the three stages against it.
+    The direct stage costs about s_a s_b field products, the rows stage
+    (p-1)^2 int row-column dot products; the O(t p^2) pushforward is small
+    beside either, so the sumset size t does not enter.  Timed on the same
+    pullbacks (README, "Product stage"), the two stages cost the same where
+    (p-1)^2 / (s_a s_b) is 15-18 at p = 31, 61 and 127, and about 24 at
+    p=13, where both take under 0.2 ms.
     """
-    if t == p - 1:
-        return "rows"
-    return "direct" if s_a * s_b <= 2 * t else "evaluate"
+    return "direct" if 16 * s_a * s_b <= (p - 1) ** 2 else "rows"
 
 
-def _form_product(route: str, A: RatMatrix, B: RatMatrix, f_a, f_b, support, ctx) -> RatMatrix:
-    """A*B by the named stage of det_mul, from the pullbacks f_a, f_b of A
-    and B and their exponent sumset; every stage gives the same matrix."""
+def _form_product(route: str, A: RatMatrix, B: RatMatrix, f_a, f_b) -> RatMatrix:
+    """A*B by the named stage of det_mul, from the pullbacks f_a and f_b of A
+    and B; both stages give the same matrix."""
     if route == "direct":
         return skew_to_mat(sp_mul(f_b, f_a))
-    if route == "evaluate":
-        values = batch_evaluate_via_matrices(ctx, range(1, len(support) + 1), A, B)
-        return skew_to_mat(interpolate_known_support(values, support, ctx))
     return product_matrix(A, B)
 
 
@@ -168,19 +161,18 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     of a p(p-1)-slot int), or O(p^3) int additions when its scaled entries
     are too long for 64-bit slots.  The product polynomial's support is
     covered by the exponent sumset of the two pullbacks, of size t.  Then
-    _product_route picks, from s_A, s_B, t and p, one of three exact ways
-    to form the product (_form_product):
+    _product_route picks, from s_A, s_B and p, one of two exact ways to
+    form the product (_form_product):
       direct    skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products,
                 each one big-int product, then the pushforward (O(t p^2));
                 A @ B is the matrix of f_B * f_A (phi_orientation);
-      evaluate  the product map's values at v_1^1 .. v_1^t, which are rows
-                of A*B read off the inputs (t gathered rows of A times B,
-                O(t p^2)), one known-support interpolation (O(t^2 p)) and
-                the pushforward;
-      rows      all p-1 values, which are the rows of A*B: the int product
-                of A and B, with no interpolation or pushforward.
-    The report names the route in `product`; t_used is t whatever the
-    route, and rational_mul_count the nominal 2 t (p-1)^2.
+      rows      the int product of A and B, whose rows are the product
+                map's values at all p-1 points, with no pushforward.
+    The paper's evaluation at t points with known-support interpolation
+    is not a stage: it beat both of these in 2 of 105 cells timed, and
+    took up to 12x the faster of them where the sumset nearly fills
+    Z_(p-1).  It stays mc_mul's engine.  The report names the route in `product`; t_used is t and
+    rational_mul_count the nominal 2 t (p-1)^2 on either route.
     """
     _check_pair(A, B)
     start = time.perf_counter()
@@ -188,10 +180,9 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     ctx = shared_ctx(p)
     f_a = mat_to_skew(A, ctx)
     f_b = mat_to_skew(B, ctx)
-    support = sumset(f_a, f_b)
-    t = len(support)
-    product = _product_route(f_a.sparsity, f_b.sparsity, t, p)
-    result = _form_product(product, A, B, f_a, f_b, support, ctx)
+    t = len(sumset(f_a, f_b))
+    product = _product_route(f_a.sparsity, f_b.sparsity, p)
+    result = _form_product(product, A, B, f_a, f_b)
     report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
                        rational_mul_count=2 * t * (p - 1) ** 2,
                        wall_time=time.perf_counter() - start, product=product)

@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from . import matmul
 from .cyclotomic import _is_prime, cyc_mul, cyc_scale, shared_ctx
-from .skewpoly import (SkewPoly, sp_mul, sparse_interpolate, sp_evaluate, power_points,
-                       sumset)
+from .skewpoly import SkewPoly, sp_mul, sparse_interpolate, sp_evaluate, power_points
 from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             build_X, build_Y, l0_characterization_check,
                             random_layered, skew_sparsity, y_power_row)
@@ -197,10 +196,11 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
     """naive_mul and det_mul against a Fraction schoolbook on operands with
     denominators, which the int kernel's row and column scales must undo:
     dense pairs, layered pairs scaled by 1/d, at p=7 a pair whose entries
-    all lie over distinct primes, and at p=31 a layered pair and a pair
-    whose supports are one subgroup of Z_30, so that their sumset
-    collapses.  On every pair each of det's three product stages (direct,
-    evaluate, rows) is also run on its own, whichever one det_mul picks."""
+    all lie over distinct primes, and at p=31 a layered pair, a pair whose
+    supports are one subgroup of Z_30, so that their sumset collapses, and
+    a pair of 8-term random supports whose sumset nearly fills Z_30.  On
+    every pair both of det's product stages (direct, rows) are also run on
+    their own, whichever one det_mul picks."""
     rng = random.Random(606)
 
     def agree(X, Y):
@@ -209,9 +209,8 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
             return False
         ctx = shared_ctx(X.p)
         f_x, f_y = mat_to_skew(X, ctx), mat_to_skew(Y, ctx)
-        support = sumset(f_x, f_y)
-        return all(matmul._form_product(route, X, Y, f_x, f_y, support, ctx) == want
-                   for route in ("direct", "evaluate", "rows"))
+        return all(matmul._form_product(route, X, Y, f_x, f_y) == want
+                   for route in ("direct", "rows"))
 
     def scaled_layered(ctx, layers):
         return random_layered(ctx, layers, rng.getrandbits(32)).scale(
@@ -230,8 +229,10 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
         return False
     ctx = shared_ctx(31)
     subgroup = range(0, 30, 6)
+    random_a, random_b = (0, 1, 3, 4, 12, 15, 21, 24), (3, 4, 7, 17, 22, 23, 24, 29)  # t = 29
     return all(agree(scaled_layered(ctx, layers_a), scaled_layered(ctx, layers_b))
-               for layers_a, layers_b in (({0}, range(4)), (subgroup, subgroup)))
+               for layers_a, layers_b in (({0}, range(4)), (subgroup, subgroup),
+                                          (random_a, random_b)))
 
 
 def check_pullback_paths(p=31) -> bool:
@@ -300,7 +301,7 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
         ("skew-sparsity reporting", check_sparsity_reporting),
         ("det/mc multiplication vs schoolbook oracle", check_multiplication),
         ("naive/det products with denominators vs Fraction schoolbook, "
-         "det's direct, evaluate and rows stages", check_rational_products),
+         "det's direct and rows stages", check_rational_products),
     ]
     for name, fn in checks:
         if not fn():

@@ -337,14 +337,22 @@ def test_malformed_file_exits_6_with_no_output(workdir, capsys, case):
 
 
 def test_mul_reports_det_product_stage_and_bench_omits_it(workdir, capsys):
-    # one term each, at the ceiling p=61
-    a = gen(workdir, "a.mat", p=61, layers="0", seed=1)
-    b = gen(workdir, "b.mat", p=61, layers="2", seed=2)
-    assert run_cli("mul", "--algo", "det", str(a), str(b), "-o", str(workdir / "c.mat")) == EXIT_OK
-    report = json.loads(capsys.readouterr().err)
-    assert report["product"] == "direct"
-    assert run_cli("mul", "--algo", "naive", str(a), str(b), "-o", str(workdir / "d.mat")) == EXIT_OK
-    assert "product" not in json.loads(capsys.readouterr().err)
+    for p, layers_a, layers_b, stage in (
+            # one term each, at the ceiling p=61
+            (61, "0", "2", "direct"),
+            # 12 random layers each at p=61: the sumset (t = 56) nearly fills Z_60
+            (61, "3,4,6,9,20,23,25,34,37,41,52,55", "2,4,5,13,15,26,27,32,35,54,55,58",
+             "direct"),
+            (13, "dense", "dense", "rows")):
+        a = gen(workdir, "a.mat", p=p, layers=layers_a, seed=1)
+        b = gen(workdir, "b.mat", p=p, layers=layers_b, seed=2)
+        c, d = workdir / "c.mat", workdir / "d.mat"
+        assert run_cli("mul", "--algo", "det", str(a), str(b), "-o", str(c)) == EXIT_OK
+        report = json.loads(capsys.readouterr().err)
+        assert report["product"] == stage
+        assert run_cli("mul", "--algo", "naive", str(a), str(b), "-o", str(d)) == EXIT_OK
+        assert "product" not in json.loads(capsys.readouterr().err)
+        assert c.read_bytes() == d.read_bytes()
     out = workdir / "bench.jsonl"
     assert run_cli("bench", "--p-list", "31", "--t-list", "3", "--json", str(out)) == EXIT_OK
     assert "product" not in json.loads(out.read_text())

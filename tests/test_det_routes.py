@@ -1,14 +1,15 @@
-"""det_mul's three product stages: each is exact, and each is taken where
+"""det_mul's two product stages: each is exact, and each is taken where
 the rule says.
 
 After the two pullbacks, det_mul forms the product polynomial by the direct
-product sp_mul(f_B, f_A) ("direct"), by evaluation and known-support
-interpolation on the sumset ("evaluate"), or as the int product of all
-p-1 rows ("rows").  Pairs are built at p=31, with real denominators: a
-layered pair (direct), pairs whose supports are one subgroup of Z_30, so
-that the sumset collapses to it (evaluate), and a dense pair and a layered
-pair whose sumset is all of Z_30 (rows).  Each product must equal the
-Fraction triple loop of conftest, and only the chosen stage may run.
+product sp_mul(f_B, f_A) ("direct") or as the int product of all p-1 rows
+("rows"), whichever _product_route picks from s_A, s_B and p.  Pairs are
+built with real denominators: layered pairs, pairs whose supports are one
+subgroup of Z_30, so that the sumset collapses to it, random supports whose
+sumset nearly fills Z_(p-1) at p=31 and p=61, a dense pair and a zero
+factor.  Each product must equal the Fraction triple loop of conftest, only
+the chosen stage may run, and nothing is evaluated or interpolated: the
+paper's evaluation stage is mc_mul's alone.
 """
 
 from fractions import Fraction
@@ -17,58 +18,78 @@ import pytest
 
 from conftest import fraction_product, rand_rational_matrix, seeded
 from skewmm import RatMatrix, det_mul, mat_to_skew, naive_mul, shared_ctx, sumset
-from skewmm import matmul
+from skewmm import matmul, skewpoly
 from skewmm.matmul import _product_route
 from skewmm.skewstructure import random_layered
 
 P = 31
 
 
-def layered(layers, seed, den):
-    return random_layered(shared_ctx(P), layers, seed).scale(Fraction(1, den))
+def layered(layers, seed, den, p=P):
+    return random_layered(shared_ctx(p), layers, seed).scale(Fraction(1, den))
 
 
 SUBGROUP_5 = range(0, 30, 6)
 SUBGROUP_10 = range(0, 30, 3)
 
+#: the route each pair must take, then what the pair is
 PAIRS = {
     "direct": lambda: (layered([0], 1, 7), layered(range(4), 2, 2 ** 61 - 1)),
-    "evaluate": lambda: (layered(SUBGROUP_5, 3, 3 ** 40), layered(SUBGROUP_5, 4, 5)),
+    "direct, s = t = 5": lambda: (layered(SUBGROUP_5, 3, 3 ** 40), layered(SUBGROUP_5, 4, 5)),
     "rows": lambda: (rand_rational_matrix(P, seeded(5)), rand_rational_matrix(P, seeded(6))),
-    "evaluate, s = t = 10": lambda: (layered(SUBGROUP_10, 7, 2), layered(SUBGROUP_10, 8, 9)),
-    "rows, layered": lambda: (layered(SUBGROUP_10, 9, 3), layered(range(3), 10, 11)),
+    "rows, s = t = 10": lambda: (layered(SUBGROUP_10, 7, 2), layered(SUBGROUP_10, 8, 9)),
+    "direct, layered": lambda: (layered(SUBGROUP_10, 9, 3), layered(range(3), 10, 11)),
+    # s = 8 and t = 29 at p=31, and s = 12 and t = 56 at p=61 (the CLI's
+    # gen with these layers and seeds): sumsets that nearly fill Z_(p-1),
+    # where evaluation and interpolation took about 10x the stage taken
+    "rows, random s = 8": lambda: (layered([0, 1, 3, 4, 12, 15, 21, 24], 12, 5),
+                                   layered([3, 4, 7, 17, 22, 23, 24, 29], 13, 3)),
+    "direct, random s = 12 at p=61": lambda: (
+        layered([3, 4, 6, 9, 20, 23, 25, 34, 37, 41, 52, 55], 1, 1, p=61),
+        layered([2, 4, 5, 13, 15, 26, 27, 32, 35, 54, 55, 58], 2, 1, p=61)),
+    "direct, zero factor": lambda: (RatMatrix.zeros(P), rand_rational_matrix(P, seeded(14))),
 }
 
 #: the stage functions det_mul calls, by the route that calls them
-STAGES = {"direct": ("sp_mul",),
-          "evaluate": ("batch_evaluate_via_matrices", "interpolate_known_support"),
-          "rows": ("product_matrix",)}
+STAGES = {"direct": ("sp_mul",), "rows": ("product_matrix",)}
+
+
+def forbidden(message):
+    def stage(*_args, **_kwargs):
+        raise AssertionError(message)
+
+    return stage
 
 
 @pytest.mark.parametrize("case", PAIRS)
 def test_each_route_equals_the_fraction_product(case, monkeypatch):
     route = case.split(",")[0]
     A, B = PAIRS[case]()
-
-    def forbidden(*_args, **_kwargs):
-        raise AssertionError(f"the {route} route ran another route's stage")
+    p = A.p
 
     for other, names in STAGES.items():
         if other != route:
             for name in names:
-                monkeypatch.setattr(matmul, name, forbidden)
+                monkeypatch.setattr(matmul, name,
+                                    forbidden(f"the {route} route ran another route's stage"))
+    # in skewpoly, where the evaluation stage lives, and in matmul, which
+    # imports batch_evaluate_via_matrices by name for mc_mul
+    for name in ("batch_evaluate_via_matrices", "interpolate_known_support"):
+        for module in (skewpoly, matmul):
+            monkeypatch.setattr(module, name, forbidden("det evaluated or interpolated"),
+                                raising=module is skewpoly)
     product, report = det_mul(A, B)
     monkeypatch.undo()
 
     assert report.product == route
-    assert product == RatMatrix(P, fraction_product(A.rows, B.rows)) == naive_mul(A, B)
-    ctx = shared_ctx(P)
+    assert product == RatMatrix(p, fraction_product(A.rows, B.rows)) == naive_mul(A, B)
+    ctx = shared_ctx(p)
     t = len(sumset(mat_to_skew(A, ctx), mat_to_skew(B, ctx)))
     assert report.t_used == t
-    assert report.rational_mul_count == 2 * t * (P - 1) ** 2
+    assert report.rational_mul_count == 2 * t * (p - 1) ** 2
 
 
-@pytest.mark.parametrize("route", ("direct", "evaluate", "rows"))
+@pytest.mark.parametrize("route", ("direct", "rows"))
 def test_every_route_is_exact_at_every_prime(route, monkeypatch):
     # forced past the rule, each route must still give the product, on
     # layered, full-support, dense and zero pairs with denominators
@@ -91,22 +112,31 @@ def test_every_route_is_exact_at_every_prime(route, monkeypatch):
 
 def test_collapsing_sumsets():
     ctx = shared_ctx(P)
-    for case, size in (("evaluate", 5), ("evaluate, s = t = 10", 10)):
+    for case, size in (("direct, s = t = 5", 5), ("rows, s = t = 10", 10)):
         f_a, f_b = (mat_to_skew(M, ctx) for M in PAIRS[case]())
         assert f_a.sparsity == f_b.sparsity == len(sumset(f_a, f_b)) == size
 
 
 @pytest.mark.parametrize("s_a, s_b, t, p, route", [
-    # t = p-1: the product's rows are all its values
-    (30, 30, 30, 31, "rows"), (1, 30, 30, 31, "rows"), (1, 12, 12, 13, "rows"),
-    (2, 2, 2, 3, "rows"), (1, 60, 60, 61, "rows"),
-    # a one-term factor: s_a s_b = t
+    # the boundary 16 s_a s_b = (p-1)^2, on both sides at each p
+    (0, 2, 0, 3, "direct"), (1, 1, 1, 3, "rows"), (2, 2, 2, 3, "rows"),
+    (1, 1, 1, 5, "direct"), (1, 2, 2, 5, "rows"),
+    (3, 3, 3, 13, "direct"), (1, 9, 9, 13, "direct"), (1, 10, 10, 13, "rows"),
+    (2, 5, 10, 13, "rows"), (1, 12, 12, 13, "rows"),
+    (7, 8, 30, 31, "direct"), (2, 29, 30, 31, "rows"), (8, 8, 29, 31, "rows"),
+    (15, 15, 15, 61, "direct"), (12, 12, 56, 61, "direct"), (15, 16, 60, 61, "rows"),
+    (31, 32, 126, 127, "direct"), (21, 21, 21, 127, "direct"), (32, 32, 32, 127, "rows"),
+    (42, 42, 42, 127, "rows"),
+    # a one-term factor: direct from p=17 on, whatever the other factor
     (1, 1, 1, 31, "direct"), (1, 16, 16, 31, "direct"), (16, 1, 16, 31, "direct"),
-    (1, 42, 42, 127, "direct"),
-    # at the bound s_a s_b = 2 t and just past it
-    (5, 6, 15, 31, "direct"), (5, 5, 12, 31, "evaluate"), (5, 5, 13, 31, "direct"),
-    # supports on one subgroup: the sumset is as large as each support
-    (5, 5, 5, 31, "evaluate"), (10, 10, 10, 31, "evaluate"), (30, 30, 30, 61, "evaluate"),
+    (1, 30, 30, 31, "direct"), (1, 60, 60, 61, "direct"), (1, 42, 42, 127, "direct"),
+    # the same s_a s_b at different t takes one route: t is not read
+    (5, 6, 15, 31, "direct"), (5, 5, 12, 31, "direct"), (5, 5, 13, 31, "direct"),
+    (5, 5, 5, 31, "direct"), (10, 10, 10, 31, "rows"), (30, 30, 30, 31, "rows"),
+    (30, 30, 30, 61, "rows"),
 ])
 def test_the_rule(s_a, s_b, t, p, route):
-    assert _product_route(s_a, s_b, t, p) == route
+    # each cell is a pair's: t lies between the larger support and the
+    # smaller of s_a s_b and p-1 (0 for a zero factor)
+    assert (max(s_a, s_b) if s_a * s_b else 0) <= t <= min(s_a * s_b, p - 1)
+    assert _product_route(s_a, s_b, p) == route

@@ -103,12 +103,12 @@ def test_det_cancellation_family():
 def test_det_at_full_support_reads_the_product_off_the_rows(monkeypatch):
     # at t = p-1 the values at v_1^1 .. v_1^(p-1) are the product's rows:
     # nothing is interpolated or pushed forward
-    from skewmm import matmul
+    from skewmm import matmul, skewpoly
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("dense det interpolated or pushed forward")
 
-    monkeypatch.setattr(matmul, "interpolate_known_support", forbidden)
+    monkeypatch.setattr(skewpoly, "interpolate_known_support", forbidden)
     monkeypatch.setattr(matmul, "skew_to_mat", forbidden)
     for p in (3, 13, 31):
         rng = seeded(500 + p)
