@@ -3,7 +3,8 @@
 Three routes to the same exact product of (p-1) x (p-1) rational matrices:
 
   naive_mul  schoolbook ground truth: one int product of the two factors,
-             rows and columns scaled by their denominators' lcms;
+             rows and columns scaled by their denominators' lcms, each
+             product row one sum of p-1 products with packed rows;
   det_mul    deterministic: pull both factors back to polynomials
              (mat_to_skew), bound the product's support by the exponent
              sumset of size t, and form the product by one of two exact
@@ -122,8 +123,11 @@ def naive_mul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     """Exact schoolbook product; the oracle every other route is checked against.
 
     The product runs on the factors' ints (`rational_product`): A's rows
-    and B's columns are scaled by their own denominators' lcms, and each
-    entry of the int product is put over its row's and column's scales and
+    and B's columns are scaled by their own denominators' lcms, each row of
+    the scaled B is packed into one int, and each row of the int product
+    is one sum of p-1 (int x packed row) products (`int_product`; scaled
+    entries of A past PACKED_ENTRY_BITS take the dot-product loop
+    instead).  Each entry is put over its row's and column's scales and
     reduced, one map(gcd) per row and none for a row over 1.  No Fraction
     is built.
     """
@@ -136,11 +140,15 @@ def _product_route(s_a: int, s_b: int, p: int) -> str:
     s_a and s_b and p: "direct" while 16 s_a s_b <= (p-1)^2, else "rows".
 
     The direct stage costs about s_a s_b field products, the rows stage
-    (p-1)^2 int row-column dot products; the O(t p^2) pushforward is small
-    beside either, so the sumset size t does not enter.  Timed on the same
-    pullbacks (README, "Product stage"), the two stages cost the same where
-    (p-1)^2 / (s_a s_b) is 15-18 at p = 31, 61 and 127, and about 24 at
-    p=13, where both take under 0.2 ms.
+    p-1 packed row sums of p-1 terms each (`int_product`); the O(t p^2)
+    pushforward is small beside either, so the sumset size t does not
+    enter.  The 16 was read off timings against the dot-product loop that
+    the rows stage ran before, where the two stages cost the same at
+    (p-1)^2 / (s_a s_b) = 15-18 for p = 31, 61 and 127.  Against the packed
+    rows stage that crossing lies near 50-70 at p=13, 100-110 at p=31,
+    150-200 at p=61 and 250-500 at p=127 (README, "Packed schoolbook"),
+    so the rule now sends some products to the slower stage; it is kept
+    until the rule is refit.
     """
     return "direct" if 16 * s_a * s_b <= (p - 1) ** 2 else "rows"
 

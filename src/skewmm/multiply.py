@@ -1,22 +1,42 @@
-"""Exact schoolbook matrix kernel.
+"""Exact schoolbook matrix kernels.
 
 Every rational matrix product in the package -- the oracle (`naive_mul`),
-`RatMatrix.__matmul__` and the evaluation stage of the structured
-algorithms -- goes through `rational_product`, which scales each row of the
-left factor and each column of the right factor to ints and runs
-`cubic_multiply` on them.  No multiplication is counted here: each
-algorithm reports its nominal count as a closed form (`MulReport`).
+`RatMatrix.__matmul__`, det's rows stage and mc's evaluation -- goes
+through `rational_product`, which scales each row of the left factor and
+each column of the right factor to ints and multiplies those by
+`int_product`: each row of the right factor is packed into one int of
+signed slots, and each product row is one sum of p-1 (int x packed row)
+products, unpacked once (Kronecker substitution, as in `cyc_mul`).
+A left factor with entries longer than PACKED_ENTRY_BITS takes
+`cubic_multiply`, the generic ring kernel, instead.  No multiplication is
+counted here: each algorithm reports its nominal count as a closed form
+(`MulReport`).
 """
 
 import math
 import operator
 
+from .cyclotomic import _slot_structs, _word_bytes
+
+#: Longest entry of the left factor, in bits, for which `int_product`
+#: packs; longer entries take `cubic_multiply`.  A packed row sum costs
+#: about bits(x) (bits(x) + bits(y)) digit steps per term and a dot
+#: product bits(x) bits(y) plus a fixed interpreter step, so the two
+#: differ by bits(x)^2 against that step, and the cutoff is set on the
+#: left factor's entries.  Timed on random int factors at p = 13, 31 and
+#: 61 (README, "Packed schoolbook"), the kernels cost the same near 224
+#: left-factor bits when the right factor's entries have 16 bits, and at
+#: 190-320 bits when they are as long; at 192 bits packing was 1.13-1.44x
+#: faster in every cell but one near-tie.
+PACKED_ENTRY_BITS = 192
+
 
 def cubic_multiply(x_rows, y_rows):
     """Schoolbook product of row-major matrices: (m x n) * (n x k).
 
-    Works on any exact ring elements; `rational_product` feeds it ints.
-    Returns a list of tuples.
+    Works on any exact ring elements; `int_product` feeds it ints whose
+    left factor's entries are too long to pay for packing.  Returns a list
+    of tuples.
     """
     n = len(y_rows)
     if any(len(row) != n for row in x_rows):
@@ -26,18 +46,71 @@ def cubic_multiply(x_rows, y_rows):
     return [tuple(sum(map(mul, xrow, col)) for col in y_cols) for xrow in x_rows]
 
 
+def int_product(x_rows, y_rows):
+    """The product of two int matrices, (m x n) * (n x k), as a list of
+    tuples, one per row of x.
+
+    Each row of y is packed into one int, entry k in a signed slot of w
+    bits at 2^(w k), and row i of the product is sum_j x[i][j] * word_j:
+    slot k of that sum is entry (i, k), since no slot overflows.  When x
+    is not zero (a zero x gives zero rows), every entry of the product and
+    of y is at most B = n max|x| max|y| in size, so w is B's bits plus a
+    sign bit, in whole bytes, rounded up to 8, 16, 32 or 64 bits when it
+    is at most 64.  Adding 2^(w-1) to every slot makes them all
+    nonnegative, and flipping each slot's top bit then gives its two's
+    complement, so a row is read through one signed struct (or one slice
+    per slot past 64 bits).  O(n) big-int products per row, against
+    O(n k) dot-product steps for `cubic_multiply`, which still runs every
+    product whose left factor has an entry past PACKED_ENTRY_BITS.
+    """
+    n = len(y_rows)
+    if not (x_rows and n and y_rows[0]):
+        return cubic_multiply(x_rows, y_rows)
+    if any(len(row) != n for row in x_rows):
+        raise ValueError("inner dimensions do not match")
+    x_max = max(max(map(max, x_rows)), -min(map(min, x_rows)))
+    if x_max.bit_length() > PACKED_ENTRY_BITS:
+        return cubic_multiply(x_rows, y_rows)
+    cols = len(y_rows[0])
+    if not x_max:
+        return [(0,) * cols] * len(x_rows)
+    y_max = max(max(map(max, y_rows)), -min(map(min, y_rows)))
+    size = ((n * x_max * y_max).bit_length() + 8) // 8
+    size = _word_bytes(8 * size) or size
+    w = 8 * size
+    span = size * cols
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * cols, "little")
+    top = ones << (w - 1)
+    if size <= 8:
+        signed = _slot_structs(cols, size)[0]
+        # each slot read as unsigned is its entry plus 2^w for a negative one
+        words = [raw - (((raw >> (w - 1)) & ones) << w)
+                 for raw in (int.from_bytes(signed.pack(*row), "little") for row in y_rows)]
+        read = signed.unpack
+    else:
+        slots = range(0, w * cols, w)
+        words = [sum(map(operator.lshift, row, slots)) for row in y_rows]
+
+        def read(raw):
+            return tuple([int.from_bytes(raw[i:i + size], "little", signed=True)
+                          for i in range(0, span, size)])
+    mul = operator.mul
+    return [read(((sum(map(mul, xrow, words)) + top) ^ top).to_bytes(span, "little"))
+            for xrow in x_rows]
+
+
 def rational_product(x_nums, x_dens, y_nums, y_dens):
     """The product of two rational matrices on ints, as (d, e, S).
 
     Each factor is given as its rows of int numerators and the matching rows
     of positive int denominators (RatMatrix's layout).  d[i] is the lcm of
     the denominators in row i of x, e[k] the lcm of those in column k of y,
-    and S = cubic_multiply of d[i] * x's row i by e[k] * y's column k, so
+    and S = int_product of d[i] * x's row i by e[k] * y's column k, so
     entry (i, k) of the product is S[i][k] / (d[i] e[k]).  Per-row and
     per-column scales keep the ints as short as each entry's own
     denominators allow; one global lcm would make every product as long as
-    the longest.  Rows of x over 1, and y when all of it is over 1, are
-    used unscaled.
+    the longest, and the packed slots with it.  Rows of x over 1, and y
+    when all of it is over 1, are used unscaled.
     """
     d = [math.lcm(*dens) for dens in x_dens]
     e = [math.lcm(*col) for col in zip(*y_dens)]
@@ -48,4 +121,4 @@ def rational_product(x_nums, x_dens, y_nums, y_dens):
     else:
         ys = [[y * (ek // dy) for y, dy, ek in zip(nums, dens, e)]
               for nums, dens in zip(y_nums, y_dens)]
-    return d, e, cubic_multiply(xs, ys)
+    return d, e, int_product(xs, ys)

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import matmul
 from .cyclotomic import _is_prime, cyc_mul, cyc_scale, shared_ctx
+from .multiply import PACKED_ENTRY_BITS
 from .skewpoly import SkewPoly, sp_mul, sparse_interpolate, sp_evaluate, power_points
 from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             build_X, build_Y, l0_characterization_check,
@@ -50,6 +51,15 @@ def _distinct_prime_pair(p, rng):
     primes = filter(_is_prime, itertools.count(2))
     return [RatMatrix(p, [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), next(primes))
                            for _ in range(n)] for _ in range(n)]) for _ in range(2)]
+
+
+def _long_entry_matrix(p, rng, bits):
+    """An int matrix whose longest entry has exactly `bits` bits."""
+    n = p - 1
+    top = 2 ** bits - 1
+    rows = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+    rows[0][0] = top
+    return RatMatrix(p, rows)
 
 
 def _schoolbook(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -196,11 +206,14 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
     """naive_mul and det_mul against a Fraction schoolbook on operands with
     denominators, which the int kernel's row and column scales must undo:
     dense pairs, layered pairs scaled by 1/d, at p=7 a pair whose entries
-    all lie over distinct primes, and at p=31 a layered pair, a pair whose
-    supports are one subgroup of Z_30, so that their sumset collapses, and
-    a pair of 8-term random supports whose sumset nearly fills Z_30.  On
-    every pair both of det's product stages (direct, rows) are also run on
-    their own, whichever one det_mul picks."""
+    all lie over distinct primes and two pairs whose left factor's longest
+    entry has PACKED_ENTRY_BITS and one more bit, so that the int product
+    runs packed on one and cubic_multiply on the other, and at p=31 a
+    layered pair, a pair whose supports are one subgroup of Z_30, so that
+    their sumset collapses, and a pair of 8-term random supports whose
+    sumset nearly fills Z_30.  On every pair both of det's product stages
+    (direct, rows) are also run on their own, whichever one det_mul
+    picks."""
     rng = random.Random(606)
 
     def agree(X, Y):
@@ -226,6 +239,9 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
             if not all(agree(X, Y) for X, Y in ((A, B), (La, Lb), (La, B))):
                 return False
     if not agree(*_distinct_prime_pair(7, rng)):
+        return False
+    if not all(agree(_long_entry_matrix(7, rng, bits), _rand_rational_matrix(7, rng))
+               for bits in (PACKED_ENTRY_BITS, PACKED_ENTRY_BITS + 1)):
         return False
     ctx = shared_ctx(31)
     subgroup = range(0, 30, 6)
