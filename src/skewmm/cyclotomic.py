@@ -354,6 +354,28 @@ def _slot_structs(count: int, size: int):
     return struct.Struct(f"<{count}{code}"), struct.Struct(f"<{count}{code.upper()}")
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_ones(count: int, size: int) -> int:
+    """The int with a 1 at the bottom of each of `count` slots of `size`
+    bytes: sum_i 2^(8 size i)."""
+    return int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
+
+
+def _signed_word(values, size: int) -> int:
+    """sum_i values[i] 2^(w i), w = 8 size, for ints that fit signed slots
+    of `size` bytes (1, 2, 4 or 8).
+
+    The values are packed through one signed struct and read back as an
+    unsigned int, where a negative slot reads as its value plus 2^w; the
+    slots' sign bits, moved up one slot, are that excess, and are taken
+    off in one subtraction.
+    """
+    count = len(values)
+    w = 8 * size
+    raw = int.from_bytes(_slot_structs(count, size)[0].pack(*values), "little")
+    return raw - (((raw >> (w - 1)) & _slot_ones(count, size)) << w)
+
+
 def mul_beta_power(a: CycElem, k: int) -> CycElem:
     """Multiply by beta^k: the exponent vector (0, *num) rotated by k
     places, then its beta^0 entry subtracted from the rest, O(p)."""

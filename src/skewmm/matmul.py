@@ -125,9 +125,9 @@ def naive_mul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     The product runs on the factors' ints (`rational_product`): A's rows
     and B's columns are scaled by their own denominators' lcms, each row of
     the scaled B is packed into one int, and each row of the int product
-    is one sum of p-1 (int x packed row) products (`int_product`; scaled
-    entries of A past PACKED_ENTRY_BITS take the dot-product loop
-    instead).  Each entry is put over its row's and column's scales and
+    is one sum of p-1 (int x packed row) products (`int_product`; a
+    product whose entries need slots wider than 64 bits takes the
+    dot-product loop instead).  Each entry is put over its row's and column's scales and
     reduced, one map(gcd) per row and none for a row over 1.  No Fraction
     is built.
     """

@@ -5,9 +5,9 @@ Every rational matrix product in the package -- the oracle (`naive_mul`),
 through `rational_product`, which scales each row of the left factor and
 each column of the right factor to ints and multiplies those by
 `int_product`: each row of the right factor is packed into one int of
-signed slots, and each product row is one sum of p-1 (int x packed row)
-products, unpacked once (Kronecker substitution, as in `cyc_mul`).
-A left factor with entries longer than PACKED_ENTRY_BITS takes
+signed slots of at most 64 bits, and each product row is one sum of p-1
+(int x packed row) products, unpacked once (Kronecker substitution, as in
+`cyc_mul`).  A product whose entries need wider slots takes
 `cubic_multiply`, the generic ring kernel, instead.  No multiplication is
 counted here: each algorithm reports its nominal count as a closed form
 (`MulReport`).
@@ -16,26 +16,14 @@ counted here: each algorithm reports its nominal count as a closed form
 import math
 import operator
 
-from .cyclotomic import _slot_structs, _word_bytes
-
-#: Longest entry of the left factor, in bits, for which `int_product`
-#: packs; longer entries take `cubic_multiply`.  A packed row sum costs
-#: about bits(x) (bits(x) + bits(y)) digit steps per term and a dot
-#: product bits(x) bits(y) plus a fixed interpreter step, so the two
-#: differ by bits(x)^2 against that step, and the cutoff is set on the
-#: left factor's entries.  Timed on random int factors at p = 13, 31 and
-#: 61 (README, "Packed schoolbook"), the kernels cost the same near 224
-#: left-factor bits when the right factor's entries have 16 bits, and at
-#: 190-320 bits when they are as long; at 192 bits packing was 1.13-1.44x
-#: faster in every cell but one near-tie.
-PACKED_ENTRY_BITS = 192
+from .cyclotomic import _signed_word, _slot_ones, _slot_structs, _word_bytes
 
 
 def cubic_multiply(x_rows, y_rows):
     """Schoolbook product of row-major matrices: (m x n) * (n x k).
 
-    Works on any exact ring elements; `int_product` feeds it ints whose
-    left factor's entries are too long to pay for packing.  Returns a list
+    Works on any exact ring elements; `int_product` feeds it the int
+    products whose entries are too long for 64-bit slots.  Returns a list
     of tuples.
     """
     n = len(y_rows)
@@ -51,49 +39,32 @@ def int_product(x_rows, y_rows):
     tuples, one per row of x.
 
     Each row of y is packed into one int, entry k in a signed slot of w
-    bits at 2^(w k), and row i of the product is sum_j x[i][j] * word_j:
-    slot k of that sum is entry (i, k), since no slot overflows.  When x
-    is not zero (a zero x gives zero rows), every entry of the product and
-    of y is at most B = n max|x| max|y| in size, so w is B's bits plus a
-    sign bit, in whole bytes, rounded up to 8, 16, 32 or 64 bits when it
-    is at most 64.  Adding 2^(w-1) to every slot makes them all
-    nonnegative, and flipping each slot's top bit then gives its two's
-    complement, so a row is read through one signed struct (or one slice
-    per slot past 64 bits).  O(n) big-int products per row, against
-    O(n k) dot-product steps for `cubic_multiply`, which still runs every
-    product whose left factor has an entry past PACKED_ENTRY_BITS.
+    bits at 2^(w k) (`_signed_word`), and row i of the product is
+    sum_j x[i][j] * word_j: slot k of that sum is entry (i, k), since no
+    slot overflows.  Every entry of y and of the product is at most
+    B = n max(1, max|x|) max|y| in size, so w is the least of 8, 16, 32
+    or 64 bits that holds B's bits plus a sign bit (`_word_bytes`).
+    Adding 2^(w-1) to every slot makes them all nonnegative, and flipping
+    each slot's top bit then gives its two's complement, so a row is read
+    through one signed struct.  O(n) big-int products per row, against
+    O(n k) dot-product steps for `cubic_multiply`, which runs the product
+    when B needs wider slots, as mat_to_skew keeps its loop past them.
     """
     n = len(y_rows)
     if not (x_rows and n and y_rows[0]):
         return cubic_multiply(x_rows, y_rows)
     if any(len(row) != n for row in x_rows):
         raise ValueError("inner dimensions do not match")
-    x_max = max(max(map(max, x_rows)), -min(map(min, x_rows)))
-    if x_max.bit_length() > PACKED_ENTRY_BITS:
+    x_max = max(max(map(max, x_rows)), -min(map(min, x_rows)), 1)
+    y_max = max(max(map(max, y_rows)), -min(map(min, y_rows)))
+    size = _word_bytes((n * x_max * y_max).bit_length() + 1)
+    if size is None:
         return cubic_multiply(x_rows, y_rows)
     cols = len(y_rows[0])
-    if not x_max:
-        return [(0,) * cols] * len(x_rows)
-    y_max = max(max(map(max, y_rows)), -min(map(min, y_rows)))
-    size = ((n * x_max * y_max).bit_length() + 8) // 8
-    size = _word_bytes(8 * size) or size
-    w = 8 * size
+    top = _slot_ones(cols, size) << (8 * size - 1)
+    words = [_signed_word(row, size) for row in y_rows]
+    read = _slot_structs(cols, size)[0].unpack
     span = size * cols
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * cols, "little")
-    top = ones << (w - 1)
-    if size <= 8:
-        signed = _slot_structs(cols, size)[0]
-        # each slot read as unsigned is its entry plus 2^w for a negative one
-        words = [raw - (((raw >> (w - 1)) & ones) << w)
-                 for raw in (int.from_bytes(signed.pack(*row), "little") for row in y_rows)]
-        read = signed.unpack
-    else:
-        slots = range(0, w * cols, w)
-        words = [sum(map(operator.lshift, row, slots)) for row in y_rows]
-
-        def read(raw):
-            return tuple([int.from_bytes(raw[i:i + size], "little", signed=True)
-                          for i in range(0, span, size)])
     mul = operator.mul
     return [read(((sum(map(mul, xrow, words)) + top) ^ top).to_bytes(span, "little"))
             for xrow in x_rows]

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from . import matmul
 from .cyclotomic import _is_prime, cyc_mul, cyc_scale, shared_ctx
-from .multiply import PACKED_ENTRY_BITS
 from .skewpoly import SkewPoly, sp_mul, sparse_interpolate, sp_evaluate, power_points
 from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             build_X, build_Y, l0_characterization_check,
@@ -54,11 +53,14 @@ def _distinct_prime_pair(p, rng):
 
 
 def _long_entry_matrix(p, rng, bits):
-    """An int matrix whose longest entry has exactly `bits` bits."""
+    """An int matrix whose first row and column are 2^bits - 1, the longest
+    entry, and whose other entries are random: entry (0, 0) of the product
+    of two such matrices is the bound on it, (p-1) times both longest
+    entries."""
     n = p - 1
     top = 2 ** bits - 1
-    rows = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
-    rows[0][0] = top
+    rows = [[top if 0 in (i, j) else rng.randint(-top, top) for j in range(n)]
+            for i in range(n)]
     return RatMatrix(p, rows)
 
 
@@ -206,9 +208,9 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
     """naive_mul and det_mul against a Fraction schoolbook on operands with
     denominators, which the int kernel's row and column scales must undo:
     dense pairs, layered pairs scaled by 1/d, at p=7 a pair whose entries
-    all lie over distinct primes and two pairs whose left factor's longest
-    entry has PACKED_ENTRY_BITS and one more bit, so that the int product
-    runs packed on one and cubic_multiply on the other, and at p=31 a
+    all lie over distinct primes and two int pairs on either side of the
+    64-bit slot, so that the int product runs packed on one and
+    cubic_multiply on the other, and at p=31 a
     layered pair, a pair whose supports are one subgroup of Z_30, so that
     their sumset collapses, and a pair of 8-term random supports whose
     sumset nearly fills Z_30.  On every pair both of det's product stages
@@ -240,8 +242,11 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
                 return False
     if not agree(*_distinct_prime_pair(7, rng)):
         return False
-    if not all(agree(_long_entry_matrix(7, rng, bits), _rand_rational_matrix(7, rng))
-               for bits in (PACKED_ENTRY_BITS, PACKED_ENTRY_BITS + 1)):
+    # the bound 6 max|x| max|y|, reached at entry (0, 0), has 63 bits at
+    # (30, 30), so with its sign bit it just fits a 64-bit slot, and 64
+    # bits at (31, 30)
+    if not all(agree(_long_entry_matrix(7, rng, a), _long_entry_matrix(7, rng, b))
+               for a, b in ((30, 30), (31, 30))):
         return False
     ctx = shared_ctx(31)
     subgroup = range(0, 30, 6)

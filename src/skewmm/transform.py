@@ -38,8 +38,8 @@ import itertools
 import math
 import operator
 
-from .cyclotomic import (CycCtx, CycElem, _check_odd_prime, _slot_structs, _word_bytes,
-                         rotated_sum, shared_ctx)
+from .cyclotomic import (CycCtx, CycElem, _check_odd_prime, _signed_word, _slot_ones,
+                         _slot_structs, _word_bytes, rotated_sum, shared_ctx)
 from .multiply import cubic_multiply, rational_product
 from .rational import Rat, as_rat
 from .skewpoly import SkewPoly, sp_mul, values_at_beta_powers
@@ -235,25 +235,21 @@ def _packed_coefficients(ctx: CycCtx, rows, bound: int, size: int):
     scaled rows by one packed correlation in slots of `size` bytes (1, 2, 4
     or 8), where 2 (p-1) bound < 2^(8 size) and bound >= max|entry|.
 
-    The rows are gathered into CRT order and packed as signed slots; taking
-    the sign bits back out gives the true signed int, and adding bound to
-    every slot makes each slot nonnegative.  After the shifts and the fold,
-    coefficient i is slot (i, x) minus slot (i, 0), which removes the
-    offsets and eliminates beta^0, minus the x-th power coordinate of
-    sum_k b_k.
+    The rows are gathered into CRT order and packed as signed slots
+    (`_signed_word`), and adding bound to every slot makes each slot
+    nonnegative.  After the shifts and the fold, coefficient i is slot
+    (i, x) minus slot (i, 0), which removes the offsets and eliminates
+    beta^0, minus the x-th power coordinate of sum_k b_k.
     """
     count = ctx.p * (ctx.p - 1)
     gather, shifts, reads, zeros = _crt_layout(ctx.p)
-    signed, unsigned = _slot_structs(count, size)
     w = 8 * size
     span = w * count
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
-    raw = int.from_bytes(signed.pack(*gather([*itertools.chain.from_iterable(rows), 0])),
-                         "little")
-    packed = raw - (((raw >> (w - 1)) & ones) << w) + bound * ones
+    packed = (_signed_word(gather([*itertools.chain.from_iterable(rows), 0]), size)
+              + bound * _slot_ones(count, size))
     acc = sum(packed << (w * s) for s in shifts)
     folded = (acc & ((1 << span) - 1)) + (acc >> span)
-    slots = unsigned.unpack(folded.to_bytes(span // 8, "little"))
+    slots = _slot_structs(count, size)[1].unpack(folded.to_bytes(span // 8, "little"))
     total = ctx.to_power(list(map(sum, zip(*rows))))
     return ([x - c0 - t for x, t in zip(read(slots), total)]
             for read, c0 in zip(reads, zeros(slots)))

@@ -12,9 +12,9 @@ The int product itself, int_product, packs each row of the right factor
 into one int of signed slots and sums p-1 (int x packed row) products per
 row.  It is checked against cubic_multiply, the loop it replaces: at each
 slot width with the product entries exactly at the width's bound and one
-past it, on zero, all-negative and edge-valued rows, on m x (p-1) left
-factors with m in {0, 1, t} (mc's gather), at p=3, and on both sides of
-PACKED_ENTRY_BITS, past which it runs cubic_multiply itself.
+past it (past the 64-bit slot it runs cubic_multiply itself), on zero,
+all-negative and edge-valued rows, on m x (p-1) left factors with m in
+{0, 1, t} (mc's gather), at p=3, and on entries too long to pack.
 """
 
 import math
@@ -28,7 +28,7 @@ from conftest import fraction_product, rand_rational_matrix, seeded
 from skewmm import (RatMatrix, batch_evaluate_via_matrices, from_normal_coords,
                     naive_mul, shared_ctx)
 from skewmm import multiply
-from skewmm.multiply import PACKED_ENTRY_BITS, cubic_multiply, int_product
+from skewmm.multiply import cubic_multiply, int_product
 from skewmm.rational import Rat
 
 PRIMES = (3, 5, 7, 13)
@@ -93,15 +93,15 @@ def test_products_match_the_fraction_oracle(pair):
 
 
 def spy_slot_bytes(monkeypatch):
-    """The slot sizes, in bytes, of the int_product calls that pack, read off
-    their one _word_bytes call each."""
+    """The slot sizes, in bytes, that the int_product calls from here on
+    read off their one _word_bytes call each: None for a product too wide
+    to pack."""
     sizes = []
     real = multiply._word_bytes
 
     def spy(bits):
-        size = real(bits)
-        sizes.append(size or bits // 8)
-        return size
+        sizes.append(real(bits))
+        return sizes[-1]
 
     monkeypatch.setattr(multiply, "_word_bytes", spy)
     return sizes
@@ -119,8 +119,8 @@ def spy_cubic_calls(monkeypatch):
     return calls
 
 
-#: a slot size in bytes and the next: through a struct, then whole bytes
-WIDTHS = ((1, 2), (2, 4), (4, 8), (8, 9), (9, 10), (16, 17))
+#: a slot size in bytes and the next, None past the widest struct slot
+WIDTHS = ((1, 2), (2, 4), (4, 8), (8, None))
 
 
 @pytest.mark.parametrize("p", (3, 13, 31))
@@ -129,20 +129,24 @@ WIDTHS = ((1, 2), (2, 4), (4, 8), (8, 9), (9, 10), (16, 17))
 def test_slot_width_at_the_edge_of_the_bound(monkeypatch, p, size, next_size, x_entry):
     # constant factors: every product entry is n x y, the bound B itself.
     # B = n x y <= 2^(w-1) - 1 is the largest a signed slot of w = 8 size
-    # bits holds; y + 1 puts B past it and takes the next width
+    # bits holds; y + 1 puts B past it and takes the next width, or
+    # cubic_multiply past 64 bits
     n = p - 1
     y = (2 ** (8 * size - 1) - 1) // (n * x_entry)
     sizes = spy_slot_bytes(monkeypatch)
+    calls = spy_cubic_calls(monkeypatch)
     for y_entry, want in ((y, size), (y + 1, next_size)):
         for sx, sy in ((1, 1), (1, -1), (-1, -1)):
             X = [[sx * x_entry] * n for _ in range(n)]
             Y = [[sy * y_entry] * n for _ in range(n)]
-            assert int_product(X, Y) == cubic_multiply(X, Y)
+            assert int_product(X, Y) == [tuple(row) for row in fraction_product(X, Y)]
             assert sizes.pop() == want
+            assert calls == ([] if want else [n])
+            calls.clear()
 
 
 ROW_KINDS = ("mixed", "negative", "zero", "edge")
-ENTRY_BITS = (0, 1, 7, 8, 31, 64, 100, PACKED_ENTRY_BITS, PACKED_ENTRY_BITS + 1, 400)
+ENTRY_BITS = (0, 1, 7, 8, 20, 31, 64, 100)
 
 
 @st.composite
@@ -177,25 +181,9 @@ def test_int_product_matches_cubic_multiply(pair):
 
 
 @pytest.mark.parametrize("p", (3, 13, 31))
-@pytest.mark.parametrize("bits, packed", ((PACKED_ENTRY_BITS, True), (PACKED_ENTRY_BITS + 1, False)),
-                         ids=("at-the-cutoff", "past-the-cutoff"))
-def test_both_sides_of_the_cutoff(monkeypatch, p, bits, packed):
-    # the left factor's longest entry has exactly `bits` bits
-    n = p - 1
-    rng = seeded(2600 + p + bits)
-    top = 2 ** bits - 1
-    X = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
-    X[n // 2][0] = -top
-    Y = [[rng.randint(-2 ** 64, 2 ** 64) for _ in range(n)] for _ in range(n)]
-    calls = spy_cubic_calls(monkeypatch)
-    assert int_product(X, Y) == [tuple(row) for row in fraction_product(X, Y)]
-    assert calls == ([] if packed else [n])
-
-
-@pytest.mark.parametrize("p", (3, 13, 31))
 def test_rational_products_inside_the_bound_never_loop(monkeypatch, p):
     # denominators up to 7 scale the entries by at most lcm(1..7) = 420 per
-    # side, far inside the cutoff: naive_mul and @ never run the loop
+    # side, far inside 64-bit slots: naive_mul and @ never run the loop
     rng = seeded(2700 + p)
     A, B = rand_rational_matrix(p, rng), rand_rational_matrix(p, rng)
     want = RatMatrix(p, fraction_product(A.rows, B.rows))
@@ -203,15 +191,3 @@ def test_rational_products_inside_the_bound_never_loop(monkeypatch, p):
     assert naive_mul(A, B) == want
     assert A @ B == want
     assert calls == []
-
-
-@pytest.mark.parametrize("p", (3, 13, 31))
-def test_mc_gather_of_0_1_and_t_rows(p):
-    # mc evaluates at v_1^1 .. v_1^m, rows q(1) .. q(m) of A times B
-    ctx = shared_ctx(p)
-    rng = seeded(2800 + p)
-    A, B = rand_rational_matrix(p, rng), rand_rational_matrix(p, rng)
-    want = fraction_product(A.rows, B.rows)
-    for m in sorted({0, 1, (p - 1) // 2, p - 1}):
-        values = batch_evaluate_via_matrices(ctx, range(1, m + 1), A, B)
-        assert values == [from_normal_coords(ctx, want[ctx.q(l) - 1]) for l in range(1, m + 1)]
