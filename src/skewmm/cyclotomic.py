@@ -376,6 +376,17 @@ def _signed_word(values, size: int) -> int:
     return raw - (((raw >> (w - 1)) & _slot_ones(count, size)) << w)
 
 
+def _widened(raw: bytes, size: int, out: int) -> bytes:
+    """The unsigned little-endian slots of `size` bytes in `raw`, each
+    zero-extended to `out` >= size bytes: `size` strided byte copies."""
+    if out == size:
+        return raw
+    wide = bytearray(len(raw) // size * out)
+    for k in range(size):
+        wide[k::out] = raw[k::size]
+    return wide
+
+
 def mul_beta_power(a: CycElem, k: int) -> CycElem:
     """Multiply by beta^k: the exponent vector (0, *num) rotated by k
     places, then its beta^0 entry subtracted from the rest, O(p)."""

@@ -146,7 +146,7 @@ def _product_route(s_a: int, s_b: int, p: int) -> str:
     the rows stage ran before, where the two stages cost the same at
     (p-1)^2 / (s_a s_b) = 15-18 for p = 31, 61 and 127.  Against the packed
     rows stage that crossing lies near 50-70 at p=13, 100-110 at p=31,
-    150-200 at p=61 and 250-500 at p=127 (README, "Packed schoolbook"),
+    150-200 at p=61 and 250-500 at p=127 (README, "Product stage"),
     so the rule now sends some products to the slower stage; it is kept
     until the rule is refit.
     """
@@ -165,14 +165,16 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     """Deterministic skew-sparse product: always exactly equals naive_mul.
 
     Each factor is pulled back by mat_to_skew, one cyclic correlation
-    packed into a big int (O(p^2) interpreter steps and p-1 shifted adds
-    of a p(p-1)-slot int), or O(p^3) int additions when its scaled entries
-    are too long for 64-bit slots.  The product polynomial's support is
+    packed into a big int (p-1 shifted adds of a p(p-1)-slot int, its
+    corrections and read-out done on the packed words, O(p) interpreter
+    steps), or O(p^3) int additions when its corrected coefficients are
+    too long for 64-bit slots.  The product polynomial's support is
     covered by the exponent sumset of the two pullbacks, of size t.  Then
     _product_route picks, from s_A, s_B and p, one of two exact ways to
     form the product (_form_product):
       direct    skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products,
-                each one big-int product, then the pushforward (O(t p^2));
+                each one big-int product, then the pushforward (p t
+                big-int shifted adds, O(p t) interpreter steps);
                 A @ B is the matrix of f_B * f_A (phi_orientation);
       rows      the int product of A and B, whose rows are the product
                 map's values at all p-1 points, with no pushforward.

@@ -80,11 +80,13 @@ def rational_product(x_nums, x_dens, y_nums, y_dens):
     entry (i, k) of the product is S[i][k] / (d[i] e[k]).  Per-row and
     per-column scales keep the ints as short as each entry's own
     denominators allow; one global lcm would make every product as long as
-    the longest, and the packed slots with it.  Rows of x over 1, and y
-    when all of it is over 1, are used unscaled.
+    the longest, and the packed slots with it.  A row or column whose
+    denominators are all 1 takes no lcm, found by one tuple comparison;
+    rows of x over 1, and y when all of it is over 1, are used unscaled.
     """
-    d = [math.lcm(*dens) for dens in x_dens]
-    e = [math.lcm(*col) for col in zip(*y_dens)]
+    ones = (1,) * len(y_dens)
+    d = [1 if dens == ones else math.lcm(*dens) for dens in x_dens]
+    e = [1 if col == ones else math.lcm(*col) for col in zip(*y_dens)]
     xs = [nums if di == 1 else [x * (di // dx) for x, dx in zip(nums, dens)]
           for nums, dens, di in zip(x_nums, x_dens, d)]
     if max(e, default=1) == 1:

@@ -17,8 +17,9 @@ import random
 from fractions import Fraction
 
 from . import matmul
-from .cyclotomic import _is_prime, cyc_mul, cyc_scale, shared_ctx
-from .skewpoly import SkewPoly, sp_mul, sparse_interpolate, sp_evaluate, power_points
+from .cyclotomic import CycElem, _is_prime, cyc_mul, cyc_scale, rotated_sum, shared_ctx
+from .skewpoly import (SkewPoly, power_points, sp_evaluate, sp_mul, sparse_interpolate,
+                       values_at_beta_powers)
 from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             build_X, build_Y, l0_characterization_check,
                             random_layered, skew_sparsity, y_power_row)
@@ -256,17 +257,62 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
                                           (random_a, random_b)))
 
 
+def _aligned_matrix(ctx, bound, sign=1):
+    """An int matrix with max|entry| = bound whose pullback's coefficient 0
+    holds sign (3 (p-1) - 1) bound at beta^(p-1) before reduction, within
+    `bound` of the far end of the corrected range [-3 (p-1) M, 3 (p-1) M]:
+    row k holds sign*bound at power coordinate x + u and -sign*bound at u
+    and at x, for x = p-1 and u = r^k, the three entries W's rotation and
+    its two corrections pick (the one row with x + u = 0 mod p loses the
+    first)."""
+    p = ctx.p
+    x = p - 1
+    rows = []
+    for k in range(p - 1):
+        u = ctx.pow_r[k]
+        power = [0] * p
+        power[x] = power[u] = -sign * bound
+        power[(x + u) % p] = sign * bound
+        rows.append(ctx.to_normal(power[1:]))
+    return RatMatrix(p, rows)
+
+
+def _aligned_poly(ctx, bounds, sign=1):
+    """A polynomial of len(bounds) < p-1 terms, term e's coefficient with
+    max|entry| = bounds[e], whose value at beta^1 holds sign * 2 sum(bounds)
+    at beta^x, the end of the range [-2 S, 2 S] the pushforward's
+    coordinates lie in: x is not r^e for any term, and term e holds
+    sign*bounds[e] at power coordinate x - r^e and -sign*bounds[e] at
+    -r^e, which its rotation by r^e moves to beta^x and beta^0."""
+    p = ctx.p
+    shifts = [ctx.pow_r[e] for e in range(len(bounds))]
+    x = next(y for y in range(1, p) if y not in shifts)
+    terms = {}
+    for e, (s, m) in enumerate(zip(shifts, bounds)):
+        power = [0] * p
+        power[(x - s) % p] = sign * m
+        power[-s % p] = -sign * m
+        terms[e] = CycElem(ctx, power[1:])
+    return SkewPoly(ctx, terms)
+
+
 def check_pullback_paths(p=31) -> bool:
     """mat_to_skew's two paths against the rotated-sum definition, one
     rotated_sum per coefficient: a matrix of small ints, whose slots fit 16
-    bits and take the packed correlation, and one over denominators up to
-    3^40 and 2^61 - 1, whose slots would need more than 64 bits and take
-    the rotated-sum loop; each must also round-trip through skew_to_mat,
-    whose pushforward takes the packed words (16-bit slots) on the first
-    and one rotated_sum per value on the second."""
+    bits and take the packed correlation; one over denominators up to 3^40
+    and 2^61 - 1, whose slots would need more than 64 bits and take the
+    rotated-sum loop; and two (one per sign) whose corrected coefficients
+    reach the top bit of their 16-bit slots (_aligned_matrix).  Each must
+    also round-trip through skew_to_mat, whose pushforward takes the packed
+    words on all but the second, which takes one rotated_sum per value.
+    Last, the values of two polynomials whose coordinates reach the top
+    bit of their 16-bit slots (_aligned_poly) must equal rotated_sum's."""
     rng = random.Random(3131)
     ctx = shared_ctx(p)
-    for C in (_rand_matrix(p, rng), _rand_rational_matrix(p, rng)):
+    n = p - 1
+    edge = (2 ** 16 - 1) // (6 * n)
+    for C in (_rand_matrix(p, rng), _rand_rational_matrix(p, rng),
+              _aligned_matrix(ctx, edge), _aligned_matrix(ctx, edge, -1)):
         den = math.lcm(*(math.lcm(*dens) for dens in C.dens))
         rows = [_scaled_row(num, dens, den) for num, dens in zip(C.nums, C.dens)]
         coefficients = _looped_coefficients(ctx, rows)
@@ -274,6 +320,14 @@ def check_pullback_paths(p=31) -> bool:
                               for i, coords in enumerate(coefficients) if any(coords)})
         f = mat_to_skew(C, ctx)
         if f != want or skew_to_mat(f) != C:
+            return False
+    bounds = ((2 ** 16 - 1) // 8, (2 ** 16 - 1) // 8 + 1)  # 4 S = 2^16 - 4
+    for sign in (1, -1):
+        f = _aligned_poly(ctx, bounds, sign)
+        den, rows = values_at_beta_powers(f, range(1, p))
+        vecs = [(ctx.pow_r[e], c.vector(den)) for e, c in f.sorted_terms()]
+        if list(rows) != [rotated_sum(p, [(vec, u * l % p) for u, vec in vecs])
+                          for l in range(1, p)]:
             return False
     return True
 

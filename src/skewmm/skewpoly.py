@@ -17,9 +17,9 @@ import functools
 import math
 import operator
 
-from .cyclotomic import (CycElem, _check_same_ctx, _is_prime, _slot_structs, _word_bytes,
-                         cyc_mul, cyc_sigma, div_one_minus_beta_power, mul_beta_power,
-                         power_of_v1, rotated_sum)
+from .cyclotomic import (CycElem, _check_same_ctx, _is_prime, _slot_ones, _slot_structs,
+                         _widened, _word_bytes, cyc_mul, cyc_sigma, div_one_minus_beta_power,
+                         mul_beta_power, power_of_v1, rotated_sum)
 from .multiply import rational_product
 
 
@@ -178,53 +178,73 @@ def power_points(ctx, count: int):
 def values_at_beta_powers(f: SkewPoly, exponents):
     """f's map at beta^l for each l in `exponents`, as (D, rows): D is the lcm
     of f's coefficients' denominators, and rows is an iterator whose k-th
-    item holds D times the p-1 power coordinates of the value at
+    item is the list of D times the p-1 power coordinates of the value at
     beta^exponents[k]; each value is built only when it is drawn.
 
     The term c x^e sends beta^l to c * beta^(l u) with u = r^e, so the
     value is the sum of f's t coefficient vectors (slot x for beta^x, over
     D), each rotated by its u l mod p places.  The vectors are packed once,
-    each into a p-slot int offset by M = max|entry| (_packed_values), and a
-    value is one sum of t rotated words, unpacked once: no slot sum exceeds
-    2 t M, and the offsets cancel when beta^0 is eliminated.  The slots are
-    8, 16, 32 or 64 bits, the least with 2 t M < 2^w; wider entries take
-    one rotated_sum per value, O(p t) int additions.  No gcd either way.
+    vector k into a p-slot int offset by its own M_k = max|entry|
+    (_packed_values), and a value is one sum of t rotated words, unpacked
+    once after its beta^0 slot is subtracted on the int.  With S = sum M_k,
+    no slot of the sum exceeds 2 S and no coordinate of the value exceeds
+    2 S in size, so the sums run in slots of 8, 16, 32 or 64 bits with
+    2 S < 2^w and the coordinates are read from slots with 4 S < 2^w:
+    O(t) interpreter steps and t big-int shifted adds per value.  Wider
+    entries take one rotated_sum per value, O(p t) int additions.  No gcd
+    either way.
     """
     ctx = f.ctx
     p = ctx.p
     terms = f.sorted_terms()
     den = math.lcm(*{c.den for _, c in terms})
     vecs = [(ctx.pow_r[e], c.vector(den)) for e, c in terms]
-    bound = max((max(map(abs, vec)) for _, vec in vecs), default=0)
-    size = _word_bytes((2 * len(vecs) * bound).bit_length())
-    if size is None:
+    bounds = [max(map(abs, vec)) for _, vec in vecs]
+    if _word_bytes((4 * sum(bounds)).bit_length()) is None:
         return den, (rotated_sum(p, [(vec, u * l % p) for u, vec in vecs]) for l in exponents)
-    return den, _packed_values(p, vecs, bound, size, exponents)
+    return den, _packed_values(p, vecs, bounds, exponents)
 
 
-def _packed_values(p: int, vecs, bound: int, size: int, exponents):
-    """values_at_beta_powers' rows for the (u, vec) pairs, in slots of `size`
-    bytes with 2 t bound < 2^(8 size), built one per exponent drawn.
+def _packed_values(p: int, vecs, bounds, exponents):
+    """values_at_beta_powers' rows for the (u, vec) pairs, whose max|entry|
+    are `bounds`, with S = sum(bounds) and 4 S < 2^64, built one per
+    exponent drawn.
 
-    Each vector, offset by bound, is one word C of p slots, kept doubled
-    as C + C X^p (X = 2^w, w = 8 size): its slice of p slots starting at
-    slot p - s is C rotated s places towards the top.  The t slices are
-    summed with one mask at the end, which is exact because no slot of the
-    sum reaches 2^w, so nothing carries out of the low p slots.
+    Each vector, offset by its max|entry|, is one word C of p slots of the
+    least width `size` of 1, 2, 4 or 8 bytes with 2 S < 2^(8 size), kept
+    doubled as C + C X^p (X = 2^w, w = 8 size): its slice of p slots
+    starting at slot p - s is C rotated s places towards the top.  The t
+    slices are summed with one mask at the end, which is exact because no
+    slot of the sum reaches 2^w, so nothing carries out of the low p slots.
+    The sum is then moved into slots of the least width `out` with
+    4 S < 2^(8 out) (`_widened`), if that is wider.  Its slot 0, c0, is its
+    low bits; adding (2^(8 out - 1) - c0) to every slot removes the offsets
+    and eliminates beta^0, leaving each coordinate biased into
+    [0, 2^(8 out)), and flipping each slot's top bit leaves its two's
+    complement, read by one signed struct past slot 0.
     """
-    unsigned = _slot_structs(p, size)[1]
+    total = sum(bounds)
+    size = _word_bytes((2 * total).bit_length())
+    out = _word_bytes((4 * total).bit_length())
     w = 8 * size
     span = w * p
     mask = (1 << span) - 1
+    low = (1 << (8 * out)) - 1
+    bias = 1 << (8 * out - 1)
+    ones = _slot_ones(p, out)
+    top = bias * ones
+    read = _slot_structs(p - 1, out)[0].unpack_from
+    unsigned = _slot_structs(p, size)[1]
     words = []
-    for u, vec in vecs:
-        word = int.from_bytes(unsigned.pack(*[x + bound for x in vec]), "little")
+    for (u, vec), m in zip(vecs, bounds):
+        word = int.from_bytes(unsigned.pack(*[x + m for x in vec]), "little")
         words.append((u, word | (word << span)))
     for l in exponents:
         acc = sum(word >> (span - w * (u * l % p)) for u, word in words) & mask
-        slots = unsigned.unpack(acc.to_bytes(span // 8, "little"))
-        c0 = slots[0]
-        yield [x - c0 for x in slots[1:]]
+        if out > size:
+            acc = int.from_bytes(_widened(acc.to_bytes(span // 8, "little"), size, out), "little")
+        acc = (acc + (bias - (acc & low)) * ones) ^ top
+        yield list(read(acc.to_bytes(out * p, "little"), out))
 
 
 def batch_evaluate_via_matrices(ctx, indices, A, B):

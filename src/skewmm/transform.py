@@ -10,16 +10,18 @@ algebra.  Both directions are implemented here:
                          of normal-basis translates and W of their
                          reciprocals satisfy V W = p I), run as one cyclic
                          correlation of length p(p-1) packed into a big
-                         int (O(p^2) interpreter steps and p-1 big-int
-                         shifted adds), or, for entries too long for
-                         64-bit slots, as O(p^3) int additions.  It is
-                         the only map this way: det, analyze and
-                         skew_sparsity all call it;
+                         int whose beta^0 and W's "- 1" corrections are two
+                         word subtractions (O(p) interpreter steps, p-1
+                         big-int shifted adds and a few struct calls), or,
+                         for entries too long for 64-bit slots, as O(p^3)
+                         int additions.  It is the only map this way:
+                         det, analyze and skew_sparsity all call it;
   polynomial -> matrix   skew_to_mat: f's values at beta^1 .. beta^(p-1),
                          each one sum of f's #f coefficient vectors
-                         packed into rotated words (O(p) interpreter
-                         steps and #f big-int shifted adds per value, or
-                         one rotated_sum for entries too long for 64-bit
+                         packed into rotated words with its beta^0 slot
+                         subtracted on the int (O(#f) interpreter steps
+                         and #f big-int shifted adds per value, or one
+                         rotated_sum for entries too long for 64-bit
                          slots), read off as rows by matrix_of_values.
 
 The same row fact drives the multiplication algorithms: any matrix's map
@@ -37,9 +39,10 @@ import functools
 import itertools
 import math
 import operator
+import struct
 
 from .cyclotomic import (CycCtx, CycElem, _check_odd_prime, _signed_word, _slot_ones,
-                         _slot_structs, _word_bytes, rotated_sum, shared_ctx)
+                         _slot_structs, _widened, _word_bytes, rotated_sum, shared_ctx)
 from .multiply import cubic_multiply, rational_product
 from .rational import Rat, as_rat
 from .skewpoly import SkewPoly, sp_mul, values_at_beta_powers
@@ -196,8 +199,8 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
     u = r^(i+k) for coefficient i and row k, so each product is a rotation
     of b_k's beta-exponent vector, and the "- 1" parts add up to the same
     -sum_k b_k in every coefficient.  The work runs on Python ints under
-    one common denominator D (the lcm of C's denominators), and each
-    coefficient is built directly over p*D.
+    one common denominator D (the lcm of C's denominators, none for a
+    matrix over 1), and each coefficient is built directly over p*D.
 
     The rotations form one cyclic correlation over C_(p-1) x C_p, which is
     C_(p(p-1)) because gcd(p-1, p) = 1 (Good's prime-factor index map): a
@@ -207,24 +210,31 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
     holding M; the sum of its p-1 shifts by (j, -r^j), folded once mod
     X^(p(p-1)) - 1, holds in slot (i, x) coefficient i's beta^x part.  Each
     slot is a sum of p-1 terms in [0, 2M], so a slot of w bits with
-    2 (p-1) M < 2^w never carries; the offsets cancel when beta^0 is
-    eliminated (_packed_coefficients).  w is rounded up to 8, 16, 32 or 64
-    bits so that the slots convert through struct; an input needing more
-    takes the rotated-sum loop instead (_looped_coefficients), O(p^3) int
-    additions, which on such long ints costs less than the wider slots.
+    2 (p-1) M < 2^w never carries.  Eliminating beta^0 and the "- 1" parts
+    are two word subtractions (_packed_coefficients), whose results lie in
+    [-3 (p-1) M, 3 (p-1) M] and are read from slots with 6 (p-1) M < 2^w.
+    Both widths are rounded up to 8, 16, 32 or 64 bits so that the slots
+    convert through struct: O(p) interpreter steps and p-1 big-int shifted
+    adds.  An input whose results need more than 64 bits takes the
+    rotated-sum loop instead (_looped_coefficients), O(p^3) int additions,
+    which on such long ints costs less than the wider slots.
     """
     ctx = _ctx_for(C, ctx)
     p = ctx.p
-    den = math.lcm(*(math.lcm(*dens) for dens in C.dens))
-    rows = [_scaled_row(num, dens, den) for num, dens in zip(C.nums, C.dens)]
+    n = p - 1
+    if C.dens == ((1,) * n,) * n:
+        den, rows = 1, C.nums
+    else:
+        den = math.lcm(*set(itertools.chain.from_iterable(C.dens)))
+        rows = [_scaled_row(num, dens, den) for num, dens in zip(C.nums, C.dens)]
     bound = max(max(map(max, rows)), -min(map(min, rows)))
     if not bound:
         return SkewPoly.zero(ctx)
-    size = _word_bytes((2 * (p - 1) * bound).bit_length())
-    if size is None:
+    if _word_bytes((6 * n * bound).bit_length()) is None:
         coefficients = _looped_coefficients(ctx, rows)
     else:
-        coefficients = _packed_coefficients(ctx, rows, bound, size)
+        coefficients = _packed_coefficients(ctx, rows, bound,
+                                            _word_bytes((2 * n * bound).bit_length()))
     out_den = p * den
     return SkewPoly(ctx, {i: CycElem(ctx, coords, out_den)
                           for i, coords in enumerate(coefficients) if any(coords)})
@@ -233,26 +243,57 @@ def mat_to_skew(C: RatMatrix, ctx: CycCtx | None = None) -> SkewPoly:
 def _packed_coefficients(ctx: CycCtx, rows, bound: int, size: int):
     """mat_to_skew's coefficients, power numerators over p*D, from its
     scaled rows by one packed correlation in slots of `size` bytes (1, 2, 4
-    or 8), where 2 (p-1) bound < 2^(8 size) and bound >= max|entry|.
+    or 8), where 2 (p-1) bound < 2^(8 size), bound >= max|entry| and
+    6 (p-1) bound < 2^64.
 
     The rows are gathered into CRT order and packed as signed slots
     (`_signed_word`), and adding bound to every slot makes each slot
     nonnegative.  After the shifts and the fold, coefficient i is slot
     (i, x) minus slot (i, 0), which removes the offsets and eliminates
-    beta^0, minus the x-th power coordinate of sum_k b_k.
+    beta^0, minus the x-th power coordinate of sum_k b_k.  Both
+    subtractions run on the folded int, in slots of the least width
+    `out` with 6 (p-1) bound < 2^(8 out), to which the folded slots are
+    repacked if it is wider than `size`: slot (i, 0) sits at position
+    p i, and the slots (i, x) at the positions equal to i mod p-1, so the
+    beta^0 parts make one word of p-1 slots repeated p times; the x-th
+    coordinate of the sum goes to the positions equal to x mod p, one word
+    of p slots repeated p-1 times.  A bias of 2^(8 out - 1) in that word
+    keeps every slot nonnegative, and flipping each slot's top bit leaves
+    its two's complement, so one signed struct reads every coefficient.
     """
-    count = ctx.p * (ctx.p - 1)
-    gather, shifts, reads, zeros = _crt_layout(ctx.p)
+    p = ctx.p
+    n = p - 1
+    count = p * n
+    gather, shifts, reads = _crt_layout(p)
+    out = _word_bytes((6 * n * bound).bit_length())
     w = 8 * size
     span = w * count
     packed = (_signed_word(gather([*itertools.chain.from_iterable(rows), 0]), size)
               + bound * _slot_ones(count, size))
     acc = sum(packed << (w * s) for s in shifts)
     folded = (acc & ((1 << span) - 1)) + (acc >> span)
-    slots = _slot_structs(count, size)[1].unpack(folded.to_bytes(span // 8, "little"))
+    raw = folded.to_bytes(span // 8, "little")
+    if out > size:
+        raw = _widened(raw, size, out)
+        folded = int.from_bytes(raw, "little")
+    zeros = _every_pth_slot(p, out).unpack_from(raw)
+    bias = 1 << (8 * out - 1)
     total = ctx.to_power(list(map(sum, zip(*rows))))
-    return ([x - c0 - t for x, t in zip(read(slots), total)]
-            for read, c0 in zip(reads, zeros(slots)))
+    corrections = (
+        int.from_bytes(_slot_structs(p, out)[1].pack(bias, *(bias - x for x in total)) * n,
+                       "little")
+        - int.from_bytes(_slot_structs(n, out)[1].pack(*zeros) * p, "little"))
+    read = _slot_structs(count, out)[0].unpack(
+        ((folded + corrections) ^ (bias * _slot_ones(count, out))).to_bytes(out * count, "little"))
+    return (get(read) for get in reads)
+
+
+@functools.lru_cache(maxsize=None)
+def _every_pth_slot(p: int, size: int):
+    """The unsigned little-endian format that reads slots 0, p, ..., (p-2) p
+    of p (p-1) slots of `size` bytes (1, 2, 4 or 8), skipping the rest."""
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
+    return struct.Struct("<" + code + f"{(p - 1) * size}x{code}" * (p - 2))
 
 
 def _looped_coefficients(ctx: CycCtx, rows):
@@ -271,14 +312,14 @@ def _looped_coefficients(ctx: CycCtx, rows):
 @functools.lru_cache(maxsize=None)
 def _crt_layout(p: int):
     """mat_to_skew's packed layout at p, built once per prime: (gather,
-    shifts, reads, zeros).
+    shifts, reads).
 
     Position c of the packed int stands for the pair (c mod p-1, c mod p).
     gather picks, from the n = p-1 scaled rows laid end to end plus one
     trailing 0, the value for each position: slot (a, x) holds row -a's
     power coordinate x, that is its normal coordinate q(x), and 0 at x = 0.
     shifts lists the positions of (j, -r^j), j = 0..p-2.  reads[i] picks
-    coefficient i's slots (i, 1) .. (i, p-1), zeros the slots (i, 0).
+    coefficient i's slots (i, 1) .. (i, p-1).
     """
     ctx = shared_ctx(p)
     n = p - 1
@@ -290,8 +331,7 @@ def _crt_layout(p: int):
     gather = [n * n if c % p == 0 else (-c % n) * n + ctx.q(c % p) - 1 for c in range(n * p)]
     return (operator.itemgetter(*gather),
             tuple(pos(j, -ctx.pow_r[j]) for j in range(n)),
-            tuple(operator.itemgetter(*(pos(i, x) for x in range(1, p))) for i in range(n)),
-            operator.itemgetter(*(pos(i, 0) for i in range(n))))
+            tuple(operator.itemgetter(*(pos(i, x) for x in range(1, p))) for i in range(n)))
 
 
 def _ctx_for(C: RatMatrix, ctx: CycCtx | None) -> CycCtx:
@@ -328,8 +368,9 @@ def skew_to_mat(f: SkewPoly) -> RatMatrix:
     """The matrix of the linear map of f in the normal basis.
 
     values_at_beta_powers gives f's values at beta^1 .. beta^(p-1) over one
-    common denominator, each one sum of #f rotated words: O(p^2)
-    interpreter steps and p #f big-int shifted adds in all.
+    common denominator, each one sum of #f rotated words read by one
+    struct call: O(p #f) interpreter steps and p #f big-int shifted adds
+    in all, then matrix_of_values' O(p) row permutations and gcds.
     """
     ctx = f.ctx
     den, rows = values_at_beta_powers(f, range(1, ctx.p))

@@ -77,3 +77,13 @@ def fraction_product(a_rows, b_rows):
             out_row.append(acc)
         out.append(out_row)
     return out
+
+
+#: the primes at which the packed kernels' width edges are tested
+EDGE_PRIMES = (3, 5, 7, 13, 31, 61, 127)
+
+
+def least_width(value):
+    """The least of 1, 2, 4 or 8 bytes whose slots hold value < 2^w, or
+    None."""
+    return next((k for k in (1, 2, 4, 8) if value < 2 ** (8 * k)), None)

@@ -1,23 +1,29 @@
 """The packed-word kernels against their definitions.
 
 values_at_beta_powers packs each of f's t coefficient vectors into one
-p-slot word offset by M = max|entry|, and builds a value as one sum of t
-rotated words: its slots are 8, 16, 32 or 64 bits, the least with
-2 t M < 2^w, and wider entries take one rotated_sum per value.  Every
-value is checked against that rotated_sum definition, across all t, at
-the slot edges (the value at beta^0 puts 2 t M in a slot when every entry
-is M) and past 64 bits.  cyc_mul rounds its slot width up to 1, 2, 4 or 8
+p-slot word offset by its own M_k = max|entry|, and builds a value as one
+sum of t rotated words whose beta^0 slot is subtracted on the int: with
+S = sum M_k, the sums run in the least of 8, 16, 32 or 64 bits with
+2 S < 2^w, the coordinates are read from the least with 4 S < 2^w, and
+wider entries take one rotated_sum per value.  Every value is checked
+against that rotated_sum definition, across all t, at the slot edges (the
+value at beta^0 puts 2 t M in a slot when every entry is M; aligned terms
+put 2 S in a coordinate), on both sides of each edge at p = 3 .. 127, and
+past 64 bits.  cyc_mul rounds its slot width up to 1, 2, 4 or 8
 bytes and reads the slots through one struct; cyc_sigma is one cached
 permutation per (p, r^k); mul_beta_power rotates the exponent vector.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import seeded
-from skewmm import CycElem, SkewPoly, shared_ctx
+from conftest import EDGE_PRIMES, least_width, seeded
+from skewmm import CycElem, SkewPoly, selftest, shared_ctx, skewpoly
 from skewmm.cyclotomic import _slot_bytes, cyc_mul, cyc_sigma, mul_beta_power, rotated_sum
 from skewmm.skewpoly import values_at_beta_powers
 from test_cyc_canonical import beta_shift_def, sigma_def
@@ -182,3 +188,90 @@ def test_cyc_sigma_and_mul_beta_power_against_their_definitions(p):
         assert cyc_sigma(a, k) == ctx.elem(sigma_def(coords, k % (p - 1), ctx))
     for k in range(-p, 2 * p + 1):
         assert mul_beta_power(a, k) == ctx.elem(beta_shift_def(coords, k, p))
+
+
+# The packed pushforward at every slot-width edge.  With S the sum of the
+# coefficient vectors' max|entry|, the shifted sums run in the least slot of
+# 1, 2, 4 or 8 bytes with 2 S < 2^w (the raw range), and the coordinates,
+# their beta^0 slot subtracted on the int, are read from the least with
+# 4 S < 2^w (the corrected range), widened if that is wider; past 64 bits
+# rotated_sum runs.
+
+
+def edge_sums(factors):
+    """Sums S of the vectors' max|entry| on both sides of each edge
+    factor * S < 2^w."""
+    edges = {(2 ** w - 1) // f for w in (8, 16, 32, 64) for f in factors}
+    return sorted({s for e in edges for s in (e, e + 1)})
+
+
+def split_sum(total, t, rng):
+    """t positive bounds adding up to total >= t, the first the largest."""
+    rest = [rng.randint(1, 9) for _ in range(t - 1)]
+    while sum(rest) >= total:
+        rest = [1] * (t - 1)
+    return [total - sum(rest), *rest]
+
+
+@st.composite
+def edge_polynomials(draw):
+    """A polynomial whose vectors' max|entry| add up to S on one side of a
+    width edge: the aligned terms whose value at beta^1 reaches 2 S at one
+    coordinate, or random vectors, each holding its bound once, over 1 or
+    over a denominator D (the first keeps an entry 1, so D is the lcm)."""
+    p = draw(st.sampled_from(EDGE_PRIMES))
+    ctx = shared_ctx(p)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    t = draw(st.integers(1, min(p - 2, 6)))
+    bounds = split_sum(max(draw(st.sampled_from(edge_sums((2, 4)))), t), t, rng)
+    sign = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        return selftest._aligned_poly(ctx, bounds, sign)
+    den = draw(st.sampled_from([1, 6, 2 ** 61 - 1]))
+    terms = {}
+    for k, (e, m) in enumerate(zip(rng.sample(range(p - 1), t), bounds)):
+        num = [rng.randint(-min(m, 9), min(m, 9)) for _ in range(p - 1)]
+        at = rng.randrange(p - 1)
+        num[at] = sign * m
+        if k == 0:
+            num[(at + 1) % (p - 1)] = 1
+        terms[e] = CycElem(ctx, num, den)
+    return SkewPoly(ctx, terms)
+
+
+@settings(deadline=None, max_examples=120)
+@given(edge_polynomials())
+def test_packed_pushforward_matches_rotated_sum(f):
+    assert_matches_definition(f, exponents_for(f.ctx.p))
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+@pytest.mark.parametrize("total", edge_sums((2, 4)), ids=hex)
+def test_pushforward_width_edges(monkeypatch, p, total):
+    # two aligned terms whose bounds add up to each S = the largest sum
+    # with 2 S < 2^w or 4 S < 2^w, and to S + 1: the sums take the raw
+    # width of 2 S, the read the corrected width of 4 S, widened from the
+    # raw one for every value if wider; the value at beta^1 reaches 2 S,
+    # the top bit of its slot
+    ctx = shared_ctx(p)
+    t = 1 if p == 3 else 2
+    bounds = [total - t + 1] + [1] * (t - 1)
+    size, out = least_width(2 * total), least_width(4 * total)
+    for sign in (1, -1):
+        f = selftest._aligned_poly(ctx, bounds, sign)
+        widened = []
+        original = skewpoly._widened
+
+        def recording_widened(raw, from_size, to_size):
+            widened.append((from_size, to_size))
+            return original(raw, from_size, to_size)
+
+        monkeypatch.setattr(skewpoly, "_widened", recording_widened)
+        exponents = exponents_for(p)
+        den, rows = values_at_beta_powers(f, exponents)
+        rows = list(rows)
+        monkeypatch.undo()
+        assert (den, rows) == values_by_rotated_sum(f, exponents)
+        assert widened == ([(size, out)] * len(exponents)
+                           if out is not None and out > size else [])
+        assert max(map(abs, rows[1])) == 2 * total

@@ -5,7 +5,9 @@ each normal-basis element.  Inputs cover zero and single-entry matrices,
 zero rows, all-negative rows, a single nonzero row, negative and very large
 numerators, and large coprime denominators.  mat_to_skew has two paths, a
 packed correlation in slots of 1, 2, 4 or 8 bytes and a rotated-sum loop for
-inputs that need wider slots; both are checked, at each slot-width edge."""
+inputs that need wider slots; both are checked, at each slot-width edge, and
+the packed one against the loop on both sides of every edge of its raw sums
+and of its corrected coefficients at p = 3 .. 127."""
 
 import math
 import random
@@ -14,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EDGE_PRIMES, least_width
 from skewmm import (RatMatrix, SkewPoly, build_W, cyc_add, cyc_mul, cyc_scale,
-                    from_normal_coords, mat_to_skew, normal_coords, shared_ctx,
+                    from_normal_coords, mat_to_skew, normal_coords, selftest, shared_ctx,
                     skew_to_mat, sp_evaluate, transform)
 from skewmm.rational import Rat
 
@@ -178,9 +181,10 @@ def recording_paths(monkeypatch):
 def test_slot_width_edges(monkeypatch, p, size, over, sign):
     # every slot sums p-1 terms in [0, 2M], M = max|entry|: M at the limit
     # 2 (p-1) M < 2^(8 size) fills a slot of `size` bytes; one more takes
-    # the next size, or after 8 bytes the rotated-sum loop
+    # the next size.  The corrected coefficients span 6 (p-1) M, so at 8
+    # bytes the edge is 6 (p-1) M < 2^64, past which the rotated-sum loop runs
     n = p - 1
-    limit = (2 ** (8 * size) - 1) // (2 * n)
+    limit = (2 ** (8 * size) - 1) // ((6 if size == 8 else 2) * n)
     rng = random.Random(p * 100 + size)
     rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
     rows[rng.randrange(n)][rng.randrange(n)] = sign * (limit + over)
@@ -222,3 +226,104 @@ def test_p31_pullback_matches_definition(monkeypatch):
     assert paths == [4]
     monkeypatch.undo()
     assert f == mat_to_skew_by_definition(C, ctx)
+
+
+# The packed pullback against the rotated-sum loop, at every slot-width edge.
+# The shifts run in the least slot of 1, 2, 4 or 8 bytes with
+# 2 (p-1) M < 2^w (the raw range), and the corrected coefficients are read
+# from the least with 6 (p-1) M < 2^w (the corrected range), widened if that
+# is wider; past 64 bits the loop runs.
+
+
+def edge_bounds(p, factors):
+    """max|entry| values on both sides of each edge factor * M < 2^w."""
+    edges = {(2 ** w - 1) // f for w in (8, 16, 32, 64) for f in factors}
+    return sorted({m for e in edges for m in (e, e + 1) if m > 0})
+
+
+def pullback_by_loop(C, ctx):
+    """mat_to_skew's polynomial from _looped_coefficients on its scaled rows."""
+    p = ctx.p
+    den = math.lcm(*(math.lcm(*dens) for dens in C.dens))
+    rows = [[x * (den // d) for x, d in zip(num, dens)] for num, dens in zip(C.nums, C.dens)]
+    return SkewPoly(ctx, {i: cyc_scale(ctx.elem(coords), Rat(1, p * den))
+                          for i, coords in enumerate(transform._looped_coefficients(ctx, rows))
+                          if any(coords)})
+
+
+def coprime_prime(m):
+    """The least prime that does not divide m."""
+    return next(q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+                if m % q)
+
+
+@st.composite
+def edge_matrices(draw):
+    """A matrix whose scaled entries have max|entry| M on one side of a
+    width edge: integral rows, rows over one real denominator D (an entry
+    1/D fixes the lcm), rows over 1 but for one entry M/d, or the aligned
+    rows whose corrected coefficient reaches (3 (p-1) - 1) M."""
+    p = draw(st.sampled_from(EDGE_PRIMES))
+    n = p - 1
+    ctx = shared_ctx(p)
+    bound = draw(st.sampled_from(edge_bounds(p, (2 * n, 6 * n))))
+    sign = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(["integral", "denominator", "one-entry", "aligned"]))
+    if kind == "aligned":
+        return selftest._aligned_matrix(ctx, bound, sign)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    small = min(bound, 9)
+    at = (rng.randrange(n), rng.randrange(n))
+    if kind == "integral":
+        rows = [[rng.randint(-small, small) for _ in range(n)] for _ in range(n)]
+        rows[at[0]][at[1]] = sign * bound
+    elif kind == "denominator":
+        D = draw(st.sampled_from([2, 6, 35, 2 ** 61 - 1]))
+        rows = [[Rat(rng.randint(-small, small), D) for _ in range(n)] for _ in range(n)]
+        rows[at[0]][at[1]] = Rat(sign * bound, D)
+        rows[(at[0] + 1) % n][at[1]] = Rat(1, D)
+    else:
+        d = coprime_prime(bound)
+        small = min(bound // d, 9)
+        rows = [[rng.randint(-small, small) for _ in range(n)] for _ in range(n)]
+        rows[at[0]][at[1]] = Rat(sign * bound, d)
+    return RatMatrix(p, rows)
+
+
+@settings(deadline=None, max_examples=120)
+@given(edge_matrices())
+def test_packed_pullback_matches_the_loop(C):
+    ctx = shared_ctx(C.p)
+    assert mat_to_skew(C, ctx) == pullback_by_loop(C, ctx)
+
+
+@pytest.mark.parametrize(("p", "bound"), [
+    pytest.param(p, m, id=f"{p}-{m:#x}") for p in EDGE_PRIMES
+    for m in edge_bounds(p, (2 * (p - 1), 6 * (p - 1)))])
+def test_pullback_width_edges(monkeypatch, p, bound):
+    # aligned rows at each M = the largest bound with 2 (p-1) M < 2^w or
+    # 6 (p-1) M < 2^w, and at M + 1: the shifts take the raw width of
+    # 2 (p-1) M, the read the corrected width of 6 (p-1) M, widened from the
+    # raw one if wider; a corrected coefficient (3 (p-1) - 1) M reaches the
+    # top bit of its slot
+    n = p - 1
+    ctx = shared_ctx(p)
+    size, out = least_width(2 * n * bound), least_width(6 * n * bound)
+    for sign in (1, -1):
+        C = selftest._aligned_matrix(ctx, bound, sign)
+        paths = recording_paths(monkeypatch)
+        widened = []
+        original = transform._widened
+
+        def recording_widened(raw, from_size, to_size):
+            widened.append((from_size, to_size))
+            return original(raw, from_size, to_size)
+
+        monkeypatch.setattr(transform, "_widened", recording_widened)
+        f = mat_to_skew(C, ctx)
+        monkeypatch.undo()
+        assert paths == (["loop"] if out is None else [size])
+        assert widened == ([(size, out)] if out is not None and out > size else [])
+        want = pullback_by_loop(C, ctx)
+        assert f == want
+        assert max(max(map(abs, c.vector(p))) for c in want.terms.values()) == (3 * n - 1) * bound
