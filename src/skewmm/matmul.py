@@ -135,22 +135,39 @@ def naive_mul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     return product_matrix(A, B)
 
 
-def _product_route(s_a: int, s_b: int, p: int) -> str:
+def _product_route(s_a: int, s_b: int, t: int, p: int, integral: bool) -> str:
     """The stage det_mul forms the product by, from the factors' sparsities
-    s_a and s_b and p: "direct" while 16 s_a s_b <= (p-1)^2, else "rows".
+    s_a and s_b, the sumset size t, p, and whether both factors are over 1:
+    "direct" while w (s_a s_b + t) (p + 8) <= 2 (p-1)^2, with w = 3 when
+    both factors are integral and w = 2 when either has a denominator,
+    else "rows".
 
-    The direct stage costs about s_a s_b field products, the rows stage
-    p-1 packed row sums of p-1 terms each (`int_product`); the O(t p^2)
-    pushforward is small beside either, so the sumset size t does not
-    enter.  The 16 was read off timings against the dot-product loop that
-    the rows stage ran before, where the two stages cost the same at
-    (p-1)^2 / (s_a s_b) = 15-18 for p = 31, 61 and 127.  Against the packed
-    rows stage that crossing lies near 50-70 at p=13, 100-110 at p=31,
-    150-200 at p=61 and 250-500 at p=127 (README, "Product stage"),
-    so the rule now sends some products to the slower stage; it is kept
-    until the rule is refit.
+    The direct stage is s_a s_b field products and a pushforward of t
+    terms, and each of those costs about p + 8 units: a big-int product or
+    shifted add of p-slot words, and the gcd that keeps a field element in
+    lowest terms.  The rows stage is the packed int product (`int_product`),
+    p-1 sums of p-1 (int x packed row) terms; with denominators it also
+    scales each row and column by its lcm and reduces each entry by a gcd,
+    which costs it about half as much again.  The rule was fitted on both
+    stages timed on the same pullbacks of about 4,600 pairs at p = 13..127
+    (layered and random supports; both factors over 1, over one
+    denominator each or over a denominator per coefficient, or one factor
+    over 1): the stage it picks costs at most 1.13x the faster one on
+    integral pairs and at most 1.3x on the others (README, "Product
+    stage").  No comparison of s_a s_b with p alone does as well, since the
+    crossing moves with t and, by half as much again, with denominators.
     """
-    return "direct" if 16 * s_a * s_b <= (p - 1) ** 2 else "rows"
+    weight = 3 if integral else 2
+    return "direct" if weight * (s_a * s_b + t) * (p + 8) <= 2 * (p - 1) ** 2 else "rows"
+
+
+def _over_one(M: RatMatrix) -> bool:
+    """Whether every entry of M is an int.  tuple.count tries identity
+    first, so rows of denominators that share one tuple, as
+    RatMatrix._reduced builds them for the products and the pushforward,
+    cost a pointer comparison each rather than p-1 int comparisons."""
+    row = M.dens[0]
+    return row == (1,) * len(row) and M.dens.count(row) == len(row)
 
 
 def _form_product(route: str, A: RatMatrix, B: RatMatrix, f_a, f_b) -> RatMatrix:
@@ -170,8 +187,9 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     steps), or O(p^3) int additions when its corrected coefficients are
     too long for 64-bit slots.  The product polynomial's support is
     covered by the exponent sumset of the two pullbacks, of size t.  Then
-    _product_route picks, from s_A, s_B and p, one of two exact ways to
-    form the product (_form_product):
+    _product_route picks, from s_A s_B + t, p and whether both factors are
+    over 1, the cheaper of two exact ways to form the product
+    (_form_product):
       direct    skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products,
                 each one big-int product, then the pushforward (p t
                 big-int shifted adds, O(p t) interpreter steps);
@@ -191,7 +209,7 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     f_a = mat_to_skew(A, ctx)
     f_b = mat_to_skew(B, ctx)
     t = len(sumset(f_a, f_b))
-    product = _product_route(f_a.sparsity, f_b.sparsity, p)
+    product = _product_route(f_a.sparsity, f_b.sparsity, t, p, _over_one(A) and _over_one(B))
     result = _form_product(product, A, B, f_a, f_b)
     report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
                        rational_mul_count=2 * t * (p - 1) ** 2,

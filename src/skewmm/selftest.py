@@ -178,11 +178,38 @@ def check_l0_characterization(primes=(3, 5, 7), cases=6) -> bool:
     return True
 
 
+def _stage_pairs(ctx, rng, den):
+    """Two pairs on either side of det_mul's stage rule, each a one-term
+    factor times layers 0..s-1 (s_A = 1 and t = s) scaled by 1/den: the
+    largest s the rule sends to the direct stage, with a zero left factor
+    where no s goes direct (p <= 7 over 1, p <= 5 over 7), and the least s
+    it sends to the rows stage; each with the route it must take."""
+    p = ctx.p
+    integral = den == 1
+
+    def pair(s, zero=False):
+        a = RatMatrix.zeros(p) if zero else random_layered(ctx, [0], rng.getrandbits(32))
+        b = random_layered(ctx, range(s), rng.getrandbits(32))
+        return a.scale(Fraction(1, den)), b.scale(Fraction(1, den))
+
+    sides = [matmul._product_route(1, s, s, p, integral) for s in range(1, p)]
+    rows = sides.index("rows") + 1
+    direct = pair(rows - 1) if rows > 1 else pair(1, zero=True)
+    return (direct, "direct"), (pair(rows), "rows")
+
+
 def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
-    """det_mul and mc_mul against the schoolbook oracle, dense and layered."""
+    """det_mul and mc_mul against the schoolbook oracle, dense and layered,
+    and at each prime a layered pair on either side of det_mul's stage
+    rule, over 1 and over 7, which must take the stage the rule names."""
     rng = random.Random(505)
     for p in primes:
         ctx = shared_ctx(p)
+        for den in (1, 7):
+            for (A, B), stage in _stage_pairs(ctx, rng, den):
+                got, report = matmul.det_mul(A, B)
+                if report.product != stage or got != matmul.naive_mul(A, B):
+                    return False
         for _ in range(cases):
             A = _rand_matrix(p, rng)
             B = _rand_matrix(p, rng)
@@ -374,7 +401,8 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
         ("pullback and pushforward, packed and looped, vs the rotated-sum "
          "definition", check_pullback_paths),
         ("skew-sparsity reporting", check_sparsity_reporting),
-        ("det/mc multiplication vs schoolbook oracle", check_multiplication),
+        ("det/mc multiplication vs schoolbook oracle, det's stage rule on "
+         "either side", check_multiplication),
         ("naive/det products with denominators vs Fraction schoolbook, "
          "det's direct and rows stages", check_rational_products),
     ]

@@ -342,7 +342,10 @@ def test_mul_reports_det_product_stage_and_bench_omits_it(workdir, capsys):
             (61, "0", "2", "direct"),
             # 12 random layers each at p=61: the sumset (t = 56) nearly fills Z_60
             (61, "3,4,6,9,20,23,25,34,37,41,52,55", "2,4,5,13,15,26,27,32,35,54,55,58",
-             "direct"),
+             "rows"),
+            # one term times layers 0..16 at p=61: the last direct cell of
+            # bench's pairs, 3 (17 + 17) (61 + 8) <= 2 * 60^2
+            (61, "0", ",".join(map(str, range(17))), "direct"),
             (13, "dense", "dense", "rows")):
         a = gen(workdir, "a.mat", p=p, layers=layers_a, seed=1)
         b = gen(workdir, "b.mat", p=p, layers=layers_b, seed=2)
