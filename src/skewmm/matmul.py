@@ -5,11 +5,13 @@ Three routes to the same exact product of (p-1) x (p-1) rational matrices:
   naive_mul  schoolbook ground truth: one int product of the two factors,
              rows and columns scaled by their denominators' lcms, each
              product row one sum of p-1 products with packed rows;
-  det_mul    deterministic: pull both factors back to polynomials
-             (mat_to_skew), bound the product's support by the exponent
-             sumset of size t, and form the product by one of two exact
-             stages: the direct product of the polynomials pushed forward,
-             or the int product of all p-1 rows;
+  det_mul    deterministic: unless a factor is proven too dense for the
+             direct stage from its rows modulo a prime (the density guard:
+             then the int product, with no pullback), pull both factors
+             back to polynomials (mat_to_skew), bound the product's support
+             by the exponent sumset of size t, and form the product by one
+             of two exact stages: the direct product of the polynomials
+             pushed forward, or the int product of all p-1 rows;
   mc_mul     Monte Carlo: guess the product's sparsity by doubling a bound,
              interpolate with the locator-based routine (support found
              modulo a prime, coefficients solved exactly), and accept the
@@ -24,15 +26,19 @@ bits of one getrandbits(p-1) word most-significant-bit first.  Identical
 from __future__ import annotations
 
 import enum
+import functools
+import math
 import random
 import time
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .cyclotomic import shared_ctx
-from .skewpoly import (InterpolationError, batch_evaluate_via_matrices, sp_mul,
-                       sparse_interpolate, sumset)
-from .transform import RatMatrix, mat_to_skew, matrix_of_values, product_matrix, skew_to_mat
+from .skewpoly import (InterpolationError, _BerlekampMassey, _modulus,
+                       batch_evaluate_via_matrices, sp_mul, sparse_interpolate, sumset)
+from .transform import (RatMatrix, _scaled_row, mat_to_skew, matrix_of_values, product_matrix,
+                        skew_to_mat)
 
 MAX_SEED = 2 ** 64
 
@@ -62,8 +68,8 @@ class MulReport(namedtuple("MulReport", ("algorithm", "t_used", "iterations",
 
     rational_mul_count is the nominal multiplication count, a closed form
     in p and the number of evaluation points: (p-1)^3 for naive_mul;
-    2 t (p-1)^2 for det_mul's t points, though neither of its stages
-    evaluates;
+    2 t (p-1)^2 for det_mul's t = t_used points, though neither of its
+    stages evaluates;
     2 m (p-1)^2 for mc_mul's m = min(2 final_T, p-1) values.  Each point is
     charged as a row of the dense t x (p-1) by (p-1) x (p-1) product that
     the gather of A's rows replaces, plus that row's product with B.  The
@@ -76,7 +82,12 @@ class MulReport(namedtuple("MulReport", ("algorithm", "t_used", "iterations",
     which indicates a bug rather than an input condition.  product is the
     stage det_mul formed the product by, "direct" or "rows" (see det_mul),
     and is empty for naive_mul and mc_mul.  For det_mul, t_used is the
-    sumset size t on either route.  wall_time is measured, never asserted.
+    support bound the product was formed under: the size t of the exponent
+    sumset of the two pullbacks, on either stage, or p-1 where the density
+    guard proved a factor too dense for the direct stage and the rows stage
+    ran with no pullback (no sumset is computed; every exponent of Z_(p-1)
+    is allowed).  Such a pair reports product "rows" and the count
+    2 (p-1)^3.  wall_time is measured, never asserted.
     """
 
     __slots__ = ()
@@ -178,17 +189,111 @@ def _form_product(route: str, A: RatMatrix, B: RatMatrix, f_a, f_b) -> RatMatrix
     return product_matrix(A, B)
 
 
+@functools.lru_cache(maxsize=None)
+def _direct_bound(rule, p: int, integral: bool) -> int:
+    """T, the largest s in 1..p-1 that `rule` (det_mul's _product_route)
+    sends to the direct stage as the pair of a one-term factor and an
+    s-term one, whose sumset has size s; 0 if it sends none.
+
+    The rule turns to rows as s_A s_B + t grows, and t >= max(s_A, s_B)
+    when both factors are nonzero, so s_A s_B + t >= 2 s_A: a factor with
+    more than T terms takes the rows stage whatever its nonzero partner.
+    Keyed on the rule itself, so T follows the rule wherever it is replaced.
+    """
+    return next((s for s in range(p - 1, 0, -1) if rule(1, s, s, p, integral) == "direct"), 0)
+
+
+#: bits of the prime the density guard reduces rows modulo.  Below 2^30
+#: every residue is one CPython digit: on a 2-CPU x86 host with Python
+#: 3.11, a p=31 row took 2.1-2.6 us to reduce with a 31-bit q against
+#: 3.0-3.3 us with sparse_interpolate's 61-bit prime, and Berlekamp-Massey
+#: on 9 residues 20-22 us against 25-31 us with the 31-bit q
+_GUARD_BITS = 30
+
+
+@functools.lru_cache(maxsize=None)
+def _guard_modulus(p: int):
+    """The density guard's prime q = 1 (mod p), zeta^(r^j) for the normal
+    coordinates j = 0..p-2 (the image of v_(j+1) = beta^(r^j)), and the
+    indices of rows q(1) .. q(p-1), the values at beta^1 .. beta^(p-1)."""
+    q, zeta_pows = _modulus(p, 0, _GUARD_BITS)
+    ctx = shared_ctx(p)
+    return q, ctx.to_normal(zeta_pows[1:]), tuple(k - 1 for k in ctx.q_perm)
+
+
+def _proven_dense(M: RatMatrix, bound: int, over_one: bool) -> bool:
+    """Whether M's pullback is proven to have more than `bound` terms, from
+    M's rows alone: det_mul's density guard.
+
+    Row q(l) is M's map at beta^l, and for f = sum a_i sigma^(e_i) that is
+    sum a_i (beta^(r^(e_i)))^l, a linear recurrence in l of length #f.  The
+    map beta -> zeta to F_q, for the prime q = 1 (mod p) of _guard_modulus,
+    is a ring map on every Z[1/D][beta] with D prime to q, so the rows'
+    images satisfy the image of that recurrence and their shortest one is
+    no longer.  A Berlekamp-Massey length above `bound` on rows q(1), q(2),
+    ... therefore proves #f > bound.  Unless M is over 1 (`over_one`, as
+    _over_one finds it), each row is scaled by its lcm D and its sum
+    multiplied by D^-1 mod q.
+
+    The guard gives up, unproven, after min(2 bound + 1, p-1) rows, when q
+    divides a row's lcm, or at a zero discrepancy at step n >= 2L, where a
+    recurrence of length L has predicted a value it was not fitted to
+    (early termination): a factor of s <= bound terms costs 2s + 1 rows.
+    Giving up leads only to the pullbacks, so correctness never rests on it.
+    """
+    q, zeta_row, order = _guard_modulus(M.p)
+    recurrence = _BerlekampMassey(q)
+    nums, dens = M.nums, M.dens
+    for n, i in enumerate(order[:2 * bound + 1]):
+        den = 1 if over_one else math.lcm(*dens[i])
+        if den == 1:
+            x = sum(map(mul, nums[i], zeta_row))
+        elif den % q:
+            x = sum(map(mul, _scaled_row(nums[i], dens[i], den), zeta_row)) * pow(den, -1, q)
+        else:
+            return False
+        if recurrence.add(x % q):
+            if recurrence.length > bound:
+                return True
+        elif n >= 2 * recurrence.length:
+            return False
+    return False
+
+
+def _guarded(A: RatMatrix, B: RatMatrix) -> bool:
+    """Whether det_mul's density guard sends A*B to the rows stage with no
+    pullback: both factors are nonzero and _proven_dense proves one of them
+    to have more than T = _direct_bound(_product_route, ...) terms, so that
+    the rule would pick the rows stage after the pullbacks too.  The guard
+    does not run where T = 0, as at p <= 7 over 1, or where T = p-1."""
+    p = A.p
+    over_a, over_b = _over_one(A), _over_one(B)
+    bound = _direct_bound(_product_route, p, over_a and over_b)
+    return (0 < bound < p - 1
+            and (_proven_dense(A, bound, over_a) or _proven_dense(B, bound, over_b))
+            and any(map(any, A.nums)) and any(map(any, B.nums)))
+
+
 def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     """Deterministic skew-sparse product: always exactly equals naive_mul.
 
-    Each factor is pulled back by mat_to_skew, one cyclic correlation
-    packed into a big int (p-1 shifted adds of a p(p-1)-slot int, its
-    corrections and read-out done on the packed words, O(p) interpreter
-    steps), or O(p^3) int additions when its corrected coefficients are
-    too long for 64-bit slots.  The product polynomial's support is
-    covered by the exponent sumset of the two pullbacks, of size t.  Then
-    _product_route picks, from s_A s_B + t, p and whether both factors are
-    over 1, the cheaper of two exact ways to form the product
+    First the density guard (_proven_dense) reads each nonzero factor's
+    rows modulo a 30-bit prime.  Let T be the largest sparsity that
+    _product_route could still send to the direct stage (_direct_bound: 7
+    at p=31 and 17 at p=61 for factors over 1, 11 and 26 with
+    denominators; 0 at p <= 7 over 1, where the guard does not run).  If
+    the guard proves either factor to have more than T terms, the rule
+    would pick the rows stage whatever the other factor, and det_mul
+    returns the int product of A and B with no pullback.
+
+    Otherwise each factor is pulled back by mat_to_skew, one cyclic
+    correlation packed into a big int (p-1 shifted adds of a p(p-1)-slot
+    int, its corrections and read-out done on the packed words, O(p)
+    interpreter steps), or O(p^3) int additions when its corrected
+    coefficients are too long for 64-bit slots.  The product polynomial's
+    support is covered by the exponent sumset of the two pullbacks, of size
+    t.  Then _product_route picks, from s_A s_B + t, p and whether both
+    factors are over 1, the cheaper of two exact ways to form the product
     (_form_product):
       direct    skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products,
                 each one big-int product, then the pushforward (p t
@@ -199,18 +304,25 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     The paper's evaluation at t points with known-support interpolation
     is not a stage: it beat both of these in 2 of 105 cells timed, and
     took up to 12x the faster of them where the sumset nearly fills
-    Z_(p-1).  It stays mc_mul's engine.  The report names the route in `product`; t_used is t and
-    rational_mul_count the nominal 2 t (p-1)^2 on either route.
+    Z_(p-1).  It stays mc_mul's engine.  The report names the stage in
+    `product`.  t_used is the support bound the product was formed under:
+    the sumset size t after the pullbacks, p-1 (every exponent) on a pair
+    the guard sent to the rows stage, whose sumset is never computed.
+    rational_mul_count is the nominal 2 t_used (p-1)^2.
     """
     _check_pair(A, B)
     start = time.perf_counter()
     p = A.p
-    ctx = shared_ctx(p)
-    f_a = mat_to_skew(A, ctx)
-    f_b = mat_to_skew(B, ctx)
-    t = len(sumset(f_a, f_b))
-    product = _product_route(f_a.sparsity, f_b.sparsity, t, p, _over_one(A) and _over_one(B))
-    result = _form_product(product, A, B, f_a, f_b)
+    if _guarded(A, B):
+        t, product = p - 1, "rows"
+        result = product_matrix(A, B)
+    else:
+        ctx = shared_ctx(p)
+        f_a = mat_to_skew(A, ctx)
+        f_b = mat_to_skew(B, ctx)
+        t = len(sumset(f_a, f_b))
+        product = _product_route(f_a.sparsity, f_b.sparsity, t, p, _over_one(A) and _over_one(B))
+        result = _form_product(product, A, B, f_a, f_b)
     report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
                        rational_mul_count=2 * t * (p - 1) ** 2,
                        wall_time=time.perf_counter() - start, product=product)

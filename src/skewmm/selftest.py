@@ -198,10 +198,29 @@ def _stage_pairs(ctx, rng, den):
     return (direct, "direct"), (pair(rows), "rows")
 
 
+def _guarded_pair(ctx, rng):
+    """A one-term factor times layers 0..T, for the largest T the stage rule
+    sends to the direct stage (over 1, or over 7 where no sparsity goes
+    direct over 1), or None where T = 0 either way (p <= 5).  det_mul's
+    density guard must prove the (T+1)-term factor dense and take the rows
+    stage with no pullback, so it reports t_used = p-1, above the sumset's
+    T+1."""
+    p = ctx.p
+    for den in (1, 7):
+        T = matmul._direct_bound(matmul._product_route, p, den == 1)
+        if 0 < T < p - 1:
+            a = random_layered(ctx, [0], rng.getrandbits(32))
+            b = random_layered(ctx, range(T + 1), rng.getrandbits(32))
+            return a.scale(Fraction(1, den)), b.scale(Fraction(1, den))
+    return None
+
+
 def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
-    """det_mul and mc_mul against the schoolbook oracle, dense and layered,
-    and at each prime a layered pair on either side of det_mul's stage
-    rule, over 1 and over 7, which must take the stage the rule names."""
+    """det_mul and mc_mul against the schoolbook oracle, dense and layered;
+    at each prime a layered pair on either side of det_mul's stage rule,
+    over 1 and over 7, which must take the stage the rule names; and, where
+    the rule sends any sparsity direct, a pair its density guard must send
+    to the rows stage with no pullback."""
     rng = random.Random(505)
     for p in primes:
         ctx = shared_ctx(p)
@@ -210,6 +229,12 @@ def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
                 got, report = matmul.det_mul(A, B)
                 if report.product != stage or got != matmul.naive_mul(A, B):
                     return False
+        guarded = _guarded_pair(ctx, rng)
+        if guarded is not None:
+            got, report = matmul.det_mul(*guarded)
+            if ((report.product, report.t_used) != ("rows", p - 1)
+                    or got != matmul.naive_mul(*guarded)):
+                return False
         for _ in range(cases):
             A = _rand_matrix(p, rng)
             B = _rand_matrix(p, rng)
@@ -402,7 +427,7 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
          "definition", check_pullback_paths),
         ("skew-sparsity reporting", check_sparsity_reporting),
         ("det/mc multiplication vs schoolbook oracle, det's stage rule on "
-         "either side", check_multiplication),
+         "either side, det's density guard", check_multiplication),
         ("naive/det products with denominators vs Fraction schoolbook, "
          "det's direct and rows stages", check_rational_products),
     ]

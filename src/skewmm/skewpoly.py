@@ -317,14 +317,15 @@ NUM_MODULI = 4
 
 
 @functools.lru_cache(maxsize=None)
-def _modulus(p: int, i: int):
-    """The i-th largest prime q = 1 (mod p) below 2^61, paired with zeta^0 ..
-    zeta^(p-1) for a fixed primitive p-th root of unity zeta mod q.  Found
-    by stepping down from the (i-1)-th, so each prime is searched for once."""
+def _modulus(p: int, i: int, bits: int = 61):
+    """The i-th largest prime q = 1 (mod p) below 2^bits, paired with zeta^0
+    .. zeta^(p-1) for a fixed primitive p-th root of unity zeta mod q.
+    Found by stepping down from the (i-1)-th, so each prime is searched for
+    once."""
     if i:
-        q = _modulus(p, i - 1)[0] - 2 * p
+        q = _modulus(p, i - 1, bits)[0] - 2 * p
     else:
-        q = 2 ** 61 - 1 - (2 ** 61 - 2) % (2 * p)  # odd, and 1 (mod p)
+        q = 2 ** bits - 1 - (2 ** bits - 2) % (2 * p)  # odd, and 1 (mod p)
     while not _is_prime(q):
         q -= 2 * p
     h = 2
@@ -351,27 +352,48 @@ def _reduce_mod(a: CycElem, q: int, zeta_pows) -> int | None:
     return sum(map(operator.mul, a.vector(den), zeta_pows)) * pow(den, -1, q) % q
 
 
-def _berlekamp_massey_mod(s, q: int):
-    """[C_1, ..., C_L] of the shortest recurrence s_n + C_1 s_(n-1) + ... +
-    C_L s_(n-L) = 0 (mod q) that all of `s` satisfies (Massey 1969).  `conn`
-    holds the L + 1 coefficients of C(z) = 1 + C_1 z + ... throughout."""
-    conn = prev = [1]  # C(z), and C(z) before the last length change
-    prev_inv, shift = 1, 1
-    for n, d in enumerate(s):
-        d = (d + sum(conn[i] * s[n - i] for i in range(1, len(conn)))) % q
+class _BerlekampMassey:
+    """Massey's algorithm (1969) over F_q, fed one value at a time.
+
+    After n values, `conn` holds the L + 1 coefficients of C(z) = 1 + C_1 z
+    + ... + C_L z^L, the shortest recurrence s_k + C_1 s_(k-1) + ... +
+    C_L s_(k-L) = 0 (mod q) that all n values satisfy, and `length` is L.
+    add(x) takes the next value, in 0..q-1, and returns its discrepancy:
+    0 when the recurrence already predicted x.  `prev` is C(z) before the
+    last length change, `prev_inv` the inverse of the discrepancy that made
+    it, and `shift` the power of z it enters the next update at.
+    """
+
+    __slots__ = ("q", "seq", "conn", "prev", "prev_inv", "shift")
+
+    def __init__(self, q: int):
+        self.q = q
+        self.seq = []
+        self.conn = self.prev = [1]
+        self.prev_inv, self.shift = 1, 1
+
+    @property
+    def length(self) -> int:
+        return len(self.conn) - 1
+
+    def add(self, x: int) -> int:
+        seq, conn, q = self.seq, self.conn, self.q
+        seq.append(x)
+        d = sum(map(operator.mul, conn, reversed(seq))) % q
         if not d:
-            shift += 1
-            continue
-        scale = d * prev_inv % q
+            self.shift += 1
+            return 0
+        prev, shift = self.prev, self.shift
+        scale = q - d * self.prev_inv % q
         update = conn + [0] * (shift + len(prev) - len(conn))
-        for i, c in enumerate(prev, shift):
-            update[i] = (update[i] - scale * c) % q
-        if 2 * (len(conn) - 1) <= n:
-            prev, prev_inv, shift = conn, pow(d, -1, q), 1
+        update[shift:shift + len(prev)] = [(u + scale * c) % q
+                                           for u, c in zip(update[shift:], prev)]
+        if 2 * len(conn) <= len(seq) + 1:  # 2L <= n for the n-th value, from 0
+            self.prev, self.prev_inv, self.shift = conn, pow(d, -1, q), 1
         else:
-            shift += 1
-        conn = update
-    return conn[1:]
+            self.shift = shift + 1
+        self.conn = update
+        return d
 
 
 def _support_mod(a, bound: int, ctx, q: int, zeta_pows) -> SupportSet | None:
@@ -383,13 +405,13 @@ def _support_mod(a, bound: int, ctx, q: int, zeta_pows) -> SupportSet | None:
     longer than the bound, or a locator without that many roots among the
     nodes, cannot come from such an f for any q, so InterpolationError.
     """
-    s = []
+    recurrence = _BerlekampMassey(q)
     for value in a:
         x = _reduce_mod(value, q, zeta_pows)
         if x is None:
             return None
-        s.append(x)
-    conn = _berlekamp_massey_mod(s, q)
+        recurrence.add(x)
+    conn = recurrence.conn[1:]
     t = len(conn)
     if t > bound:
         raise InterpolationError(f"shortest recurrence has length {t}, above the bound {bound}")

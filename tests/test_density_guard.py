@@ -1,0 +1,187 @@
+"""det_mul's density guard: a factor proven too dense for the direct stage
+from its rows modulo a prime sends the pair to the rows stage with no
+pullback.
+
+Row q(l) of a matrix is its map's value at beta^l, a linear recurrence in
+l whose length is the pullback's sparsity s, and reducing it modulo the
+guard's prime q = 1 (mod p) cannot make it longer.  So a Berlekamp-Massey
+length above T proves s > T, where T is the largest sparsity the stage
+rule sends to the direct stage.  The tests check that the guard is sound
+(a factor it calls dense has more than T terms, and one over a multiple of
+q is never called dense), that T follows the rule, that the guarded pairs
+(det-wide's, a dense rational pair, a cancellation pair, a pair over
+distinct primes) never pull back and still equal naive_mul, and that
+det-sparse's pairs still pull back and take the direct stage.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import fraction_product, rand_poly, rand_rational_matrix, seeded
+from skewmm import RatMatrix, SkewPoly, det_mul, mat_to_skew, naive_mul, shared_ctx, skew_to_mat
+from skewmm import matmul
+from skewmm.selftest import _distinct_prime_pair
+from skewmm.skewstructure import random_layered
+
+PRIMES = (3, 5, 7, 13, 31)
+
+
+def guard_prime(p):
+    return matmul._guard_modulus(p)[0]
+
+
+def bound(p, integral):
+    return matmul._direct_bound(matmul._product_route, p, integral)
+
+
+def refuse(*_args, **_kwargs):
+    raise AssertionError("det pulled a factor back")
+
+
+@pytest.mark.parametrize("p, integral, T", [
+    (3, True, 0), (3, False, 0), (5, True, 0), (5, False, 0), (7, True, 0), (7, False, 1),
+    (13, True, 2), (13, False, 3), (31, True, 7), (31, False, 11), (61, True, 17),
+    (61, False, 26), (127, True, 39), (127, False, 58),
+])
+def test_the_bound_is_the_rules_last_direct_sparsity(p, integral, T):
+    assert bound(p, integral) == T
+    if T:
+        assert matmul._product_route(1, T, T, p, integral) == "direct"
+    if T < p - 1:
+        assert matmul._product_route(1, T + 1, T + 1, p, integral) == "rows"
+
+
+def test_the_bound_follows_a_replaced_rule():
+    for p in PRIMES:
+        assert matmul._direct_bound(lambda *_args: "direct", p, True) == p - 1
+        assert matmul._direct_bound(lambda *_args: "rows", p, True) == 0
+
+
+@st.composite
+def factors(draw):
+    p = draw(st.sampled_from(PRIMES))
+    ctx = shared_ctx(p)
+    T = draw(st.integers(0, p - 2))
+    s = draw(st.integers(max(0, T - 2), min(p - 1, T + 3)))
+    den = draw(st.sampled_from([1, 7, 3 ** 40, guard_prime(p)]))
+    den_bound = draw(st.sampled_from([1, 7]))
+    f = rand_poly(ctx, seeded(draw(st.integers(0, 2 ** 32))), s, den_bound=den_bound)
+    M = skew_to_mat(f)
+    return (M if den == 1 else M.scale(Fraction(1, den))), T, den
+
+
+@settings(deadline=None, max_examples=300)
+@given(factors())
+def test_the_guard_is_sound(case):
+    M, T, den = case
+    p = M.p
+    proven = matmul._proven_dense(M, T, matmul._over_one(M))
+    if proven:
+        assert mat_to_skew(M).sparsity > T
+    if den == guard_prime(p):
+        assert not proven
+
+
+def test_every_dense_layered_factor_is_proven():
+    # not a guarantee (a coefficient may vanish modulo q), but these seeds
+    # are fixed: every factor past T is proven dense, every other is not
+    rng = random.Random(26)
+    for p in (7, 13, 31, 61):
+        ctx = shared_ctx(p)
+        for den in (1, 7):
+            T = bound(p, den == 1)
+            if T == 0:  # p=7 over 1: the guard does not run
+                continue
+            for s in range(1, p):
+                M = random_layered(ctx, rng.sample(range(p - 1), s), rng.getrandbits(32))
+                M = M.scale(Fraction(1, den))
+                assert matmul._proven_dense(M, T, den == 1) == (s > T), (p, den, s)
+
+
+def test_a_sparse_factor_costs_2s_plus_1_rows(monkeypatch):
+    # early termination: a factor of s <= T terms stops at the first zero
+    # discrepancy at step n >= 2L, after 2s + 1 rows
+    read = []
+
+    class Counting(matmul._BerlekampMassey):
+        __slots__ = ()
+
+        def add(self, x):
+            read.append(x)
+            return super().add(x)
+
+    monkeypatch.setattr(matmul, "_BerlekampMassey", Counting)
+    for p in (31, 61):
+        ctx = shared_ctx(p)
+        T = bound(p, True)
+        for s in range(1, T + 1):
+            read.clear()
+            assert not matmul._proven_dense(random_layered(ctx, range(s), s), T, True)
+            assert len(read) == 2 * s + 1
+        read.clear()
+        assert not matmul._proven_dense(RatMatrix.zeros(p), T, True)
+        assert len(read) == 1
+
+
+def layered_pair(t, seed):
+    # the workloads' shape at p=31: a one-term factor times layers 0..t-1
+    ctx = shared_ctx(31)
+    return random_layered(ctx, [0], seed), random_layered(ctx, range(t), seed + 1)
+
+
+GUARDED = {
+    "det-wide, t = 8": lambda: layered_pair(8, 1),
+    "det-wide, t = 12": lambda: layered_pair(12, 3),
+    "det-wide, t = 16": lambda: layered_pair(16, 5),
+    "dense rational": lambda: (rand_rational_matrix(31, seeded(7)),
+                               rand_rational_matrix(31, seeded(8))),
+    # (1 - x)(1 + x + ... + x^9) at p=13: a product of two terms
+    "cancellation at p=13": lambda: (
+        skew_to_mat(SkewPoly(shared_ctx(13), {0: shared_ctx(13).one, 1: -shared_ctx(13).one})),
+        skew_to_mat(SkewPoly(shared_ctx(13), {e: shared_ctx(13).one for e in range(10)}))),
+    # every entry of both factors over its own prime
+    "distinct primes at p=31": lambda: _distinct_prime_pair(31, random.Random(9)),
+}
+
+
+@pytest.mark.parametrize("case", GUARDED)
+def test_guarded_pairs_take_the_rows_stage_with_no_pullback(case, monkeypatch):
+    A, B = GUARDED[case]()
+    p = A.p
+    monkeypatch.setattr(matmul, "mat_to_skew", refuse)
+    product, report = det_mul(A, B)
+    monkeypatch.undo()
+    assert product == naive_mul(A, B) == RatMatrix(p, fraction_product(A.rows, B.rows))
+    assert report.product == "rows"
+    assert report.t_used == p - 1
+    assert report.rational_mul_count == 2 * (p - 1) ** 3
+
+
+def test_a_guarded_pair_with_a_zero_factor_pulls_back():
+    # a zero partner leaves the sumset empty, and the rule sends it direct
+    A = rand_rational_matrix(31, seeded(10))
+    for pair in ((A, RatMatrix.zeros(31)), (RatMatrix.zeros(31), A)):
+        product, report = det_mul(*pair)
+        assert product == RatMatrix.zeros(31)
+        assert (report.product, report.t_used) == ("direct", 0)
+
+
+@pytest.mark.parametrize("t", (1, 2, 4))
+def test_det_sparse_pairs_still_pull_back_and_go_direct(t, monkeypatch):
+    A, B = layered_pair(t, 20 + t)
+    calls = []
+
+    def counting(M, ctx=None):
+        calls.append(M)
+        return mat_to_skew(M, ctx)
+
+    monkeypatch.setattr(matmul, "mat_to_skew", counting)
+    product, report = det_mul(A, B)
+    monkeypatch.undo()
+    assert calls == [A, B]
+    assert product == naive_mul(A, B)
+    assert (report.product, report.t_used) == ("direct", t)

@@ -91,8 +91,9 @@ def test_each_route_equals_the_fraction_product(case, monkeypatch):
     assert product == RatMatrix(p, fraction_product(A.rows, B.rows)) == naive_mul(A, B)
     ctx = shared_ctx(p)
     t = len(sumset(mat_to_skew(A, ctx), mat_to_skew(B, ctx)))
-    assert report.t_used == t
-    assert report.rational_mul_count == 2 * t * (p - 1) ** 2
+    t_used = p - 1 if matmul._guarded(A, B) else t
+    assert report.t_used == t_used
+    assert report.rational_mul_count == 2 * t_used * (p - 1) ** 2
 
 
 @pytest.mark.parametrize("route", ("direct", "rows"))

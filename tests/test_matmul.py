@@ -7,6 +7,7 @@ from skewmm import (Algorithm, FreivaldsResult, RatMatrix, SkewPoly,
                     batch_evaluate_via_matrices, det_mul, freivalds,
                     from_normal_coords, mat_to_skew, mc_mul, naive_mul,
                     random_layered, rounds_for, shared_ctx, skew_to_mat, sumset)
+from skewmm.matmul import _guarded
 
 
 def geometric_matrix(ctx, k):
@@ -67,7 +68,8 @@ def test_det_matches_oracle_dense_and_layered():
             B = rand_rational_matrix(p, rng)
             product, report = det_mul(A, B)
             assert product == naive_mul(A, B)
-            assert report.t_used == len(sumset(mat_to_skew(A), mat_to_skew(B)))
+            t = len(sumset(mat_to_skew(A), mat_to_skew(B)))
+            assert report.t_used == (p - 1 if _guarded(A, B) else t)
             assert report.t_used <= p - 1
         layers_a = set(rng.sample(range(p - 1), rng.randint(1, p - 1)))
         layers_b = set(rng.sample(range(p - 1), rng.randint(1, p - 1)))
@@ -76,7 +78,7 @@ def test_det_matches_oracle_dense_and_layered():
         product, report = det_mul(A, B)
         assert product == naive_mul(A, B)
         expected_t = len({(i + k) % (p - 1) for i in layers_a for k in layers_b})
-        assert report.t_used == expected_t
+        assert report.t_used == (p - 1 if _guarded(A, B) else expected_t)
 
 
 def test_det_layer_zero_pair_uses_one_point():
@@ -90,14 +92,17 @@ def test_det_layer_zero_pair_uses_one_point():
 
 def test_det_cancellation_family():
     # matrices of 1 - x and 1 + x + ... + x^k: the product polynomial has
-    # sparsity 2 but the sumset bound forces k + 2 evaluation points
+    # sparsity 2 but the sumset bound forces k + 2 evaluation points.  B's
+    # k + 1 terms are more than the direct stage takes at p=13 (2), so the
+    # density guard forms the product under the full support
     ctx = shared_ctx(13)
     for k in (3, 9):
         A = one_minus_x_matrix(ctx)
         B = geometric_matrix(ctx, k)
         product, report = det_mul(A, B)
         assert product == naive_mul(A, B)
-        assert report.t_used == k + 2
+        assert len(sumset(mat_to_skew(A), mat_to_skew(B))) == k + 2
+        assert report.t_used == 12
 
 
 def test_det_at_full_support_reads_the_product_off_the_rows(monkeypatch):
@@ -147,17 +152,21 @@ def test_products_do_not_consult_the_orientation_probe(monkeypatch):
 
 
 def test_det_evaluation_count_scales_linearly():
-    # nominal count of the cubic kernel: 2 * t * (p-1)^2
+    # nominal count of the cubic kernel: 2 * t_used * (p-1)^2, where t_used
+    # is the sumset size t, or p-1 past t = 2, where the density guard
+    # takes the rows stage with no pullback
     p = 13
     ctx = shared_ctx(p)
     counts = {}
-    for t in (1, 2, 4, 8):
+    t_used = {1: 1, 2: 2, 4: 12, 8: 12}
+    for t in t_used:
         A = random_layered(ctx, {0}, 21)
         B = random_layered(ctx, set(range(t)), 22)
         _, report = det_mul(A, B)
-        assert report.t_used == t
+        assert len(sumset(mat_to_skew(A), mat_to_skew(B))) == t
+        assert report.t_used == t_used[t]
         counts[t] = report.rational_mul_count
-    assert all(counts[t] == 2 * t * (p - 1) ** 2 for t in counts)
+    assert all(counts[t] == 2 * t_used[t] * (p - 1) ** 2 for t in counts)
 
 
 # ---------------------------------------------------------------------------
