@@ -11,9 +11,10 @@ primitive root of Z_p) and the change to the normal basis
 {v_i = beta^(r^(i-1))} are pure coordinate permutations, which is why the
 basis was chosen.
 
-No element is ever inverted: interpolation needs only products by powers
-of beta (mul_beta_power) and quotients by 1 - beta^m
-(div_one_minus_beta_power), both O(p).  cyc_mul, the general product,
+No element is ever inverted: products by powers of beta (mul_beta_power)
+and quotients by 1 - beta^m (div_one_minus_beta_power) are O(p) closed
+forms, and interpolation runs the same two on packed ints
+(skewpoly._solve_on_support).  cyc_mul, the general product,
 packs each operand into one int and multiplies once (Kronecker
 substitution); it serves the ring product sp_mul, which det_mul's direct
 route calls, and sp_evaluate.

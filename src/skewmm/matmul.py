@@ -5,13 +5,15 @@ Three routes to the same exact product of (p-1) x (p-1) rational matrices:
   naive_mul  schoolbook ground truth: one int product of the two factors,
              rows and columns scaled by their denominators' lcms, each
              product row one sum of p-1 products with packed rows;
-  det_mul    deterministic: unless a factor is proven too dense for the
-             direct stage from its rows modulo a prime (the density guard:
-             then the int product, with no pullback), pull both factors
-             back to polynomials (mat_to_skew), bound the product's support
-             by the exponent sumset of size t, and form the product by one
-             of two exact stages: the direct product of the polynomials
-             pushed forward, or the int product of all p-1 rows;
+  det_mul    deterministic: scan each factor's rows modulo a prime, which
+             proves it too dense for the direct stage or gives its support;
+             route on the supports (the rows stage, the int product, takes
+             such pairs with no pullback), else pull both factors back to
+             polynomials, solving on a scanned support and certifying
+             exactly or by mat_to_skew, bound the product's support by the
+             exponent sumset of size t, and form the product by one of two
+             exact stages: the direct product of the polynomials pushed
+             forward, or the int product of all p-1 rows;
   mc_mul     Monte Carlo: guess the product's sparsity by doubling a bound,
              interpolate with the locator-based routine (support found
              modulo a prime, coefficients solved exactly), and accept the
@@ -27,16 +29,18 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import random
 import time
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from .cyclotomic import shared_ctx
-from .skewpoly import (InterpolationError, _BerlekampMassey, _modulus,
-                       batch_evaluate_via_matrices, sp_mul, sparse_interpolate, sumset)
+from .skewpoly import (InterpolationError, SupportSet, _BerlekampMassey, _locator_roots,
+                       _modulus, _solve_on_support, _solve_sizes, batch_evaluate_via_matrices,
+                       flat_values_at_beta_powers, sp_mul, sparse_interpolate, sumset)
 from .transform import (RatMatrix, _scaled_row, mat_to_skew, matrix_of_values, product_matrix,
                         skew_to_mat)
 
@@ -83,11 +87,13 @@ class MulReport(namedtuple("MulReport", ("algorithm", "t_used", "iterations",
     stage det_mul formed the product by, "direct" or "rows" (see det_mul),
     and is empty for naive_mul and mc_mul.  For det_mul, t_used is the
     support bound the product was formed under: the size t of the exponent
-    sumset of the two pullbacks, on either stage, or p-1 where the density
-    guard proved a factor too dense for the direct stage and the rows stage
-    ran with no pullback (no sumset is computed; every exponent of Z_(p-1)
-    is allowed).  Such a pair reports product "rows" and the count
-    2 (p-1)^3.  wall_time is measured, never asserted.
+    sumset of the two pullbacks, certified or from mat_to_skew, on either
+    stage; or p-1 where the pair took the rows stage before any pullback,
+    because its scan proved a factor too dense for the direct stage or
+    because the rule picked rows on the two scanned supports (no sumset of
+    pullbacks is computed; every exponent of Z_(p-1) is allowed).  Such a
+    pair reports product "rows" and the count 2 (p-1)^3.  wall_time is
+    measured, never asserted.
     """
 
     __slots__ = ()
@@ -213,17 +219,24 @@ _GUARD_BITS = 30
 
 @functools.lru_cache(maxsize=None)
 def _guard_modulus(p: int):
-    """The density guard's prime q = 1 (mod p), zeta^(r^j) for the normal
-    coordinates j = 0..p-2 (the image of v_(j+1) = beta^(r^j)), and the
-    indices of rows q(1) .. q(p-1), the values at beta^1 .. beta^(p-1)."""
+    """The density guard's prime q = 1 (mod p), zeta^0 .. zeta^(p-1) for the
+    image zeta of beta, zeta^(r^j) for the normal coordinates j = 0..p-2
+    (the image of v_(j+1) = beta^(r^j)), and the indices of rows q(1) ..
+    q(p-1), the values at beta^1 .. beta^(p-1)."""
     q, zeta_pows = _modulus(p, 0, _GUARD_BITS)
     ctx = shared_ctx(p)
-    return q, ctx.to_normal(zeta_pows[1:]), tuple(k - 1 for k in ctx.q_perm)
+    return q, zeta_pows, ctx.to_normal(zeta_pows[1:]), tuple(k - 1 for k in ctx.q_perm)
 
 
-def _proven_dense(M: RatMatrix, bound: int, over_one: bool) -> bool:
-    """Whether M's pullback is proven to have more than `bound` terms, from
-    M's rows alone: det_mul's density guard.
+#: how det_mul's scan of a factor ends (_scan), unless with a support
+DENSE, UNKNOWN = "dense", "unknown"
+
+
+def _scan(M: RatMatrix, bound: int, over_one: bool):
+    """det_mul's scan of a nonzero factor M: its rows modulo a prime, read
+    until they prove M's pullback too dense for the direct stage (DENSE),
+    or stop early with a recurrence (its `conn`, which _support turns into
+    M's candidate support), or neither (UNKNOWN).
 
     Row q(l) is M's map at beta^l, and for f = sum a_i sigma^(e_i) that is
     sum a_i (beta^(r^(e_i)))^l, a linear recurrence in l of length #f.  The
@@ -231,17 +244,19 @@ def _proven_dense(M: RatMatrix, bound: int, over_one: bool) -> bool:
     is a ring map on every Z[1/D][beta] with D prime to q, so the rows'
     images satisfy the image of that recurrence and their shortest one is
     no longer.  A Berlekamp-Massey length above `bound` on rows q(1), q(2),
-    ... therefore proves #f > bound.  Unless M is over 1 (`over_one`, as
-    _over_one finds it), each row is scaled by its lcm D and its sum
-    multiplied by D^-1 mod q.
+    ... therefore proves #f > bound: DENSE, the density guard.  Unless M is
+    over 1 (`over_one`, as _over_one finds it), each row is scaled by its
+    lcm D and its sum multiplied by D^-1 mod q.
 
-    The guard gives up, unproven, after min(2 bound + 1, p-1) rows, when q
-    divides a row's lcm, or at a zero discrepancy at step n >= 2L, where a
+    The scan stops early at a zero discrepancy at step n >= 2L, where a
     recurrence of length L has predicted a value it was not fitted to
-    (early termination): a factor of s <= bound terms costs 2s + 1 rows.
-    Giving up leads only to the pullbacks, so correctness never rests on it.
+    (early termination; Kaltofen & Lee, J. Symb. Comput. 2003): a factor of
+    s <= bound terms costs 2s + 1 rows.  It gives up (UNKNOWN) when q
+    divides a row's lcm, or after min(2 bound + 1, p-1) rows with no early
+    stop.  Neither a stop nor its support is trusted: a support is only a
+    candidate, which det_mul certifies or gives up for mat_to_skew.
     """
-    q, zeta_row, order = _guard_modulus(M.p)
+    q, _, zeta_row, order = _guard_modulus(M.p)
     recurrence = _BerlekampMassey(q)
     nums, dens = M.nums, M.dens
     for n, i in enumerate(order[:2 * bound + 1]):
@@ -251,77 +266,219 @@ def _proven_dense(M: RatMatrix, bound: int, over_one: bool) -> bool:
         elif den % q:
             x = sum(map(mul, _scaled_row(nums[i], dens[i], den), zeta_row)) * pow(den, -1, q)
         else:
-            return False
+            return UNKNOWN
         if recurrence.add(x % q):
             if recurrence.length > bound:
-                return True
+                return DENSE
         elif n >= 2 * recurrence.length:
-            return False
-    return False
+            return recurrence.conn
+    return UNKNOWN
+
+
+def _support(end, p: int):
+    """The end of a scan with its early stop resolved: the support, when the
+    recurrence's locator has exactly L roots among the nodes, as it does
+    when no coefficient of f vanishes mod q and the stop was not premature
+    (the roots skewpoly._support_mod finds from values); else UNKNOWN.
+    DENSE and UNKNOWN pass through."""
+    if not isinstance(end, list):
+        return end
+    q, zeta_pows = _guard_modulus(p)[:2]
+    roots = _locator_roots(end, shared_ctx(p), q, zeta_pows)
+    return SupportSet(roots) if len(roots) == len(end) - 1 else UNKNOWN
+
+
+def _proven_dense(M: RatMatrix, bound: int, over_one: bool) -> bool:
+    """Whether _scan proves M's pullback to have more than `bound` terms."""
+    return _scan(M, bound, over_one) is DENSE
+
+
+def _scans(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool):
+    """The ends of det_mul's scans of A and B, or None where they send the
+    pair to the rows stage with no pullback.
+
+    A zero factor makes the product zero: it ends with the empty support at
+    once, and its partner is not scanned (UNKNOWN).  Otherwise, with T =
+    _direct_bound(_product_route, ...), the largest sparsity the rule could
+    still send to the direct stage, each factor is scanned (_scan) under
+    the bound T.  A DENSE end sends the pair to the rows stage: the rule
+    would pick it after the pullbacks too, whatever the partner.  Else each
+    early stop is resolved to a support or UNKNOWN (_support), and the rule
+    itself, applied to |S_A|, |S_B| and the size of the sumset S_A + S_B of
+    two supports, may send the pair to rows too.  Where T = 0 (p <= 7 over 1) or
+    T = p-1, no factor is scanned and both ends are UNKNOWN.
+    """
+    p = A.p
+    zero_a, zero_b = not any(map(any, A.nums)), not any(map(any, B.nums))
+    if zero_a or zero_b:
+        return (SupportSet() if zero_a else UNKNOWN), (SupportSet() if zero_b else UNKNOWN)
+    integral = over_a and over_b
+    bound = _direct_bound(_product_route, p, integral)
+    if not 0 < bound < p - 1:
+        return UNKNOWN, UNKNOWN
+    ends = []
+    for M, over_one in ((A, over_a), (B, over_b)):
+        end = _scan(M, bound, over_one)
+        if end is DENSE:
+            return None
+        ends.append(end)
+    # the roots only once neither factor is dense
+    s_a, s_b = (_support(end, p) for end in ends)
+    if isinstance(s_a, SupportSet) and isinstance(s_b, SupportSet):
+        t = len({(x + y) % (p - 1) for x in s_a for y in s_b})
+        if _product_route(len(s_a), len(s_b), t, p, integral) == "rows":
+            return None
+    return s_a, s_b
 
 
 def _guarded(A: RatMatrix, B: RatMatrix) -> bool:
-    """Whether det_mul's density guard sends A*B to the rows stage with no
-    pullback: both factors are nonzero and _proven_dense proves one of them
-    to have more than T = _direct_bound(_product_route, ...) terms, so that
-    the rule would pick the rows stage after the pullbacks too.  The guard
-    does not run where T = 0, as at p <= 7 over 1, or where T = p-1."""
-    p = A.p
-    over_a, over_b = _over_one(A), _over_one(B)
-    bound = _direct_bound(_product_route, p, over_a and over_b)
-    return (0 < bound < p - 1
-            and (_proven_dense(A, bound, over_a) or _proven_dense(B, bound, over_b))
-            and any(map(any, A.nums)) and any(map(any, B.nums)))
+    """Whether det_mul forms A*B by the rows stage with no pullback, and so
+    reports t_used = p-1: _scans sends the pair there."""
+    return _scans(A, B, _over_one(A), _over_one(B)) is None
+
+
+def _sparse_pays(s: int, p: int) -> bool:
+    """Whether a factor with a scanned support of s terms is pulled back by
+    _certified_pullback rather than mat_to_skew: while s (s + 8) <= 2 (p -
+    13), so for s <= 3 at p=31, 6 at p=61 and 11 at p=127, and never at
+    p <= 13 but for a zero factor (s = 0).  Fitted on both pullbacks timed
+    on the same factors at p = 13, 31, 61 and 127 (README, "Sparse
+    pullback"): the solve costs O(s^2) packed products and the certificate
+    O(p s) shifted adds, against the Theta(p^3) word work of mat_to_skew."""
+    return s * (s + 8) <= 2 * (p - 13) or not s
+
+
+def _certified_pullback(M: RatMatrix, support: SupportSet, over_one: bool, ctx):
+    """M's pullback solved on the scanned `support`, if it is certified, else
+    None.
+
+    The candidate f solves the values at beta^1 .. beta^L, L = |support|, for
+    its coefficients on the support: rows q(1) .. q(L) read in power
+    coordinates over their common denominator, one packed solve
+    (skewpoly._solve_on_support, in its guessed slots).  The certificate is
+    exact and complete: f's value at beta^l must equal row q(l) for every
+    l = 1..p-1, and then f's matrix is M, so f is M's pullback.  All p-1
+    values come as ints over f's common denominator E, end to end in one
+    tuple (flat_values_at_beta_powers), and M's entries are gathered into
+    the same layout by one itemgetter (_certificate_layout); the two are
+    compared cross-multiplied, value * den == num * E, on ints.  A wrong
+    support, a premature early stop or a slot that outgrew its guess all
+    fail it.
+    """
+    p = ctx.p
+    order = _guard_modulus(p)[3]
+    nums, dens = M.nums, M.dens
+    picked = order[:len(support)]
+    if over_one:
+        den, rows = 1, [nums[i] for i in picked]
+    else:
+        den = math.lcm(*itertools.chain.from_iterable(dens[i] for i in picked))
+        rows = [_scaled_row(nums[i], dens[i], den) for i in picked]
+    vectors = [ctx.to_power(row) for row in rows]
+    f = _solve_on_support(vectors, den, list(support), ctx, _solve_sizes(vectors, p)[0])
+    f_den, got = flat_values_at_beta_powers(f, range(1, p))
+    layout = _certificate_layout(p)
+    want = layout([*itertools.chain.from_iterable(nums), 0])
+    if f_den != 1:
+        want = tuple(map(mul, want, itertools.repeat(f_den)))
+    if not over_one:
+        got = tuple(map(mul, got, layout([*itertools.chain.from_iterable(dens), 1])))
+    return f if got == want else None
+
+
+@functools.lru_cache(maxsize=None)
+def _certificate_layout(p: int):
+    """The itemgetter taking a matrix's entries laid end to end, row-major,
+    plus one trailing entry, to the layout of flat_values_at_beta_powers(f,
+    range(1, p)): for l = 1..p-1, the trailing entry (for the beta^0 slot),
+    then row q(l) in power order, its normal coordinate q(m) for beta^m."""
+    ctx = shared_ctx(p)
+    n = p - 1
+    picks = []
+    for l in range(1, p):
+        row = (ctx.q(l) - 1) * n
+        picks.append(n * n)
+        picks.extend(row + ctx.q(m) - 1 for m in range(1, p))
+    return itemgetter(*picks)
+
+
+def _pullback(M: RatMatrix, end, over_one: bool, ctx):
+    """M's pullback: certified from its scanned support where _scan gave one
+    and _sparse_pays, else (or if the certificate fails) mat_to_skew."""
+    if isinstance(end, SupportSet) and _sparse_pays(len(end), ctx.p):
+        f = _certified_pullback(M, end, over_one, ctx)
+        if f is not None:
+            return f
+    return mat_to_skew(M, ctx)
 
 
 def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     """Deterministic skew-sparse product: always exactly equals naive_mul.
 
-    First the density guard (_proven_dense) reads each nonzero factor's
-    rows modulo a 30-bit prime.  Let T be the largest sparsity that
+    First each nonzero factor is scanned (_scans, _scan): its rows are read
+    modulo a 30-bit prime q, Berlekamp-Massey runs on them, and the scan
+    ends in one of three states.  Let T be the largest sparsity that
     _product_route could still send to the direct stage (_direct_bound: 7
     at p=31 and 17 at p=61 for factors over 1, 11 and 26 with
-    denominators; 0 at p <= 7 over 1, where the guard does not run).  If
-    the guard proves either factor to have more than T terms, the rule
-    would pick the rows stage whatever the other factor, and det_mul
-    returns the int product of A and B with no pullback.
+    denominators; 0 at p <= 7 over 1, where no factor is scanned).
+      dense     the recurrence grew past T, which proves the factor has
+                more than T terms: the rule would pick the rows stage
+                whatever the partner (the density guard);
+      support   the scan stopped early, after 2s+1 rows for an s-term
+                factor, with a recurrence of length L whose locator has
+                exactly L roots among the nodes: a candidate support;
+      unknown   q divides a row's lcm, or the rows ran out with no early
+                stop, or the locator has the wrong number of roots.
+    A dense factor, or two supports on which the rule, applied to |S_A|,
+    |S_B| and the sumset size |S_A + S_B|, picks the rows stage, sends the
+    pair to the rows stage before any exact work: det_mul returns the int
+    product of A and B with no pullback and reports t_used = p-1.
 
-    Otherwise each factor is pulled back by mat_to_skew, one cyclic
-    correlation packed into a big int (p-1 shifted adds of a p(p-1)-slot
-    int, its corrections and read-out done on the packed words, O(p)
-    interpreter steps), or O(p^3) int additions when its corrected
-    coefficients are too long for 64-bit slots.  The product polynomial's
-    support is covered by the exponent sumset of the two pullbacks, of size
-    t.  Then _product_route picks, from s_A s_B + t, p and whether both
-    factors are over 1, the cheaper of two exact ways to form the product
-    (_form_product):
+    Otherwise each factor is pulled back (_pullback).  A factor with a
+    support of s terms, where _sparse_pays(s, p), solves its coefficients
+    on the support from rows q(1) .. q(s) (skewpoly._solve_on_support) and
+    certifies them exactly: the candidate's value at beta^l must equal row
+    q(l) for all l = 1..p-1, compared on ints (_certified_pullback).  A
+    failed certificate, an unknown factor or a support too large to pay
+    falls back to mat_to_skew, one cyclic correlation packed into a big
+    int (O(p) interpreter steps), or O(p^3) int additions when its
+    corrected coefficients are too long for 64-bit slots.  A certified
+    pullback is M's own, so correctness never rests on q or on the early
+    stop.  The product polynomial's support is covered by the exponent
+    sumset of the two pullbacks, of size t, and _product_route picks, from
+    s_A s_B + t, p and whether both factors are over 1, the cheaper of two
+    exact ways to form the product (_form_product):
       direct    skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products,
                 each one big-int product, then the pushforward (p t
                 big-int shifted adds, O(p t) interpreter steps);
                 A @ B is the matrix of f_B * f_A (phi_orientation);
       rows      the int product of A and B, whose rows are the product
                 map's values at all p-1 points, with no pushforward.
-    The paper's evaluation at t points with known-support interpolation
-    is not a stage: it beat both of these in 2 of 105 cells timed, and
-    took up to 12x the faster of them where the sumset nearly fills
-    Z_(p-1).  It stays mc_mul's engine.  The report names the stage in
-    `product`.  t_used is the support bound the product was formed under:
-    the sumset size t after the pullbacks, p-1 (every exponent) on a pair
-    the guard sent to the rows stage, whose sumset is never computed.
+    Where both supports were right, the pullbacks' sumset is S_A + S_B and
+    the rule picks the route it picked on the supports.  The paper's
+    evaluation at t points with known-support interpolation is not a
+    stage: it beat both of these in 2 of 105 cells timed, and took up to
+    12x the faster of them where the sumset nearly fills Z_(p-1).  It
+    stays mc_mul's engine.  The report names the stage in `product`.
+    t_used is the support bound the product was formed under: the sumset
+    size t after the pullbacks, p-1 (every exponent) on a pair sent to the
+    rows stage before any pullback, whose sumset is never computed.
     rational_mul_count is the nominal 2 t_used (p-1)^2.
     """
     _check_pair(A, B)
     start = time.perf_counter()
     p = A.p
-    if _guarded(A, B):
+    over_a, over_b = _over_one(A), _over_one(B)
+    ends = _scans(A, B, over_a, over_b)
+    if ends is None:
         t, product = p - 1, "rows"
         result = product_matrix(A, B)
     else:
         ctx = shared_ctx(p)
-        f_a = mat_to_skew(A, ctx)
-        f_b = mat_to_skew(B, ctx)
+        f_a = _pullback(A, ends[0], over_a, ctx)
+        f_b = _pullback(B, ends[1], over_b, ctx)
         t = len(sumset(f_a, f_b))
-        product = _product_route(f_a.sparsity, f_b.sparsity, t, p, _over_one(A) and _over_one(B))
+        product = _product_route(f_a.sparsity, f_b.sparsity, t, p, over_a and over_b)
         result = _form_product(product, A, B, f_a, f_b)
     report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
                        rational_mul_count=2 * t * (p - 1) ** 2,

@@ -215,13 +215,70 @@ def _guarded_pair(ctx, rng):
     return None
 
 
+def _certificate_pairs(ctx, rng):
+    """Two pairs for det_mul's certified sparse pullback, over 1 or over 7
+    (whichever lets det scan its factors), or None where no factor is
+    scanned (p <= 5): a one-term factor times a one-term one, whose scans
+    give both supports; and the same partner times 1 + (beta - z) x, where
+    z = zeta (mod q) for the image zeta of beta modulo the scan's prime q,
+    so that the scan sees one term of two and the candidate solved on it
+    fails the certificate."""
+    p = ctx.p
+    for den in (1, 7):
+        T = matmul._direct_bound(matmul._product_route, p, den == 1)
+        if 0 < T < p - 1:
+            scale = Fraction(1, den)
+            zeta = matmul._guard_modulus(p)[1][1]
+            vanishing = SkewPoly(ctx, {0: ctx.one, 1: ctx.beta_power(1) - ctx.one * zeta})
+            a = random_layered(ctx, [0], rng.getrandbits(32)).scale(scale)
+            b = random_layered(ctx, [1], rng.getrandbits(32)).scale(scale)
+            return (a, b), (skew_to_mat(vanishing).scale(scale), b)
+    return None
+
+
+def _certifies(M, end, ctx) -> bool:
+    """Whether end is a scanned support on which M's sparse pullback is
+    certified, and is M's pullback."""
+    return (isinstance(end, matmul.SupportSet)
+            and matmul._certified_pullback(M, end, matmul._over_one(M), ctx)
+            == mat_to_skew(M, ctx))
+
+
+def _certificates_hold(ctx, rng) -> bool:
+    """At a prime where det scans its factors, the _certificate_pairs: the
+    first pair's factors both certify from their scanned supports, with no
+    mat_to_skew; the second's wrong support fails its certificate; det_mul
+    equals the schoolbook on both.  At p >= 31, where a one-term factor's
+    sparse pullback pays, det_mul itself takes it for both factors of the
+    first pair."""
+    p = ctx.p
+    pairs = _certificate_pairs(ctx, rng)
+    if pairs is None:
+        return True
+    if any(matmul.det_mul(A, B)[0] != matmul.naive_mul(A, B) for A, B in pairs):
+        return False
+    (A, B), (F, G) = pairs
+    ends = matmul._scans(A, B, matmul._over_one(A), matmul._over_one(B))
+    if ends is None or not all(_certifies(M, end, ctx) for M, end in zip((A, B), ends)):
+        return False
+    if p >= 31 and not all(matmul._sparse_pays(len(end), p) for end in ends):
+        return False
+    end = matmul._scans(F, G, matmul._over_one(F), matmul._over_one(G))[0]
+    return (isinstance(end, matmul.SupportSet)
+            and matmul._certified_pullback(F, end, matmul._over_one(F), ctx) is None)
+
+
 def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
     """det_mul and mc_mul against the schoolbook oracle, dense and layered;
     at each prime a layered pair on either side of det_mul's stage rule,
-    over 1 and over 7, which must take the stage the rule names; and, where
+    over 1 and over 7, which must take the stage the rule names; where
     the rule sends any sparsity direct, a pair its density guard must send
-    to the rows stage with no pullback."""
+    to the rows stage with no pullback, a pair whose sparse pullbacks
+    certify and one whose certificate fails (_certificates_hold, also run
+    at p=31)."""
     rng = random.Random(505)
+    if not _certificates_hold(shared_ctx(31), random.Random(31)):
+        return False
     for p in primes:
         ctx = shared_ctx(p)
         for den in (1, 7):
@@ -229,6 +286,8 @@ def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
                 got, report = matmul.det_mul(A, B)
                 if report.product != stage or got != matmul.naive_mul(A, B):
                     return False
+        if not _certificates_hold(ctx, random.Random(p)):
+            return False
         guarded = _guarded_pair(ctx, rng)
         if guarded is not None:
             got, report = matmul.det_mul(*guarded)
@@ -427,7 +486,8 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
          "definition", check_pullback_paths),
         ("skew-sparsity reporting", check_sparsity_reporting),
         ("det/mc multiplication vs schoolbook oracle, det's stage rule on "
-         "either side, det's density guard", check_multiplication),
+         "either side, det's density guard and certified sparse pullback",
+         check_multiplication),
         ("naive/det products with denominators vs Fraction schoolbook, "
          "det's direct and rows stages", check_rational_products),
     ]

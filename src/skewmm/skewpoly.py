@@ -14,12 +14,12 @@ the points v_1, v_1^2, v_1^3, ...  Both directions are exact.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 
 from .cyclotomic import (CycElem, _check_same_ctx, _is_prime, _slot_ones, _slot_structs,
-                         _widened, _word_bytes, cyc_mul, cyc_sigma, div_one_minus_beta_power,
-                         mul_beta_power, power_of_v1, rotated_sum)
+                         _widened, _word_bytes, cyc_mul, cyc_sigma, power_of_v1, rotated_sum)
 from .multiply import rational_product
 
 
@@ -194,21 +194,46 @@ def values_at_beta_powers(f: SkewPoly, exponents):
     entries take one rotated_sum per value, O(p t) int additions.  No gcd
     either way.
     """
+    den, vecs, bounds, out = _coefficient_words(f)
+    p = f.ctx.p
+    if out is None:
+        return den, (rotated_sum(p, [(vec, u * l % p) for u, vec in vecs]) for l in exponents)
+    read = _slot_structs(p - 1, out)[0].unpack_from
+    return den, (list(read(value, out)) for value in _packed_values(p, vecs, bounds, exponents))
+
+
+def flat_values_at_beta_powers(f: SkewPoly, exponents):
+    """values_at_beta_powers' values laid end to end in one tuple, each led
+    by its beta^0 slot, 0: (D, p ints per exponent).  The packed values are
+    joined and read by one struct call, with no list per value."""
+    den, vecs, bounds, out = _coefficient_words(f)
+    p = f.ctx.p
+    if out is None:
+        return den, tuple(itertools.chain.from_iterable(
+            [0, *rotated_sum(p, [(vec, u * l % p) for u, vec in vecs])] for l in exponents))
+    raw = b"".join(_packed_values(p, vecs, bounds, exponents))
+    return den, _slot_structs(len(raw) // out, out)[0].unpack(raw)
+
+
+def _coefficient_words(f: SkewPoly):
+    """(D, vecs, bounds, out) for f's values: D the lcm of its coefficients'
+    denominators, vecs the (u, vec) pairs of its terms c x^e, u = r^e and
+    vec = c.vector(D), bounds their max|entry|, and out the bytes of the
+    slots _packed_values reads the values from, or None where they would
+    need more than 64 bits."""
     ctx = f.ctx
-    p = ctx.p
     terms = f.sorted_terms()
     den = math.lcm(*{c.den for _, c in terms})
     vecs = [(ctx.pow_r[e], c.vector(den)) for e, c in terms]
     bounds = [max(map(abs, vec)) for _, vec in vecs]
-    if _word_bytes((4 * sum(bounds)).bit_length()) is None:
-        return den, (rotated_sum(p, [(vec, u * l % p) for u, vec in vecs]) for l in exponents)
-    return den, _packed_values(p, vecs, bounds, exponents)
+    return den, vecs, bounds, _word_bytes((4 * sum(bounds)).bit_length())
 
 
 def _packed_values(p: int, vecs, bounds, exponents):
-    """values_at_beta_powers' rows for the (u, vec) pairs, whose max|entry|
-    are `bounds`, with S = sum(bounds) and 4 S < 2^64, built one per
-    exponent drawn.
+    """The values at beta^l of the (u, vec) pairs, whose max|entry| are
+    `bounds`, with S = sum(bounds) and 4 S < 2^64, built one per exponent
+    drawn, each as the bytes of p two's complement slots of the least width
+    `out` of 1, 2, 4 or 8 bytes with 4 S < 2^(8 out), slot 0 (beta^0) zero.
 
     Each vector, offset by its max|entry|, is one word C of p slots of the
     least width `size` of 1, 2, 4 or 8 bytes with 2 S < 2^(8 size), kept
@@ -216,12 +241,11 @@ def _packed_values(p: int, vecs, bounds, exponents):
     starting at slot p - s is C rotated s places towards the top.  The t
     slices are summed with one mask at the end, which is exact because no
     slot of the sum reaches 2^w, so nothing carries out of the low p slots.
-    The sum is then moved into slots of the least width `out` with
-    4 S < 2^(8 out) (`_widened`), if that is wider.  Its slot 0, c0, is its
-    low bits; adding (2^(8 out - 1) - c0) to every slot removes the offsets
-    and eliminates beta^0, leaving each coordinate biased into
-    [0, 2^(8 out)), and flipping each slot's top bit leaves its two's
-    complement, read by one signed struct past slot 0.
+    The sum is then moved into slots of width `out` (`_widened`), if that
+    is wider.  Its slot 0, c0, is its low bits; adding (2^(8 out - 1) - c0)
+    to every slot removes the offsets and eliminates beta^0, leaving each
+    coordinate biased into [0, 2^(8 out)), and flipping each slot's top bit
+    leaves its two's complement, for one signed struct to read.
     """
     total = sum(bounds)
     size = _word_bytes((2 * total).bit_length())
@@ -233,7 +257,6 @@ def _packed_values(p: int, vecs, bounds, exponents):
     bias = 1 << (8 * out - 1)
     ones = _slot_ones(p, out)
     top = bias * ones
-    read = _slot_structs(p - 1, out)[0].unpack_from
     unsigned = _slot_structs(p, size)[1]
     words = []
     for (u, vec), m in zip(vecs, bounds):
@@ -244,7 +267,7 @@ def _packed_values(p: int, vecs, bounds, exponents):
         if out > size:
             acc = int.from_bytes(_widened(acc.to_bytes(span // 8, "little"), size, out), "little")
         acc = (acc + (bias - (acc & low)) * ones) ^ top
-        yield list(read(acc.to_bytes(out * p, "little"), out))
+        yield acc.to_bytes(out * p, "little")
 
 
 def batch_evaluate_via_matrices(ctx, indices, A, B):
@@ -280,12 +303,12 @@ def interpolate_known_support(values, support: SupportSet, ctx) -> SkewPoly:
     values at v_1^1 .. v_1^t, where t = len(support); values[k] is
     f(v_1^(k+1)), as in sparse_interpolate.
 
-    a_l = sum_j (c_j w_j) w_j^(l-1) with distinct nodes w_j = v_(e_j+1) =
-    beta^(u_j) is a transposed Vandermonde system in the unknowns c_j w_j,
-    solved by the dual Bjorck-Pereyra scheme (Golub & Van Loan, Alg. 4.6.2)
-    in O(t^2) beta-shifts and divisions by w_i - w_k = beta^(u_i) (1 -
-    beta^(u_k - u_i)), each O(p) by div_one_minus_beta_power; one last shift
-    by beta^(-u_j) divides out w_j.
+    The values are put over one common denominator and solved on their int
+    numerators by _solve_on_support, in the slots _solve_sizes guesses.  A
+    solve in guessed slots is checked against the t values (_agrees; the
+    transposed Vandermonde system has one solution, so a candidate that
+    fits them all is it) and, if a slot outgrew its width, run again in
+    the slots that provably hold every intermediate.
     """
     t = len(support)
     if len(values) != t:
@@ -295,18 +318,160 @@ def interpolate_known_support(values, support: SupportSet, ctx) -> SkewPoly:
     exps = list(support)
     if exps[-1] > ctx.p - 2:
         raise ValueError("support exponents must lie in {0..p-2}")
+    den = math.lcm(*(v.den for v in values))
+    vectors = [v.num if v.den == den else [x * (den // v.den) for x in v.num] for v in values]
+    guess, safe = _solve_sizes(vectors, ctx.p)
+    f = _solve_on_support(vectors, den, exps, ctx, guess)
+    if guess < safe and not _agrees(f, range(1, t + 1), values):
+        f = _solve_on_support(vectors, den, exps, ctx, safe)
+    return f
 
-    u = [ctx.v_exponent(e + 1) for e in exps]
-    b = list(values)
+
+def _solve_sizes(vectors, p: int):
+    """(guess, safe): slot bytes for _solve_on_support on these t vectors of
+    max|entry| M, rounded up to 8, 16, 32 or 64 bits where that is enough.
+
+    The first pass works on p M and at most doubles the bound per level, to
+    B = p M 2^(t-1).  A level of the second multiplies it by at most
+    2 (p-1) (a product by G, whose slots sum to p (p-1)/2, doubled by the
+    beta^0 elimination and divided by p, then a subtraction), and the
+    largest slot it holds is a product's, below p (p-1) times the bound: so
+    `safe` holds B p (2 (p-1))^(t-1) with its sign.  In practice the
+    second pass hardly grows the values: for random polynomials of t =
+    4..39 terms at p = 31..127, over 1 and over 7, its largest slot, a
+    product's, stayed below p^2 B.  `guess` holds 2^8 p^2 B.
+    """
+    t = len(vectors)
+    m = max((max(map(abs, vec)) for vec in vectors), default=0)
+    if not m:  # no unknowns, or all zero: nothing is packed
+        return 1, 1
+    first = p * m << (t - 1)
+    safe = first * p * (2 * (p - 1)) ** (t - 1)
+    guess = min(first * p * p << 8, safe)
+    return tuple(_word_bytes(8 * size) or size
+                 for size in (guess.bit_length() // 8 + 1, safe.bit_length() // 8 + 1))
+
+
+def _solve_on_support(vectors, den: int, exps, ctx, size: int) -> SkewPoly:
+    """The polynomial with support inside the exponents `exps` (distinct,
+    in 0..p-2) whose value at beta^l is vectors[l-1] / den, l = 1..t: each
+    vector the p-1 power numerators (beta^1 .. beta^(p-1)) of one value over
+    the common denominator den, solved in signed slots of `size` bytes
+    (_solve_sizes).  If a slot outgrows them the result is wrong, never an
+    error: callers check it.
+
+    a_l = sum_j (c_j w_j) w_j^(l-1) with distinct nodes w_j = beta^(u_j),
+    u_j = r^(e_j), is a transposed Vandermonde system in the unknowns c_j
+    w_j, solved by the dual Bjorck-Pereyra scheme (Golub & Van Loan, Alg.
+    4.6.2): O(t^2) subtractions, beta-shifts and divisions by w_i - w_k =
+    beta^(u_i) (1 - beta^(u_k - u_i)).  Both passes run on one packed int
+    per unknown, p times its value: p signed slots of w bits, slot e for
+    beta^e (_signed_slots).  A subtraction is one int subtraction, and a
+    shift by beta^k one rotation of the slots (_rotated).  Since
+    (1 - beta^m) sum_k k beta^(mk) = -p, a division is one product by the
+    fixed element G = beta^(-u_i) sum_k k beta^(mk) (_ramp), folded mod
+    X^p - 1 (X = 2^w), which leaves -p^2 times the new value; its beta^0
+    slot is subtracted from every slot, and the word divided by -p.  That
+    division is exact: 1 - beta^m is (1 - beta) times a unit, and p is
+    (1 - beta)^(p-1) times a unit, so a value divided at most t-1 <= p-2
+    times is still an algebraic integer once multiplied by p, and its
+    coordinates in the basis beta^1 .. beta^(p-1) of Z[beta] are ints.
+    So no power of p accumulates, and no gcd is taken and no CycElem built
+    until the last step: each unknown is read once, rotated by -u_j (the
+    division by w_j, a list rotation), its beta^0 slot subtracted, and put
+    over p den in lowest terms.
+    """
+    p = ctx.p
+    t = len(exps)
+    if not any(map(any, vectors)):
+        return SkewPoly.zero(ctx)
+    w = 8 * size
+    span = w * p
+    half = 1 << (span - 1)
+    half_slot = 1 << (w - 1)
+    slot_mask = (1 << w) - 1
+    ones = _slot_ones(p, size)
+    u = [ctx.pow_r[e] for e in exps]
+    b = [p * _signed_slots([0, *vec], size) for vec in vectors]
     for k in range(t - 1):
         for i in range(t - 1, k, -1):
-            b[i] = b[i] - mul_beta_power(b[i - 1], u[k])
+            b[i] -= _rotated(b[i - 1], u[k], p, w)
     for k in range(t - 2, -1, -1):
         for i in range(k + 1, t):
-            b[i] = div_one_minus_beta_power(mul_beta_power(b[i], -u[i]), u[i - k - 1] - u[i])
+            prod = b[i] * _ramp(p, (u[i - k - 1] - u[i]) % p, u[i], size)
+            high = (prod + half) >> span
+            x = prod - (high << span) + high
+            x -= (((x + half_slot) & slot_mask) - half_slot) * ones
+            b[i] = -x // p
         for i in range(k, t - 1):
-            b[i] = b[i] - b[i + 1]
-    return SkewPoly(ctx, {e: mul_beta_power(c, -uj) for e, c, uj in zip(exps, b, u)})
+            b[i] -= b[i + 1]
+    scale = p * den
+    terms = {}
+    for e, uj, word in zip(exps, u, b):
+        slots = _read_signed_slots(word, p, size)
+        slots = slots[uj:] + slots[:uj]
+        c0 = slots[0]
+        num = [x - c0 for x in slots[1:]]
+        g = math.gcd(scale, *num)
+        terms[e] = CycElem._from_ints(ctx, tuple(map(operator.floordiv, num, itertools.repeat(g))),
+                                      scale // g)
+    return SkewPoly(ctx, terms)
+
+
+def _signed_slots(values, size: int) -> int:
+    """sum_i values[i] X^i, X = 2^(8 size), for ints with 2 max|value| <
+    X.  Values that fit 64-bit slots offset by their max|value| are packed
+    through one struct at the least such width and widened (_widened);
+    longer ones take one to_bytes each."""
+    count = len(values)
+    m = max(map(abs, values))
+    narrow = _word_bytes((2 * m).bit_length())
+    if narrow is None or narrow > size:
+        raw = int.from_bytes(b"".join(x.to_bytes(size, "little", signed=True) for x in values),
+                             "little")
+        w = 8 * size
+        return raw - (((raw >> (w - 1)) & _slot_ones(count, size)) << w)
+    raw = _slot_structs(count, narrow)[1].pack(*[x + m for x in values])
+    return int.from_bytes(_widened(raw, narrow, size), "little") - m * _slot_ones(count, size)
+
+
+def _read_signed_slots(word: int, count: int, size: int) -> list:
+    """The `count` signed slots of `size` bytes of a word _signed_slots
+    built (each slot's value below 2^(8 size - 1) in size): a bias of half
+    the slot makes every slot nonnegative, and flipping each top bit leaves
+    the two's complement, read by one struct up to 64-bit slots and one
+    from_bytes per slot above.  A word whose slots overflowed reads as
+    garbage, never an error."""
+    top = (1 << (8 * size - 1)) * _slot_ones(count, size)
+    # the mask changes nothing for such a word, and keeps one whose slots
+    # overflowed readable
+    raw = (((word + top) ^ top) & ((1 << (8 * count * size)) - 1)).to_bytes(count * size, "little")
+    if size in (1, 2, 4, 8):
+        return list(_slot_structs(count, size)[0].unpack(raw))
+    return [int.from_bytes(raw[i:i + size], "little", signed=True)
+            for i in range(0, count * size, size)]
+
+
+def _rotated(word: int, s: int, p: int, w: int) -> int:
+    """The signed-slot word times X^s mod X^p - 1, for slots of w bits: the
+    top s slots, split off by rounding (exact, since the rest is below half
+    of X^(p-s) in size), move to the bottom."""
+    if not s:
+        return word
+    cut = w * (p - s)
+    high = (word + (1 << (cut - 1))) >> cut
+    return ((word - (high << cut)) << (w * s)) + high
+
+
+@functools.lru_cache(maxsize=512)
+def _ramp(p: int, m: int, u: int, size: int) -> int:
+    """beta^(-u) sum_k k beta^(mk) as p unsigned slots of `size` bytes, for
+    m in 1..p-1: slot e holds the k in 0..p-1 with m k = e + u (mod p).
+    Kept for the supports that recur from product to product."""
+    kb = (p.bit_length() + 7) // 8
+    m_inv = pow(m, -1, p)
+    raw = b"".join(((e + u) * m_inv % p).to_bytes(kb, "little") for e in range(p))
+    return int.from_bytes(_widened(raw, kb, size), "little")
 
 
 #: How many primes sparse_interpolate tries for the support before it gives
@@ -411,23 +576,29 @@ def _support_mod(a, bound: int, ctx, q: int, zeta_pows) -> SupportSet | None:
         if x is None:
             return None
         recurrence.add(x)
-    conn = recurrence.conn[1:]
-    t = len(conn)
+    t = recurrence.length
     if t > bound:
         raise InterpolationError(f"shortest recurrence has length {t}, above the bound {bound}")
-    support = []
-    for m in range(1, ctx.p):
-        w = zeta_pows[ctx.v_exponent(m)]  # the image of v_m = beta^u
-        acc = 1
-        for c in conn:
-            acc = (acc * w + c) % q
-        if not acc:
-            support.append(m - 1)
+    support = _locator_roots(recurrence.conn, ctx, q, zeta_pows)
     if len(support) != t:
         raise InterpolationError(
             f"locator has {len(support)} roots among the v_i but the recurrence has "
             f"length {t}; sparsity bound below the true sparsity or an arithmetic bug")
     return SupportSet(support)
+
+
+def _locator_roots(conn, ctx, q: int, zeta_pows) -> list:
+    """The exponents e in 0..p-2 whose node v_(e+1) = beta^(r^e) maps, through
+    beta -> zeta, to a root of the locator z^L + C_1 z^(L-1) + ... + C_L mod
+    q of the recurrence conn = [1, C_1, ..., C_L] (_BerlekampMassey.conn):
+    Horner's rule run at all p-1 nodes at once, one list comprehension per
+    coefficient.  A recurrence of length L that comes from L terms has
+    exactly their L nodes as roots."""
+    nodes = [zeta_pows[u] for u in ctx.pow_r]  # the image of v_m, m = 1..p-1
+    acc = [1] * len(nodes)
+    for c in conn[1:]:
+        acc = [(a * w + c) % q for a, w in zip(acc, nodes)]
+    return [e for e, a in enumerate(acc) if not a]
 
 
 def _agrees(f: SkewPoly, exponents, expected) -> bool:

@@ -87,3 +87,34 @@ def least_width(value):
     """The least of 1, 2, 4 or 8 bytes whose slots hold value < 2^w, or
     None."""
     return next((k for k in (1, 2, 4, 8) if value < 2 ** (8 * k)), None)
+
+
+def transposed_vandermonde_solve(values, exps, p):
+    """The coefficients c_e, e in exps, with sum_e c_e beta^(l r^e) =
+    values[l-1] for l = 1..t, t = len(exps): each value and each c_e as
+    its p-1 power coordinates (beta^1 .. beta^(p-1)) in Fractions.
+
+    Written apart from the package: multiplication by beta^k moves
+    coordinate i to i + k (mod p), and the part that lands on beta^0 is
+    -(beta + ... + beta^(p-1)); the t (p-1) coordinate equations are solved
+    by Gaussian elimination over Fractions (solve_square).
+    """
+    n = p - 1
+    r = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(n)}) == n)
+    u = [pow(r, e, p) for e in exps]
+    t = len(exps)
+    matrix, rhs = [], []
+    for l in range(1, t + 1):
+        for m in range(1, p):
+            row = [0] * (t * n)
+            for j in range(t):
+                for i in range(1, p):
+                    k = (i + l * u[j]) % p
+                    if k == m:
+                        row[j * n + i - 1] += 1
+                    elif k == 0:
+                        row[j * n + i - 1] -= 1
+            matrix.append(row)
+            rhs.append(values[l - 1][m - 1])
+    x = solve_square(matrix, rhs)
+    return {e: x[j * n:(j + 1) * n] for j, e in enumerate(exps)}

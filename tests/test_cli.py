@@ -526,6 +526,28 @@ def test_bench_seed_range_is_lazy_up_to_the_last_seed(workdir):
     assert all(rec["correct"] for rec in records)
 
 
+def test_bench_runs_one_untimed_product_first(workdir, monkeypatch):
+    # the warm-up is det on the first cell's pair, unrecorded: every record
+    # is the one a run with no warm-up writes, apart from wall_time_ms
+    cells = []
+    real = cli._bench_cell
+
+    def recording(*args):
+        cells.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_bench_cell", recording)
+    out = workdir / "b.jsonl"
+    assert run_cli("bench", "--p-list", "5,7", "--t-list", "1", "--algos", "naive,det",
+                   "--seeds", "3", "--check", "--json", str(out)) == EXIT_OK
+    assert cells[0] == (5, 1, "det", 3, cells[0][4], False)
+    assert cells[1:] == [(p, 1, algo, 3, cells[0][4], True)
+                         for p in (5, 7) for algo in ("naive", "det")]
+    untimed = lambda rec: {**rec, "wall_time_ms": 0}
+    records = [untimed(json.loads(line)) for line in out.read_text().splitlines()]
+    assert records == [untimed(json.loads(json.dumps(real(*args)))) for args in cells[1:]]
+
+
 def test_bench_jsonl_matches_the_committed_records(workdir, capsys):
     # bench --p-list 5,7 --t-list 1,2 --algos naive,det,mc --seeds 1..2 --check,
     # saved with wall_time_ms set to 0: every other byte must stay the same,

@@ -11,7 +11,8 @@ rule sends to the direct stage.  The tests check that the guard is sound
 q is never called dense), that T follows the rule, that the guarded pairs
 (det-wide's, a dense rational pair, a cancellation pair, a pair over
 distinct primes) never pull back and still equal naive_mul, and that
-det-sparse's pairs still pull back and take the direct stage.
+det-sparse's pairs take the direct stage with no mat_to_skew, their
+pullbacks solved on the scanned supports and certified.
 """
 
 import random
@@ -22,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fraction_product, rand_poly, rand_rational_matrix, seeded
-from skewmm import RatMatrix, SkewPoly, det_mul, mat_to_skew, naive_mul, shared_ctx, skew_to_mat
+from skewmm import (RatMatrix, SkewPoly, SupportSet, det_mul, mat_to_skew, naive_mul,
+                    shared_ctx, skew_to_mat)
 from skewmm import matmul
 from skewmm.selftest import _distinct_prime_pair
 from skewmm.skewstructure import random_layered
@@ -171,8 +173,16 @@ def test_a_guarded_pair_with_a_zero_factor_pulls_back():
 
 
 @pytest.mark.parametrize("t", (1, 2, 4))
-def test_det_sparse_pairs_still_pull_back_and_go_direct(t, monkeypatch):
+def test_det_sparse_pairs_go_direct_on_their_scanned_supports(t, monkeypatch):
+    # both factors end their scans with a support, the rule sends the pair
+    # direct on it, and each factor's sparse pullback is certified: no
+    # mat_to_skew, but where the per-factor rule finds mat_to_skew cheaper
+    # (s = 4 at p=31)
     A, B = layered_pair(t, 20 + t)
+    ends = matmul._scans(A, B, True, True)
+    assert ends == (SupportSet([0]), SupportSet(range(t)))
+    for M, end in zip((A, B), ends):
+        assert matmul._certified_pullback(M, end, True, shared_ctx(31)) == mat_to_skew(M)
     calls = []
 
     def counting(M, ctx=None):
@@ -182,6 +192,6 @@ def test_det_sparse_pairs_still_pull_back_and_go_direct(t, monkeypatch):
     monkeypatch.setattr(matmul, "mat_to_skew", counting)
     product, report = det_mul(A, B)
     monkeypatch.undo()
-    assert calls == [A, B]
+    assert calls == ([] if t < 4 else [B])
     assert product == naive_mul(A, B)
     assert (report.product, report.t_used) == ("direct", t)

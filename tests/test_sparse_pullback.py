@@ -1,4 +1,5 @@
-"""Sparse interpolation from a matrix's rows.
+"""Sparse pullbacks from a matrix's rows: interpolation, and det_mul's
+certified pullback on a scanned support.
 
 Row q(l) of a matrix is the normal-coordinate vector of its map's value at
 beta^l, so the rows, read in the order l = 1..p-1, are the values that
@@ -7,13 +8,26 @@ sparse matrix, with a later row changed, yields a candidate that the exact
 check (skewpoly._agrees) must reject on the remaining rows; mat_to_skew and
 det must still be exact on it.  Bounds are fixed per prime: T = 5 at p=31
 lets candidates of several terms meet the check, T = 1 at p=61.
+
+det_mul solves a factor on the support its scan found and certifies the
+candidate against every row (matmul._certified_pullback).  Whenever the
+certificate passes, the candidate is mat_to_skew's pullback, whatever the
+support was; constructed scans that end wrong (a coefficient vanishing mod
+the scan's prime, a row lcm divisible by it, premature early stops) must
+fall back to mat_to_skew for that factor alone and still give the exact
+product, and a zero factor is certified with no pullback.
 """
 
-import pytest
+from fractions import Fraction
 
-from conftest import seeded
-from skewmm import (RatMatrix, SkewPoly, det_mul, from_normal_coords, mat_to_skew,
-                    naive_mul, shared_ctx, sparse_interpolate)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import fraction_product, rand_elem, rand_poly, seeded
+from skewmm import (RatMatrix, SkewPoly, SupportSet, det_mul, from_normal_coords, mat_to_skew,
+                    naive_mul, shared_ctx, skew_to_mat, sparse_interpolate, sumset)
+from skewmm import matmul
 from skewmm.rational import Rat
 from skewmm.skewpoly import _agrees
 from skewmm.skewstructure import random_layered
@@ -75,3 +89,161 @@ def test_certificate_rejects_a_changed_row_past_the_first_2T(p, s, change):
         assert not _agrees(f, range(2 * bound + 1, p), values[2 * bound:])
         assert mat_to_skew(M, ctx).sparsity > bound
         assert_products_exact(M, ctx, rng)
+
+
+# ---------------------------------------------------------------------------
+# det_mul's certified sparse pullback
+# ---------------------------------------------------------------------------
+
+def guard_prime(p):
+    return matmul._guard_modulus(p)[0]
+
+
+def scanned(M, bound):
+    """How det_mul's scan of M under the bound ends, its early stop resolved."""
+    return matmul._support(matmul._scan(M, bound, matmul._over_one(M)), M.p)
+
+
+def counting_pullbacks(monkeypatch):
+    """Record every mat_to_skew det_mul makes, with the sparse pullback taken
+    wherever a factor has a support (whatever _sparse_pays says)."""
+    calls = []
+
+    def counting(M, ctx=None):
+        calls.append(M)
+        return mat_to_skew(M, ctx)
+
+    monkeypatch.setattr(matmul, "mat_to_skew", counting)
+    monkeypatch.setattr(matmul, "_sparse_pays", lambda *_args: True)
+    return calls
+
+
+@st.composite
+def candidates(draw):
+    # a factor, over 1 or with denominators, and a support to solve it on:
+    # its own, a subset (a lost term), a superset, or a shifted one
+    p = draw(st.sampled_from((3, 5, 7, 13, 31, 61)))
+    ctx = shared_ctx(p)
+    rng = seeded(draw(st.integers(0, 2 ** 32)))
+    s = draw(st.integers(0, min(p - 1, 6)))
+    f = rand_poly(ctx, rng, s, den_bound=draw(st.sampled_from([1, 7])))
+    M = skew_to_mat(f)
+    if draw(st.booleans()):
+        M = M.scale(Fraction(1, draw(st.sampled_from([3, 2 ** 61 - 1]))))
+    support = set(f.terms)
+    kind = draw(st.sampled_from(["own", "subset", "superset", "shifted"]))
+    if kind == "subset" and support:
+        support.discard(min(support))
+    elif kind == "superset" and len(support) < p - 1:
+        support.add(min(set(range(p - 1)) - support))
+    elif kind == "shifted":
+        support = {(e + 1) % (p - 1) for e in support}
+    return M, SupportSet(support)
+
+
+@settings(deadline=None, max_examples=150)
+@given(candidates())
+def test_a_certified_pullback_is_the_pullback(case):
+    M, support = case
+    ctx = shared_ctx(M.p)
+    f = matmul._certified_pullback(M, support, matmul._over_one(M), ctx)
+    pullback = mat_to_skew(M, ctx)
+    if set(pullback.terms) <= set(support):
+        assert f == pullback
+    else:
+        assert f is None
+
+
+def pair_with(A, seed=1):
+    # a one-term partner, so that the rule sends the pair direct
+    return A, random_layered(shared_ctx(A.p), [2], seed)
+
+
+def assert_falls_back(A, B, monkeypatch):
+    calls = counting_pullbacks(monkeypatch)
+    product, report = det_mul(A, B)
+    monkeypatch.undo()
+    assert calls == [A]
+    assert product == naive_mul(A, B) == RatMatrix(A.p, fraction_product(A.rows, B.rows))
+    f_a, f_b = mat_to_skew(A), mat_to_skew(B)
+    assert report.t_used == len(sumset(f_a, f_b))
+    return report
+
+
+@pytest.mark.parametrize("p", (13, 31, 61))
+def test_a_coefficient_vanishing_mod_q_fails_the_certificate(p, monkeypatch):
+    # beta - z with z = zeta (mod q) maps to 0: the scan sees one term of
+    # two, and the candidate solved on it fails the certificate
+    ctx = shared_ctx(p)
+    zeta = matmul._guard_modulus(p)[1][1]
+    vanishing = ctx.beta_power(1) - ctx.one * zeta
+    A = skew_to_mat(SkewPoly(ctx, {0: rand_elem(ctx, seeded(p)), 3: vanishing}))
+    bound = matmul._direct_bound(matmul._product_route, p, True)
+    assert scanned(A, bound) == SupportSet([0])
+    assert matmul._certified_pullback(A, SupportSet([0]), True, ctx) is None
+    assert assert_falls_back(*pair_with(A), monkeypatch).product == "direct"
+
+
+@pytest.mark.parametrize("p", (13, 31, 61))
+def test_a_row_lcm_divisible_by_q_leaves_the_factor_unknown(p, monkeypatch):
+    A = random_layered(shared_ctx(p), [0, 1], p).scale(Fraction(1, guard_prime(p)))
+    bound = matmul._direct_bound(matmul._product_route, p, False)
+    assert scanned(A, bound) is matmul.UNKNOWN
+    assert_falls_back(*pair_with(A), monkeypatch)
+
+
+def node_image(p, e):
+    q, zeta_pows = matmul._guard_modulus(p)[:2]
+    return zeta_pows[shared_ctx(p).pow_r[e]]
+
+
+@pytest.mark.parametrize("p", (31, 61))
+def test_a_premature_early_stop_fails_the_certificate(p, monkeypatch):
+    # three terms whose first three residues are geometric with the ratio
+    # of a node e0 outside the support: Berlekamp-Massey stops after three
+    # rows with one term, whose locator's root is e0.  (A two-term factor
+    # cannot do this: its residues are geometric only if a coefficient
+    # vanishes mod q.)
+    ctx = shared_ctx(p)
+    q = guard_prime(p)
+    e0, exps = 5, (0, 1, 2)
+    rho = node_image(p, e0)
+    z = [node_image(p, e) for e in exps]
+    a = [zi * (zi - rho) % q for zi in z]
+    inv = lambda x: pow(x, -1, q)
+    gamma = [-a[2] * (z[2] - z[1]) * inv(a[0] * (z[0] - z[1])) % q,
+             -a[2] * (z[2] - z[0]) * inv(a[1] * (z[1] - z[0])) % q, 1]
+    A = skew_to_mat(SkewPoly(ctx, {e: ctx.one * g for e, g in zip(exps, gamma)}))
+    residues = [sum(g * zi ** l for g, zi in zip(gamma, z)) % q for l in (1, 2, 3)]
+    assert residues[0] and residues[1] ** 2 % q == residues[0] * residues[2] % q
+    bound = matmul._direct_bound(matmul._product_route, p, True)
+    assert scanned(A, bound) == SupportSet([e0])
+    assert_falls_back(*pair_with(A), monkeypatch)
+
+
+@pytest.mark.parametrize("p", (31, 61))
+def test_a_two_term_factor_with_a_vanishing_first_row_stops_at_once(p, monkeypatch):
+    # x^0 - z x^1 with z = zeta^(1 - r) (mod q): row q(1) maps to 0, so the
+    # scan stops after one row with the empty recurrence
+    ctx = shared_ctx(p)
+    q = guard_prime(p)
+    z = node_image(p, 0) * pow(node_image(p, 1), -1, q) % q
+    A = skew_to_mat(SkewPoly(ctx, {0: ctx.one, 1: ctx.one * -z}))
+    bound = matmul._direct_bound(matmul._product_route, p, True)
+    assert scanned(A, bound) == SupportSet()
+    assert_falls_back(*pair_with(A), monkeypatch)
+
+
+@pytest.mark.parametrize("p", (3, 13, 31))
+def test_a_zero_factor_is_certified_with_no_pullback(p, monkeypatch):
+    ctx = shared_ctx(p)
+    zero = RatMatrix.zeros(p)
+    assert matmul._certified_pullback(zero, SupportSet(), True, ctx) == SkewPoly.zero(ctx)
+    B = random_layered(ctx, range(p - 1), 3)
+    for A, partner in ((zero, B), (B, zero)):
+        calls = counting_pullbacks(monkeypatch)
+        product, report = det_mul(A, partner)
+        monkeypatch.undo()
+        assert calls == [B]  # the partner is not scanned; only it pulls back
+        assert product == zero
+        assert (report.product, report.t_used) == ("direct", 0)
