@@ -443,8 +443,9 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     falls back to mat_to_skew, one cyclic correlation packed into a big
     int (O(p) interpreter steps), or O(p^3) int additions when its
     corrected coefficients are too long for 64-bit slots.  A certified
-    pullback is M's own, so correctness never rests on q or on the early
-    stop.  The product polynomial's support is covered by the exponent
+    pullback is the factor's own, so correctness never rests on q or on the
+    early stop.  A zero factor is certified on the empty support and its
+    partner, not scanned, pulled back by mat_to_skew.  The product polynomial's support is covered by the exponent
     sumset of the two pullbacks, of size t, and _product_route picks, from
     s_A s_B + t, p and whether both factors are over 1, the cheaper of two
     exact ways to form the product (_form_product):
