@@ -16,9 +16,8 @@ that module.
 import importlib
 
 from .cyclotomic import (CycCtx, CycElem, cyc_add, cyc_mul, cyc_neg, cyc_scale,
-                         cyc_sigma, div_one_minus_beta_power,
-                         find_primitive_root, from_normal_coords, is_odd_prime,
-                         mul_beta_power, normal_coords, power_of_v1, shared_ctx)
+                         cyc_sigma, find_primitive_root, from_normal_coords, is_odd_prime,
+                         normal_coords, power_of_v1, shared_ctx)
 from .matmul import (Algorithm, FreivaldsResult, MulReport, det_mul, freivalds,
                      mc_mul, naive_mul, rounds_for)
 from .matrixfile import (MatrixFormatError, parse_matrix, read_matrix_file,

@@ -11,13 +11,12 @@ primitive root of Z_p) and the change to the normal basis
 {v_i = beta^(r^(i-1))} are pure coordinate permutations, which is why the
 basis was chosen.
 
-No element is ever inverted: products by powers of beta (mul_beta_power)
-and quotients by 1 - beta^m (div_one_minus_beta_power) are O(p) closed
-forms, and interpolation runs the same two on packed ints
-(skewpoly._solve_on_support).  cyc_mul, the general product,
-packs each operand into one int and multiplies once (Kronecker
-substitution); it serves the ring product sp_mul, which det_mul's direct
-route calls, and sp_evaluate.
+No element is ever inverted.  Interpolation divides only by 1 - beta^m,
+and it runs that division, and its products by powers of beta, on packed
+ints of its own (skewpoly._solve_on_support), building no element until
+its last step.  cyc_mul, the general product, packs each operand into one
+int and multiplies once (Kronecker substitution); it serves the ring
+product sp_mul, which det_mul's direct route calls, and sp_evaluate.
 
 All values are immutable and all operations are pure functions, so every
 object here can be shared freely across threads.
@@ -388,19 +387,6 @@ def _widened(raw: bytes, size: int, out: int) -> bytes:
     return wide
 
 
-def mul_beta_power(a: CycElem, k: int) -> CycElem:
-    """Multiply by beta^k: the exponent vector (0, *num) rotated by k
-    places, then its beta^0 entry subtracted from the rest, O(p)."""
-    k %= a.ctx.p
-    if k == 0:
-        return a
-    vec = (0, *a.num)
-    rotated = vec[-k:] + vec[:-k]
-    c0 = rotated[0]
-    # beta^k is a unit of Z[beta], so the numerators keep their content
-    return CycElem._from_ints(a.ctx, tuple([x - c0 for x in rotated[1:]]), a.den)
-
-
 def rotated_sum(p: int, shifted) -> list:
     """Power coordinates of sum(beta^s * vec) over the (vec, s) pairs.
 
@@ -416,28 +402,6 @@ def rotated_sum(p: int, shifted) -> list:
     acc = list(map(sum, zip(*rotated)))
     c0 = acc[0]
     return [x - c0 for x in acc[1:]]
-
-
-def div_one_minus_beta_power(a: CycElem, m: int) -> CycElem:
-    """a / (1 - beta^m) in O(p); ZeroDivisionError for m = 0 (mod p).
-
-    y = sum Y_e beta^e with Y_0 = 0 solves y - beta^m y = a when
-    Y_e = Y_(e-m) + a_e + c along e = m, 2m, ..., (p-1)m, where the constant
-    c = -(sum of a's coordinates)/p absorbs 1 + beta + ... + beta^(p-1) = 0.
-    The walk runs on p times a's numerators, so the result is over p * a.den.
-    """
-    ctx = a.ctx
-    p = ctx.p
-    m %= p
-    if m == 0:
-        raise ZeroDivisionError("1 - beta^m is zero for m = 0 (mod p)")
-    num = a.vector(a.den)
-    c = -sum(num)
-    out = [0] * p
-    for k in range(1, p):
-        e = k * m % p
-        out[e] = out[(e - m) % p] + p * num[e] + c
-    return CycElem(ctx, out[1:], p * a.den)
 
 
 def cyc_sigma(a: CycElem, k: int = 1) -> CycElem:

@@ -35,14 +35,15 @@ import random
 import time
 from collections import namedtuple
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 
 from .cyclotomic import shared_ctx
-from .skewpoly import (InterpolationError, SupportSet, _BerlekampMassey, _locator_roots,
-                       _modulus, _solve_on_support, _solve_sizes, batch_evaluate_via_matrices,
-                       flat_values_at_beta_powers, sp_mul, sparse_interpolate, sumset)
-from .transform import (RatMatrix, _scaled_row, mat_to_skew, matrix_of_values, product_matrix,
-                        skew_to_mat)
+from .skewpoly import (InterpolationError, SupportSet, _BerlekampMassey, _equal_over,
+                       _locator_roots, _modulus, _solve_on_support, _solve_sizes,
+                       batch_evaluate_via_matrices, sp_mul, sparse_interpolate, sumset,
+                       values_at_beta_powers)
+from .transform import (RatMatrix, _scaled_row, _value_rows, mat_to_skew, matrix_of_values,
+                        product_matrix, skew_to_mat)
 
 MAX_SEED = 2 ** 64
 
@@ -209,21 +210,13 @@ def _direct_bound(rule, p: int, integral: bool) -> int:
     return next((s for s in range(p - 1, 0, -1) if rule(1, s, s, p, integral) == "direct"), 0)
 
 
-#: bits of the prime the density guard reduces rows modulo.  Below 2^30
-#: every residue is one CPython digit: on a 2-CPU x86 host with Python
-#: 3.11, a p=31 row took 2.1-2.6 us to reduce with a 31-bit q against
-#: 3.0-3.3 us with sparse_interpolate's 61-bit prime, and Berlekamp-Massey
-#: on 9 residues 20-22 us against 25-31 us with the 31-bit q
-_GUARD_BITS = 30
-
-
 @functools.lru_cache(maxsize=None)
 def _guard_modulus(p: int):
     """The density guard's prime q = 1 (mod p), zeta^0 .. zeta^(p-1) for the
     image zeta of beta, zeta^(r^j) for the normal coordinates j = 0..p-2
     (the image of v_(j+1) = beta^(r^j)), and the indices of rows q(1) ..
     q(p-1), the values at beta^1 .. beta^(p-1)."""
-    q, zeta_pows = _modulus(p, 0, _GUARD_BITS)
+    q, zeta_pows = _modulus(p, 0)
     ctx = shared_ctx(p)
     return q, zeta_pows, ctx.to_normal(zeta_pows[1:]), tuple(k - 1 for k in ctx.q_perm)
 
@@ -286,11 +279,6 @@ def _support(end, p: int):
     q, zeta_pows = _guard_modulus(p)[:2]
     roots = _locator_roots(end, shared_ctx(p), q, zeta_pows)
     return SupportSet(roots) if len(roots) == len(end) - 1 else UNKNOWN
-
-
-def _proven_dense(M: RatMatrix, bound: int, over_one: bool) -> bool:
-    """Whether _scan proves M's pullback to have more than `bound` terms."""
-    return _scan(M, bound, over_one) is DENSE
 
 
 def _scans(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool):
@@ -359,11 +347,11 @@ def _certified_pullback(M: RatMatrix, support: SupportSet, over_one: bool, ctx):
     exact and complete: f's value at beta^l must equal row q(l) for every
     l = 1..p-1, and then f's matrix is M, so f is M's pullback.  All p-1
     values come as ints over f's common denominator E, end to end in one
-    tuple (flat_values_at_beta_powers), and M's entries are gathered into
-    the same layout by one itemgetter (_certificate_layout); the two are
-    compared cross-multiplied, value * den == num * E, on ints.  A wrong
-    support, a premature early stop or a slot that outgrew its guess all
-    fail it.
+    tuple (values_at_beta_powers), and are laid out as M's rows by
+    matrix_of_values' gather (transform._value_rows); each is compared
+    with M's entry cross-multiplied, value * den == num * E, on ints
+    (skewpoly._equal_over).  A wrong support, a premature early stop or a
+    slot that outgrew its guess all fail it.
     """
     p = ctx.p
     order = _guard_modulus(p)[3]
@@ -376,30 +364,9 @@ def _certified_pullback(M: RatMatrix, support: SupportSet, over_one: bool, ctx):
         rows = [_scaled_row(nums[i], dens[i], den) for i in picked]
     vectors = [ctx.to_power(row) for row in rows]
     f = _solve_on_support(vectors, den, list(support), ctx, _solve_sizes(vectors, p)[0])
-    f_den, got = flat_values_at_beta_powers(f, range(1, p))
-    layout = _certificate_layout(p)
-    want = layout([*itertools.chain.from_iterable(nums), 0])
-    if f_den != 1:
-        want = tuple(map(mul, want, itertools.repeat(f_den)))
-    if not over_one:
-        got = tuple(map(mul, got, layout([*itertools.chain.from_iterable(dens), 1])))
-    return f if got == want else None
-
-
-@functools.lru_cache(maxsize=None)
-def _certificate_layout(p: int):
-    """The itemgetter taking a matrix's entries laid end to end, row-major,
-    plus one trailing entry, to the layout of flat_values_at_beta_powers(f,
-    range(1, p)): for l = 1..p-1, the trailing entry (for the beta^0 slot),
-    then row q(l) in power order, its normal coordinate q(m) for beta^m."""
-    ctx = shared_ctx(p)
-    n = p - 1
-    picks = []
-    for l in range(1, p):
-        row = (ctx.q(l) - 1) * n
-        picks.append(n * n)
-        picks.extend(row + ctx.q(m) - 1 for m in range(1, p))
-    return itemgetter(*picks)
+    f_den, values = values_at_beta_powers(f, range(1, p))
+    certified = _equal_over(_value_rows(p, values), f_den, nums, None if over_one else dens)
+    return f if certified else None
 
 
 def _pullback(M: RatMatrix, end, over_one: bool, ctx):
@@ -556,7 +523,9 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
             ctx, range(len(values) + 1, min(2 * T, n) + 1), A, B))
         try:
             if direct:  # the values at v_1^1 .. v_1^(p-1) are the product's rows
-                candidate = matrix_of_values(ctx, [(v.num, v.den) for v in values])
+                candidate = matrix_of_values(
+                    ctx, tuple(itertools.chain.from_iterable((0, *v.num) for v in values)),
+                    [v.den for v in values])
                 candidate_poly = mat_to_skew(candidate, ctx)
             else:
                 candidate_poly = sparse_interpolate(values, T, ctx=ctx)

@@ -435,10 +435,11 @@ def check_pullback_paths(p=31) -> bool:
     bounds = ((2 ** 16 - 1) // 8, (2 ** 16 - 1) // 8 + 1)  # 4 S = 2^16 - 4
     for sign in (1, -1):
         f = _aligned_poly(ctx, bounds, sign)
-        den, rows = values_at_beta_powers(f, range(1, p))
+        den, values = values_at_beta_powers(f, range(1, p))
         vecs = [(ctx.pow_r[e], c.vector(den)) for e, c in f.sorted_terms()]
-        if list(rows) != [rotated_sum(p, [(vec, u * l % p) for u, vec in vecs])
-                          for l in range(1, p)]:
+        if values != tuple(itertools.chain.from_iterable(
+                [0, *rotated_sum(p, [(vec, u * l % p) for u, vec in vecs])]
+                for l in range(1, p))):
             return False
     return True
 

@@ -176,38 +176,31 @@ def power_points(ctx, count: int):
 
 
 def values_at_beta_powers(f: SkewPoly, exponents):
-    """f's map at beta^l for each l in `exponents`, as (D, rows): D is the lcm
-    of f's coefficients' denominators, and rows is an iterator whose k-th
-    item is the list of D times the p-1 power coordinates of the value at
-    beta^exponents[k]; each value is built only when it is drawn.
+    """f's map at beta^l for each l in `exponents`, laid end to end in one
+    tuple: (D, values), where D is the lcm of f's coefficients' denominators
+    and values holds, per exponent, D times the value's p power coordinates,
+    its beta^0 slot (always 0) first.
 
     The term c x^e sends beta^l to c * beta^(l u) with u = r^e, so the
     value is the sum of f's t coefficient vectors (slot x for beta^x, over
     D), each rotated by its u l mod p places.  The vectors are packed once,
     vector k into a p-slot int offset by its own M_k = max|entry|
-    (_packed_values), and a value is one sum of t rotated words, unpacked
-    once after its beta^0 slot is subtracted on the int.  With S = sum M_k,
-    no slot of the sum exceeds 2 S and no coordinate of the value exceeds
-    2 S in size, so the sums run in slots of 8, 16, 32 or 64 bits with
-    2 S < 2^w and the coordinates are read from slots with 4 S < 2^w:
-    O(t) interpreter steps and t big-int shifted adds per value.  Wider
-    entries take one rotated_sum per value, O(p t) int additions.  No gcd
-    either way.
+    (_packed_values), and a value is one sum of t rotated words, its beta^0
+    slot subtracted on the int.  With S = sum M_k, no slot of the sum
+    exceeds 2 S and no coordinate of the value exceeds 2 S in size, so the
+    sums run in slots of 8, 16, 32 or 64 bits with 2 S < 2^w, and the
+    coordinates of all the values are joined and read by one struct call
+    from slots with 4 S < 2^w: O(t) interpreter steps and t big-int shifted
+    adds per value.  Wider entries take one rotated_sum per value, O(p t)
+    int additions.  No gcd either way.
     """
-    den, vecs, bounds, out = _coefficient_words(f)
-    p = f.ctx.p
-    if out is None:
-        return den, (rotated_sum(p, [(vec, u * l % p) for u, vec in vecs]) for l in exponents)
-    read = _slot_structs(p - 1, out)[0].unpack_from
-    return den, (list(read(value, out)) for value in _packed_values(p, vecs, bounds, exponents))
-
-
-def flat_values_at_beta_powers(f: SkewPoly, exponents):
-    """values_at_beta_powers' values laid end to end in one tuple, each led
-    by its beta^0 slot, 0: (D, p ints per exponent).  The packed values are
-    joined and read by one struct call, with no list per value."""
-    den, vecs, bounds, out = _coefficient_words(f)
-    p = f.ctx.p
+    ctx = f.ctx
+    p = ctx.p
+    terms = f.sorted_terms()
+    den = math.lcm(*{c.den for _, c in terms})
+    vecs = [(ctx.pow_r[e], c.vector(den)) for e, c in terms]
+    bounds = [max(map(abs, vec)) for _, vec in vecs]
+    out = _word_bytes((4 * sum(bounds)).bit_length())
     if out is None:
         return den, tuple(itertools.chain.from_iterable(
             [0, *rotated_sum(p, [(vec, u * l % p) for u, vec in vecs])] for l in exponents))
@@ -215,24 +208,10 @@ def flat_values_at_beta_powers(f: SkewPoly, exponents):
     return den, _slot_structs(len(raw) // out, out)[0].unpack(raw)
 
 
-def _coefficient_words(f: SkewPoly):
-    """(D, vecs, bounds, out) for f's values: D the lcm of its coefficients'
-    denominators, vecs the (u, vec) pairs of its terms c x^e, u = r^e and
-    vec = c.vector(D), bounds their max|entry|, and out the bytes of the
-    slots _packed_values reads the values from, or None where they would
-    need more than 64 bits."""
-    ctx = f.ctx
-    terms = f.sorted_terms()
-    den = math.lcm(*{c.den for _, c in terms})
-    vecs = [(ctx.pow_r[e], c.vector(den)) for e, c in terms]
-    bounds = [max(map(abs, vec)) for _, vec in vecs]
-    return den, vecs, bounds, _word_bytes((4 * sum(bounds)).bit_length())
-
-
 def _packed_values(p: int, vecs, bounds, exponents):
     """The values at beta^l of the (u, vec) pairs, whose max|entry| are
-    `bounds`, with S = sum(bounds) and 4 S < 2^64, built one per exponent
-    drawn, each as the bytes of p two's complement slots of the least width
+    `bounds`, with S = sum(bounds) and 4 S < 2^64, one per exponent, each
+    as the bytes of p two's complement slots of the least width
     `out` of 1, 2, 4 or 8 bytes with 4 S < 2^(8 out), slot 0 (beta^0) zero.
 
     Each vector, offset by its max|entry|, is one word C of p slots of the
@@ -477,20 +456,27 @@ def _ramp(p: int, m: int, u: int, size: int) -> int:
 #: How many primes sparse_interpolate tries for the support before it gives
 #: up.  A prime fails only if it divides a value's denominator or maps a
 #: coefficient to 0; for inputs not built to hit it, the odds of either are
-#: about 2^-61 per denominator or coefficient.
+#: about 2^-30 per denominator or coefficient.
 NUM_MODULI = 4
 
 
 @functools.lru_cache(maxsize=None)
-def _modulus(p: int, i: int, bits: int = 61):
-    """The i-th largest prime q = 1 (mod p) below 2^bits, paired with zeta^0
+def _modulus(p: int, i: int):
+    """The i-th largest prime q = 1 (mod p) below 2^30, paired with zeta^0
     .. zeta^(p-1) for a fixed primitive p-th root of unity zeta mod q.
     Found by stepping down from the (i-1)-th, so each prime is searched for
-    once."""
+    once.  det's scans reduce modulo the largest (i = 0), and
+    sparse_interpolate tries the first NUM_MODULI.
+
+    Below 2^30 every residue is one CPython digit: on a 2-CPU x86 host with
+    Python 3.11, a p=31 row took 2.1-2.6 us to reduce with a 31-bit q
+    against 3.0-3.3 us with a 61-bit one, and Berlekamp-Massey on 9
+    residues 20-22 us against 25-31 us.
+    """
     if i:
-        q = _modulus(p, i - 1, bits)[0] - 2 * p
+        q = _modulus(p, i - 1)[0] - 2 * p
     else:
-        q = 2 ** bits - 1 - (2 ** bits - 2) % (2 * p)  # odd, and 1 (mod p)
+        q = 2 ** 30 - 1 - (2 ** 30 - 2) % (2 * p)  # odd, and 1 (mod p)
     while not _is_prime(q):
         q -= 2 * p
     h = 2
@@ -603,14 +589,27 @@ def _locator_roots(conn, ctx, q: int, zeta_pows) -> list:
 
 def _agrees(f: SkewPoly, exponents, expected) -> bool:
     """Whether f's map at beta^l equals the matching CycElem of `expected`
-    for every l in `exponents`.
+    for every l in `exponents`: f's values over their common denominator
+    (values_at_beta_powers) against the expected numerators over theirs
+    (_equal_over)."""
+    p = f.ctx.p
+    den, got = values_at_beta_powers(f, exponents)
+    return _equal_over([got[k + 1:k + p] for k in range(0, len(got), p)], den,
+                       [v.num for v in expected], [(v.den,) * (p - 1) for v in expected])
 
-    f's values are built one at a time, each as a CycElem in lowest terms,
-    so equality compares numerators and denominator; none is built after
-    the first mismatch.
-    """
-    den, rows = values_at_beta_powers(f, exponents)
-    return all(CycElem(f.ctx, row, den) == want for row, want in zip(rows, expected))
+
+def _equal_over(got, den: int, nums, dens=None) -> bool:
+    """Whether got[i][k] / den == nums[i][k] / dens[i][k] for every i and k
+    (with every dens[i][k] = 1 where dens is None), for equally many rows
+    of int tuples over positive denominators: compared cross-multiplied,
+    got[i][k] dens[i][k] == nums[i][k] den, so no gcd is taken and no
+    CycElem built.  The one exact value check, of sparse interpolation
+    (_agrees) and of det's certified pullback."""
+    if dens is not None:
+        got = [tuple(map(operator.mul, row, row_dens)) for row, row_dens in zip(got, dens)]
+    if den != 1:
+        nums = [tuple(map(operator.mul, row, itertools.repeat(den))) for row in nums]
+    return list(got) == list(nums)
 
 
 def sparse_interpolate(values, bound: int, ctx) -> SkewPoly:

@@ -14,15 +14,18 @@ algebra.  Both directions are implemented here:
                          word subtractions (O(p) interpreter steps, p-1
                          big-int shifted adds and a few struct calls), or,
                          for entries too long for 64-bit slots, as O(p^3)
-                         int additions.  It is the only map this way:
-                         det, analyze and skew_sparsity all call it;
+                         int additions.  analyze and skew_sparsity call
+                         it, and so does det for each factor it does not
+                         solve and certify on the support its scan found
+                         (matmul._certified_pullback);
   polynomial -> matrix   skew_to_mat: f's values at beta^1 .. beta^(p-1),
                          each one sum of f's #f coefficient vectors
                          packed into rotated words with its beta^0 slot
                          subtracted on the int (O(#f) interpreter steps
                          and #f big-int shifted adds per value, or one
                          rotated_sum for entries too long for 64-bit
-                         slots), read off as rows by matrix_of_values.
+                         slots), all read by one struct call and laid out
+                         as entries by matrix_of_values' one gather.
 
 The same row fact drives the multiplication algorithms: any matrix's map
 sends v_1^l = beta^l to the matrix's row q(l), so the product map's values
@@ -348,33 +351,53 @@ def _scaled_row(num, dens, den: int):
     return num if den == 1 else [x * (den // d) for x, d in zip(num, dens)]
 
 
-def matrix_of_values(ctx: CycCtx, values) -> RatMatrix:
-    """The matrix whose map sends v_1^l = beta^l to values[l-1], l = 1..p-1.
+def matrix_of_values(ctx: CycCtx, values, dens) -> RatMatrix:
+    """The matrix whose map sends v_1^l = beta^l to the l-th value, l = 1..p-1.
 
-    Each value is a (power numerators, den) pair.  beta^l is the unit vector
-    of normal coordinate q(l), so its value is row q(l): listed by l, like
-    power coordinates, the values come in row order through ctx.to_normal,
-    and so do each row's numerators.  Each row is put over its den in lowest
-    terms by RatMatrix._reduced.  The pushforward and mc's direct round
-    read their matrix off values here.
+    `values` lays the values end to end as values_at_beta_powers does, p
+    ints each, beta^0 first, and dens[l-1] is the l-th value's denominator.
+    Their numerators are laid out as rows by _value_rows, and each row is
+    put over its value's denominator in lowest terms by RatMatrix._reduced.
+    skew_to_mat and mc's direct round read their matrix off values here.
     """
     n = ctx.p - 1
-    rows = ctx.to_normal(values)
-    return RatMatrix._reduced(ctx.p, [ctx.to_normal(num) for num, _ in rows],
-                              [(den,) * n for _, den in rows])
+    return RatMatrix._reduced(ctx.p, _value_rows(ctx.p, values),
+                              [(den,) * n for den in ctx.to_normal(dens)])
+
+
+def _value_rows(p: int, values) -> list:
+    """The numerator rows of the matrix whose map sends beta^l to the l-th
+    of `values`, laid end to end as values_at_beta_powers gives them for l
+    = 1..p-1.  v_(i+1) = beta^(r^i), so entry (i, j) is the beta^(r^j)
+    coordinate of the value at beta^(r^i): one cached gather
+    (_entry_gather) lays out every entry, and p-1 slices cut the rows.
+    matrix_of_values and det's certificate (matmul._certified_pullback)
+    both read values through it."""
+    n = p - 1
+    entries = _entry_gather(p)(values)
+    return [entries[k:k + n] for k in range(0, n * n, n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_gather(p: int):
+    """The itemgetter taking the values at beta^1 .. beta^(p-1), laid end to
+    end as values_at_beta_powers gives them, to the matrix entries laid end
+    to end, row-major (_value_rows)."""
+    pow_r = shared_ctx(p).pow_r
+    return operator.itemgetter(*((u - 1) * p + w for u in pow_r for w in pow_r))
 
 
 def skew_to_mat(f: SkewPoly) -> RatMatrix:
     """The matrix of the linear map of f in the normal basis.
 
     values_at_beta_powers gives f's values at beta^1 .. beta^(p-1) over one
-    common denominator, each one sum of #f rotated words read by one
+    common denominator, each one sum of #f rotated words, all read by one
     struct call: O(p #f) interpreter steps and p #f big-int shifted adds
-    in all, then matrix_of_values' O(p) row permutations and gcds.
+    in all, then matrix_of_values' one gather and p-1 row reductions.
     """
-    ctx = f.ctx
-    den, rows = values_at_beta_powers(f, range(1, ctx.p))
-    return matrix_of_values(ctx, [(row, den) for row in rows])
+    p = f.ctx.p
+    den, values = values_at_beta_powers(f, range(1, p))
+    return matrix_of_values(f.ctx, values, (den,) * (p - 1))
 
 
 class Orientation(enum.Enum):

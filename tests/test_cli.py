@@ -614,10 +614,10 @@ EXPORTED = (
     "MatrixFormatError", "MulReport", "Orientation", "RatMatrix", "SkewPoly", "SupportSet",
     "antidiag_perm", "batch_evaluate_via_matrices", "build_AB_perm", "build_P", "build_Q",
     "build_V", "build_W", "build_X", "build_Y", "cubic_multiply", "cyc_add", "cyc_mul",
-    "cyc_neg", "cyc_scale", "cyc_sigma", "det_mul", "div_one_minus_beta_power",
+    "cyc_neg", "cyc_scale", "cyc_sigma", "det_mul",
     "find_primitive_root", "freivalds", "from_normal_coords", "interpolate_known_support",
     "is_odd_prime", "l0_characterization_check", "layer_basis_elem", "mat_to_skew", "mc_mul",
-    "mul_beta_power", "naive_mul", "normal_coords", "parse_matrix", "phi_orientation",
+    "naive_mul", "normal_coords", "parse_matrix", "phi_orientation",
     "power_of_v1", "power_points", "random_layered", "read_matrix_file", "rounds_for",
     "serialize_matrix", "shared_ctx", "shift_rows_up", "skew_sparsity", "skew_to_mat",
     "sp_add", "sp_evaluate", "sp_mul", "sp_neg", "sparse_interpolate", "sumset",

@@ -11,8 +11,9 @@ import pytest
 
 from conftest import rand_elem, seeded
 from skewmm import shared_ctx
-from skewmm.cyclotomic import _slot_bytes, cyc_mul, mul_beta_power
+from skewmm.cyclotomic import _slot_bytes, cyc_mul
 from skewmm.rational import Rat
+from test_cyc_canonical import beta_shift_def
 from test_cyclotomic import mul_via_poly_reduction
 
 PRIMES = (3, 5, 13, 31, 61)
@@ -83,7 +84,8 @@ def test_zero_and_monomial_operands(p):
         assert cyc_mul(x, y) == ctx.zero
     for k in range(p):
         monomial = ctx.beta_power(k)
-        assert cyc_mul(monomial, a) == cyc_mul(a, monomial) == mul_beta_power(a, k)
+        assert (cyc_mul(monomial, a) == cyc_mul(a, monomial)
+                == ctx.elem(beta_shift_def(a.coords, k, p)))
         assert cyc_mul(monomial, a) == mul_via_poly_reduction(monomial, a)
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import rand_elem, seeded
 from skewmm import (CycCtx, cyc_add, cyc_mul, cyc_neg, cyc_scale, cyc_sigma,
-                    div_one_minus_beta_power, find_primitive_root,
-                    from_normal_coords, normal_coords, power_of_v1, shared_ctx)
+                    find_primitive_root, from_normal_coords, normal_coords, power_of_v1,
+                    shared_ctx)
 from skewmm.rational import Rat
 
 
@@ -181,30 +181,6 @@ def test_context_mismatch_rejected():
         cyc_add(a, b)
     with pytest.raises(ValueError):
         cyc_mul(a, b)
-
-
-# ---------------------------------------------------------------------------
-# division by 1 - beta^m
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
-def test_div_one_minus_beta_power_inverts_the_product(p):
-    ctx = shared_ctx(p)
-    rng = seeded(320 + p)
-    for m in range(1, p):
-        divisor = ctx.one - ctx.beta_power(m)
-        a = ctx.elem([Rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(p - 1)])
-        for x in (a, ctx.zero):
-            assert cyc_mul(div_one_minus_beta_power(x, m), divisor) == x
-        # the exponent is taken mod p
-        assert div_one_minus_beta_power(a, m + p) == div_one_minus_beta_power(a, m)
-
-
-def test_div_one_minus_beta_power_rejects_zero_divisor():
-    ctx = shared_ctx(7)
-    for m in (0, 7, -14):
-        with pytest.raises(ZeroDivisionError):
-            div_one_minus_beta_power(ctx.one, m)
 
 
 # ---------------------------------------------------------------------------

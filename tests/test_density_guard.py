@@ -81,7 +81,7 @@ def factors(draw):
 def test_the_guard_is_sound(case):
     M, T, den = case
     p = M.p
-    proven = matmul._proven_dense(M, T, matmul._over_one(M))
+    proven = matmul._scan(M, T, matmul._over_one(M)) is matmul.DENSE
     if proven:
         assert mat_to_skew(M).sparsity > T
     if den == guard_prime(p):
@@ -101,7 +101,7 @@ def test_every_dense_layered_factor_is_proven():
             for s in range(1, p):
                 M = random_layered(ctx, rng.sample(range(p - 1), s), rng.getrandbits(32))
                 M = M.scale(Fraction(1, den))
-                assert matmul._proven_dense(M, T, den == 1) == (s > T), (p, den, s)
+                assert (matmul._scan(M, T, den == 1) is matmul.DENSE) == (s > T), (p, den, s)
 
 
 def test_a_sparse_factor_costs_2s_plus_1_rows(monkeypatch):
@@ -122,10 +122,10 @@ def test_a_sparse_factor_costs_2s_plus_1_rows(monkeypatch):
         T = bound(p, True)
         for s in range(1, T + 1):
             read.clear()
-            assert not matmul._proven_dense(random_layered(ctx, range(s), s), T, True)
+            assert matmul._scan(random_layered(ctx, range(s), s), T, True) is not matmul.DENSE
             assert len(read) == 2 * s + 1
         read.clear()
-        assert not matmul._proven_dense(RatMatrix.zeros(p), T, True)
+        assert matmul._scan(RatMatrix.zeros(p), T, True) is not matmul.DENSE
         assert len(read) == 1
 
 

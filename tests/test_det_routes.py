@@ -7,10 +7,11 @@ product sp_mul(f_B, f_A) ("direct") or as the int product of all p-1 rows
 p and whether both factors are over 1.  Pairs are built with real
 denominators on both routes: layered pairs, pairs whose supports are one
 subgroup of Z_(p-1), so that the sumset collapses to it, random supports
-whose sumset nearly fills Z_(p-1) at p=31 and p=61, a dense pair and a zero
-factor.  Each product must equal the Fraction triple loop of conftest, only
-the chosen stage may run, and nothing is evaluated or interpolated: the
-paper's evaluation stage is mc_mul's alone.
+whose sumset nearly fills Z_(p-1) at p=31 and p=61, a dense pair, a zero
+factor, and two pairs whose first factor fails det's certificate and is
+pulled back by mat_to_skew.  Each product must equal the Fraction triple
+loop of conftest, only the chosen stage may run, and nothing is evaluated
+or interpolated: the paper's evaluation stage is mc_mul's alone.
 """
 
 from fractions import Fraction
@@ -18,10 +19,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import fraction_product, rand_rational_matrix, seeded
-from skewmm import RatMatrix, det_mul, mat_to_skew, naive_mul, shared_ctx, sumset
+from skewmm import RatMatrix, SupportSet, det_mul, mat_to_skew, naive_mul, shared_ctx, sumset
 from skewmm import matmul, skewpoly
 from skewmm.matmul import _product_route
 from skewmm.skewstructure import random_layered
+from test_sparse_pullback import pair_with, premature_stop_factor, vanishing_factor
 
 P = 31
 
@@ -54,7 +56,15 @@ PAIRS = {
     # denominators, whose row and column scales make the rows stage dearer
     "direct, over denominators": lambda: (layered([0], 15, 7), layered(range(9), 16, 2)),
     "rows, the same layers over 1": lambda: (layered([0], 15, 1), layered(range(9), 16, 1)),
+    # a first factor whose scanned support fails its certificate, so that it
+    # is pulled back by mat_to_skew: a coefficient that vanishes mod the
+    # scan's prime, and an early stop on a node outside the support
+    "direct, a coefficient vanishing mod q": lambda: pair_with(vanishing_factor(P)),
+    "direct, a premature early stop": lambda: pair_with(premature_stop_factor(P)),
 }
+
+#: the PAIRS whose first factor's certificate fails
+CERTIFICATE_FAILED = ("direct, a coefficient vanishing mod q", "direct, a premature early stop")
 
 #: the stage functions det_mul calls, by the route that calls them
 STAGES = {"direct": ("sp_mul",), "rows": ("product_matrix",)}
@@ -94,6 +104,17 @@ def test_each_route_equals_the_fraction_product(case, monkeypatch):
     t_used = p - 1 if matmul._guarded(A, B) else t
     assert report.t_used == t_used
     assert report.rational_mul_count == 2 * t_used * (p - 1) ** 2
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_FAILED)
+def test_the_failed_certificates_fail(case):
+    # the first factor's scan gives a support that pays, and the candidate
+    # solved on it is refused, so det_mul pulls that factor back by
+    # mat_to_skew
+    A, B = PAIRS[case]()
+    ends = matmul._scans(A, B, True, True)
+    assert isinstance(ends[0], SupportSet) and matmul._sparse_pays(len(ends[0]), A.p)
+    assert matmul._certified_pullback(A, ends[0], True, shared_ctx(A.p)) is None
 
 
 @pytest.mark.parametrize("route", ("direct", "rows"))

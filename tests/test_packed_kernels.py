@@ -4,16 +4,19 @@ values_at_beta_powers packs each of f's t coefficient vectors into one
 p-slot word offset by its own M_k = max|entry|, and builds a value as one
 sum of t rotated words whose beta^0 slot is subtracted on the int: with
 S = sum M_k, the sums run in the least of 8, 16, 32 or 64 bits with
-2 S < 2^w, the coordinates are read from the least with 4 S < 2^w, and
-wider entries take one rotated_sum per value.  Every value is checked
-against that rotated_sum definition, across all t, at the slot edges (the
-value at beta^0 puts 2 t M in a slot when every entry is M; aligned terms
-put 2 S in a coordinate), on both sides of each edge at p = 3 .. 127, and
-past 64 bits.  cyc_mul rounds its slot width up to 1, 2, 4 or 8
-bytes and reads the slots through one struct; cyc_sigma is one cached
-permutation per (p, r^k); mul_beta_power rotates the exponent vector.
+2 S < 2^w, the coordinates of all the values are joined and read by one
+struct call from the least with 4 S < 2^w, and wider entries take one
+rotated_sum per value.  Every value, laid out end to end as the reader
+lays it (p ints each, beta^0 first), is checked against that rotated_sum
+definition, across all t, at the slot edges (the value at beta^0 puts
+2 t M in a slot when every entry is M; aligned terms put 2 S in a
+coordinate), on both sides of each edge at p = 3 .. 127, and past 64
+bits.  cyc_mul rounds its slot width up to 1, 2, 4 or 8 bytes and reads
+the slots through one struct, and a product by beta^k rotates the
+exponent vector; cyc_sigma is one cached permutation per (p, r^k).
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 
 from conftest import EDGE_PRIMES, least_width, seeded
 from skewmm import CycElem, SkewPoly, selftest, shared_ctx, skewpoly
-from skewmm.cyclotomic import _slot_bytes, cyc_mul, cyc_sigma, mul_beta_power, rotated_sum
+from skewmm.cyclotomic import _slot_bytes, cyc_mul, cyc_sigma, rotated_sum
 from skewmm.skewpoly import values_at_beta_powers
 from test_cyc_canonical import beta_shift_def, sigma_def
 from test_cyclotomic import mul_via_poly_reduction
@@ -33,19 +36,19 @@ PRIMES = (3, 5, 13, 31, 61, 127)
 
 
 def values_by_rotated_sum(f, exponents):
-    """(D, rows) by the definition: one rotated_sum of the coefficients' int
-    vectors per value."""
+    """(D, values) by the definition: one rotated_sum of the coefficients'
+    int vectors per value, laid end to end, each led by its beta^0 slot 0."""
     ctx = f.ctx
     p = ctx.p
     terms = f.sorted_terms()
     den = math.lcm(*{c.den for _, c in terms})
-    return den, [rotated_sum(p, [(c.vector(den), ctx.pow_r[e] * l % p) for e, c in terms])
-                 for l in exponents]
+    return den, tuple(itertools.chain.from_iterable(
+        [0, *rotated_sum(p, [(c.vector(den), ctx.pow_r[e] * l % p) for e, c in terms])]
+        for l in exponents))
 
 
 def assert_matches_definition(f, exponents):
-    den, rows = values_at_beta_powers(f, exponents)
-    assert (den, list(rows)) == values_by_rotated_sum(f, exponents)
+    assert values_at_beta_powers(f, exponents) == values_by_rotated_sum(f, exponents)
 
 
 def exponents_for(p):
@@ -121,28 +124,6 @@ def test_entries_past_64_bit_slots(p):
     assert_matches_definition(f, exponents_for(p))
 
 
-@pytest.mark.parametrize("p", (13, 61))
-@pytest.mark.parametrize("entry", (9, 2 ** 100), ids=("packed", "wide"))
-def test_drawing_k_values_builds_k(p, entry):
-    ctx = shared_ctx(p)
-    rng = seeded(2300 + p)
-    f = poly_of_vectors(ctx, rng, 3, lambda _k: CycElem(
-        ctx, [rng.randint(-entry, entry) for _ in range(p - 1)]))
-    for k in (0, 1, 5, p - 1):
-        drawn = []
-
-        def counting_exponents():
-            for l in range(1, p):
-                drawn.append(l)
-                yield l
-
-        _, rows = values_at_beta_powers(f, counting_exponents())
-        assert drawn == []
-        got = [next(rows) for _ in range(k)]
-        assert drawn == list(range(1, k + 1))
-        assert got == values_by_rotated_sum(f, range(1, k + 1))[1]
-
-
 def rounded_operands(p, size, sign):
     """(a, b) for which _slot_bytes is `size` and a convolution slot holds
     sign * (2^(8 size - 1) - 1): a is constant, b's entries sum to a
@@ -179,6 +160,7 @@ def test_cyc_mul_slots_that_round_up(p, size, sign):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_cyc_sigma_and_mul_beta_power_against_their_definitions(p):
+    # the multiplication by a power of beta is cyc_mul's by ctx.beta_power(k)
     ctx = shared_ctx(p)
     rng = seeded(2500 + p)
     num = [rng.randint(-99, 99) for _ in range(p - 1)]
@@ -187,7 +169,7 @@ def test_cyc_sigma_and_mul_beta_power_against_their_definitions(p):
     for k in range(-1, p):
         assert cyc_sigma(a, k) == ctx.elem(sigma_def(coords, k % (p - 1), ctx))
     for k in range(-p, 2 * p + 1):
-        assert mul_beta_power(a, k) == ctx.elem(beta_shift_def(coords, k, p))
+        assert cyc_mul(a, ctx.beta_power(k)) == ctx.elem(beta_shift_def(coords, k, p))
 
 
 # The packed pushforward at every slot-width edge.  With S the sum of the
@@ -268,10 +250,10 @@ def test_pushforward_width_edges(monkeypatch, p, total):
 
         monkeypatch.setattr(skewpoly, "_widened", recording_widened)
         exponents = exponents_for(p)
-        den, rows = values_at_beta_powers(f, exponents)
-        rows = list(rows)
+        den, values = values_at_beta_powers(f, exponents)
         monkeypatch.undo()
-        assert (den, rows) == values_by_rotated_sum(f, exponents)
+        assert (den, values) == values_by_rotated_sum(f, exponents)
+        assert len(values) == p * len(exponents)
         assert widened == ([(size, out)] * len(exponents)
                            if out is not None and out > size else [])
-        assert max(map(abs, rows[1])) == 2 * total
+        assert max(map(abs, values[p:2 * p])) == 2 * total

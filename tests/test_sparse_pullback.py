@@ -120,8 +120,10 @@ def counting_pullbacks(monkeypatch):
 
 @st.composite
 def candidates(draw):
-    # a factor, over 1 or with denominators, and a support to solve it on:
-    # its own, a subset (a lost term), a superset, or a shifted one
+    # a factor, over 1 or with denominators, with short entries or long ones
+    # (times 3^50, so that a candidate's values need slots past 64 bits and
+    # the certificate reads them by rotated_sum), and a support to solve it
+    # on: its own, a subset (a lost term), a superset, or a shifted one
     p = draw(st.sampled_from((3, 5, 7, 13, 31, 61)))
     ctx = shared_ctx(p)
     rng = seeded(draw(st.integers(0, 2 ** 32)))
@@ -130,6 +132,8 @@ def candidates(draw):
     M = skew_to_mat(f)
     if draw(st.booleans()):
         M = M.scale(Fraction(1, draw(st.sampled_from([3, 2 ** 61 - 1]))))
+    if draw(st.booleans()):
+        M = M.scale(3 ** 50)
     support = set(f.terms)
     kind = draw(st.sampled_from(["own", "subset", "superset", "shifted"]))
     if kind == "subset" and support:
@@ -170,14 +174,22 @@ def assert_falls_back(A, B, monkeypatch):
     return report
 
 
-@pytest.mark.parametrize("p", (13, 31, 61))
-def test_a_coefficient_vanishing_mod_q_fails_the_certificate(p, monkeypatch):
-    # beta - z with z = zeta (mod q) maps to 0: the scan sees one term of
-    # two, and the candidate solved on it fails the certificate
+def vanishing_factor(p):
+    """c + (beta - z) x^3 with z = zeta (mod q), for the image zeta of beta
+    modulo the scan's prime q: its second coefficient maps to 0, so the
+    scan sees one term of two."""
     ctx = shared_ctx(p)
     zeta = matmul._guard_modulus(p)[1][1]
     vanishing = ctx.beta_power(1) - ctx.one * zeta
-    A = skew_to_mat(SkewPoly(ctx, {0: rand_elem(ctx, seeded(p)), 3: vanishing}))
+    return skew_to_mat(SkewPoly(ctx, {0: rand_elem(ctx, seeded(p)), 3: vanishing}))
+
+
+@pytest.mark.parametrize("p", (13, 31, 61))
+def test_a_coefficient_vanishing_mod_q_fails_the_certificate(p, monkeypatch):
+    # the candidate solved on the one term the scan sees fails the
+    # certificate
+    ctx = shared_ctx(p)
+    A = vanishing_factor(p)
     bound = matmul._direct_bound(matmul._product_route, p, True)
     assert scanned(A, bound) == SupportSet([0])
     assert matmul._certified_pullback(A, SupportSet([0]), True, ctx) is None
@@ -197,27 +209,35 @@ def node_image(p, e):
     return zeta_pows[shared_ctx(p).pow_r[e]]
 
 
-@pytest.mark.parametrize("p", (31, 61))
-def test_a_premature_early_stop_fails_the_certificate(p, monkeypatch):
-    # three terms whose first three residues are geometric with the ratio
-    # of a node e0 outside the support: Berlekamp-Massey stops after three
-    # rows with one term, whose locator's root is e0.  (A two-term factor
-    # cannot do this: its residues are geometric only if a coefficient
-    # vanishes mod q.)
+#: the node outside premature_stop_factor's support that its scan stops on
+PREMATURE_NODE = 5
+
+
+def premature_stop_factor(p):
+    """Three terms, on exponents 0, 1, 2, whose first three residues are
+    geometric with the ratio of the node PREMATURE_NODE outside the
+    support: Berlekamp-Massey stops after three rows with one term, whose
+    locator's root is that node.  (A two-term factor cannot do this: its
+    residues are geometric only if a coefficient vanishes mod q.)"""
     ctx = shared_ctx(p)
     q = guard_prime(p)
-    e0, exps = 5, (0, 1, 2)
-    rho = node_image(p, e0)
+    exps = (0, 1, 2)
+    rho = node_image(p, PREMATURE_NODE)
     z = [node_image(p, e) for e in exps]
     a = [zi * (zi - rho) % q for zi in z]
     inv = lambda x: pow(x, -1, q)
     gamma = [-a[2] * (z[2] - z[1]) * inv(a[0] * (z[0] - z[1])) % q,
              -a[2] * (z[2] - z[0]) * inv(a[1] * (z[1] - z[0])) % q, 1]
-    A = skew_to_mat(SkewPoly(ctx, {e: ctx.one * g for e, g in zip(exps, gamma)}))
     residues = [sum(g * zi ** l for g, zi in zip(gamma, z)) % q for l in (1, 2, 3)]
     assert residues[0] and residues[1] ** 2 % q == residues[0] * residues[2] % q
+    return skew_to_mat(SkewPoly(ctx, {e: ctx.one * g for e, g in zip(exps, gamma)}))
+
+
+@pytest.mark.parametrize("p", (31, 61))
+def test_a_premature_early_stop_fails_the_certificate(p, monkeypatch):
+    A = premature_stop_factor(p)
     bound = matmul._direct_bound(matmul._product_route, p, True)
-    assert scanned(A, bound) == SupportSet([e0])
+    assert scanned(A, bound) == SupportSet([PREMATURE_NODE])
     assert_falls_back(*pair_with(A), monkeypatch)
 
 
