@@ -35,15 +35,14 @@ import random
 import time
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
 
 from .cyclotomic import shared_ctx
 from .skewpoly import (InterpolationError, SupportSet, _BerlekampMassey, _equal_over,
-                       _locator_roots, _modulus, _solve_on_support, _solve_sizes,
+                       _locator_roots, _modulus, _residue, _solve_on_support, _solve_sizes,
                        batch_evaluate_via_matrices, sp_mul, sparse_interpolate, sumset,
                        values_at_beta_powers)
-from .transform import (RatMatrix, _scaled_row, _value_rows, mat_to_skew, matrix_of_values,
-                        product_matrix, skew_to_mat)
+from .transform import (RatMatrix, _scaled_row, _value_rows, mat_to_skew, product_matrix,
+                        skew_to_mat)
 
 MAX_SEED = 2 ** 64
 
@@ -82,8 +81,8 @@ class MulReport(namedtuple("MulReport", ("algorithm", "t_used", "iterations",
     scaled by its own denominators' lcm, so one counted multiplication is
     an int product, not a rational one with its gcd.
     final_T is the last sparsity bound tried by mc_mul; fallback
-    flags that mc_mul's direct round, the product read off all p-1 values,
-    failed verification and the schoolbook product was returned instead,
+    flags that mc_mul's direct round, whose candidate is the int product
+    of the two factors, failed verification and was returned anyway,
     which indicates a bug rather than an input condition.  product is the
     stage det_mul formed the product by, "direct" or "rows" (see det_mul),
     and is empty for naive_mul and mc_mul.  For det_mul, t_used is the
@@ -210,17 +209,6 @@ def _direct_bound(rule, p: int, integral: bool) -> int:
     return next((s for s in range(p - 1, 0, -1) if rule(1, s, s, p, integral) == "direct"), 0)
 
 
-@functools.lru_cache(maxsize=None)
-def _guard_modulus(p: int):
-    """The density guard's prime q = 1 (mod p), zeta^0 .. zeta^(p-1) for the
-    image zeta of beta, zeta^(r^j) for the normal coordinates j = 0..p-2
-    (the image of v_(j+1) = beta^(r^j)), and the indices of rows q(1) ..
-    q(p-1), the values at beta^1 .. beta^(p-1)."""
-    q, zeta_pows = _modulus(p, 0)
-    ctx = shared_ctx(p)
-    return q, zeta_pows, ctx.to_normal(zeta_pows[1:]), tuple(k - 1 for k in ctx.q_perm)
-
-
 #: how det_mul's scan of a factor ends (_scan), unless with a support
 DENSE, UNKNOWN = "dense", "unknown"
 
@@ -233,13 +221,14 @@ def _scan(M: RatMatrix, bound: int, over_one: bool):
 
     Row q(l) is M's map at beta^l, and for f = sum a_i sigma^(e_i) that is
     sum a_i (beta^(r^(e_i)))^l, a linear recurrence in l of length #f.  The
-    map beta -> zeta to F_q, for the prime q = 1 (mod p) of _guard_modulus,
-    is a ring map on every Z[1/D][beta] with D prime to q, so the rows'
-    images satisfy the image of that recurrence and their shortest one is
-    no longer.  A Berlekamp-Massey length above `bound` on rows q(1), q(2),
-    ... therefore proves #f > bound: DENSE, the density guard.  Unless M is
-    over 1 (`over_one`, as _over_one finds it), each row is scaled by its
-    lcm D and its sum multiplied by D^-1 mod q.
+    map beta -> zeta to F_q, for the prime q = 1 (mod p) of
+    skewpoly._modulus, the one mc's support search uses, is a ring map on
+    every Z[1/D][beta] with D prime to q, so the rows' images satisfy the
+    image of that recurrence and their shortest one is no longer.  A
+    Berlekamp-Massey length above `bound` on rows q(1), q(2), ... therefore
+    proves #f > bound: DENSE, the density guard.  Each row is reduced by
+    skewpoly._residue: unless M is over 1 (`over_one`, as _over_one finds
+    it), it is scaled by its lcm D, and its sum multiplied by D^-1 mod q.
 
     The scan stops early at a zero discrepancy at step n >= 2L, where a
     recurrence of length L has predicted a value it was not fitted to
@@ -249,18 +238,16 @@ def _scan(M: RatMatrix, bound: int, over_one: bool):
     stop.  Neither a stop nor its support is trusted: a support is only a
     candidate, which det_mul certifies or gives up for mat_to_skew.
     """
-    q, _, zeta_row, order = _guard_modulus(M.p)
+    q, _, nodes = _modulus(M.p)
     recurrence = _BerlekampMassey(q)
     nums, dens = M.nums, M.dens
-    for n, i in enumerate(order[:2 * bound + 1]):
-        den = 1 if over_one else math.lcm(*dens[i])
-        if den == 1:
-            x = sum(map(mul, nums[i], zeta_row))
-        elif den % q:
-            x = sum(map(mul, _scaled_row(nums[i], dens[i], den), zeta_row)) * pow(den, -1, q)
-        else:
+    for n, k in enumerate(shared_ctx(M.p).q_perm[:2 * bound + 1]):
+        num, row_dens = nums[k - 1], dens[k - 1]
+        den = 1 if over_one else math.lcm(*row_dens)
+        x = _residue(_scaled_row(num, row_dens, den), den, q, nodes)
+        if x is None:
             return UNKNOWN
-        if recurrence.add(x % q):
+        if recurrence.add(x):
             if recurrence.length > bound:
                 return DENSE
         elif n >= 2 * recurrence.length:
@@ -272,34 +259,29 @@ def _support(end, p: int):
     """The end of a scan with its early stop resolved: the support, when the
     recurrence's locator has exactly L roots among the nodes, as it does
     when no coefficient of f vanishes mod q and the stop was not premature
-    (the roots skewpoly._support_mod finds from values); else UNKNOWN.
-    DENSE and UNKNOWN pass through."""
+    (skewpoly._locator_roots, which mc's support search shares); else
+    UNKNOWN.  DENSE and UNKNOWN pass through."""
     if not isinstance(end, list):
         return end
-    q, zeta_pows = _guard_modulus(p)[:2]
-    roots = _locator_roots(end, shared_ctx(p), q, zeta_pows)
-    return SupportSet(roots) if len(roots) == len(end) - 1 else UNKNOWN
+    support = _locator_roots(end, p)
+    return UNKNOWN if support is None else support
 
 
 def _scans(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool):
-    """The ends of det_mul's scans of A and B, or None where they send the
-    pair to the rows stage with no pullback.
+    """The ends of det_mul's scans of two nonzero factors A and B, or None
+    where they send the pair to the rows stage with no pullback.
 
-    A zero factor makes the product zero: it ends with the empty support at
-    once, and its partner is not scanned (UNKNOWN).  Otherwise, with T =
-    _direct_bound(_product_route, ...), the largest sparsity the rule could
-    still send to the direct stage, each factor is scanned (_scan) under
-    the bound T.  A DENSE end sends the pair to the rows stage: the rule
-    would pick it after the pullbacks too, whatever the partner.  Else each
-    early stop is resolved to a support or UNKNOWN (_support), and the rule
-    itself, applied to |S_A|, |S_B| and the size of the sumset S_A + S_B of
-    two supports, may send the pair to rows too.  Where T = 0 (p <= 7 over 1) or
-    T = p-1, no factor is scanned and both ends are UNKNOWN.
+    With T = _direct_bound(_product_route, ...), the largest sparsity the
+    rule could still send to the direct stage, each factor is scanned
+    (_scan) under the bound T.  A DENSE end sends the pair to the rows
+    stage: the rule would pick it after the pullbacks too, whatever the
+    partner.  Else each early stop is resolved to a support or UNKNOWN
+    (_support), and the rule itself, applied to |S_A|, |S_B| and the size
+    of the sumset S_A + S_B of two supports, may send the pair to rows too.
+    Where T = 0 (p <= 7 over 1) or T = p-1, no factor is scanned and both
+    ends are UNKNOWN.
     """
     p = A.p
-    zero_a, zero_b = not any(map(any, A.nums)), not any(map(any, B.nums))
-    if zero_a or zero_b:
-        return (SupportSet() if zero_a else UNKNOWN), (SupportSet() if zero_b else UNKNOWN)
     integral = over_a and over_b
     bound = _direct_bound(_product_route, p, integral)
     if not 0 < bound < p - 1:
@@ -319,21 +301,15 @@ def _scans(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool):
     return s_a, s_b
 
 
-def _guarded(A: RatMatrix, B: RatMatrix) -> bool:
-    """Whether det_mul forms A*B by the rows stage with no pullback, and so
-    reports t_used = p-1: _scans sends the pair there."""
-    return _scans(A, B, _over_one(A), _over_one(B)) is None
-
-
 def _sparse_pays(s: int, p: int) -> bool:
     """Whether a factor with a scanned support of s terms is pulled back by
     _certified_pullback rather than mat_to_skew: while s (s + 8) <= 2 (p -
     13), so for s <= 3 at p=31, 6 at p=61 and 11 at p=127, and never at
-    p <= 13 but for a zero factor (s = 0).  Fitted on both pullbacks timed
-    on the same factors at p = 13, 31, 61 and 127 (README, "Sparse
-    pullback"): the solve costs O(s^2) packed products and the certificate
-    O(p s) shifted adds, against the Theta(p^3) word work of mat_to_skew."""
-    return s * (s + 8) <= 2 * (p - 13) or not s
+    p <= 13.  Fitted on both pullbacks timed on the same factors at p = 13,
+    31, 61 and 127 (README, "Sparse pullback"): the solve costs O(s^2)
+    packed products and the certificate O(p s) shifted adds, against the
+    Theta(p^3) word work of mat_to_skew."""
+    return s * (s + 8) <= 2 * (p - 13)
 
 
 def _certified_pullback(M: RatMatrix, support: SupportSet, over_one: bool, ctx):
@@ -348,15 +324,14 @@ def _certified_pullback(M: RatMatrix, support: SupportSet, over_one: bool, ctx):
     l = 1..p-1, and then f's matrix is M, so f is M's pullback.  All p-1
     values come as ints over f's common denominator E, end to end in one
     tuple (values_at_beta_powers), and are laid out as M's rows by
-    matrix_of_values' gather (transform._value_rows); each is compared
+    skew_to_mat's gather (transform._value_rows); each is compared
     with M's entry cross-multiplied, value * den == num * E, on ints
     (skewpoly._equal_over).  A wrong support, a premature early stop or a
     slot that outgrew its guess all fail it.
     """
     p = ctx.p
-    order = _guard_modulus(p)[3]
     nums, dens = M.nums, M.dens
-    picked = order[:len(support)]
+    picked = [k - 1 for k in ctx.q_perm[:len(support)]]
     if over_one:
         den, rows = 1, [nums[i] for i in picked]
     else:
@@ -382,12 +357,14 @@ def _pullback(M: RatMatrix, end, over_one: bool, ctx):
 def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     """Deterministic skew-sparse product: always exactly equals naive_mul.
 
-    First each nonzero factor is scanned (_scans, _scan): its rows are read
-    modulo a 30-bit prime q, Berlekamp-Massey runs on them, and the scan
-    ends in one of three states.  Let T be the largest sparsity that
-    _product_route could still send to the direct stage (_direct_bound: 7
-    at p=31 and 17 at p=61 for factors over 1, 11 and 26 with
-    denominators; 0 at p <= 7 over 1, where no factor is scanned).
+    A zero factor makes the product zero, which det_mul returns at once,
+    with no scan and no pullback, reporting product "direct", t_used 0 and
+    a count of 0.  Otherwise each factor is scanned (_scans, _scan): its
+    rows are read modulo a 30-bit prime q, Berlekamp-Massey runs on them,
+    and the scan ends in one of three states.  Let T be the largest
+    sparsity that _product_route could still send to the direct stage
+    (_direct_bound: 7 at p=31 and 17 at p=61 for factors over 1, 11 and 26
+    with denominators; 0 at p <= 7 over 1, where no factor is scanned).
       dense     the recurrence grew past T, which proves the factor has
                 more than T terms: the rule would pick the rows stage
                 whatever the partner (the density guard);
@@ -411,11 +388,10 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     int (O(p) interpreter steps), or O(p^3) int additions when its
     corrected coefficients are too long for 64-bit slots.  A certified
     pullback is the factor's own, so correctness never rests on q or on the
-    early stop.  A zero factor is certified on the empty support and its
-    partner, not scanned, pulled back by mat_to_skew.  The product polynomial's support is covered by the exponent
-    sumset of the two pullbacks, of size t, and _product_route picks, from
-    s_A s_B + t, p and whether both factors are over 1, the cheaper of two
-    exact ways to form the product (_form_product):
+    early stop.  The product polynomial's support is covered by the
+    exponent sumset of the two pullbacks, of size t, and _product_route
+    picks, from s_A s_B + t, p and whether both factors are over 1, the
+    cheaper of two exact ways to form the product (_form_product):
       direct    skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products,
                 each one big-int product, then the pushforward (p t
                 big-int shifted adds, O(p t) interpreter steps);
@@ -436,6 +412,9 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     _check_pair(A, B)
     start = time.perf_counter()
     p = A.p
+    if not any(map(any, A.nums)) or not any(map(any, B.nums)):
+        return RatMatrix.zeros(p), MulReport(Algorithm.DETERMINISTIC, product="direct",
+                                             wall_time=time.perf_counter() - start)
     over_a, over_b = _over_one(A), _over_one(B)
     ends = _scans(A, B, over_a, over_b)
     if ends is None:
@@ -493,17 +472,19 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     from A and multiplied by B (reusing earlier values; only the new ones
     are computed), interpolates under the bound, and verifies the
     candidate with the randomized check at error budget
-    nu / ceil(log2(p-1)).  sparse_interpolate finds the support modulo a
-    fixed prime and solves for the coefficients exactly; a candidate it
-    returns agrees with all 2T values, so it is the product polynomial
-    whenever the product has at most T terms.  An undersized bound raises
-    InterpolationError or yields a candidate the verifier rejects; both
-    double T.  The first T with 2T >= p-1 is the direct round: the values
-    up to v_1^(p-1) are evaluated, and they are the product's rows, so no
-    interpolation is needed; t_used is then the sparsity of the product's
-    pullback.  The direct round is verified too; if it fails,
-    the schoolbook product is returned with the report flagged, surfacing
-    the bug loudly while keeping the function total.
+    nu / ceil(log2(p-1)).  sparse_interpolate finds the support modulo the
+    one fixed prime det's scans use and solves for the coefficients
+    exactly; a candidate it returns agrees with all 2T values, so it is the
+    product polynomial whenever the product has at most T terms.  An
+    undersized bound, or a prime that divides a denominator or kills a
+    coefficient, raises InterpolationError or yields a candidate the
+    verifier rejects; both double T.  The first T with 2T >= p-1 is the
+    direct round: the values at all p-1 points are the product's rows, so
+    its candidate is the int product of A and B, with no interpolation,
+    and t_used is then the sparsity of the product's pullback.  The direct
+    round is verified too; if it fails, the same product is returned with
+    the report flagged, surfacing the bug loudly while keeping the
+    function total.
     """
     _check_pair(A, B)
     nu_frac = _check_probability(nu, "nu")
@@ -519,30 +500,28 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     while True:
         iterations += 1
         direct = 2 * T >= n
-        values.extend(batch_evaluate_via_matrices(
-            ctx, range(len(values) + 1, min(2 * T, n) + 1), A, B))
-        try:
-            if direct:  # the values at v_1^1 .. v_1^(p-1) are the product's rows
-                candidate = matrix_of_values(
-                    ctx, tuple(itertools.chain.from_iterable((0, *v.num) for v in values)),
-                    [v.den for v in values])
-                candidate_poly = mat_to_skew(candidate, ctx)
-            else:
+        if direct:  # the values at v_1^1 .. v_1^(p-1) are the whole product
+            candidate = product_matrix(A, B)
+            candidate_poly = mat_to_skew(candidate, ctx)
+            count = 2 * n ** 3
+        else:
+            values.extend(batch_evaluate_via_matrices(
+                ctx, range(len(values) + 1, 2 * T + 1), A, B))
+            count = 2 * len(values) * n * n
+            try:
                 candidate_poly = sparse_interpolate(values, T, ctx=ctx)
                 candidate = skew_to_mat(candidate_poly)
-        except InterpolationError:
-            candidate = None
+            except InterpolationError:
+                candidate = None
         round_seed = master.getrandbits(64)
         if candidate is not None and freivalds(candidate, A, B, mu, round_seed) is FreivaldsResult.EQUAL:
             report = MulReport(Algorithm.MONTE_CARLO, t_used=candidate_poly.sparsity,
-                               iterations=iterations, rational_mul_count=2 * len(values) * n * n,
+                               iterations=iterations, rational_mul_count=count,
                                wall_time=time.perf_counter() - start, final_T=T)
             return candidate, report
         if direct:
-            result = naive_mul(A, B)
             report = MulReport(Algorithm.MONTE_CARLO, t_used=0, iterations=iterations,
-                               rational_mul_count=2 * len(values) * n * n,
-                               wall_time=time.perf_counter() - start,
+                               rational_mul_count=count, wall_time=time.perf_counter() - start,
                                final_T=T, fallback=True)
-            return result, report
+            return candidate, report
         T *= 2

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import matmul
 from .cyclotomic import CycElem, _is_prime, cyc_mul, cyc_scale, rotated_sum, shared_ctx
-from .skewpoly import (SkewPoly, power_points, sp_evaluate, sp_mul, sparse_interpolate,
-                       values_at_beta_powers)
+from .skewpoly import (SkewPoly, _modulus, power_points, sp_evaluate, sp_mul,
+                       sparse_interpolate, values_at_beta_powers)
 from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             build_X, build_Y, l0_characterization_check,
                             random_layered, skew_sparsity, y_power_row)
@@ -228,7 +228,7 @@ def _certificate_pairs(ctx, rng):
         T = matmul._direct_bound(matmul._product_route, p, den == 1)
         if 0 < T < p - 1:
             scale = Fraction(1, den)
-            zeta = matmul._guard_modulus(p)[1][1]
+            zeta = _modulus(p)[1][1]
             vanishing = SkewPoly(ctx, {0: ctx.one, 1: ctx.beta_power(1) - ctx.one * zeta})
             a = random_layered(ctx, [0], rng.getrandbits(32)).scale(scale)
             b = random_layered(ctx, [1], rng.getrandbits(32)).scale(scale)

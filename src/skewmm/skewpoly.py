@@ -19,7 +19,8 @@ import math
 import operator
 
 from .cyclotomic import (CycElem, _check_same_ctx, _is_prime, _slot_ones, _slot_structs,
-                         _widened, _word_bytes, cyc_mul, cyc_sigma, power_of_v1, rotated_sum)
+                         _widened, _word_bytes, cyc_mul, cyc_sigma, power_of_v1, rotated_sum,
+                         shared_ctx)
 from .multiply import rational_product
 
 
@@ -453,54 +454,45 @@ def _ramp(p: int, m: int, u: int, size: int) -> int:
     return int.from_bytes(_widened(raw, kb, size), "little")
 
 
-#: How many primes sparse_interpolate tries for the support before it gives
-#: up.  A prime fails only if it divides a value's denominator or maps a
-#: coefficient to 0; for inputs not built to hit it, the odds of either are
-#: about 2^-30 per denominator or coefficient.
-NUM_MODULI = 4
-
-
 @functools.lru_cache(maxsize=None)
-def _modulus(p: int, i: int):
-    """The i-th largest prime q = 1 (mod p) below 2^30, paired with zeta^0
-    .. zeta^(p-1) for a fixed primitive p-th root of unity zeta mod q.
-    Found by stepping down from the (i-1)-th, so each prime is searched for
-    once.  det's scans reduce modulo the largest (i = 0), and
-    sparse_interpolate tries the first NUM_MODULI.
+def _modulus(p: int):
+    """The one prime of det's scans and mc's support search, with its table
+    per p: (q, zeta_pows, nodes).  q is the largest prime q = 1 (mod p)
+    below 2^30, zeta_pows holds zeta^0 .. zeta^(p-1) for a fixed primitive
+    p-th root of unity zeta mod q, and nodes[j] = zeta^(r^j) is the image
+    of the node v_(j+1) = beta^(r^j), j = 0..p-2.  beta -> zeta is a ring
+    map Z[1/D][beta] -> F_q for every D prime to q, and the node images are
+    the weights that take normal coordinates to F_q (_residue).
+
+    One prime, not several: q fails only if it divides a denominator or
+    maps a coefficient to 0, which inputs not built to hit it do with odds
+    of about 2^-30 each, and the primes are fixed and public, so an input
+    built to defeat one defeats any fixed few as easily.  A failure costs
+    det a mat_to_skew and mc a doubling of its bound, never a wrong answer.
 
     Below 2^30 every residue is one CPython digit: on a 2-CPU x86 host with
     Python 3.11, a p=31 row took 2.1-2.6 us to reduce with a 31-bit q
     against 3.0-3.3 us with a 61-bit one, and Berlekamp-Massey on 9
     residues 20-22 us against 25-31 us.
     """
-    if i:
-        q = _modulus(p, i - 1)[0] - 2 * p
-    else:
-        q = 2 ** 30 - 1 - (2 ** 30 - 2) % (2 * p)  # odd, and 1 (mod p)
+    q = 2 ** 30 - 1 - (2 ** 30 - 2) % (2 * p)  # odd, and 1 (mod p)
     while not _is_prime(q):
         q -= 2 * p
     h = 2
     while (zeta := pow(h, (q - 1) // p, q)) == 1:
         h += 1
-    return q, tuple(pow(zeta, k, q) for k in range(p))
+    zeta_pows = tuple(pow(zeta, k, q) for k in range(p))
+    return q, zeta_pows, tuple(zeta_pows[u] for u in shared_ctx(p).pow_r)
 
 
-def _moduli(p: int):
-    """The NUM_MODULI primes sparse_interpolate tries for p, largest first,
-    with their zeta powers: beta -> zeta is a ring map Z[1/D][beta] -> F_q
-    for every D prime to q.  Each is found only when iteration reaches it:
-    most searches end at the first."""
-    for i in range(NUM_MODULI):
-        yield _modulus(p, i)
-
-
-def _reduce_mod(a: CycElem, q: int, zeta_pows) -> int | None:
-    """The image sum a_i zeta^i of a in F_q, or None if q divides one of
-    a's denominators."""
-    den = a.den
-    if den % q == 0:
+def _residue(nums, den: int, q: int, nodes) -> int | None:
+    """The image in F_q of the element of Q(beta) with normal coordinates
+    nums / den: the numerators against the node images (_modulus), times
+    den^-1 mod q; None if q divides den."""
+    if not den % q:
         return None
-    return sum(map(operator.mul, a.vector(den), zeta_pows)) * pow(den, -1, q) % q
+    x = sum(map(operator.mul, nums, nodes))
+    return (x if den == 1 else x * pow(den, -1, q)) % q
 
 
 class _BerlekampMassey:
@@ -547,44 +539,43 @@ class _BerlekampMassey:
         return d
 
 
-def _support_mod(a, bound: int, ctx, q: int, zeta_pows) -> SupportSet | None:
+def _support_mod(a, bound: int, ctx) -> SupportSet | None:
     """The support of the sparsest polynomial whose values agree with `a`
-    modulo q, or None if q divides a denominator.
+    modulo the prime of _modulus, or None if it divides a denominator or
+    the locator has the wrong number of roots among the nodes.
 
     If the values are those of an f with #f <= bound, the result is the
-    support of f less the terms whose coefficients vanish mod q.  A recurrence
-    longer than the bound, or a locator without that many roots among the
-    nodes, cannot come from such an f for any q, so InterpolationError.
+    support of f less the terms whose coefficients vanish mod q, or None.
+    A recurrence longer than the bound cannot come from such an f for any
+    q, so InterpolationError.
     """
+    q, _, nodes = _modulus(ctx.p)
     recurrence = _BerlekampMassey(q)
     for value in a:
-        x = _reduce_mod(value, q, zeta_pows)
+        x = _residue(ctx.to_normal(value.num), value.den, q, nodes)
         if x is None:
             return None
         recurrence.add(x)
-    t = recurrence.length
-    if t > bound:
-        raise InterpolationError(f"shortest recurrence has length {t}, above the bound {bound}")
-    support = _locator_roots(recurrence.conn, ctx, q, zeta_pows)
-    if len(support) != t:
+    if recurrence.length > bound:
         raise InterpolationError(
-            f"locator has {len(support)} roots among the v_i but the recurrence has "
-            f"length {t}; sparsity bound below the true sparsity or an arithmetic bug")
-    return SupportSet(support)
+            f"shortest recurrence has length {recurrence.length}, above the bound {bound}")
+    return _locator_roots(recurrence.conn, ctx.p)
 
 
-def _locator_roots(conn, ctx, q: int, zeta_pows) -> list:
+def _locator_roots(conn, p: int) -> SupportSet | None:
     """The exponents e in 0..p-2 whose node v_(e+1) = beta^(r^e) maps, through
-    beta -> zeta, to a root of the locator z^L + C_1 z^(L-1) + ... + C_L mod
-    q of the recurrence conn = [1, C_1, ..., C_L] (_BerlekampMassey.conn):
-    Horner's rule run at all p-1 nodes at once, one list comprehension per
+    beta -> zeta (_modulus), to a root of the locator z^L + C_1 z^(L-1) +
+    ... + C_L mod q of the recurrence conn = [1, C_1, ..., C_L]
+    (_BerlekampMassey.conn), if there are exactly L of them; else None.
+    Horner's rule runs at all p-1 nodes at once, one list comprehension per
     coefficient.  A recurrence of length L that comes from L terms has
     exactly their L nodes as roots."""
-    nodes = [zeta_pows[u] for u in ctx.pow_r]  # the image of v_m, m = 1..p-1
+    q, _, nodes = _modulus(p)
     acc = [1] * len(nodes)
     for c in conn[1:]:
         acc = [(a * w + c) % q for a, w in zip(acc, nodes)]
-    return [e for e, a in enumerate(acc) if not a]
+    roots = [e for e, a in enumerate(acc) if not a]
+    return SupportSet(roots) if len(roots) == len(conn) - 1 else None
 
 
 def _agrees(f: SkewPoly, exponents, expected) -> bool:
@@ -617,25 +608,25 @@ def sparse_interpolate(values, bound: int, ctx) -> SkewPoly:
     given #f <= bound; values[k] is a_(k+1).
 
     Ben-Or & Tiwari, with the support found over a finite field (Giesbrecht
-    & Roche, ISSAC 2011): (1) map the values to F_q, q = 1 (mod p) prime,
-    through beta -> zeta, a primitive p-th root of unity mod q, so the nodes
-    stay distinct; (2) Berlekamp-Massey on native ints gives the shortest
-    recurrence, read backwards the locator, whose roots among the images of
-    v_1 .. v_(p-1) are the support; (3) the exact known-support solve over
-    Q(beta) on the first t values gives the coefficients; (4) the candidate
-    is checked exactly against all 2*bound values.  If #f <= bound, a
-    candidate g agreeing with them is f: f - g has at most 2*bound terms and
-    vanishes at 2*bound consecutive powers.  So an unlucky q, one that
-    divides a denominator or kills a coefficient, only moves the search to
-    the next of NUM_MODULI fixed primes.  At bound = p-1 the support is
-    all of {0..p-2} and the solve on the first p-1 values is exact without
-    any prime.
+    & Roche, ISSAC 2011): (1) map the values to F_q through beta -> zeta,
+    for the one prime q = 1 (mod p) and primitive p-th root of unity zeta
+    mod q of _modulus, so the nodes stay distinct; (2) Berlekamp-Massey on
+    native ints gives the shortest recurrence, read backwards the locator,
+    whose roots among the images of v_1 .. v_(p-1) are the support (the
+    search det's scans make on a factor's rows); (3) the exact
+    known-support solve over Q(beta) on the first t values gives the
+    coefficients; (4) the candidate is checked exactly against all 2*bound
+    values.  If #f <= bound, a candidate g agreeing with them is f: f - g
+    has at most 2*bound terms and vanishes at 2*bound consecutive powers.
+    At bound = p-1 the support is all of {0..p-2} and the solve on the
+    first p-1 values is exact without any prime.
 
     The result therefore never disagrees with the 2*bound values.  If no
     polynomial with at most `bound` terms fits them, InterpolationError is
-    raised (callers that guess bounds must treat that as a failed guess);
-    it is also raised, where such a polynomial exists, in the unlikely case
-    that every one of the primes fails.
+    raised (callers that guess bounds must treat that as a failed guess).
+    It is also raised, where such a polynomial exists, when q is unlucky:
+    it divides a denominator or kills a coefficient.  mc_mul then doubles
+    its bound, as it does for a bound below the true sparsity.
     """
     values = list(values)
     p = ctx.p
@@ -645,13 +636,8 @@ def sparse_interpolate(values, bound: int, ctx) -> SkewPoly:
         raise ValueError(f"need {2 * bound} evaluations, got {len(values)}")
     a = values[: 2 * bound]
 
-    if bound == p - 1:
-        supports = [SupportSet(range(p - 1))]
-    else:
-        supports = (_support_mod(a, bound, ctx, q, zeta_pows) for q, zeta_pows in _moduli(p))
-    for support in supports:
-        if support is None:
-            continue
+    support = SupportSet(range(p - 1)) if bound == p - 1 else _support_mod(a, bound, ctx)
+    if support is not None:
         t = len(support)
         candidate = interpolate_known_support(a[:t], support, ctx)
         # the solve is exact on the first t values; check the rest

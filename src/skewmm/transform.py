@@ -25,14 +25,17 @@ algebra.  Both directions are implemented here:
                          and #f big-int shifted adds per value, or one
                          rotated_sum for entries too long for 64-bit
                          slots), all read by one struct call and laid out
-                         as entries by matrix_of_values' one gather.
+                         as entries by one gather (_value_rows), which
+                         det's certificate shares.
 
 The same row fact drives the multiplication algorithms: any matrix's map
 sends v_1^l = beta^l to the matrix's row q(l), so the product map's values
-are rows of A*B whichever order the ring product is written in.  Whether
-the bijection is a homomorphism or an anti-homomorphism is therefore never
-needed to multiply; `phi_orientation` settles it with a fixed probe, as a
-check of the convention.
+are rows of A*B whichever order the ring product is written in, and its
+values at all p-1 points are the whole product (product_matrix), which is
+what mc's direct round takes.  Whether the bijection is a homomorphism or
+an anti-homomorphism is therefore never needed to multiply;
+`phi_orientation` settles it with a fixed probe, as a check of the
+convention.
 """
 
 from __future__ import annotations
@@ -351,28 +354,14 @@ def _scaled_row(num, dens, den: int):
     return num if den == 1 else [x * (den // d) for x, d in zip(num, dens)]
 
 
-def matrix_of_values(ctx: CycCtx, values, dens) -> RatMatrix:
-    """The matrix whose map sends v_1^l = beta^l to the l-th value, l = 1..p-1.
-
-    `values` lays the values end to end as values_at_beta_powers does, p
-    ints each, beta^0 first, and dens[l-1] is the l-th value's denominator.
-    Their numerators are laid out as rows by _value_rows, and each row is
-    put over its value's denominator in lowest terms by RatMatrix._reduced.
-    skew_to_mat and mc's direct round read their matrix off values here.
-    """
-    n = ctx.p - 1
-    return RatMatrix._reduced(ctx.p, _value_rows(ctx.p, values),
-                              [(den,) * n for den in ctx.to_normal(dens)])
-
-
 def _value_rows(p: int, values) -> list:
     """The numerator rows of the matrix whose map sends beta^l to the l-th
     of `values`, laid end to end as values_at_beta_powers gives them for l
     = 1..p-1.  v_(i+1) = beta^(r^i), so entry (i, j) is the beta^(r^j)
     coordinate of the value at beta^(r^i): one cached gather
     (_entry_gather) lays out every entry, and p-1 slices cut the rows.
-    matrix_of_values and det's certificate (matmul._certified_pullback)
-    both read values through it."""
+    skew_to_mat and det's certificate (matmul._certified_pullback) both
+    read values through it."""
     n = p - 1
     entries = _entry_gather(p)(values)
     return [entries[k:k + n] for k in range(0, n * n, n)]
@@ -388,16 +377,20 @@ def _entry_gather(p: int):
 
 
 def skew_to_mat(f: SkewPoly) -> RatMatrix:
-    """The matrix of the linear map of f in the normal basis.
+    """The matrix of the linear map of f in the normal basis: the matrix
+    whose row q(l) is f's value at v_1^l = beta^l, l = 1..p-1.
 
     values_at_beta_powers gives f's values at beta^1 .. beta^(p-1) over one
     common denominator, each one sum of #f rotated words, all read by one
     struct call: O(p #f) interpreter steps and p #f big-int shifted adds
-    in all, then matrix_of_values' one gather and p-1 row reductions.
+    in all.  Their numerators are laid out as rows by one gather
+    (_value_rows), and each row is put over the denominator in lowest terms
+    by RatMatrix._reduced.
     """
     p = f.ctx.p
+    n = p - 1
     den, values = values_at_beta_powers(f, range(1, p))
-    return matrix_of_values(f.ctx, values, (den,) * (p - 1))
+    return RatMatrix._reduced(p, _value_rows(p, values), ((den,) * n,) * n)
 
 
 class Orientation(enum.Enum):

@@ -27,13 +27,14 @@ from skewmm import (RatMatrix, SkewPoly, SupportSet, det_mul, mat_to_skew, naive
                     shared_ctx, skew_to_mat)
 from skewmm import matmul
 from skewmm.selftest import _distinct_prime_pair
+from skewmm.skewpoly import _modulus
 from skewmm.skewstructure import random_layered
 
 PRIMES = (3, 5, 7, 13, 31)
 
 
 def guard_prime(p):
-    return matmul._guard_modulus(p)[0]
+    return _modulus(p)[0]
 
 
 def bound(p, integral):
@@ -163,11 +164,14 @@ def test_guarded_pairs_take_the_rows_stage_with_no_pullback(case, monkeypatch):
     assert report.rational_mul_count == 2 * (p - 1) ** 3
 
 
-def test_a_guarded_pair_with_a_zero_factor_pulls_back():
-    # a zero partner leaves the sumset empty, and the rule sends it direct
+def test_a_guarded_pair_with_a_zero_factor_is_zero_up_front(monkeypatch):
+    # a zero partner makes the product zero before any scan could prove
+    # the other factor dense: no pullback, and the direct stage's report
     A = rand_rational_matrix(31, seeded(10))
     for pair in ((A, RatMatrix.zeros(31)), (RatMatrix.zeros(31), A)):
+        monkeypatch.setattr(matmul, "mat_to_skew", refuse)
         product, report = det_mul(*pair)
+        monkeypatch.undo()
         assert product == RatMatrix.zeros(31)
         assert (report.product, report.t_used) == ("direct", 0)
 

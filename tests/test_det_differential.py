@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from skewmm import (RatMatrix, SkewPoly, det_mul, mat_to_skew, naive_mul,
                     shared_ctx, skew_to_mat, sumset)
-from skewmm.matmul import _guarded
+from skewmm.matmul import _over_one, _scans
 from skewmm.rational import Rat
 
 PRIMES = (3, 5, 7, 13)
@@ -66,7 +66,10 @@ def test_det_matches_naive(pair):
     product, report = det_mul(A, B)
     assert product == naive_mul(A, B)
     t = len(sumset(mat_to_skew(A), mat_to_skew(B)))
-    assert report.t_used == (A.p - 1 if _guarded(A, B) else t)
+    # a zero factor (t = 0) is zero up front; a nonzero pair its scans send
+    # to the rows stage is formed under p-1
+    assert report.t_used == (A.p - 1 if t and _scans(A, B, _over_one(A), _over_one(B)) is None
+                             else t)
 
 
 def test_telescoping_pair_with_zero_product():

@@ -101,7 +101,9 @@ def test_each_route_equals_the_fraction_product(case, monkeypatch):
     assert product == RatMatrix(p, fraction_product(A.rows, B.rows)) == naive_mul(A, B)
     ctx = shared_ctx(p)
     t = len(sumset(mat_to_skew(A, ctx), mat_to_skew(B, ctx)))
-    t_used = p - 1 if matmul._guarded(A, B) else t
+    # a nonzero pair its scans send to the rows stage is formed under p-1
+    scanned_to_rows = t and matmul._scans(A, B, matmul._over_one(A), matmul._over_one(B)) is None
+    t_used = p - 1 if scanned_to_rows else t
     assert report.t_used == t_used
     assert report.rational_mul_count == 2 * t_used * (p - 1) ** 2
 
@@ -120,7 +122,8 @@ def test_the_failed_certificates_fail(case):
 @pytest.mark.parametrize("route", ("direct", "rows"))
 def test_every_route_is_exact_at_every_prime(route, monkeypatch):
     # forced past the rule, each route must still give the product, on
-    # layered, full-support, dense and zero pairs with denominators
+    # layered, full-support, dense and zero pairs with denominators; a zero
+    # factor gives the zero product up front, reported as "direct"
     monkeypatch.setattr(matmul, "_product_route", lambda *_args: route)
     for p in (3, 5, 7, 13, 31):
         ctx = shared_ctx(p)
@@ -134,7 +137,7 @@ def test_every_route_is_exact_at_every_prime(route, monkeypatch):
         ]
         for A, B in pairs:
             product, report = det_mul(A, B)
-            assert report.product == route
+            assert report.product == (route if any(map(any, A.nums)) else "direct")
             assert product == RatMatrix(p, fraction_product(A.rows, B.rows))
 
 

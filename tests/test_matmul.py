@@ -7,7 +7,7 @@ from skewmm import (Algorithm, FreivaldsResult, RatMatrix, SkewPoly,
                     batch_evaluate_via_matrices, det_mul, freivalds,
                     from_normal_coords, mat_to_skew, mc_mul, naive_mul,
                     random_layered, rounds_for, shared_ctx, skew_to_mat, sumset)
-from skewmm.matmul import _guarded
+from skewmm.matmul import _over_one, _scans
 
 
 def geometric_matrix(ctx, k):
@@ -69,7 +69,8 @@ def test_det_matches_oracle_dense_and_layered():
             product, report = det_mul(A, B)
             assert product == naive_mul(A, B)
             t = len(sumset(mat_to_skew(A), mat_to_skew(B)))
-            assert report.t_used == (p - 1 if _guarded(A, B) else t)
+            assert report.t_used == (p - 1 if t and _scans(A, B, _over_one(A), _over_one(B))
+                                     is None else t)
             assert report.t_used <= p - 1
         layers_a = set(rng.sample(range(p - 1), rng.randint(1, p - 1)))
         layers_b = set(rng.sample(range(p - 1), rng.randint(1, p - 1)))
@@ -78,7 +79,8 @@ def test_det_matches_oracle_dense_and_layered():
         product, report = det_mul(A, B)
         assert product == naive_mul(A, B)
         expected_t = len({(i + k) % (p - 1) for i in layers_a for k in layers_b})
-        assert report.t_used == (p - 1 if _guarded(A, B) else expected_t)
+        assert report.t_used == (p - 1 if _scans(A, B, _over_one(A), _over_one(B)) is None
+                                 else expected_t)
 
 
 def test_det_layer_zero_pair_uses_one_point():

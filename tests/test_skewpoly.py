@@ -3,13 +3,13 @@
 import pytest
 
 from conftest import rand_elem, rand_poly, seeded
-from skewmm import (CycElem, InterpolationError, SkewPoly, SupportSet,
-                    batch_evaluate_via_matrices, cyc_sigma,
-                    interpolate_known_support, normal_coords, power_of_v1,
-                    power_points, shared_ctx, skew_to_mat, sp_add, sp_evaluate,
-                    sp_mul, sp_neg, sparse_interpolate, sumset)
-from skewmm import skewpoly
-from skewmm.skewpoly import _agrees, _moduli, values_at_beta_powers
+from skewmm import (CycElem, InterpolationError, RatMatrix, SkewPoly, SupportSet,
+                    batch_evaluate_via_matrices, cyc_sigma, det_mul,
+                    interpolate_known_support, mc_mul, naive_mul, normal_coords,
+                    power_of_v1, power_points, shared_ctx, skew_to_mat, sp_add,
+                    sp_evaluate, sp_mul, sp_neg, sparse_interpolate, sumset)
+from skewmm import matmul, skewpoly
+from skewmm.skewpoly import _agrees, _modulus, values_at_beta_powers
 
 
 def geometric_poly(ctx, k):
@@ -402,7 +402,7 @@ def test_sparse_interpolate_recurrence_longer_than_bound():
 
 def test_moduli_are_primes_one_mod_p_with_a_primitive_root_of_unity():
     from skewmm.cyclotomic import is_odd_prime
-    from skewmm.skewpoly import NUM_MODULI, _is_prime, _moduli
+    from skewmm.skewpoly import _is_prime
 
     def by_trial_division(n):
         return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
@@ -417,82 +417,100 @@ def test_moduli_are_primes_one_mod_p_with_a_primitive_root_of_unity():
               341550071728321, 3825123056546413051, (2 ** 31 - 1) * (2 ** 61 - 1)):
         assert not _is_prime(n)
     assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1)
-    for p in (3, 5, 7, 13, 31, 61):
-        moduli = list(_moduli(p))
-        qs = [q for q, _ in moduli]
-        assert len(qs) == NUM_MODULI and qs == sorted(qs, reverse=True)
-        # the largest such primes: every q = 1 (mod p) skipped is composite
-        for hi, lo in zip([2 ** 30] + qs, qs):
-            assert not any(_is_prime(q) for q in range(lo + p, hi, p))
-        for q, zeta_pows in moduli:
-            assert q < 2 ** 30 and q % p == 1 and _is_prime(q)
-            assert len(zeta_pows) == p and zeta_pows[0] == 1
-            assert len(set(zeta_pows)) == p  # zeta has order exactly p
-            assert zeta_pows[1] * zeta_pows[-1] % q == 1
+    for p in (3, 5, 7, 13, 31, 61, 127):
+        ctx = shared_ctx(p)
+        q, zeta_pows, nodes = _modulus(p)
+        assert q < 2 ** 30 and q % p == 1 and _is_prime(q)
+        # the largest such prime: every q = 1 (mod p) above it is composite
+        assert not any(_is_prime(x) for x in range(q + p, 2 ** 30, p))
+        assert len(zeta_pows) == p and zeta_pows[0] == 1
+        assert len(set(zeta_pows)) == p  # zeta has order exactly p
+        assert zeta_pows[1] * zeta_pows[-1] % q == 1
+        # the image of v_(j+1) = beta^(r^j), which is also the weight of
+        # normal coordinate j
+        assert nodes == tuple(pow(zeta_pows[1], ctx.pow_r[j], q) for j in range(p - 1))
+        assert nodes == ctx.to_normal(zeta_pows[1:])
 
 
 def recording_support_search(monkeypatch):
-    """Wrap the modular support search; returns the list of (q, support)."""
-    from skewmm import skewpoly
-
+    """Wrap the modular support search; returns the list of supports found
+    (None where the prime failed)."""
     calls = []
     real = skewpoly._support_mod
 
-    def recording(a, bound, ctx, q, zeta_pows):
-        support = real(a, bound, ctx, q, zeta_pows)
-        calls.append((q, None if support is None else set(support)))
+    def recording(a, bound, ctx):
+        support = real(a, bound, ctx)
+        calls.append(None if support is None else set(support))
         return support
 
     monkeypatch.setattr(skewpoly, "_support_mod", recording)
     return calls
 
 
-def test_sparse_interpolate_survives_a_coefficient_that_vanishes_mod_q(monkeypatch):
-    # q1 * c maps to 0 in F_(q1): the first prime finds only {7, 9}, the
-    # exact check rejects that candidate, and the next prime finds all of f
-    from skewmm.skewpoly import _moduli
+def vanishing_coefficient_poly():
+    # q * c maps to 0 in F_q: modulo the one prime f looks like {7, 9}
+    ctx = shared_ctx(13)
+    rng = seeded(131)
+    return SkewPoly(ctx, {2: _modulus(13)[0] * rand_elem(ctx, rng, den_bound=5),
+                          7: rand_elem(ctx, rng), 9: rand_elem(ctx, rng, den_bound=3)})
+
+
+def divided_denominator_poly():
+    # a coefficient over q: q divides the values' denominators
+    from skewmm.rational import Rat
 
     ctx = shared_ctx(13)
-    q1, q2 = [q for q, _ in _moduli(13)][:2]
-    rng = seeded(131)
-    f = SkewPoly(ctx, {2: q1 * rand_elem(ctx, rng, den_bound=5),
-                       7: rand_elem(ctx, rng), 9: rand_elem(ctx, rng, den_bound=3)})
-    calls = recording_support_search(monkeypatch)
-    assert sparse_interpolate(evaluations(f, 8), 4, ctx=ctx) == f
-    assert calls == [(q1, {7, 9}), (q2, {2, 7, 9})]
-
-
-def test_sparse_interpolate_skips_a_prime_dividing_a_denominator(monkeypatch):
-    from skewmm.rational import Rat
-    from skewmm.skewpoly import _moduli
-
-    ctx = shared_ctx(7)
-    q1, q2 = [q for q, _ in _moduli(7)][:2]
     rng = seeded(132)
-    f = SkewPoly(ctx, {1: Rat(1, q1) * rand_elem(ctx, rng), 4: rand_elem(ctx, rng)})
-    values = evaluations(f, 6)
-    assert any(x.denominator % q1 == 0 for x in values[0].coords)
+    return SkewPoly(ctx, {1: Rat(1, _modulus(13)[0]) * rand_elem(ctx, rng),
+                          4: rand_elem(ctx, rng)})
+
+
+#: polynomials on which the one prime fails, with the supports its search
+#: finds from their first 8 values
+UNLUCKY = {
+    "a coefficient vanishing mod q": (vanishing_coefficient_poly, {7, 9}),
+    "a denominator divisible by q": (divided_denominator_poly, None),
+}
+
+
+@pytest.mark.parametrize("case", UNLUCKY)
+def test_an_unlucky_prime_sends_mc_to_its_direct_round(case, monkeypatch):
+    # sparse_interpolate makes one search, and raises where the prime fails
+    # even though the bound covers f; mc_mul takes that as a failed bound
+    # and still returns the exact product, from its direct round, with no
+    # fallback; det, whose scans use the same prime, is exact too
+    make, found = UNLUCKY[case]
+    f = make()
+    ctx = f.ctx
+    p = ctx.p
+    values = evaluations(f, 8)
+    if found is None:
+        assert any(x.denominator % _modulus(p)[0] == 0 for x in values[0].coords)
     calls = recording_support_search(monkeypatch)
-    assert sparse_interpolate(values, 3, ctx=ctx) == f
-    assert calls == [(q1, None), (q2, {1, 4})]
+    with pytest.raises(InterpolationError, match="found no polynomial"):
+        sparse_interpolate(values, 4, ctx=ctx)
+    assert calls == [found]
+    monkeypatch.undo()
+    A, ident = skew_to_mat(f), RatMatrix.identity(p)
+    for pair in ((A, ident), (ident, A)):
+        want = naive_mul(*pair)
+        product, report = mc_mul(*pair, "1/20", 7)
+        assert product == want
+        assert not report.fallback and report.final_T == 8  # 2 * 8 >= p - 1 = 12
+        assert det_mul(*pair)[0] == want
 
 
 def test_sparse_interpolate_at_the_cap_needs_no_prime(monkeypatch):
-    # a coefficient that vanishes modulo every prime: below the cap the
+    # a coefficient that vanishes modulo the prime: below the cap the one
     # search gives up loudly; at bound = p-1 no prime is used at all
-    from skewmm.skewpoly import NUM_MODULI, _moduli
-
-    ctx = shared_ctx(7)
-    every_q = 1
-    for q, _ in _moduli(7):
-        every_q *= q
-    f = SkewPoly(ctx, {0: every_q * ctx.one, 3: ctx.beta_power(2)})
+    f = vanishing_coefficient_poly()
+    ctx = f.ctx
     calls = recording_support_search(monkeypatch)
     with pytest.raises(InterpolationError, match="found no polynomial"):
-        sparse_interpolate(evaluations(f, 6), 3, ctx=ctx)
-    assert len(calls) == NUM_MODULI
+        sparse_interpolate(evaluations(f, 10), 5, ctx=ctx)
+    assert calls == [{7, 9}]
     calls.clear()
-    assert sparse_interpolate(evaluations(f, 12), 6, ctx=ctx) == f
+    assert sparse_interpolate(evaluations(f, 24), 12, ctx=ctx) == f
     assert calls == []
 
 
@@ -530,15 +548,30 @@ def test_certificate_rejects_a_changed_value(change):
         assert not _agrees(f, range(1, p), changed)
 
 
-def test_support_primes_are_found_on_demand():
-    # a one-term f at p=61 is found modulo the first prime, so only that
-    # prime is searched for; the others are found when iteration reaches them
+def test_det_and_mc_search_modulo_one_prime(monkeypatch):
+    # det's scans and mc's support search reduce through the one residue
+    # step, modulo the one prime of _modulus, whose table is built once
     skewpoly._modulus.cache_clear()
-    ctx = shared_ctx(61)
+    p = 61
+    ctx = shared_ctx(p)
+    seen = []
+    real = skewpoly._residue
+
+    def recording(nums, den, q, nodes):
+        seen.append((q, nodes))
+        return real(nums, den, q, nodes)
+
+    for module in (skewpoly, matmul):
+        monkeypatch.setattr(module, "_residue", recording)
     f = SkewPoly(ctx, {4: rand_elem(ctx, seeded(3))})
     assert sparse_interpolate(evaluations(f, 2), 1, ctx=ctx) == f
+    assert len(seen) == 2
+    A = skew_to_mat(SkewPoly(ctx, {0: rand_elem(ctx, seeded(4))}))
+    assert det_mul(A, skew_to_mat(f))[0] == naive_mul(A, skew_to_mat(f))
+    assert len(seen) > 2
+    q, _, nodes = _modulus(p)
+    assert set(seen) == {(q, nodes)}
     assert skewpoly._modulus.cache_info().currsize == 1
-    assert len(list(_moduli(61))) == skewpoly.NUM_MODULI
 
 
 def test_sparse_interpolate_input_validation():

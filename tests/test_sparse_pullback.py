@@ -15,7 +15,7 @@ certificate passes, the candidate is mat_to_skew's pullback, whatever the
 support was; constructed scans that end wrong (a coefficient vanishing mod
 the scan's prime, a row lcm divisible by it, premature early stops) must
 fall back to mat_to_skew for that factor alone and still give the exact
-product, and a zero factor is certified with no pullback.
+product, and a zero factor gives the zero product with no pullback.
 """
 
 from fractions import Fraction
@@ -29,7 +29,7 @@ from skewmm import (RatMatrix, SkewPoly, SupportSet, det_mul, from_normal_coords
                     naive_mul, shared_ctx, skew_to_mat, sparse_interpolate, sumset)
 from skewmm import matmul
 from skewmm.rational import Rat
-from skewmm.skewpoly import _agrees
+from skewmm.skewpoly import _agrees, _modulus
 from skewmm.skewstructure import random_layered
 
 BOUNDS = {31: 5, 61: 1}
@@ -96,7 +96,7 @@ def test_certificate_rejects_a_changed_row_past_the_first_2T(p, s, change):
 # ---------------------------------------------------------------------------
 
 def guard_prime(p):
-    return matmul._guard_modulus(p)[0]
+    return _modulus(p)[0]
 
 
 def scanned(M, bound):
@@ -179,7 +179,7 @@ def vanishing_factor(p):
     modulo the scan's prime q: its second coefficient maps to 0, so the
     scan sees one term of two."""
     ctx = shared_ctx(p)
-    zeta = matmul._guard_modulus(p)[1][1]
+    zeta = _modulus(p)[1][1]
     vanishing = ctx.beta_power(1) - ctx.one * zeta
     return skew_to_mat(SkewPoly(ctx, {0: rand_elem(ctx, seeded(p)), 3: vanishing}))
 
@@ -205,8 +205,7 @@ def test_a_row_lcm_divisible_by_q_leaves_the_factor_unknown(p, monkeypatch):
 
 
 def node_image(p, e):
-    q, zeta_pows = matmul._guard_modulus(p)[:2]
-    return zeta_pows[shared_ctx(p).pow_r[e]]
+    return _modulus(p)[2][e]
 
 
 #: the node outside premature_stop_factor's support that its scan stops on
@@ -254,16 +253,22 @@ def test_a_two_term_factor_with_a_vanishing_first_row_stops_at_once(p, monkeypat
     assert_falls_back(*pair_with(A), monkeypatch)
 
 
+def refuse(*_args, **_kwargs):
+    raise AssertionError("det scanned or pulled back a factor")
+
+
 @pytest.mark.parametrize("p", (3, 13, 31))
-def test_a_zero_factor_is_certified_with_no_pullback(p, monkeypatch):
+def test_a_zero_factor_gives_zero_with_no_pullback(p, monkeypatch):
+    # Z*B and B*Z are zero up front: neither factor is scanned or pulled
+    # back, whether the partner is dense or sparse, integral or not
     ctx = shared_ctx(p)
     zero = RatMatrix.zeros(p)
-    assert matmul._certified_pullback(zero, SupportSet(), True, ctx) == SkewPoly.zero(ctx)
-    B = random_layered(ctx, range(p - 1), 3)
-    for A, partner in ((zero, B), (B, zero)):
-        calls = counting_pullbacks(monkeypatch)
-        product, report = det_mul(A, partner)
-        monkeypatch.undo()
-        assert calls == [B]  # the partner is not scanned; only it pulls back
-        assert product == zero
-        assert (report.product, report.t_used) == ("direct", 0)
+    for B in (random_layered(ctx, range(p - 1), 3), random_layered(ctx, [1], 4),
+              random_layered(ctx, [0], 5).scale(Fraction(1, 7))):
+        for A, partner in ((zero, B), (B, zero)):
+            for name in ("mat_to_skew", "_scan", "_certified_pullback"):
+                monkeypatch.setattr(matmul, name, refuse)
+            product, report = det_mul(A, partner)
+            monkeypatch.undo()
+            assert product == zero == naive_mul(A, partner)
+            assert (report.product, report.t_used, report.rational_mul_count) == ("direct", 0, 0)
