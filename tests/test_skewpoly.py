@@ -468,8 +468,8 @@ def divided_denominator_poly():
 #: polynomials on which the one prime fails, with the supports its search
 #: finds from their first 8 values
 UNLUCKY = {
-    "a coefficient vanishing mod q": (vanishing_coefficient_poly, {7, 9}),
-    "a denominator divisible by q": (divided_denominator_poly, None),
+    "vanishing coefficient": (vanishing_coefficient_poly, {7, 9}),
+    "divisible denominator": (divided_denominator_poly, None),
 }
 
 
