@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 import random
 import time
@@ -37,12 +36,10 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import shared_ctx
-from .skewpoly import (InterpolationError, SupportSet, _BerlekampMassey, _equal_over,
-                       _locator_roots, _modulus, _residue, _solve_on_support, _solve_sizes,
-                       batch_evaluate_via_matrices, sp_mul, sparse_interpolate, sumset,
-                       values_at_beta_powers)
-from .transform import (RatMatrix, _scaled_row, _value_rows, mat_to_skew, product_matrix,
-                        skew_to_mat)
+from .skewpoly import (InterpolationError, SupportSet, _BerlekampMassey, _fit, _locator_roots,
+                       _modulus, _residue, _scaled_row, batch_evaluate_via_matrices, sp_mul,
+                       sparse_interpolate, sumset)
+from .transform import RatMatrix, mat_to_skew, product_matrix, skew_to_mat
 
 MAX_SEED = 2 ** 64
 
@@ -303,52 +300,25 @@ def _scans(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool):
 
 def _sparse_pays(s: int, p: int) -> bool:
     """Whether a factor with a scanned support of s terms is pulled back by
-    _certified_pullback rather than mat_to_skew: while s (s + 8) <= 2 (p -
-    13), so for s <= 3 at p=31, 6 at p=61 and 11 at p=127, and never at
-    p <= 13.  Fitted on both pullbacks timed on the same factors at p = 13,
-    31, 61 and 127 (README, "Sparse pullback"): the solve costs O(s^2)
-    packed products and the certificate O(p s) shifted adds, against the
-    Theta(p^3) word work of mat_to_skew."""
+    the fit on it (_pullback) rather than mat_to_skew: while
+    s (s + 8) <= 2 (p - 13), so for s <= 3 at p=31, 6 at p=61 and 11 at
+    p=127, and never at p <= 13.  Fitted on both pullbacks timed on the
+    same factors at p = 13, 31, 61 and 127 (README, "Sparse pullback"):
+    the solve costs O(s^2) packed products and the certificate O(p s)
+    shifted adds, against the Theta(p^3) word work of mat_to_skew."""
     return s * (s + 8) <= 2 * (p - 13)
 
 
-def _certified_pullback(M: RatMatrix, support: SupportSet, over_one: bool, ctx):
-    """M's pullback solved on the scanned `support`, if it is certified, else
-    None.
-
-    The candidate f solves the values at beta^1 .. beta^L, L = |support|, for
-    its coefficients on the support: rows q(1) .. q(L) read in power
-    coordinates over their common denominator, one packed solve
-    (skewpoly._solve_on_support, in its guessed slots).  The certificate is
-    exact and complete: f's value at beta^l must equal row q(l) for every
-    l = 1..p-1, and then f's matrix is M, so f is M's pullback.  All p-1
-    values come as ints over f's common denominator E, end to end in one
-    tuple (values_at_beta_powers), and are laid out as M's rows by
-    skew_to_mat's gather (transform._value_rows); each is compared
-    with M's entry cross-multiplied, value * den == num * E, on ints
-    (skewpoly._equal_over).  A wrong support, a premature early stop or a
-    slot that outgrew its guess all fail it.
-    """
-    p = ctx.p
-    nums, dens = M.nums, M.dens
-    picked = [k - 1 for k in ctx.q_perm[:len(support)]]
-    if over_one:
-        den, rows = 1, [nums[i] for i in picked]
-    else:
-        den = math.lcm(*itertools.chain.from_iterable(dens[i] for i in picked))
-        rows = [_scaled_row(nums[i], dens[i], den) for i in picked]
-    vectors = [ctx.to_power(row) for row in rows]
-    f = _solve_on_support(vectors, den, list(support), ctx, _solve_sizes(vectors, p)[0])
-    f_den, values = values_at_beta_powers(f, range(1, p))
-    certified = _equal_over(_value_rows(p, values), f_den, nums, None if over_one else dens)
-    return f if certified else None
-
-
 def _pullback(M: RatMatrix, end, over_one: bool, ctx):
-    """M's pullback: certified from its scanned support where _scan gave one
-    and _sparse_pays, else (or if the certificate fails) mat_to_skew."""
+    """M's pullback: where _scan gave a support and _sparse_pays, the fit of
+    M's rows on it (skewpoly._fit), else (or if its certificate fails)
+    mat_to_skew.  Row q(l) is M's value at beta^l, so M's rows in l order
+    are ctx.to_power(M.nums): the permutation to_power applies to a
+    vector's coordinates, one cached itemgetter.  The fit solves the
+    support's coefficients from rows q(1) .. q(s) and certifies the
+    candidate against all p-1 rows, after which its matrix is M."""
     if isinstance(end, SupportSet) and _sparse_pays(len(end), ctx.p):
-        f = _certified_pullback(M, end, over_one, ctx)
+        f = _fit(ctx.to_power(M.nums), None if over_one else ctx.to_power(M.dens), end, ctx)
         if f is not None:
             return f
     return mat_to_skew(M, ctx)
@@ -379,16 +349,17 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     product of A and B with no pullback and reports t_used = p-1.
 
     Otherwise each factor is pulled back (_pullback).  A factor with a
-    support of s terms, where _sparse_pays(s, p), solves its coefficients
-    on the support from rows q(1) .. q(s) (skewpoly._solve_on_support) and
-    certifies them exactly: the candidate's value at beta^l must equal row
-    q(l) for all l = 1..p-1, compared on ints (_certified_pullback).  A
-    failed certificate, an unknown factor or a support too large to pay
-    falls back to mat_to_skew, one cyclic correlation packed into a big
-    int (O(p) interpreter steps), or O(p^3) int additions when its
-    corrected coefficients are too long for 64-bit slots.  A certified
-    pullback is the factor's own, so correctness never rests on q or on the
-    early stop.  The product polynomial's support is covered by the
+    support of s terms, where _sparse_pays(s, p), is fitted on it
+    (skewpoly._fit, which also solves and checks mc's interpolation): its
+    coefficients are solved on the support from rows q(1) .. q(s), once
+    more in provable slots if the guessed ones overflow, and certified
+    exactly, the candidate's value at beta^l equal to row q(l) for all
+    l = 1..p-1, compared on ints.  A failed certificate, an unknown factor
+    or a support too large to pay falls back to mat_to_skew, one cyclic
+    correlation packed into a big int (O(p) interpreter steps), or O(p^3)
+    int additions when its corrected coefficients are too long for 64-bit
+    slots.  A certified pullback is the factor's own, so correctness never
+    rests on q or on the early stop.  The product polynomial's support is covered by the
     exponent sumset of the two pullbacks, of size t, and _product_route
     picks, from s_A s_B + t, p and whether both factors are over 1, the
     cheaper of two exact ways to form the product (_form_product):

@@ -18,13 +18,13 @@ from fractions import Fraction
 
 from . import matmul
 from .cyclotomic import CycElem, _is_prime, cyc_mul, cyc_scale, rotated_sum, shared_ctx
-from .skewpoly import (SkewPoly, _modulus, power_points, sp_evaluate, sp_mul,
-                       sparse_interpolate, values_at_beta_powers)
+from .skewpoly import (SkewPoly, _fit, _modulus, _scaled_row, power_points, sp_evaluate,
+                       sp_mul, sparse_interpolate, values_at_beta_powers)
 from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
                             build_X, build_Y, l0_characterization_check,
                             random_layered, skew_sparsity, y_power_row)
-from .transform import (Orientation, RatMatrix, _looped_coefficients, _scaled_row,
-                        build_V, build_W, mat_to_skew, phi_orientation, skew_to_mat)
+from .transform import (Orientation, RatMatrix, _looped_coefficients, build_V, build_W,
+                        mat_to_skew, phi_orientation, skew_to_mat)
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13)
 
@@ -236,12 +236,18 @@ def _certificate_pairs(ctx, rng):
     return None
 
 
+def _fitted(M, support, ctx):
+    """det's sparse pullback of M on `support`: the fit of M's rows, in the
+    order l = 1..p-1 of the values they are (matmul._pullback), or None
+    where its certificate fails."""
+    dens = None if matmul._over_one(M) else ctx.to_power(M.dens)
+    return _fit(ctx.to_power(M.nums), dens, support, ctx)
+
+
 def _certifies(M, end, ctx) -> bool:
     """Whether end is a scanned support on which M's sparse pullback is
     certified, and is M's pullback."""
-    return (isinstance(end, matmul.SupportSet)
-            and matmul._certified_pullback(M, end, matmul._over_one(M), ctx)
-            == mat_to_skew(M, ctx))
+    return isinstance(end, matmul.SupportSet) and _fitted(M, end, ctx) == mat_to_skew(M, ctx)
 
 
 def _certificates_hold(ctx, rng) -> bool:
@@ -264,8 +270,7 @@ def _certificates_hold(ctx, rng) -> bool:
     if p >= 31 and not all(matmul._sparse_pays(len(end), p) for end in ends):
         return False
     end = matmul._scans(F, G, matmul._over_one(F), matmul._over_one(G))[0]
-    return (isinstance(end, matmul.SupportSet)
-            and matmul._certified_pullback(F, end, matmul._over_one(F), ctx) is None)
+    return isinstance(end, matmul.SupportSet) and _fitted(F, end, ctx) is None
 
 
 def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:

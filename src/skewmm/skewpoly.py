@@ -283,28 +283,95 @@ def interpolate_known_support(values, support: SupportSet, ctx) -> SkewPoly:
     values at v_1^1 .. v_1^t, where t = len(support); values[k] is
     f(v_1^(k+1)), as in sparse_interpolate.
 
-    The values are put over one common denominator and solved on their int
-    numerators by _solve_on_support, in the slots _solve_sizes guesses.  A
-    solve in guessed slots is checked against the t values (_agrees; the
-    transposed Vandermonde system has one solution, so a candidate that
-    fits them all is it) and, if a slot outgrew its width, run again in
-    the slots that provably hold every intermediate.
+    The values, read in normal coordinates, go to _fit, which solves them
+    on the support and checks the candidate against them: the transposed
+    Vandermonde system has one solution, so a candidate that fits all t is
+    it, and one that misses only outgrew the guessed slots, which the
+    provable width then holds.
     """
     t = len(support)
     if len(values) != t:
         raise ValueError(f"need {t} evaluations for a support of size {t}, got {len(values)}")
     if t == 0:
         return SkewPoly.zero(ctx)
-    exps = list(support)
-    if exps[-1] > ctx.p - 2:
+    if support.elems[-1] > ctx.p - 2:
         raise ValueError("support exponents must lie in {0..p-2}")
-    den = math.lcm(*(v.den for v in values))
-    vectors = [v.num if v.den == den else [x * (den // v.den) for x in v.num] for v in values]
-    guess, safe = _solve_sizes(vectors, ctx.p)
-    f = _solve_on_support(vectors, den, exps, ctx, guess)
-    if guess < safe and not _agrees(f, range(1, t + 1), values):
-        f = _solve_on_support(vectors, den, exps, ctx, safe)
+    n = ctx.p - 1
+    f = _fit([ctx.to_normal(v.num) for v in values], [(v.den,) * n for v in values], support, ctx)
+    if f is None:  # the provable width always solves t values exactly
+        raise InterpolationError("the solve in provable slots does not fit its values")
     return f
+
+
+def _scaled_row(num, dens, den: int):
+    """The numerators of den times the row num/dens; den must be a multiple
+    of every entry's denominator."""
+    return num if den == 1 else [x * (den // d) for x, d in zip(num, dens)]
+
+
+def _fit(nums, dens, support: SupportSet, ctx) -> SkewPoly | None:
+    """The polynomial with support inside `support` whose map sends beta^l
+    to the l-th value, for l = 1..m, or None if no such polynomial exists.
+    Value l is nums[l-1] / dens[l-1]: a row of p-1 normal-coordinate
+    numerators over a row of their denominators, or over 1 everywhere
+    where dens is None.  Any matrix's value at beta^l is its row q(l), so
+    a matrix's rows in that order are its values; m >= t = len(support).
+
+    The candidate solves the first t values, put over their common
+    denominator (one lcm, none over 1) and read in power coordinates, in
+    the slots _solve_sizes guesses (_solve_on_support).  It is then
+    certified against all m values on ints: its values over their common
+    denominator E, end to end in one tuple (values_at_beta_powers), read in
+    normal coordinates by one cached gather (_normal_rows) and compared
+    cross-multiplied, value * den == num * E (_equal_over).  A candidate
+    that fails in guessed slots below the provable width is solved once
+    more in the provable slots and certified again.  Values past
+    l = p-1 (beta^p = 1 among them) are no matrix's rows, and are read
+    like any other.
+
+    What a pass proves is the caller's: with m = p-1 the candidate's matrix
+    is the matrix whose rows were given (det's sparse pullback); with
+    m = 2 bound and at most `bound` terms in the true polynomial, the
+    difference of the two has at most 2 bound terms and vanishes at
+    2 bound consecutive powers, so it is zero (sparse_interpolate).
+    """
+    p = ctx.p
+    t = len(support)
+    if dens is None:
+        den, rows = 1, nums[:t]
+    else:
+        den = math.lcm(*itertools.chain.from_iterable(dens[:t]))
+        rows = [_scaled_row(num, row_dens, den) for num, row_dens in zip(nums[:t], dens)]
+    vectors = [ctx.to_power(row) for row in rows]
+    exps = list(support)
+    guess, safe = _solve_sizes(vectors, p)
+    for size in (guess, safe) if guess < safe else (guess,):
+        f = _solve_on_support(vectors, den, exps, ctx, size)
+        f_den, values = values_at_beta_powers(f, range(1, len(nums) + 1))
+        if _equal_over(_normal_rows(p, values), f_den, nums, dens):
+            return f
+    return None
+
+
+def _normal_rows(p: int, values) -> list:
+    """The normal-coordinate numerator rows of the values laid end to end
+    as values_at_beta_powers gives them, p slots each: v_(j+1) = beta^(r^j),
+    so normal coordinate j is power slot r^j, and one cached gather
+    (_normal_gather) reads every row, p-1 slices cutting them.  Given
+    values at beta^(r^0) .. beta^(r^(p-2)), the rows are those of the
+    matrix whose map they are (skew_to_mat)."""
+    n = p - 1
+    entries = _normal_gather(p, len(values) // p)(values)
+    return [entries[k:k + n] for k in range(0, len(entries), n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _normal_gather(p: int, m: int):
+    """The itemgetter taking m values, laid end to end as
+    values_at_beta_powers gives them, to their normal coordinates laid end
+    to end (_normal_rows)."""
+    pow_r = shared_ctx(p).pow_r
+    return operator.itemgetter(*(k * p + w for k in range(m) for w in pow_r))
 
 
 def _solve_sizes(vectors, p: int):
@@ -338,7 +405,7 @@ def _solve_on_support(vectors, den: int, exps, ctx, size: int) -> SkewPoly:
     vector the p-1 power numerators (beta^1 .. beta^(p-1)) of one value over
     the common denominator den, solved in signed slots of `size` bytes
     (_solve_sizes).  If a slot outgrows them the result is wrong, never an
-    error: callers check it.
+    error: its one caller, _fit, checks it.
 
     a_l = sum_j (c_j w_j) w_j^(l-1) with distinct nodes w_j = beta^(u_j),
     u_j = r^(e_j), is a transposed Vandermonde system in the unknowns c_j
@@ -539,29 +606,6 @@ class _BerlekampMassey:
         return d
 
 
-def _support_mod(a, bound: int, ctx) -> SupportSet | None:
-    """The support of the sparsest polynomial whose values agree with `a`
-    modulo the prime of _modulus, or None if it divides a denominator or
-    the locator has the wrong number of roots among the nodes.
-
-    If the values are those of an f with #f <= bound, the result is the
-    support of f less the terms whose coefficients vanish mod q, or None.
-    A recurrence longer than the bound cannot come from such an f for any
-    q, so InterpolationError.
-    """
-    q, _, nodes = _modulus(ctx.p)
-    recurrence = _BerlekampMassey(q)
-    for value in a:
-        x = _residue(ctx.to_normal(value.num), value.den, q, nodes)
-        if x is None:
-            return None
-        recurrence.add(x)
-    if recurrence.length > bound:
-        raise InterpolationError(
-            f"shortest recurrence has length {recurrence.length}, above the bound {bound}")
-    return _locator_roots(recurrence.conn, ctx.p)
-
-
 def _locator_roots(conn, p: int) -> SupportSet | None:
     """The exponents e in 0..p-2 whose node v_(e+1) = beta^(r^e) maps, through
     beta -> zeta (_modulus), to a root of the locator z^L + C_1 z^(L-1) +
@@ -578,24 +622,12 @@ def _locator_roots(conn, p: int) -> SupportSet | None:
     return SupportSet(roots) if len(roots) == len(conn) - 1 else None
 
 
-def _agrees(f: SkewPoly, exponents, expected) -> bool:
-    """Whether f's map at beta^l equals the matching CycElem of `expected`
-    for every l in `exponents`: f's values over their common denominator
-    (values_at_beta_powers) against the expected numerators over theirs
-    (_equal_over)."""
-    p = f.ctx.p
-    den, got = values_at_beta_powers(f, exponents)
-    return _equal_over([got[k + 1:k + p] for k in range(0, len(got), p)], den,
-                       [v.num for v in expected], [(v.den,) * (p - 1) for v in expected])
-
-
 def _equal_over(got, den: int, nums, dens=None) -> bool:
     """Whether got[i][k] / den == nums[i][k] / dens[i][k] for every i and k
     (with every dens[i][k] = 1 where dens is None), for equally many rows
     of int tuples over positive denominators: compared cross-multiplied,
     got[i][k] dens[i][k] == nums[i][k] den, so no gcd is taken and no
-    CycElem built.  The one exact value check, of sparse interpolation
-    (_agrees) and of det's certified pullback."""
+    CycElem built.  The one exact value check (_fit)."""
     if dens is not None:
         got = [tuple(map(operator.mul, row, row_dens)) for row, row_dens in zip(got, dens)]
     if den != 1:
@@ -608,18 +640,17 @@ def sparse_interpolate(values, bound: int, ctx) -> SkewPoly:
     given #f <= bound; values[k] is a_(k+1).
 
     Ben-Or & Tiwari, with the support found over a finite field (Giesbrecht
-    & Roche, ISSAC 2011): (1) map the values to F_q through beta -> zeta,
-    for the one prime q = 1 (mod p) and primitive p-th root of unity zeta
-    mod q of _modulus, so the nodes stay distinct; (2) Berlekamp-Massey on
-    native ints gives the shortest recurrence, read backwards the locator,
-    whose roots among the images of v_1 .. v_(p-1) are the support (the
-    search det's scans make on a factor's rows); (3) the exact
-    known-support solve over Q(beta) on the first t values gives the
-    coefficients; (4) the candidate is checked exactly against all 2*bound
-    values.  If #f <= bound, a candidate g agreeing with them is f: f - g
-    has at most 2*bound terms and vanishes at 2*bound consecutive powers.
-    At bound = p-1 the support is all of {0..p-2} and the solve on the
-    first p-1 values is exact without any prime.
+    & Roche, ISSAC 2011): (1) map the values, in normal coordinates, to
+    F_q through beta -> zeta (_residue), for the one prime q = 1 (mod p)
+    and primitive p-th root of unity zeta mod q of _modulus, so the nodes
+    stay distinct; (2) Berlekamp-Massey on native ints gives the shortest
+    recurrence, read backwards the locator, whose roots among the images
+    of v_1 .. v_(p-1) are the support (_locator_roots, the search det's
+    scans make on a factor's rows); (3) _fit solves the coefficients
+    exactly on the support from the first t values and certifies the
+    candidate against all 2*bound of them.  If #f <= bound, a candidate
+    that fits them is f.  At bound = p-1 the support is all of {0..p-2}
+    and the solve on the first p-1 values is exact without any prime.
 
     The result therefore never disagrees with the 2*bound values.  If no
     polynomial with at most `bound` terms fits them, InterpolationError is
@@ -635,13 +666,29 @@ def sparse_interpolate(values, bound: int, ctx) -> SkewPoly:
     if len(values) < 2 * bound:
         raise ValueError(f"need {2 * bound} evaluations, got {len(values)}")
     a = values[: 2 * bound]
+    nums = [ctx.to_normal(v.num) for v in a]
 
-    support = SupportSet(range(p - 1)) if bound == p - 1 else _support_mod(a, bound, ctx)
+    if bound == p - 1:
+        support = SupportSet(range(p - 1))
+    else:
+        support = None
+        q, _, nodes = _modulus(p)
+        recurrence = _BerlekampMassey(q)
+        for num, value in zip(nums, a):
+            x = _residue(num, value.den, q, nodes)
+            if x is None:  # q divides a denominator
+                break
+            recurrence.add(x)
+        else:
+            # a recurrence longer than the bound comes from no f with
+            # #f <= bound, whatever q
+            if recurrence.length > bound:
+                raise InterpolationError(f"shortest recurrence has length {recurrence.length}, "
+                                         f"above the bound {bound}")
+            support = _locator_roots(recurrence.conn, p)
     if support is not None:
-        t = len(support)
-        candidate = interpolate_known_support(a[:t], support, ctx)
-        # the solve is exact on the first t values; check the rest
-        if _agrees(candidate, range(t + 1, 2 * bound + 1), a[t:]):
-            return candidate
+        f = _fit(nums, [(v.den,) * (p - 1) for v in a], support, ctx)
+        if f is not None:
+            return f
     raise InterpolationError(
         f"found no polynomial with at most {bound} terms that fits the {2 * bound} values")

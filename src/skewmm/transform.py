@@ -16,17 +16,18 @@ algebra.  Both directions are implemented here:
                          for entries too long for 64-bit slots, as O(p^3)
                          int additions.  analyze and skew_sparsity call
                          it, and so does det for each factor it does not
-                         solve and certify on the support its scan found
-                         (matmul._certified_pullback);
-  polynomial -> matrix   skew_to_mat: f's values at beta^1 .. beta^(p-1),
-                         each one sum of f's #f coefficient vectors
-                         packed into rotated words with its beta^0 slot
-                         subtracted on the int (O(#f) interpreter steps
-                         and #f big-int shifted adds per value, or one
-                         rotated_sum for entries too long for 64-bit
-                         slots), all read by one struct call and laid out
-                         as entries by one gather (_value_rows), which
-                         det's certificate shares.
+                         fit and certify on the support its scan found
+                         (skewpoly._fit);
+  polynomial -> matrix   skew_to_mat: f's values at beta^(r^0) ..
+                         beta^(r^(p-2)), its rows in order, each one sum of
+                         f's #f coefficient vectors packed into rotated
+                         words with its beta^0 slot subtracted on the int
+                         (O(#f) interpreter steps and #f big-int shifted
+                         adds per value, or one rotated_sum for entries
+                         too long for 64-bit slots), all read by one
+                         struct call and laid out in normal coordinates
+                         by one gather (skewpoly._normal_rows), which the
+                         fit's certificate shares.
 
 The same row fact drives the multiplication algorithms: any matrix's map
 sends v_1^l = beta^l to the matrix's row q(l), so the product map's values
@@ -51,7 +52,7 @@ from .cyclotomic import (CycCtx, CycElem, _check_odd_prime, _signed_word, _slot_
                          _slot_structs, _widened, _word_bytes, rotated_sum, shared_ctx)
 from .multiply import cubic_multiply, rational_product
 from .rational import Rat, as_rat
-from .skewpoly import SkewPoly, sp_mul, values_at_beta_powers
+from .skewpoly import SkewPoly, _normal_rows, _scaled_row, sp_mul, values_at_beta_powers
 
 
 class RatMatrix:
@@ -348,49 +349,23 @@ def _ctx_for(C: RatMatrix, ctx: CycCtx | None) -> CycCtx:
     return ctx
 
 
-def _scaled_row(num, dens, den: int):
-    """The numerators of den times the row num/dens; den must be a multiple
-    of every entry's denominator."""
-    return num if den == 1 else [x * (den // d) for x, d in zip(num, dens)]
-
-
-def _value_rows(p: int, values) -> list:
-    """The numerator rows of the matrix whose map sends beta^l to the l-th
-    of `values`, laid end to end as values_at_beta_powers gives them for l
-    = 1..p-1.  v_(i+1) = beta^(r^i), so entry (i, j) is the beta^(r^j)
-    coordinate of the value at beta^(r^i): one cached gather
-    (_entry_gather) lays out every entry, and p-1 slices cut the rows.
-    skew_to_mat and det's certificate (matmul._certified_pullback) both
-    read values through it."""
-    n = p - 1
-    entries = _entry_gather(p)(values)
-    return [entries[k:k + n] for k in range(0, n * n, n)]
-
-
-@functools.lru_cache(maxsize=None)
-def _entry_gather(p: int):
-    """The itemgetter taking the values at beta^1 .. beta^(p-1), laid end to
-    end as values_at_beta_powers gives them, to the matrix entries laid end
-    to end, row-major (_value_rows)."""
-    pow_r = shared_ctx(p).pow_r
-    return operator.itemgetter(*((u - 1) * p + w for u in pow_r for w in pow_r))
-
-
 def skew_to_mat(f: SkewPoly) -> RatMatrix:
     """The matrix of the linear map of f in the normal basis: the matrix
-    whose row q(l) is f's value at v_1^l = beta^l, l = 1..p-1.
+    whose row i is f's value at v_(i+1) = beta^(r^i), i = 0..p-2, so whose
+    row q(l) is f's value at v_1^l = beta^l.
 
-    values_at_beta_powers gives f's values at beta^1 .. beta^(p-1) over one
-    common denominator, each one sum of #f rotated words, all read by one
-    struct call: O(p #f) interpreter steps and p #f big-int shifted adds
-    in all.  Their numerators are laid out as rows by one gather
-    (_value_rows), and each row is put over the denominator in lowest terms
-    by RatMatrix._reduced.
+    values_at_beta_powers gives f's values at beta^(r^0) .. beta^(r^(p-2))
+    over one common denominator, each one sum of #f rotated words, all read
+    by one struct call: O(p #f) interpreter steps and p #f big-int shifted
+    adds in all.  They come out in row order, and the gather that reads
+    values in normal coordinates (skewpoly._normal_rows, which det's
+    certificate shares) lays them out as rows; each row is put over the
+    denominator in lowest terms by RatMatrix._reduced.
     """
     p = f.ctx.p
     n = p - 1
-    den, values = values_at_beta_powers(f, range(1, p))
-    return RatMatrix._reduced(p, _value_rows(p, values), ((den,) * n,) * n)
+    den, values = values_at_beta_powers(f, f.ctx.pow_r)
+    return RatMatrix._reduced(p, _normal_rows(p, values), ((den,) * n,) * n)
 
 
 class Orientation(enum.Enum):

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from skewmm import RatMatrix, SkewPoly
+import pytest
+
+from skewmm import RatMatrix, SkewPoly, matmul, shared_ctx, skewpoly
 
 
 def rand_elem(ctx, rng, bound=9, den_bound=1):
@@ -118,3 +120,23 @@ def transposed_vandermonde_solve(values, exps, p):
             rhs.append(values[l - 1][m - 1])
     x = solve_square(matrix, rhs)
     return {e: x[j * n:(j + 1) * n] for j, e in enumerate(exps)}
+
+
+def fit_values(values, support, ctx):
+    """skewpoly._fit on field values in the order l = 1, 2, ..., read in
+    normal coordinates as sparse_interpolate reads them: the polynomial
+    on `support` that fits them all, or None."""
+    n = ctx.p - 1
+    return skewpoly._fit([ctx.to_normal(v.num) for v in values], [(v.den,) * n for v in values],
+                         support, ctx)
+
+
+def certified_pullback(M, support):
+    """det's sparse pullback of M on `support`, taken whatever the per-factor
+    rule says (matmul._pullback with _sparse_pays forced): the fit of M's
+    rows where its certificate holds, else None, with no mat_to_skew to
+    fall back to."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matmul, "_sparse_pays", lambda *_args: True)
+        mp.setattr(matmul, "mat_to_skew", lambda *_args: None)
+        return matmul._pullback(M, support, matmul._over_one(M), shared_ctx(M.p))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fraction_product, rand_rational_matrix, seeded
+from conftest import certified_pullback, fraction_product, rand_rational_matrix, seeded
 from skewmm import RatMatrix, SupportSet, det_mul, mat_to_skew, naive_mul, shared_ctx, sumset
 from skewmm import matmul, skewpoly
 from skewmm.matmul import _product_route
@@ -116,7 +116,7 @@ def test_the_failed_certificates_fail(case):
     A, B = PAIRS[case]()
     ends = matmul._scans(A, B, True, True)
     assert isinstance(ends[0], SupportSet) and matmul._sparse_pays(len(ends[0]), A.p)
-    assert matmul._certified_pullback(A, ends[0], True, shared_ctx(A.p)) is None
+    assert certified_pullback(A, ends[0]) is None
 
 
 @pytest.mark.parametrize("route", ("direct", "rows"))

@@ -2,14 +2,14 @@
 
 import pytest
 
-from conftest import rand_elem, rand_poly, seeded
+from conftest import fit_values, rand_elem, rand_poly, seeded
 from skewmm import (CycElem, InterpolationError, RatMatrix, SkewPoly, SupportSet,
                     batch_evaluate_via_matrices, cyc_sigma, det_mul,
                     interpolate_known_support, mc_mul, naive_mul, normal_coords,
                     power_of_v1, power_points, shared_ctx, skew_to_mat, sp_add,
                     sp_evaluate, sp_mul, sp_neg, sparse_interpolate, sumset)
 from skewmm import matmul, skewpoly
-from skewmm.skewpoly import _agrees, _modulus, values_at_beta_powers
+from skewmm.skewpoly import _modulus, values_at_beta_powers
 
 
 def geometric_poly(ctx, k):
@@ -433,17 +433,27 @@ def test_moduli_are_primes_one_mod_p_with_a_primitive_root_of_unity():
 
 
 def recording_support_search(monkeypatch):
-    """Wrap the modular support search; returns the list of supports found
-    (None where the prime failed)."""
+    """Record sparse_interpolate's modular support searches; returns the
+    list of supports their locators gave (_locator_roots; None where it
+    has the wrong number of roots), with a None for each residue the prime
+    failed on (_residue, where it divides a denominator, which ends the
+    search)."""
     calls = []
-    real = skewpoly._support_mod
+    real_roots, real_residue = skewpoly._locator_roots, skewpoly._residue
 
-    def recording(a, bound, ctx):
-        support = real(a, bound, ctx)
+    def roots(conn, p):
+        support = real_roots(conn, p)
         calls.append(None if support is None else set(support))
         return support
 
-    monkeypatch.setattr(skewpoly, "_support_mod", recording)
+    def residue(nums, den, q, nodes):
+        x = real_residue(nums, den, q, nodes)
+        if x is None:
+            calls.append(None)
+        return x
+
+    monkeypatch.setattr(skewpoly, "_locator_roots", roots)
+    monkeypatch.setattr(skewpoly, "_residue", residue)
     return calls
 
 
@@ -528,7 +538,7 @@ def test_sparse_interpolate_rejects_values_no_polynomial_fits():
 
 @pytest.mark.parametrize("change", ["add", "halve"])
 def test_certificate_rejects_a_changed_value(change):
-    # _agrees, sparse_interpolate's exact check, on f's own values at
+    # the fit's exact check (skewpoly._fit), on f's own values at
     # beta^1 .. beta^(p-1) with one of them changed.  "halve" keeps the
     # value's lowest-terms numerators and changes only its denominator, so
     # the check must compare denominators too
@@ -536,7 +546,7 @@ def test_certificate_rejects_a_changed_value(change):
     ctx = shared_ctx(p)
     f = rand_poly(ctx, seeded(3161), 2, den_bound=4)
     values = evaluations(f, p - 1)
-    assert _agrees(f, range(1, p), values)
+    assert fit_values(values, f.support(), ctx) == f
     for l in (1, p - 1):
         changed = list(values)
         old = values[l - 1]
@@ -545,7 +555,7 @@ def test_certificate_rejects_a_changed_value(change):
         else:
             changed[l - 1] = CycElem(ctx, old.num, 2 * old.den)
             assert changed[l - 1].num == old.num
-        assert not _agrees(f, range(1, p), changed)
+        assert fit_values(changed, f.support(), ctx) is None
 
 
 def test_det_and_mc_search_modulo_one_prime(monkeypatch):

@@ -5,17 +5,19 @@ Row q(l) of a matrix is the normal-coordinate vector of its map's value at
 beta^l, so the rows, read in the order l = 1..p-1, are the values that
 sparse_interpolate takes.  A matrix whose first 2T rows are those of a
 sparse matrix, with a later row changed, yields a candidate that the exact
-check (skewpoly._agrees) must reject on the remaining rows; mat_to_skew and
-det must still be exact on it.  Bounds are fixed per prime: T = 5 at p=31
-lets candidates of several terms meet the check, T = 1 at p=61.
+check of the one fit (skewpoly._fit) must reject on the remaining rows;
+mat_to_skew and det must still be exact on it.  Bounds are fixed per
+prime: T = 5 at p=31 lets candidates of several terms meet the check,
+T = 1 at p=61.
 
-det_mul solves a factor on the support its scan found and certifies the
-candidate against every row (matmul._certified_pullback).  Whenever the
-certificate passes, the candidate is mat_to_skew's pullback, whatever the
-support was; constructed scans that end wrong (a coefficient vanishing mod
-the scan's prime, a row lcm divisible by it, premature early stops) must
-fall back to mat_to_skew for that factor alone and still give the exact
-product, and a zero factor gives the zero product with no pullback.
+det_mul fits a factor's rows on the support its scan found, which
+certifies the candidate against every row (matmul._pullback, through the
+same skewpoly._fit).  Whenever the certificate passes, the candidate is
+mat_to_skew's pullback, whatever the support was; constructed scans that
+end wrong (a coefficient vanishing mod the scan's prime, a row lcm
+divisible by it, premature early stops) must fall back to mat_to_skew for
+that factor alone and still give the exact product, and a zero factor
+gives the zero product with no pullback.
 """
 
 from fractions import Fraction
@@ -24,12 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_product, rand_elem, rand_poly, seeded
-from skewmm import (RatMatrix, SkewPoly, SupportSet, det_mul, from_normal_coords, mat_to_skew,
-                    naive_mul, shared_ctx, skew_to_mat, sparse_interpolate, sumset)
-from skewmm import matmul
+from conftest import certified_pullback, fit_values, fraction_product, rand_elem, rand_poly, seeded
+from skewmm import (RatMatrix, SkewPoly, SupportSet, det_mul, from_normal_coords,
+                    interpolate_known_support, mat_to_skew, naive_mul, shared_ctx, skew_to_mat,
+                    sparse_interpolate, sumset)
+from skewmm import matmul, skewpoly
 from skewmm.rational import Rat
-from skewmm.skewpoly import _agrees, _modulus
+from skewmm.skewpoly import _modulus
 from skewmm.skewstructure import random_layered
 
 BOUNDS = {31: 5, 61: 1}
@@ -53,7 +56,7 @@ def test_zero_and_identity(p):
                  (RatMatrix.identity(p), SkewPoly.one(ctx))):
         values = row_values(M, ctx)
         assert sparse_interpolate(values, 1, ctx) == f
-        assert _agrees(f, range(1, p), values)
+        assert fit_values(values, f.support(), ctx) == f
         assert mat_to_skew(M, ctx) == f
 
 
@@ -85,8 +88,9 @@ def test_certificate_rejects_a_changed_row_past_the_first_2T(p, s, change):
             assert values[l - 1].den == 2 * old[l - 1].den
         f = sparse_interpolate(values, bound, ctx)
         assert f == mat_to_skew(sparse, ctx) and f.sparsity == s
-        assert _agrees(f, range(1, p), old)
-        assert not _agrees(f, range(2 * bound + 1, p), values[2 * bound:])
+        assert fit_values(old, f.support(), ctx) == f
+        assert fit_values(values, f.support(), ctx) is None
+        assert certified_pullback(M, f.support()) is None
         assert mat_to_skew(M, ctx).sparsity > bound
         assert_products_exact(M, ctx, rng)
 
@@ -149,9 +153,8 @@ def candidates(draw):
 @given(candidates())
 def test_a_certified_pullback_is_the_pullback(case):
     M, support = case
-    ctx = shared_ctx(M.p)
-    f = matmul._certified_pullback(M, support, matmul._over_one(M), ctx)
-    pullback = mat_to_skew(M, ctx)
+    f = certified_pullback(M, support)
+    pullback = mat_to_skew(M)
     if set(pullback.terms) <= set(support):
         assert f == pullback
     else:
@@ -188,11 +191,10 @@ def vanishing_factor(p):
 def test_a_coefficient_vanishing_mod_q_fails_the_certificate(p, monkeypatch):
     # the candidate solved on the one term the scan sees fails the
     # certificate
-    ctx = shared_ctx(p)
     A = vanishing_factor(p)
     bound = matmul._direct_bound(matmul._product_route, p, True)
     assert scanned(A, bound) == SupportSet([0])
-    assert matmul._certified_pullback(A, SupportSet([0]), True, ctx) is None
+    assert certified_pullback(A, SupportSet([0])) is None
     assert assert_falls_back(*pair_with(A), monkeypatch).product == "direct"
 
 
@@ -266,9 +268,62 @@ def test_a_zero_factor_gives_zero_with_no_pullback(p, monkeypatch):
     for B in (random_layered(ctx, range(p - 1), 3), random_layered(ctx, [1], 4),
               random_layered(ctx, [0], 5).scale(Fraction(1, 7))):
         for A, partner in ((zero, B), (B, zero)):
-            for name in ("mat_to_skew", "_scan", "_certified_pullback"):
+            for name in ("mat_to_skew", "_scan", "_fit"):
                 monkeypatch.setattr(matmul, name, refuse)
             product, report = det_mul(A, partner)
             monkeypatch.undo()
             assert product == zero == naive_mul(A, partner)
             assert (report.product, report.t_used, report.rational_mul_count) == ("direct", 0, 0)
+
+
+def test_det_and_mc_interpolation_share_one_fit(monkeypatch):
+    # one-byte guessed slots overflow on every solve: det's sparse pullback
+    # solves again in the provable slots, as mc's interpolation does, and
+    # certifies with no mat_to_skew.  det's pullback of each factor,
+    # interpolate_known_support and sparse_interpolate each reach the one
+    # fit, and the packed solve runs inside it only
+    p = 31
+    ctx = shared_ctx(p)
+    A, B = random_layered(ctx, [0], 11), random_layered(ctx, [0, 1], 12)
+    ends = matmul._scans(A, B, True, True)
+    assert ends == (SupportSet([0]), SupportSet([0, 1]))
+    assert all(matmul._sparse_pays(len(end), p) for end in ends)
+    f_b, values = mat_to_skew(B), row_values(B, ctx)
+    real_sizes, real_fit = skewpoly._solve_sizes, skewpoly._fit
+    real_solve = skewpoly._solve_on_support
+    fits, solves, inside = [], [], []
+
+    def tiny(vectors, prime):
+        return 1, real_sizes(vectors, prime)[1]
+
+    def fit(nums, dens, support, fit_ctx):
+        fits.append((len(nums), set(support)))
+        inside.append(True)
+        try:
+            return real_fit(nums, dens, support, fit_ctx)
+        finally:
+            inside.pop()
+
+    def solve(vectors, den, exps, solve_ctx, size):
+        solves.append((bool(inside), size))
+        return real_solve(vectors, den, exps, solve_ctx, size)
+
+    monkeypatch.setattr(skewpoly, "_solve_sizes", tiny)
+    for module in (skewpoly, matmul):
+        monkeypatch.setattr(module, "_fit", fit)
+    monkeypatch.setattr(skewpoly, "_solve_on_support", solve)
+    monkeypatch.setattr(matmul, "mat_to_skew", refuse)
+    product, report = det_mul(A, B)
+    assert fits == [(p - 1, {0}), (p - 1, {0, 1})]
+    assert len(solves) == 4 and [size for _, size in solves[::2]] == [1, 1]
+    assert all(size > 1 for _, size in solves[1::2])
+    fits.clear()
+    assert interpolate_known_support(values[:2], SupportSet([0, 1]), ctx) == f_b
+    assert fits == [(2, {0, 1})]
+    fits.clear()
+    assert sparse_interpolate(values[:4], 2, ctx) == f_b
+    assert fits == [(4, {0, 1})]
+    assert len(solves) == 8 and all(within for within, _ in solves)
+    monkeypatch.undo()
+    assert product == naive_mul(A, B)
+    assert report.product == "direct" and report.t_used == 2
