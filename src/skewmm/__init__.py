@@ -23,8 +23,7 @@ from .matmul import (Algorithm, FreivaldsResult, MulReport, det_mul, freivalds,
 from .matrixfile import (MatrixFormatError, parse_matrix, read_matrix_file,
                          serialize_matrix, write_matrix_file)
 from .multiply import cubic_multiply
-from .skewpoly import (InterpolationError, SkewPoly, SupportSet,
-                       batch_evaluate_via_matrices, interpolate_known_support,
+from .skewpoly import (InterpolationError, SkewPoly, SupportSet, interpolate_known_support,
                        power_points, sp_add, sp_evaluate, sp_mul, sp_neg,
                        sparse_interpolate, sumset)
 from .transform import (Orientation, RatMatrix, build_V, build_W, mat_to_skew,

@@ -14,10 +14,10 @@ Three routes to the same exact product of (p-1) x (p-1) rational matrices:
              exponent sumset of size t, and form the product by one of two
              exact stages: the direct product of the polynomials pushed
              forward, or the int product of all p-1 rows;
-  mc_mul     Monte Carlo: guess the product's sparsity by doubling a bound,
-             interpolate with the locator-based routine (support found
-             modulo a prime, coefficients solved exactly), and accept the
-             first candidate that passes randomized verification.
+  mc_mul     Monte Carlo: one pass over the rows of A*B, the product's
+             values: det's scan stops early with a support, det's fit
+             solves and certifies it on the rows read and one randomized
+             check accepts it, else the rest of the rows are the product.
 
 Randomness is pinned to Python's Mersenne Twister (random.Random) seeded
 with an explicit 64-bit unsigned seed; verification vectors consume the
@@ -29,17 +29,19 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
+import operator
 import random
 import time
 from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import shared_ctx
-from .skewpoly import (InterpolationError, SupportSet, _BerlekampMassey, _fit, _locator_roots,
-                       _modulus, _residue, _scaled_row, batch_evaluate_via_matrices, sp_mul,
-                       sparse_interpolate, sumset)
-from .transform import RatMatrix, mat_to_skew, product_matrix, skew_to_mat
+from .multiply import rational_product
+from .skewpoly import (SupportSet, _BerlekampMassey, _fit, _locator_roots, _modulus, _residue,
+                       _scaled_row, sp_mul, sumset)
+from .transform import RatMatrix, _product_of_rows, mat_to_skew, product_matrix, skew_to_mat
 
 MAX_SEED = 2 ** 64
 
@@ -67,20 +69,17 @@ class MulReport(namedtuple("MulReport", ("algorithm", "t_used", "iterations",
     so that importing the package does not import dataclasses (and with
     it inspect), which would cost every CLI process about 10 ms.
 
-    rational_mul_count is the nominal multiplication count, a closed form
-    in p and the number of evaluation points: (p-1)^3 for naive_mul;
-    2 t (p-1)^2 for det_mul's t = t_used points, though neither of its
-    stages evaluates;
-    2 m (p-1)^2 for mc_mul's m = min(2 final_T, p-1) values.  Each point is
-    charged as a row of the dense t x (p-1) by (p-1) x (p-1) product that
-    the gather of A's rows replaces, plus that row's product with B.  The
-    count stays nominal: the products run on ints, each row and column
-    scaled by its own denominators' lcm, so one counted multiplication is
-    an int product, not a rational one with its gcd.
-    final_T is the last sparsity bound tried by mc_mul; fallback
-    flags that mc_mul's direct round, whose candidate is the int product
-    of the two factors, failed verification and was returned anyway,
-    which indicates a bug rather than an input condition.  product is the
+    rational_mul_count is a closed form in p and the number of points, each
+    charged as a row of A*B, 2 (p-1)^2 int products: (p-1)^3 for naive_mul;
+    2 t (p-1)^2 for det_mul's t = t_used points, a nominal count, since
+    neither of its stages evaluates; 2 m (p-1)^2 for the m rows of A*B
+    mc_mul computed.  For mc_mul: iterations is the number of randomized
+    checks run, 1 or 2; final_T the Berlekamp-Massey length at which its
+    scan of the product's rows ended, at most the product's sparsity;
+    t_used the accepted candidate's sparsity, or p-1 for the product
+    assembled from all its rows, or 0 on fallback, which flags that the
+    assembled product failed its check and was returned anyway, a bug
+    rather than an input condition.  product is the
     stage det_mul formed the product by, "direct" or "rows" (see det_mul),
     and is empty for naive_mul and mc_mul.  For det_mul, t_used is the
     support bound the product was formed under: the size t of the exponent
@@ -139,7 +138,7 @@ def naive_mul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     The product runs on the factors' ints (`rational_product`): A's rows
     and B's columns are scaled by their own denominators' lcms, each row of
     the scaled B is packed into one int, and each row of the int product
-    is one sum of p-1 (int x packed row) products (`int_product`; a
+    is one sum of p-1 (int x packed row) products (`int_rows`; a
     product whose entries need slots wider than 64 bits takes the
     dot-product loop instead).  Each entry is put over its row's and column's scales and
     reduced, one map(gcd) per row and none for a row over 1.  No Fraction
@@ -159,7 +158,7 @@ def _product_route(s_a: int, s_b: int, t: int, p: int, integral: bool) -> str:
     The direct stage is s_a s_b field products and a pushforward of t
     terms, and each of those costs about p + 8 units: a big-int product or
     shifted add of p-slot words, and the gcd that keeps a field element in
-    lowest terms.  The rows stage is the packed int product (`int_product`),
+    lowest terms.  The rows stage is the packed int product (`int_rows`),
     p-1 sums of p-1 (int x packed row) terms; with denominators it also
     scales each row and column by its lcm and reduces each entry by a gcd,
     which costs it about half as much again.  The rule was fitted on both
@@ -206,58 +205,62 @@ def _direct_bound(rule, p: int, integral: bool) -> int:
     return next((s for s in range(p - 1, 0, -1) if rule(1, s, s, p, integral) == "direct"), 0)
 
 
-#: how det_mul's scan of a factor ends (_scan), unless with a support
+#: how a scan of rows ends (_scan), unless with a recurrence
 DENSE, UNKNOWN = "dense", "unknown"
 
 
-def _scan(M: RatMatrix, bound: int, over_one: bool):
-    """det_mul's scan of a nonzero factor M: its rows modulo a prime, read
-    until they prove M's pullback too dense for the direct stage (DENSE),
-    or stop early with a recurrence (its `conn`, which _support turns into
-    M's candidate support), or neither (UNKNOWN).
+def _scan(rows, bound: int, p: int):
+    """The scan of a matrix's rows q(1), q(2), ... modulo a prime, each row
+    its normal-coordinate numerators over one denominator: (end, L).  It
+    reads rows until they prove the matrix's pullback f has more than
+    `bound` terms (DENSE), or stops early with a recurrence (its `conn`,
+    which _support turns into a candidate support), or neither (UNKNOWN);
+    L is the Berlekamp-Massey length at the end.  det_mul scans each
+    factor (_factor_rows), mc_mul the product.
 
-    Row q(l) is M's map at beta^l, and for f = sum a_i sigma^(e_i) that is
-    sum a_i (beta^(r^(e_i)))^l, a linear recurrence in l of length #f.  The
-    map beta -> zeta to F_q, for the prime q = 1 (mod p) of
-    skewpoly._modulus, the one mc's support search uses, is a ring map on
-    every Z[1/D][beta] with D prime to q, so the rows' images satisfy the
-    image of that recurrence and their shortest one is no longer.  A
-    Berlekamp-Massey length above `bound` on rows q(1), q(2), ... therefore
-    proves #f > bound: DENSE, the density guard.  Each row is reduced by
-    skewpoly._residue: unless M is over 1 (`over_one`, as _over_one finds
-    it), it is scaled by its lcm D, and its sum multiplied by D^-1 mod q.
-
-    The scan stops early at a zero discrepancy at step n >= 2L, where a
-    recurrence of length L has predicted a value it was not fitted to
-    (early termination; Kaltofen & Lee, J. Symb. Comput. 2003): a factor of
-    s <= bound terms costs 2s + 1 rows.  It gives up (UNKNOWN) when q
-    divides a row's lcm, or after min(2 bound + 1, p-1) rows with no early
-    stop.  Neither a stop nor its support is trusted: a support is only a
-    candidate, which det_mul certifies or gives up for mat_to_skew.
+    Row q(l) is the map at beta^l, sum a_i (beta^(r^(e_i)))^l for
+    f = sum a_i sigma^(e_i): a linear recurrence in l of length #f.
+    beta -> zeta, for the prime q = 1 (mod p) of skewpoly._modulus, is a
+    ring map on every Z[1/D][beta] with D prime to q, so the rows' images
+    (skewpoly._residue) satisfy the image of that recurrence: L <= #f at
+    every step, and L > bound proves #f > bound (DENSE, det's density
+    guard).  The scan stops early at a zero discrepancy at step n >= 2L
+    (early termination; Kaltofen & Lee, J. Symb. Comput. 2003), so s <=
+    bound terms cost 2s + 1 rows.  It gives up when q divides a row's
+    denominator, or after min(2 bound + 1, p-1) rows.  Later rows are
+    never read, so `rows` may compute them lazily.  A support is only a
+    candidate, which the caller certifies or gives up.
     """
-    q, _, nodes = _modulus(M.p)
+    q, _, nodes = _modulus(p)
     recurrence = _BerlekampMassey(q)
-    nums, dens = M.nums, M.dens
-    for n, k in enumerate(shared_ctx(M.p).q_perm[:2 * bound + 1]):
-        num, row_dens = nums[k - 1], dens[k - 1]
-        den = 1 if over_one else math.lcm(*row_dens)
-        x = _residue(_scaled_row(num, row_dens, den), den, q, nodes)
+    for n, (num, den) in enumerate(itertools.islice(rows, 2 * bound + 1)):
+        x = _residue(num, den, q, nodes)
         if x is None:
-            return UNKNOWN
+            return UNKNOWN, recurrence.length
         if recurrence.add(x):
             if recurrence.length > bound:
-                return DENSE
+                return DENSE, recurrence.length
         elif n >= 2 * recurrence.length:
-            return recurrence.conn
-    return UNKNOWN
+            return recurrence.conn, recurrence.length
+    return UNKNOWN, recurrence.length
+
+
+def _factor_rows(M: RatMatrix, over_one: bool):
+    """M's rows in l order (ctx.to_power, as in _pullback) for _scan: over
+    1 where M is (`over_one`), else each scaled by its lcm as it is read."""
+    ctx = shared_ctx(M.p)
+    if over_one:
+        return zip(ctx.to_power(M.nums), itertools.repeat(1))
+    return ((_scaled_row(num, dens, den := math.lcm(*dens)), den)
+            for num, dens in zip(ctx.to_power(M.nums), ctx.to_power(M.dens)))
 
 
 def _support(end, p: int):
     """The end of a scan with its early stop resolved: the support, when the
     recurrence's locator has exactly L roots among the nodes, as it does
     when no coefficient of f vanishes mod q and the stop was not premature
-    (skewpoly._locator_roots, which mc's support search shares); else
-    UNKNOWN.  DENSE and UNKNOWN pass through."""
+    (skewpoly._locator_roots, which sparse_interpolate's search shares);
+    else UNKNOWN.  DENSE and UNKNOWN pass through."""
     if not isinstance(end, list):
         return end
     support = _locator_roots(end, p)
@@ -269,9 +272,9 @@ def _scans(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool):
     where they send the pair to the rows stage with no pullback.
 
     With T = _direct_bound(_product_route, ...), the largest sparsity the
-    rule could still send to the direct stage, each factor is scanned
-    (_scan) under the bound T.  A DENSE end sends the pair to the rows
-    stage: the rule would pick it after the pullbacks too, whatever the
+    rule could still send to the direct stage, each factor's rows are
+    scanned (_scan) under the bound T.  A DENSE end sends the pair to the
+    rows stage: the rule would pick it after the pullbacks too, whatever the
     partner.  Else each early stop is resolved to a support or UNKNOWN
     (_support), and the rule itself, applied to |S_A|, |S_B| and the size
     of the sumset S_A + S_B of two supports, may send the pair to rows too.
@@ -285,7 +288,7 @@ def _scans(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool):
         return UNKNOWN, UNKNOWN
     ends = []
     for M, over_one in ((A, over_a), (B, over_b)):
-        end = _scan(M, bound, over_one)
+        end, _ = _scan(_factor_rows(M, over_one), bound, p)
         if end is DENSE:
             return None
         ends.append(end)
@@ -350,7 +353,7 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
 
     Otherwise each factor is pulled back (_pullback).  A factor with a
     support of s terms, where _sparse_pays(s, p), is fitted on it
-    (skewpoly._fit, which also solves and checks mc's interpolation): its
+    (skewpoly._fit, which also solves and checks mc's candidate): its
     coefficients are solved on the support from rows q(1) .. q(s), once
     more in provable slots if the guessed ones overflow, and certified
     exactly, the candidate's value at beta^l equal to row q(l) for all
@@ -373,8 +376,8 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
     the rule picks the route it picked on the supports.  The paper's
     evaluation at t points with known-support interpolation is not a
     stage: it beat both of these in 2 of 105 cells timed, and took up to
-    12x the faster of them where the sumset nearly fills Z_(p-1).  It
-    stays mc_mul's engine.  The report names the stage in `product`.
+    12x the faster of them where the sumset nearly fills Z_(p-1).  The
+    report names the stage in `product`.
     t_used is the support bound the product was formed under: the sumset
     size t after the pullbacks, p-1 (every exponent) on a pair sent to the
     rows stage before any pullback, whose sumset is never computed.
@@ -431,68 +434,70 @@ def freivalds(M: RatMatrix, A: RatMatrix, B: RatMatrix, mu, seed: int) -> Freiva
     return FreivaldsResult.EQUAL
 
 
-def _ceil_log2(m: int) -> int:
-    return (m - 1).bit_length() if m > 1 else 1
-
-
 def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulReport]:
     """Monte Carlo product: correct with probability at least 1 - nu.
 
-    Doubles a sparsity bound T = 1, 2, 4, ... while 2T < p-1: each round
-    evaluates the product map at v_1^1 .. v_1^(2T), rows of A*B gathered
-    from A and multiplied by B (reusing earlier values; only the new ones
-    are computed), interpolates under the bound, and verifies the
-    candidate with the randomized check at error budget
-    nu / ceil(log2(p-1)).  sparse_interpolate finds the support modulo the
-    one fixed prime det's scans use and solves for the coefficients
-    exactly; a candidate it returns agrees with all 2T values, so it is the
-    product polynomial whenever the product has at most T terms.  An
-    undersized bound, or a prime that divides a denominator or kills a
-    coefficient, raises InterpolationError or yields a candidate the
-    verifier rejects; both double T.  The first T with 2T >= p-1 is the
-    direct round: the values at all p-1 points are the product's rows, so
-    its candidate is the int product of A and B, with no interpolation,
-    and t_used is then the sparsity of the product's pullback.  The direct
-    round is verified too; if it fails, the same product is returned with
-    the report flagged, surfacing the bug loudly while keeping the
-    function total.
+    One pass over the rows of A*B: row q(l) is the product's value at
+    v_1^l = beta^l, so the rows in l order are the product polynomial's
+    values.  The int kernel (`rational_product`, which packs B once)
+    computes each when det's scan (_scan) asks for it, under the bound
+    (p-2)//2, the longest recurrence whose early stop fits in p-1 rows.
+    On an early stop with a support (_support), det's fit (skewpoly._fit)
+    solves the coefficients and certifies the candidate against every row
+    read, and the candidate's matrix is checked once by freivalds at
+    mu = nu.  A product of t <= (p-2)//2 terms costs 2t + 1 rows, unless the
+    prime divides a denominator or kills a coefficient.
+
+    Every other ending (no early stop, DENSE, UNKNOWN, no support, a failed
+    fit, a rejected candidate) computes the rows not yet read, which are
+    the exact product, and checks it once more at nu; should that fail,
+    it is returned anyway with the report flagged (MulReport), a loud sign
+    of a bug.  The early stop's is the only probabilistic candidate, and a
+    wrong one passes its check with probability at most nu, so the result
+    is A*B with probability at least 1 - nu.  The checks' seeds are drawn
+    from random.Random(seed).
     """
     _check_pair(A, B)
-    nu_frac = _check_probability(nu, "nu")
+    nu = _check_probability(nu, "nu")
     _check_seed(seed)
     start = time.perf_counter()
-    ctx = shared_ctx(A.p)
-    n = A.p - 1
-    mu = nu_frac / _ceil_log2(n)
+    p = A.p
+    n = p - 1
+    ctx = shared_ctx(p)
     master = random.Random(seed)
-    values = []
-    T = 1
-    iterations = 0
-    while True:
-        iterations += 1
-        direct = 2 * T >= n
-        if direct:  # the values at v_1^1 .. v_1^(p-1) are the whole product
-            candidate = product_matrix(A, B)
-            candidate_poly = mat_to_skew(candidate, ctx)
-            count = 2 * n ** 3
-        else:
-            values.extend(batch_evaluate_via_matrices(
-                ctx, range(len(values) + 1, 2 * T + 1), A, B))
-            count = 2 * len(values) * n * n
-            try:
-                candidate_poly = sparse_interpolate(values, T, ctx=ctx)
-                candidate = skew_to_mat(candidate_poly)
-            except InterpolationError:
-                candidate = None
-        round_seed = master.getrandbits(64)
-        if candidate is not None and freivalds(candidate, A, B, mu, round_seed) is FreivaldsResult.EQUAL:
-            report = MulReport(Algorithm.MONTE_CARLO, t_used=candidate_poly.sparsity,
-                               iterations=iterations, rational_mul_count=count,
-                               wall_time=time.perf_counter() - start, final_T=T)
-            return candidate, report
-        if direct:
-            report = MulReport(Algorithm.MONTE_CARLO, t_used=0, iterations=iterations,
-                               rational_mul_count=count, wall_time=time.perf_counter() - start,
-                               final_T=T, fallback=True)
-            return candidate, report
-        T *= 2
+    d, e, product_rows = rational_product(A.nums, A.dens, B.nums, B.dens)
+    big_e = math.lcm(*e)
+    scales = [big_e // ek for ek in e]
+    S = [None] * n
+    nums, dens = [], []
+
+    def values():
+        # row q(l) over d E, E = lcm(e), is the value at beta^l
+        for k in ctx.q_perm:
+            S[k - 1] = row = product_rows([k - 1])[0]
+            nums.append(row if big_e == 1 else tuple(map(operator.mul, row, scales)))
+            dens.append(d[k - 1] * big_e)
+            yield nums[-1], dens[-1]
+
+    end, length = _scan(values(), (p - 2) // 2, p)
+    support = _support(end, p)
+    checks = 0
+    if isinstance(support, SupportSet):
+        f = _fit(nums, None if max(dens) == 1 else [(den,) * n for den in dens], support, ctx)
+        if f is not None:
+            candidate = skew_to_mat(f)
+            checks = 1
+            if freivalds(candidate, A, B, nu, master.getrandbits(64)) is FreivaldsResult.EQUAL:
+                return candidate, MulReport(Algorithm.MONTE_CARLO, t_used=f.sparsity, iterations=1,
+                                            rational_mul_count=2 * len(nums) * n * n,
+                                            wall_time=time.perf_counter() - start,
+                                            final_T=length)
+    missing = [i for i, row in enumerate(S) if row is None]
+    for i, row in zip(missing, product_rows(missing)):
+        S[i] = row
+    product = _product_of_rows(p, d, e, S)
+    fallback = freivalds(product, A, B, nu, master.getrandbits(64)) is not FreivaldsResult.EQUAL
+    return product, MulReport(Algorithm.MONTE_CARLO, t_used=0 if fallback else n,
+                              iterations=checks + 1, rational_mul_count=2 * n ** 3,
+                              wall_time=time.perf_counter() - start, final_T=length,
+                              fallback=fallback)

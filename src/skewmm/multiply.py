@@ -1,16 +1,15 @@
 """Exact schoolbook matrix kernels.
 
 Every rational matrix product in the package -- the oracle (`naive_mul`),
-`RatMatrix.__matmul__`, det's rows stage and mc's evaluation -- goes
-through `rational_product`, which scales each row of the left factor and
-each column of the right factor to ints and multiplies those by
-`int_product`: each row of the right factor is packed into one int of
-signed slots of at most 64 bits, and each product row is one sum of p-1
-(int x packed row) products, unpacked once (Kronecker substitution, as in
-`cyc_mul`).  A product whose entries need wider slots takes
-`cubic_multiply`, the generic ring kernel, instead.  No multiplication is
-counted here: each algorithm reports its nominal count as a closed form
-(`MulReport`).
+`RatMatrix.__matmul__`, det's rows stage and mc's pass over the product's
+rows -- goes through `rational_product`, which scales each row of the left
+factor and each column of the right factor to ints and multiplies those by
+`int_rows`: each row of the right factor is packed once into one int of
+signed slots of at most 64 bits, and each product row, computed when asked
+for, is one sum of p-1 (int x packed row) products, unpacked once
+(Kronecker substitution, as in `cyc_mul`).  A product whose entries need
+wider slots takes `cubic_multiply`, the generic ring kernel, instead.  No
+multiplication is counted here (`MulReport`).
 """
 
 import math
@@ -22,9 +21,8 @@ from .cyclotomic import _signed_word, _slot_ones, _slot_structs, _word_bytes
 def cubic_multiply(x_rows, y_rows):
     """Schoolbook product of row-major matrices: (m x n) * (n x k).
 
-    Works on any exact ring elements; `int_product` feeds it the int
-    products whose entries are too long for 64-bit slots.  Returns a list
-    of tuples.
+    Works on any exact ring elements; `int_rows` feeds it the int products
+    whose entries are too long for 64-bit slots.  Returns a list of tuples.
     """
     n = len(y_rows)
     if any(len(row) != n for row in x_rows):
@@ -34,55 +32,60 @@ def cubic_multiply(x_rows, y_rows):
     return [tuple(sum(map(mul, xrow, col)) for col in y_cols) for xrow in x_rows]
 
 
-def int_product(x_rows, y_rows):
-    """The product of two int matrices, (m x n) * (n x k), as a list of
-    tuples, one per row of x.
+def int_rows(x_rows, y_rows):
+    """The rows of the int product of x and y, (m x n) * (n x k), on
+    demand: the function taking an iterable of rows of x to their rows of
+    the product, as a list of tuples.  y is packed once, for every call.
 
     Each row of y is packed into one int, entry k in a signed slot of w
     bits at 2^(w k) (`_signed_word`), and row i of the product is
     sum_j x[i][j] * word_j: slot k of that sum is entry (i, k), since no
     slot overflows.  Every entry of y and of the product is at most
     B = n max(1, max|x|) max|y| in size, so w is the least of 8, 16, 32
-    or 64 bits that holds B's bits plus a sign bit (`_word_bytes`).
-    Adding 2^(w-1) to every slot makes them all nonnegative, and flipping
-    each slot's top bit then gives its two's complement, so a row is read
-    through one signed struct.  O(n) big-int products per row, against
-    O(n k) dot-product steps for `cubic_multiply`, which runs the product
-    when B needs wider slots, as mat_to_skew keeps its loop past them.
+    or 64 bits that holds B's bits plus a sign bit (`_word_bytes`), for
+    rows of x or no longer ones.  Adding 2^(w-1) to every slot makes them
+    all nonnegative, and flipping each slot's top bit then gives its two's
+    complement, so a row is read through one signed struct.  O(n) big-int
+    products per row, against O(n k) dot-product steps for
+    `cubic_multiply`, which runs each call when B needs wider slots, as
+    mat_to_skew keeps its loop past them.
     """
     n = len(y_rows)
-    if not (x_rows and n and y_rows[0]):
-        return cubic_multiply(x_rows, y_rows)
     if any(len(row) != n for row in x_rows):
         raise ValueError("inner dimensions do not match")
-    x_max = max(max(map(max, x_rows)), -min(map(min, x_rows)), 1)
-    y_max = max(max(map(max, y_rows)), -min(map(min, y_rows)))
-    size = _word_bytes((n * x_max * y_max).bit_length() + 1)
+    size = None
+    if x_rows and n and y_rows[0]:
+        x_max = max(max(map(max, x_rows)), -min(map(min, x_rows)), 1)
+        y_max = max(max(map(max, y_rows)), -min(map(min, y_rows)))
+        size = _word_bytes((n * x_max * y_max).bit_length() + 1)
     if size is None:
-        return cubic_multiply(x_rows, y_rows)
+        return lambda rows: cubic_multiply(list(rows), y_rows)
     cols = len(y_rows[0])
     top = _slot_ones(cols, size) << (8 * size - 1)
     words = [_signed_word(row, size) for row in y_rows]
     read = _slot_structs(cols, size)[0].unpack
     span = size * cols
     mul = operator.mul
-    return [read(((sum(map(mul, xrow, words)) + top) ^ top).to_bytes(span, "little"))
-            for xrow in x_rows]
+    return lambda rows: [read(((sum(map(mul, xrow, words)) + top) ^ top).to_bytes(span, "little"))
+                         for xrow in rows]
 
 
 def rational_product(x_nums, x_dens, y_nums, y_dens):
-    """The product of two rational matrices on ints, as (d, e, S).
+    """The product of two rational matrices on ints, as (d, e, rows).
 
     Each factor is given as its rows of int numerators and the matching rows
     of positive int denominators (RatMatrix's layout).  d[i] is the lcm of
     the denominators in row i of x, e[k] the lcm of those in column k of y,
-    and S = int_product of d[i] * x's row i by e[k] * y's column k, so
-    entry (i, k) of the product is S[i][k] / (d[i] e[k]).  Per-row and
-    per-column scales keep the ints as short as each entry's own
-    denominators allow; one global lcm would make every product as long as
-    the longest, and the packed slots with it.  A row or column whose
-    denominators are all 1 takes no lcm, found by one tuple comparison;
-    rows of x over 1, and y when all of it is over 1, are used unscaled.
+    and S = the int product of d[i] * x's row i by e[k] * y's column k, so
+    entry (i, k) of the product is S[i][k] / (d[i] e[k]).  rows(indices)
+    gives the rows S[i], i in `indices`, as a list, and rows() all of them:
+    x is scaled and y scaled and packed once, for every call (`int_rows`).
+    Per-row and per-column scales keep the ints as short as each entry's
+    own denominators allow; one global lcm would make every product as
+    long as the longest, and the packed slots with it.  A row or column
+    whose denominators are all 1 takes no lcm, found by one tuple
+    comparison; rows of x over 1, and y when all of it is over 1, are used
+    unscaled.
     """
     ones = (1,) * len(y_dens)
     d = [1 if dens == ones else math.lcm(*dens) for dens in x_dens]
@@ -94,4 +97,6 @@ def rational_product(x_nums, x_dens, y_nums, y_dens):
     else:
         ys = [[y * (ek // dy) for y, dy, ek in zip(nums, dens, e)]
               for nums, dens in zip(y_nums, y_dens)]
-    return d, e, int_product(xs, ys)
+    product = int_rows(xs, ys)
+    return d, e, lambda indices=None: product(xs if indices is None
+                                              else map(xs.__getitem__, indices))

@@ -280,7 +280,8 @@ def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
     the rule sends any sparsity direct, a pair its density guard must send
     to the rows stage with no pullback, a pair whose sparse pullbacks
     certify and one whose certificate fails (_certificates_hold, also run
-    at p=31)."""
+    at p=31); and A*I with row q(1) = 1 of A zero: mc_mul's scan stops at
+    once on the zero candidate, and the exact product passes a 2nd check."""
     rng = random.Random(505)
     if not _certificates_hold(shared_ctx(31), random.Random(31)):
         return False
@@ -317,6 +318,11 @@ def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
         B = _rand_matrix(p, rng)
         got, report = matmul.mc_mul(A, B, "1/20", rng.getrandbits(32))
         if report.fallback or got != matmul.naive_mul(A, B):
+            return False
+        A, B = RatMatrix(p, [[0] * (p - 1)] + [[1] * (p - 1)] * (p - 2)), RatMatrix.identity(p)
+        got, report = matmul.mc_mul(A, B, "1/1000000", p)
+        if ((report.iterations, report.fallback, report.final_T) != (2, False, 0)
+                or got != matmul.naive_mul(A, B) or matmul.det_mul(A, B)[0] != got):
             return False
     return True
 
@@ -492,7 +498,8 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
          "definition", check_pullback_paths),
         ("skew-sparsity reporting", check_sparsity_reporting),
         ("det/mc multiplication vs schoolbook oracle, det's stage rule on "
-         "either side, det's density guard and certified sparse pullback",
+         "either side, det's density guard and certified sparse pullback, "
+         "mc's rejected premature stop",
          check_multiplication),
         ("naive/det products with denominators vs Fraction schoolbook, "
          "det's direct and rows stages", check_rational_products),

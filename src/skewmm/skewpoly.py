@@ -21,7 +21,6 @@ import operator
 from .cyclotomic import (CycElem, _check_same_ctx, _is_prime, _slot_ones, _slot_structs,
                          _widened, _word_bytes, cyc_mul, cyc_sigma, power_of_v1, rotated_sum,
                          shared_ctx)
-from .multiply import rational_product
 
 
 class InterpolationError(RuntimeError):
@@ -250,34 +249,6 @@ def _packed_values(p: int, vecs, bounds, exponents):
         yield acc.to_bytes(out * p, "little")
 
 
-def batch_evaluate_via_matrices(ctx, indices, A, B):
-    """The map of the product A*B at the points v_1^l, l in `indices`, from
-    the two RatMatrix factors alone; each l must lie in 1..p-1.
-
-    Any matrix's map sends v_1^l = beta^l, the unit vector of normal
-    coordinate q(l), to that matrix's row q(l).  So the value is row q(l) of
-    A*B, read as normal coordinates: a gather of A's rows, and only the
-    product with B runs, on ints, through `rational_product`.  Entry (i, k)
-    of that product is S[i][k] / (d_i e_k), so each value is S's row
-    permuted to power order by ctx.to_power, scaled to E = lcm(e) and put
-    over d_i E: one gcd per value, no rationals.
-    """
-    n = ctx.p - 1
-    if A.p != ctx.p or B.p != ctx.p:
-        raise ValueError("matrix dimension does not match the context")
-    picked = []
-    for l in indices:
-        if not 1 <= l <= n:
-            raise ValueError(f"evaluation index must be in 1..{n}, got {l!r}")
-        picked.append(ctx.q(l) - 1)
-    d, e, S = rational_product([A.nums[i] for i in picked], [A.dens[i] for i in picked],
-                               B.nums, B.dens)
-    big_e = math.lcm(*e)
-    scales = ctx.to_power([big_e // ek for ek in e])
-    return [CycElem(ctx, map(operator.mul, ctx.to_power(row), scales), di * big_e)
-            for row, di in zip(S, d)]
-
-
 def interpolate_known_support(values, support: SupportSet, ctx) -> SkewPoly:
     """Recover the unique polynomial with supp(f) inside `support` from its
     values at v_1^1 .. v_1^t, where t = len(support); values[k] is
@@ -333,7 +304,8 @@ def _fit(nums, dens, support: SupportSet, ctx) -> SkewPoly | None:
     is the matrix whose rows were given (det's sparse pullback); with
     m = 2 bound and at most `bound` terms in the true polynomial, the
     difference of the two has at most 2 bound terms and vanishes at
-    2 bound consecutive powers, so it is zero (sparse_interpolate).
+    2 bound consecutive powers, so it is zero (sparse_interpolate); mc_mul
+    leaves the rows its scan did not read to its randomized check.
     """
     p = ctx.p
     t = len(support)
@@ -523,8 +495,9 @@ def _ramp(p: int, m: int, u: int, size: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _modulus(p: int):
-    """The one prime of det's scans and mc's support search, with its table
-    per p: (q, zeta_pows, nodes).  q is the largest prime q = 1 (mod p)
+    """The one prime of every scan of rows (det's and mc's) and of
+    sparse_interpolate's support search, with its table per p:
+    (q, zeta_pows, nodes).  q is the largest prime q = 1 (mod p)
     below 2^30, zeta_pows holds zeta^0 .. zeta^(p-1) for a fixed primitive
     p-th root of unity zeta mod q, and nodes[j] = zeta^(r^j) is the image
     of the node v_(j+1) = beta^(r^j), j = 0..p-2.  beta -> zeta is a ring
@@ -535,7 +508,8 @@ def _modulus(p: int):
     maps a coefficient to 0, which inputs not built to hit it do with odds
     of about 2^-30 each, and the primes are fixed and public, so an input
     built to defeat one defeats any fixed few as easily.  A failure costs
-    det a mat_to_skew and mc a doubling of its bound, never a wrong answer.
+    det a mat_to_skew and mc the rest of the product's rows, never a wrong
+    answer.
 
     Below 2^30 every residue is one CPython digit: on a 2-CPU x86 host with
     Python 3.11, a p=31 row took 2.1-2.6 us to reduce with a 31-bit q
@@ -656,8 +630,7 @@ def sparse_interpolate(values, bound: int, ctx) -> SkewPoly:
     polynomial with at most `bound` terms fits them, InterpolationError is
     raised (callers that guess bounds must treat that as a failed guess).
     It is also raised, where such a polynomial exists, when q is unlucky:
-    it divides a denominator or kills a coefficient.  mc_mul then doubles
-    its bound, as it does for a bound below the true sparsity.
+    it divides a denominator or kills a coefficient.
     """
     values = list(values)
     p = ctx.p

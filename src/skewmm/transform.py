@@ -33,10 +33,10 @@ The same row fact drives the multiplication algorithms: any matrix's map
 sends v_1^l = beta^l to the matrix's row q(l), so the product map's values
 are rows of A*B whichever order the ring product is written in, and its
 values at all p-1 points are the whole product (product_matrix), which is
-what mc's direct round takes.  Whether the bijection is a homomorphism or
-an anti-homomorphism is therefore never needed to multiply;
-`phi_orientation` settles it with a fixed probe, as a check of the
-convention.
+what mc assembles when it accepts no sparse candidate.  Whether the
+bijection is a homomorphism or an anti-homomorphism is therefore never
+needed to multiply; `phi_orientation` settles it with a fixed probe, as a
+check of the convention.
 """
 
 from __future__ import annotations
@@ -174,12 +174,16 @@ class RatMatrix:
 
 
 def product_matrix(A: RatMatrix, B: RatMatrix) -> RatMatrix:
-    """A*B on ints: `rational_product` of the two, each entry S[i][k] put
-    over d_i e_k and reduced, one map(gcd) per row and none for a row over
-    1."""
-    d, e, S = rational_product(A.nums, A.dens, B.nums, B.dens)
+    """A*B on ints: every row of `rational_product`, over its scales."""
+    d, e, rows = rational_product(A.nums, A.dens, B.nums, B.dens)
+    return _product_of_rows(A.p, d, e, rows())
+
+
+def _product_of_rows(p: int, d, e, S) -> RatMatrix:
+    """The matrix of all p-1 rows S of `rational_product`, with its scales:
+    S[i][k] over d_i e_k, reduced by one map(gcd) per row not over 1."""
     e = tuple(e)
-    return RatMatrix._reduced(A.p, S, [e if di == 1 else tuple(di * ek for ek in e) for di in d])
+    return RatMatrix._reduced(p, S, [e if di == 1 else tuple(di * ek for ek in e) for di in d])
 
 
 def build_V(ctx: CycCtx):

@@ -472,7 +472,10 @@ def test_mul_and_bench_report_final_T_fallback_and_backend(workdir, capsys):
     assert run_cli("mul", "--algo", "mc", "--nu", "1/20", str(a), str(b),
                    "-o", str(workdir / "c.mat")) == EXIT_OK
     report = json.loads(capsys.readouterr().err)
-    assert (report["final_T"], report["fallback"], report["backend"]) == (4, False, backend)
+    # the product's three terms pass the scan's bound (p-2)//2 = 2 at p=7:
+    # length 3, and the product assembled from all six rows, checked once
+    assert (report["final_T"], report["fallback"], report["backend"]) == (3, False, backend)
+    assert (report["t_used"], report["iterations"]) == (6, 1)
     out = workdir / "bench.jsonl"
     assert run_cli("bench", "--p-list", "7", "--t-list", "1,4", "--algos", "naive,det,mc",
                    "--json", str(out)) == EXIT_OK
@@ -480,7 +483,7 @@ def test_mul_and_bench_report_final_T_fallback_and_backend(workdir, capsys):
     assert {rec["backend"] for rec in records} == {backend}
     assert not any(rec["fallback"] for rec in records)
     assert [(rec["algorithm"], rec["final_T"]) for rec in records] == [
-        ("naive", 0), ("det", 0), ("mc", 1), ("naive", 0), ("det", 0), ("mc", 4)]
+        ("naive", 0), ("det", 0), ("mc", 1), ("naive", 0), ("det", 0), ("mc", 3)]
 
 
 def test_bench_deterministic_counts(workdir):
@@ -612,7 +615,7 @@ def test_console_entry_point(workdir):
 EXPORTED = (
     "Algorithm", "CycCtx", "CycElem", "FreivaldsResult", "InterpolationError",
     "MatrixFormatError", "MulReport", "Orientation", "RatMatrix", "SkewPoly", "SupportSet",
-    "antidiag_perm", "batch_evaluate_via_matrices", "build_AB_perm", "build_P", "build_Q",
+    "antidiag_perm", "build_AB_perm", "build_P", "build_Q",
     "build_V", "build_W", "build_X", "build_Y", "cubic_multiply", "cyc_add", "cyc_mul",
     "cyc_neg", "cyc_scale", "cyc_sigma", "det_mul",
     "find_primitive_root", "freivalds", "from_normal_coords", "interpolate_known_support",

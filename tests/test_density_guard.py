@@ -45,6 +45,11 @@ def refuse(*_args, **_kwargs):
     raise AssertionError("det pulled a factor back")
 
 
+def scan_end(M, T, over_one):
+    """How det_mul's scan of M's rows under the bound T ends."""
+    return matmul._scan(matmul._factor_rows(M, over_one), T, M.p)[0]
+
+
 @pytest.mark.parametrize("p, integral, T", [
     (3, True, 0), (3, False, 0), (5, True, 0), (5, False, 0), (7, True, 0), (7, False, 1),
     (13, True, 2), (13, False, 3), (31, True, 7), (31, False, 11), (61, True, 17),
@@ -82,7 +87,7 @@ def factors(draw):
 def test_the_guard_is_sound(case):
     M, T, den = case
     p = M.p
-    proven = matmul._scan(M, T, matmul._over_one(M)) is matmul.DENSE
+    proven = scan_end(M, T, matmul._over_one(M)) is matmul.DENSE
     if proven:
         assert mat_to_skew(M).sparsity > T
     if den == guard_prime(p):
@@ -102,7 +107,7 @@ def test_every_dense_layered_factor_is_proven():
             for s in range(1, p):
                 M = random_layered(ctx, rng.sample(range(p - 1), s), rng.getrandbits(32))
                 M = M.scale(Fraction(1, den))
-                assert (matmul._scan(M, T, den == 1) is matmul.DENSE) == (s > T), (p, den, s)
+                assert (scan_end(M, T, den == 1) is matmul.DENSE) == (s > T), (p, den, s)
 
 
 def test_a_sparse_factor_costs_2s_plus_1_rows(monkeypatch):
@@ -123,10 +128,10 @@ def test_a_sparse_factor_costs_2s_plus_1_rows(monkeypatch):
         T = bound(p, True)
         for s in range(1, T + 1):
             read.clear()
-            assert matmul._scan(random_layered(ctx, range(s), s), T, True) is not matmul.DENSE
+            assert scan_end(random_layered(ctx, range(s), s), T, True) is not matmul.DENSE
             assert len(read) == 2 * s + 1
         read.clear()
-        assert matmul._scan(RatMatrix.zeros(p), T, True) is not matmul.DENSE
+        assert scan_end(RatMatrix.zeros(p), T, True) is not matmul.DENSE
         assert len(read) == 1
 
 

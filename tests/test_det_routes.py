@@ -88,12 +88,11 @@ def test_each_route_equals_the_fraction_product(case, monkeypatch):
             for name in names:
                 monkeypatch.setattr(matmul, name,
                                     forbidden(f"the {route} route ran another route's stage"))
-    # in skewpoly, where the evaluation stage lives, and in matmul, which
-    # imports batch_evaluate_via_matrices by name for mc_mul
-    for name in ("batch_evaluate_via_matrices", "interpolate_known_support"):
-        for module in (skewpoly, matmul):
-            monkeypatch.setattr(module, name, forbidden("det evaluated or interpolated"),
-                                raising=module is skewpoly)
+    # det neither interpolates (skewpoly) nor runs mc's pass over the
+    # product's rows, whose kernel matmul imports by name for mc_mul
+    for name in ("interpolate_known_support", "sparse_interpolate"):
+        monkeypatch.setattr(skewpoly, name, forbidden("det interpolated"))
+    monkeypatch.setattr(matmul, "rational_product", forbidden("det ran mc's pass"))
     product, report = det_mul(A, B)
     monkeypatch.undo()
 

@@ -1,12 +1,14 @@
 """Multiplication algorithms: oracle, deterministic, verification, Monte Carlo."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from conftest import rand_matrix, rand_poly, rand_rational_matrix, seeded
-from skewmm import (Algorithm, FreivaldsResult, RatMatrix, SkewPoly,
-                    batch_evaluate_via_matrices, det_mul, freivalds,
-                    from_normal_coords, mat_to_skew, mc_mul, naive_mul,
-                    random_layered, rounds_for, shared_ctx, skew_to_mat, sumset)
+from skewmm import (Algorithm, FreivaldsResult, RatMatrix, SkewPoly, det_mul, freivalds,
+                    mat_to_skew, mc_mul, naive_mul, random_layered, rounds_for, shared_ctx,
+                    skew_to_mat, sumset)
 from skewmm.matmul import _over_one, _scans
 
 
@@ -148,9 +150,6 @@ def test_products_do_not_consult_the_orientation_probe(monkeypatch):
             want = naive_mul(A, B)
             assert det_mul(A, B)[0] == want
             assert mc_mul(A, B, "1/20", p)[0] == want
-            values = batch_evaluate_via_matrices(ctx, range(1, p), A, B)
-            assert values == [from_normal_coords(ctx, (A @ B).rows[ctx.q(l) - 1])
-                              for l in range(1, p)]
 
 
 def test_det_evaluation_count_scales_linearly():
@@ -274,6 +273,9 @@ def test_mc_matches_oracle():
 
 
 def test_mc_final_bound_stays_below_twice_sparsity():
+    # the scan's Berlekamp-Massey length never exceeds the product's
+    # sparsity; dense products outgrow the scan's bound (p-2)//2 and are
+    # assembled from all p-1 rows, reported as t_used = p-1
     for p in (7, 11):
         rng = seeded(300 + p)
         for _ in range(5):
@@ -281,9 +283,9 @@ def test_mc_final_bound_stays_below_twice_sparsity():
             B = rand_matrix(p, rng)
             product, report = mc_mul(A, B, "1/20", rng.getrandbits(32))
             true_t = mat_to_skew(product).sparsity
-            assert true_t >= 1
-            assert report.final_T < 2 * true_t
-            assert report.t_used == true_t
+            assert true_t > (p - 2) // 2
+            assert (p - 2) // 2 < report.final_T <= true_t
+            assert (report.t_used, report.iterations) == (p - 1, 1)
 
 
 def test_mc_cancellation_family_stops_at_two():
@@ -293,8 +295,9 @@ def test_mc_cancellation_family_stops_at_two():
     product, report = mc_mul(A, B, "1/20", 9)
     assert product == naive_mul(A, B)
     assert report.final_T == 2
-    assert report.iterations == 2
+    assert report.iterations == 1
     assert report.t_used == 2
+    assert report.rational_mul_count == 2 * 5 * 12 ** 2  # 2t + 1 rows
 
 
 def test_mc_seed_determinism():
@@ -309,43 +312,146 @@ def test_mc_seed_determinism():
 
 
 def test_mc_smallest_prime():
-    # p = 3 has cap 2 and a single-round verification budget
+    # p = 3: the scan's bound is 0, so it reads one row, which stops it only
+    # if it is zero; a nonzero product is assembled from both rows
     rng = seeded(333)
     for _ in range(5):
         A = rand_matrix(3, rng)
         B = rand_matrix(3, rng)
         product, report = mc_mul(A, B, "1/10", rng.getrandbits(32))
         assert product == naive_mul(A, B)
-        assert report.final_T <= 2
+        assert report.final_T <= 1
+        assert report.t_used == (2 if product != RatMatrix.zeros(3) else 0)
 
 
 def test_mc_dense_at_p31_reads_the_product_off_the_rows():
-    # T = 16 is the first bound with 2T >= 30: the direct round evaluates the
-    # rows not yet held and takes them as the product, so each of the 30
-    # rows is evaluated exactly once
+    # the scan's length passes its bound 14 after 29 rows (DENSE): the one
+    # row not yet held is computed, and the 30 rows are the product, checked
+    # once; each row is computed exactly once
     ctx = shared_ctx(31)
     A = random_layered(ctx, set(range(30)), 31)
     B = random_layered(ctx, set(range(30)), 32)
     product, report = mc_mul(A, B, "1/20", 33)
     assert product == naive_mul(A, B)
     assert not report.fallback
-    assert report.final_T == 16
-    assert report.iterations == 5
+    assert report.final_T == 15
+    assert report.iterations == 1
     assert report.rational_mul_count == 2 * 30 * 30 ** 2
-    assert report.t_used == mat_to_skew(product).sparsity
+    assert report.t_used == 30
 
 
 @pytest.mark.parametrize("p, t, seed", [(7, 1, 41), (13, 2, 42), (13, 3, 43), (31, 5, 44)])
 def test_mc_counts_the_values_it_evaluated_below_the_direct_round(p, t, seed):
-    # an accepted round below the direct one holds the values at v_1^1 ..
-    # v_1^(2 final_T); each is charged 2 (p-1)^2, as det charges its t points
+    # an accepted candidate of t terms stops the scan after the rows at
+    # v_1^1 .. v_1^(2t+1); each row is charged 2 (p-1)^2, as det charges
+    # its t points
     ctx = shared_ctx(p)
     A = random_layered(ctx, {0}, seed)
     B = random_layered(ctx, set(range(t)), seed + 1)
     product, report = mc_mul(A, B, "1/20", seed + 2)
     assert product == naive_mul(A, B)
-    assert 2 * report.final_T < p - 1
-    assert report.rational_mul_count == 2 * min(2 * report.final_T, p - 1) * (p - 1) ** 2
+    assert (report.final_T, report.t_used, report.iterations) == (t, t, 1)
+    assert report.rational_mul_count == 2 * (2 * t + 1) * (p - 1) ** 2
+
+
+def premature_stop_pair(p, seed):
+    """(A, I): A with random rational entries except row q(1), which is
+    zero.  Row q(1) of A*I = A is the product's value at beta, so mc's scan
+    stops at once, with length 0, on a product that is not zero."""
+    A = rand_rational_matrix(p, seeded(seed))
+    rows = [list(row) for row in A.rows]
+    rows[shared_ctx(p).q(1) - 1] = [0] * (p - 1)
+    return RatMatrix(p, rows), RatMatrix.identity(p)
+
+
+@pytest.mark.parametrize("p", (3, 7, 13, 31))
+def test_mc_rejects_the_candidate_of_a_premature_stop(monkeypatch, p):
+    # the fit of the stop's empty support, the zero polynomial, passes on
+    # the one row read; its check rejects it, and mc computes the other
+    # rows and returns the exact product after a second check
+    from skewmm import matmul
+
+    A, B = premature_stop_pair(p, 710 + p)
+    want = naive_mul(A, B)
+    assert want == A != RatMatrix.zeros(p)
+    checked = []
+    real = matmul.freivalds
+
+    def check(M, *args):
+        checked.append((M == RatMatrix.zeros(p), real(M, *args)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(matmul, "freivalds", check)
+    product, report = mc_mul(A, B, "1/1000", 5)
+    assert product == want
+    assert checked == [(True, FreivaldsResult.NOT_EQUAL), (False, FreivaldsResult.EQUAL)]
+    assert (report.iterations, report.fallback, report.final_T, report.t_used) == (2, False, 0,
+                                                                                  p - 1)
+    assert report.rational_mul_count == 2 * (p - 1) ** 3
+
+
+def bench_pair(p, t, seed):
+    """`skewmm bench`'s cell (p, t, seed): a one-term factor, layers 0..t-1,
+    and the mc seed, drawn from the cell's folded master seed."""
+    ctx = shared_ctx(p)
+    master = random.Random((seed * 2 ** 32 + p * 1024 + t * 8) % 2 ** 64)
+    A = random_layered(ctx, [0], master.getrandbits(64))
+    B = random_layered(ctx, list(range(t)), master.getrandbits(64))
+    return A, B, master.getrandbits(64)
+
+
+@pytest.mark.parametrize("p, ts", [(13, (1, 2, 4, 8, 12)), (31, (1, 2, 4, 8, 16, 30))])
+def test_mc_computes_each_row_once_packs_b_once_and_checks_at_most_twice(monkeypatch, p, ts):
+    # on bench's pairs: at most two checks, each at mu = nu; at most p-1
+    # product rows, none twice, and the count charges each; one row kernel,
+    # whose B is packed once, one word per row
+    from skewmm import matmul, multiply
+
+    real_check, real_product = matmul.freivalds, matmul.rational_product
+    real_kernel, real_word = multiply.int_rows, multiply._signed_word
+    checks, rows_read, kernels, words = [], [], [], []
+
+    def check(M, A, B, mu, seed):
+        checks.append(mu)
+        return real_check(M, A, B, mu, seed)
+
+    def product(*args):
+        d, e, rows = real_product(*args)
+
+        def counted(indices):
+            indices = list(indices)
+            rows_read.extend(indices)
+            return rows(indices)
+
+        return d, e, counted
+
+    def kernel(x_rows, y_rows):
+        kernels.append(len(y_rows))
+        return real_kernel(x_rows, y_rows)
+
+    def word(values, size):
+        words.append(len(values))
+        return real_word(values, size)
+
+    nu = Fraction(1, 20)
+    for t in ts:
+        for seed in (1, 2):
+            A, B, mc_seed = bench_pair(p, t, seed)
+            want = naive_mul(A, B)
+            for module, name, spy in ((matmul, "freivalds", check),
+                                      (matmul, "rational_product", product),
+                                      (multiply, "int_rows", kernel),
+                                      (multiply, "_signed_word", word)):
+                monkeypatch.setattr(module, name, spy)
+            got, report = mc_mul(A, B, nu, mc_seed)
+            monkeypatch.undo()
+            assert got == want and not report.fallback
+            assert checks == [nu] * report.iterations and report.iterations <= 2
+            assert len(rows_read) == len(set(rows_read)) <= p - 1
+            assert report.rational_mul_count == 2 * len(rows_read) * (p - 1) ** 2
+            assert kernels == [p - 1] and words == [p - 1] * (p - 1)
+            for spied in (checks, rows_read, kernels, words):
+                spied.clear()
 
 
 def test_mc_falls_back_loudly_when_verification_always_fails(monkeypatch):
@@ -360,7 +466,9 @@ def test_mc_falls_back_loudly_when_verification_always_fails(monkeypatch):
         assert product == naive_mul(A, B)
         assert report.fallback
         assert report.t_used == 0
-        assert 2 * report.final_T >= p - 1 > report.final_T
+        # the dense product passes the scan's bound: no candidate, one check
+        assert report.final_T > (p - 2) // 2
+        assert report.iterations == 1
 
 
 def test_mc_validation():

@@ -4,11 +4,13 @@ Operands are drawn at p in {3, 5, 7, 13}: dense rational matrices with
 non-integer denominators, skew-sparse ones (a few layers with rational
 coefficients), rank-one and zero matrices, and the telescoping pair
 (1 - x) * (1 + x + ... + x^k), whose product has two terms (none at
-k = p-2).  Besides the product, the doubling loop must stop at the first
-bound that covers the product's true sparsity, or at the direct round where
-the product is read off its rows, with no fallback.  nu is
-2^-40, so a wrong candidate surviving verification would be a bug, not
-bad luck.
+k = p-2).  Besides the product, the report must match the path taken,
+with no fallback: the scan's Berlekamp-Massey length final_T never exceeds
+the product's true sparsity t; an accepted sparse candidate is the product
+polynomial, so t_used = t, with at most (p-2)//2 terms, from at most p-2
+rows and one check; else the product is assembled from all p-1 rows,
+t_used = p-1.  nu is 2^-40, so a wrong candidate surviving verification
+would be a bug, not bad luck.
 """
 
 from fractions import Fraction
@@ -58,15 +60,6 @@ def operand_pairs(draw):
     return draw(operands(p)), draw(operands(p))
 
 
-def first_bound_covering(t, cap):
-    # doubling stops at the first bound that covers t, or at the direct
-    # round, the first T with 2T >= cap, where the product is read off rows
-    T = 1
-    while T < t and 2 * T < cap:
-        T *= 2
-    return T
-
-
 @settings(deadline=None, max_examples=60)
 @given(operand_pairs(), st.integers(0, 2 ** 64 - 1))
 def test_mc_matches_naive(pair, seed):
@@ -76,5 +69,14 @@ def test_mc_matches_naive(pair, seed):
     assert product == want
     assert not report.fallback
     t = mat_to_skew(want).sparsity
-    assert report.t_used == t
-    assert report.final_T == first_bound_covering(t, A.p - 1)
+    n = A.p - 1
+    assert report.final_T <= t
+    # a candidate is accepted from fewer than p-1 rows; the assembled
+    # product costs all p-1
+    accepted = report.rational_mul_count < 2 * n ** 3
+    if accepted:
+        assert (report.t_used, report.iterations) == (t, 1)
+        assert t <= (A.p - 2) // 2
+    else:
+        assert report.t_used == n
+        assert report.rational_mul_count == 2 * n ** 3

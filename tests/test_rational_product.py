@@ -1,23 +1,23 @@
 """The int kernel behind every rational product, against a Fraction oracle.
 
-naive_mul, RatMatrix.__matmul__ and the evaluation stage of det and mc all
+naive_mul, RatMatrix.__matmul__ and mc's pass over the product's rows all
 scale rows of the left factor and columns of the right factor to ints and
-multiply those, so naive_mul can no longer serve as their check.  Here all
-three are compared with conftest's plain Fraction triple loop at p in
-{3, 5, 7, 13}, on operands whose denominators go up to 3^40 and 2^61 - 1,
-matrices whose entries all lie over distinct primes, and matrices with zero
-rows and columns.
+multiply those through one row kernel, rational_product, so naive_mul can no
+longer serve as their check.  Here all three are compared with conftest's
+plain Fraction triple loop at p in {3, 5, 7, 13}, on operands whose
+denominators go up to 3^40 and 2^61 - 1, matrices whose entries all lie
+over distinct primes, and matrices with zero rows and columns; the kernel's
+rows are asked for one at a time in mc's order as well as all at once.
 
-The int product itself, int_product, packs each row of the right factor
+The int product itself, int_rows, packs each row of the right factor
 into one int of signed slots and sums p-1 (int x packed row) products per
 row.  It is checked against cubic_multiply, the loop it replaces: at each
 slot width with the product entries exactly at the width's bound and one
 past it (past the 64-bit slot it runs cubic_multiply itself), on zero,
 all-negative and edge-valued rows, on m x (p-1) left factors with m in
-{0, 1, t} (mc's gather), at p=3, and on entries too long to pack.
+{0, 1, t} (a few rows at a time), at p=3, and on entries too long to pack.
 """
 
-import math
 import random
 
 import pytest
@@ -25,10 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fraction_product, rand_rational_matrix, seeded
-from skewmm import (RatMatrix, batch_evaluate_via_matrices, from_normal_coords,
-                    naive_mul, shared_ctx)
+from skewmm import RatMatrix, mc_mul, naive_mul, shared_ctx
 from skewmm import multiply
-from skewmm.multiply import cubic_multiply, int_product
+from skewmm.multiply import cubic_multiply, int_rows, rational_product
 from skewmm.rational import Rat
 
 PRIMES = (3, 5, 7, 13)
@@ -86,14 +85,18 @@ def test_products_match_the_fraction_oracle(pair):
     want = fraction_product(A.rows, B.rows)
     assert naive_mul(A, B) == RatMatrix(p, want)
     assert A @ B == RatMatrix(p, want)
-    values = batch_evaluate_via_matrices(ctx, range(1, p), A, B)
-    for l, value in enumerate(values, 1):
-        assert value == from_normal_coords(ctx, want[ctx.q(l) - 1])
-        assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+    # the rows one at a time in l order, row q(l) for l = 1..p-1, as mc asks
+    # for them, then all at once: entry (i, k) is S[i][k] / (d_i e_k)
+    d, e, rows = rational_product(A.nums, A.dens, B.nums, B.dens)
+    one_at_a_time = {k - 1: rows([k - 1])[0] for k in ctx.q_perm}
+    assert [one_at_a_time[i] for i in range(p - 1)] == rows(range(p - 1))
+    for i, row in one_at_a_time.items():
+        assert [Rat(s, d[i] * ek) for s, ek in zip(row, e)] == list(want[i])
+    assert mc_mul(A, B, 2 ** -40, p)[0] == RatMatrix(p, want)
 
 
 def spy_slot_bytes(monkeypatch):
-    """The slot sizes, in bytes, that the int_product calls from here on
+    """The slot sizes, in bytes, that the int_rows calls from here on
     read off their one _word_bytes call each: None for a product too wide
     to pack."""
     sizes = []
@@ -139,7 +142,7 @@ def test_slot_width_at_the_edge_of_the_bound(monkeypatch, p, size, next_size, x_
         for sx, sy in ((1, 1), (1, -1), (-1, -1)):
             X = [[sx * x_entry] * n for _ in range(n)]
             Y = [[sy * y_entry] * n for _ in range(n)]
-            assert int_product(X, Y) == [tuple(row) for row in fraction_product(X, Y)]
+            assert int_rows(X, Y)(X) == [tuple(row) for row in fraction_product(X, Y)]
             assert sizes.pop() == want
             assert calls == ([] if want else [n])
             calls.clear()
@@ -177,7 +180,7 @@ def int_factors(draw):
 @given(int_factors())
 def test_int_product_matches_cubic_multiply(pair):
     X, Y = pair
-    assert int_product(X, Y) == cubic_multiply(X, Y)
+    assert int_rows(X, Y)(X) == cubic_multiply(X, Y)
 
 
 @pytest.mark.parametrize("p", (3, 13, 31))

@@ -3,12 +3,13 @@
 import pytest
 
 from conftest import fit_values, rand_elem, rand_poly, seeded
-from skewmm import (CycElem, InterpolationError, RatMatrix, SkewPoly, SupportSet,
-                    batch_evaluate_via_matrices, cyc_sigma, det_mul,
-                    interpolate_known_support, mc_mul, naive_mul, normal_coords,
-                    power_of_v1, power_points, shared_ctx, skew_to_mat, sp_add,
-                    sp_evaluate, sp_mul, sp_neg, sparse_interpolate, sumset)
+from skewmm import (CycElem, InterpolationError, RatMatrix, SkewPoly, SupportSet, cyc_sigma,
+                    det_mul, from_normal_coords, interpolate_known_support, mc_mul, naive_mul,
+                    power_of_v1, power_points, shared_ctx, skew_to_mat, sp_add, sp_evaluate,
+                    sp_mul, sp_neg, sparse_interpolate, sumset)
 from skewmm import matmul, skewpoly
+from skewmm.multiply import rational_product
+from skewmm.rational import Rat
 from skewmm.skewpoly import _modulus, values_at_beta_powers
 
 
@@ -210,56 +211,41 @@ def test_values_at_beta_powers_match_direct_evaluation():
         assert values_at_beta_powers(f, []) == (values_at_beta_powers(f, [1])[0], ())
 
 
+def _product_values(ctx, f, g, ls):
+    # row q(l) of a product's matrix is its value at v_1^l: the int
+    # kernel's rows, asked for one at a time as mc_mul asks for them and put
+    # over their scales, are the values of f * g, whose matrix is
+    # skew_to_mat(g) @ skew_to_mat(f) in the probed orientation
+    A, B = skew_to_mat(g), skew_to_mat(f)
+    d, e, rows = rational_product(A.nums, A.dens, B.nums, B.dens)
+    values = []
+    for l in ls:
+        i = ctx.q(l) - 1
+        row = [Rat(x, d[i] * ek) for x, ek in zip(rows([i])[0], e)]
+        values.append(from_normal_coords(ctx, row))
+    return values
+
+
 def test_batch_evaluate_identity_case():
     # with both maps the identity, the value at v_1^l is the point itself
     ctx = shared_ctx(7)
-    ident = skew_to_mat(SkewPoly.one(ctx))
+    one = SkewPoly.one(ctx)
     indices = [1, 5, 3, 6, 3, 2, 4]
-    got = batch_evaluate_via_matrices(ctx, indices, ident, ident)
-    assert got == [power_of_v1(ctx, i) for i in indices]
+    assert _product_values(ctx, one, one, indices) == [power_of_v1(ctx, i) for i in indices]
 
 
 def test_batch_evaluate_matches_direct_product_evaluation():
     for p in (3, 5, 7):
         ctx = shared_ctx(p)
         rng = seeded(80 + p)
-        for _ in range(4):
-            f = rand_poly(ctx, rng, rng.randint(1, p - 1))
-            g = rand_poly(ctx, rng, rng.randint(1, p - 1))
-            prod = sp_mul(f, g)
-            # the values are rows of the product's matrix, which for f * g is
-            # skew_to_mat(g) @ skew_to_mat(f) in the probed orientation
-            t = rng.randint(1, p - 1)
-            got = batch_evaluate_via_matrices(ctx, range(1, t + 1), skew_to_mat(g),
-                                              skew_to_mat(f))
-            want = [sp_evaluate(prod, pt) for pt in power_points(ctx, t)]
-            assert got == want
-            # a tail of the indices, as mc_mul's doubling rounds ask for
-            start = rng.randint(1, t)
-            tail = batch_evaluate_via_matrices(ctx, range(start, t + 1),
-                                               skew_to_mat(g), skew_to_mat(f))
-            assert tail == want[start - 1:]
-
-
-def test_batch_evaluate_rejects_indices_outside_1_to_p_minus_1():
-    # only v_1^1 .. v_1^(p-1) are unit vectors in normal coordinates; v_1^0 =
-    # v_1^p = 1 is all -1, and no index is taken modulo p
-    ctx = shared_ctx(5)
-    ident = skew_to_mat(SkewPoly.one(ctx))
-    assert set(normal_coords(power_of_v1(ctx, 0))) == {-1}
-    for bad in (0, 5, -1):
-        with pytest.raises(ValueError, match="1..4"):
-            batch_evaluate_via_matrices(ctx, [1, bad], ident, ident)
-
-
-def test_batch_evaluate_dimension_check():
-    ctx = shared_ctx(5)
-    ident = skew_to_mat(SkewPoly.one(ctx))
-    wrong = skew_to_mat(SkewPoly.one(shared_ctx(7)))
-    with pytest.raises(ValueError):
-        batch_evaluate_via_matrices(ctx, [1, 2], wrong, ident)
-    with pytest.raises(ValueError):
-        batch_evaluate_via_matrices(ctx, [1, 2], ident, wrong)
+        for den in (1, 1, 5, 5):
+            f, g = (rand_poly(ctx, rng, rng.randint(1, p - 1), den_bound=den) for _ in range(2))
+            want = [sp_evaluate(sp_mul(f, g), pt) for pt in power_points(ctx, p - 1)]
+            assert _product_values(ctx, f, g, range(1, p)) == want
+            # a tail of the indices, and the same indices in reverse
+            start = rng.randint(1, p - 1)
+            assert _product_values(ctx, f, g, range(start, p)) == want[start - 1:]
+            assert _product_values(ctx, f, g, range(p - 1, 0, -1)) == want[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +453,6 @@ def vanishing_coefficient_poly():
 
 def divided_denominator_poly():
     # a coefficient over q: q divides the values' denominators
-    from skewmm.rational import Rat
-
     ctx = shared_ctx(13)
     rng = seeded(132)
     return SkewPoly(ctx, {1: Rat(1, _modulus(13)[0]) * rand_elem(ctx, rng),
@@ -486,9 +470,12 @@ UNLUCKY = {
 @pytest.mark.parametrize("case", UNLUCKY)
 def test_an_unlucky_prime_sends_mc_to_its_direct_round(case, monkeypatch):
     # sparse_interpolate makes one search, and raises where the prime fails
-    # even though the bound covers f; mc_mul takes that as a failed bound
-    # and still returns the exact product, from its direct round, with no
-    # fallback; det, whose scans use the same prime, is exact too
+    # even though the bound covers f.  mc_mul's scan of the product's rows
+    # meets the same prime: it gives up at the first row over a multiple of
+    # q (length 0), or stops on the wrong support, which the fit refuses.
+    # With no candidate to check, mc returns the exact product, assembled
+    # from all its rows and checked once, with no fallback; det, whose
+    # scans use the same prime, is exact too
     make, found = UNLUCKY[case]
     f = make()
     ctx = f.ctx
@@ -506,7 +493,9 @@ def test_an_unlucky_prime_sends_mc_to_its_direct_round(case, monkeypatch):
         want = naive_mul(*pair)
         product, report = mc_mul(*pair, "1/20", 7)
         assert product == want
-        assert not report.fallback and report.final_T == 8  # 2 * 8 >= p - 1 = 12
+        assert not report.fallback
+        assert (report.t_used, report.iterations) == (p - 1, 1)
+        assert report.final_T == (0 if found is None else len(found))
         assert det_mul(*pair)[0] == want
 
 

@@ -105,7 +105,8 @@ def guard_prime(p):
 
 def scanned(M, bound):
     """How det_mul's scan of M under the bound ends, its early stop resolved."""
-    return matmul._support(matmul._scan(M, bound, matmul._over_one(M)), M.p)
+    end, _ = matmul._scan(matmul._factor_rows(M, matmul._over_one(M)), bound, M.p)
+    return matmul._support(end, M.p)
 
 
 def counting_pullbacks(monkeypatch):
