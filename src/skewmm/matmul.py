@@ -5,15 +5,13 @@ Three routes to the same exact product of (p-1) x (p-1) rational matrices:
   naive_mul  schoolbook ground truth: one int product of the two factors,
              rows and columns scaled by their denominators' lcms, each
              product row one sum of p-1 products with packed rows;
-  det_mul    deterministic: scan each factor's rows modulo a prime, which
-             proves it too dense for the direct stage or gives its support;
-             route on the supports (the rows stage, the int product, takes
-             such pairs with no pullback), else pull both factors back to
-             polynomials, solving on a scanned support and certifying
-             exactly or by mat_to_skew, bound the product's support by the
-             exponent sumset of size t, and form the product by one of two
-             exact stages: the direct product of the polynomials pushed
-             forward, or the int product of all p-1 rows;
+  det_mul    deterministic: scan each factor's rows modulo a prime for
+             its support and decide the route once, on the two supports
+             and their exponent sumset of size t: the direct stage pulls
+             both factors back on their supports, certified exactly, and
+             pushes their product forward; every other pair, and a failed
+             certificate, takes the rows stage, the int product of all
+             p-1 rows;
   mc_mul     Monte Carlo: one pass over the rows of A*B, the product's
              values: det's scan stops early with a support, det's fit
              solves and certifies it on the rows read and one randomized
@@ -39,8 +37,8 @@ from fractions import Fraction
 
 from .cyclotomic import shared_ctx
 from .multiply import rational_product
-from .skewpoly import (SupportSet, _BerlekampMassey, _fit, _locator_roots, _modulus, _residue,
-                       _scaled_row, sp_mul, sumset)
+from .skewpoly import (_BerlekampMassey, _fit, _locator_roots, _modulus, _residue, _scaled_row,
+                       sp_mul)
 from .transform import RatMatrix, _product_of_rows, mat_to_skew, product_matrix, skew_to_mat
 
 MAX_SEED = 2 ** 64
@@ -82,14 +80,10 @@ class MulReport(namedtuple("MulReport", ("algorithm", "t_used", "iterations",
     rather than an input condition.  product is the
     stage det_mul formed the product by, "direct" or "rows" (see det_mul),
     and is empty for naive_mul and mc_mul.  For det_mul, t_used is the
-    support bound the product was formed under: the size t of the exponent
-    sumset of the two pullbacks, certified or from mat_to_skew, on either
-    stage; or p-1 where the pair took the rows stage before any pullback,
-    because its scan proved a factor too dense for the direct stage or
-    because the rule picked rows on the two scanned supports (no sumset of
-    pullbacks is computed; every exponent of Z_(p-1) is allowed).  Such a
-    pair reports product "rows" and the count 2 (p-1)^3.  wall_time is
-    measured, never asserted.
+    support bound the product was formed under: on the direct stage the
+    size t of the sumset S_A + S_B of the two scanned supports, which are
+    the pullbacks' own; on the rows stage p-1, every exponent of Z_(p-1),
+    with the count 2 (p-1)^3.  wall_time is measured, never asserted.
     """
 
     __slots__ = ()
@@ -183,14 +177,6 @@ def _over_one(M: RatMatrix) -> bool:
     return row == (1,) * len(row) and M.dens.count(row) == len(row)
 
 
-def _form_product(route: str, A: RatMatrix, B: RatMatrix, f_a, f_b) -> RatMatrix:
-    """A*B by the named stage of det_mul, from the pullbacks f_a and f_b of A
-    and B; both stages give the same matrix."""
-    if route == "direct":
-        return skew_to_mat(sp_mul(f_b, f_a))
-    return product_matrix(A, B)
-
-
 @functools.lru_cache(maxsize=None)
 def _direct_bound(rule, p: int, integral: bool) -> int:
     """T, the largest s in 1..p-1 that `rule` (det_mul's _product_route)
@@ -205,16 +191,11 @@ def _direct_bound(rule, p: int, integral: bool) -> int:
     return next((s for s in range(p - 1, 0, -1) if rule(1, s, s, p, integral) == "direct"), 0)
 
 
-#: how a scan of rows ends (_scan), unless with a recurrence
-DENSE, UNKNOWN = "dense", "unknown"
-
-
 def _scan(rows, bound: int, p: int):
     """The scan of a matrix's rows q(1), q(2), ... modulo a prime, each row
-    its normal-coordinate numerators over one denominator: (end, L).  It
-    reads rows until they prove the matrix's pullback f has more than
-    `bound` terms (DENSE), or stops early with a recurrence (its `conn`,
-    which _support turns into a candidate support), or neither (UNKNOWN);
+    its normal-coordinate numerators over one denominator: (conn, L).  It
+    stops early with a recurrence, its `conn`, whose locator's roots
+    (skewpoly._locator_roots) are a candidate support, or ends with None;
     L is the Berlekamp-Massey length at the end.  det_mul scans each
     factor (_factor_rows), mc_mul the product.
 
@@ -223,26 +204,26 @@ def _scan(rows, bound: int, p: int):
     beta -> zeta, for the prime q = 1 (mod p) of skewpoly._modulus, is a
     ring map on every Z[1/D][beta] with D prime to q, so the rows' images
     (skewpoly._residue) satisfy the image of that recurrence: L <= #f at
-    every step, and L > bound proves #f > bound (DENSE, det's density
-    guard).  The scan stops early at a zero discrepancy at step n >= 2L
-    (early termination; Kaltofen & Lee, J. Symb. Comput. 2003), so s <=
-    bound terms cost 2s + 1 rows.  It gives up when q divides a row's
-    denominator, or after min(2 bound + 1, p-1) rows.  Later rows are
-    never read, so `rows` may compute them lazily.  A support is only a
-    candidate, which the caller certifies or gives up.
+    every step, and L > bound proves #f > bound (det's density guard).
+    The scan stops early at a zero discrepancy at step n >= 2L (early
+    termination; Kaltofen & Lee, J. Symb. Comput. 2003), so s <= bound
+    terms cost 2s + 1 rows.  It ends with None once L > bound, when q
+    divides a row's denominator, or after min(2 bound + 1, p-1) rows.
+    Later rows are never read, so `rows` may compute them lazily.  A
+    support is only a candidate, which the caller certifies or gives up.
     """
     q, _, nodes = _modulus(p)
     recurrence = _BerlekampMassey(q)
     for n, (num, den) in enumerate(itertools.islice(rows, 2 * bound + 1)):
         x = _residue(num, den, q, nodes)
         if x is None:
-            return UNKNOWN, recurrence.length
+            break
         if recurrence.add(x):
             if recurrence.length > bound:
-                return DENSE, recurrence.length
+                break
         elif n >= 2 * recurrence.length:
             return recurrence.conn, recurrence.length
-    return UNKNOWN, recurrence.length
+    return None, recurrence.length
 
 
 def _factor_rows(M: RatMatrix, over_one: bool):
@@ -255,76 +236,65 @@ def _factor_rows(M: RatMatrix, over_one: bool):
             for num, dens in zip(ctx.to_power(M.nums), ctx.to_power(M.dens)))
 
 
-def _support(end, p: int):
-    """The end of a scan with its early stop resolved: the support, when the
-    recurrence's locator has exactly L roots among the nodes, as it does
-    when no coefficient of f vanishes mod q and the stop was not premature
-    (skewpoly._locator_roots, which sparse_interpolate's search shares);
-    else UNKNOWN.  DENSE and UNKNOWN pass through."""
-    if not isinstance(end, list):
-        return end
-    support = _locator_roots(end, p)
-    return UNKNOWN if support is None else support
-
-
-def _scans(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool):
-    """The ends of det_mul's scans of two nonzero factors A and B, or None
-    where they send the pair to the rows stage with no pullback.
+def _supports(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool):
+    """det_mul's route for two nonzero factors A and B, decided once before
+    any exact work: (S_A, S_B, t) for the direct stage, with t the size of
+    the sumset S_A + S_B, or None for the rows stage.
 
     With T = _direct_bound(_product_route, ...), the largest sparsity the
     rule could still send to the direct stage, each factor's rows are
-    scanned (_scan) under the bound T.  A DENSE end sends the pair to the
-    rows stage: the rule would pick it after the pullbacks too, whatever the
-    partner.  Else each early stop is resolved to a support or UNKNOWN
-    (_support), and the rule itself, applied to |S_A|, |S_B| and the size
-    of the sumset S_A + S_B of two supports, may send the pair to rows too.
-    Where T = 0 (p <= 7 over 1) or T = p-1, no factor is scanned and both
-    ends are UNKNOWN.
+    scanned (_scan) under the bound T.  The pair goes direct only if T > 0,
+    both scans stop early, both locators have exactly L roots among the
+    nodes (skewpoly._locator_roots, as they do when no coefficient vanishes
+    mod q and the stop was not premature), and the rule, applied to |S_A|,
+    |S_B| and t, picks the direct stage.  A scan that ends with None,
+    because it proved its factor has more than T terms (the density guard)
+    or q divides a row's lcm, sends the pair to rows whatever the partner.
     """
     p = A.p
     integral = over_a and over_b
     bound = _direct_bound(_product_route, p, integral)
-    if not 0 < bound < p - 1:
-        return UNKNOWN, UNKNOWN
-    ends = []
+    if not bound:
+        return None
+    conns = []
     for M, over_one in ((A, over_a), (B, over_b)):
-        end, _ = _scan(_factor_rows(M, over_one), bound, p)
-        if end is DENSE:
+        conn, _ = _scan(_factor_rows(M, over_one), bound, p)
+        if conn is None:
             return None
-        ends.append(end)
-    # the roots only once neither factor is dense
-    s_a, s_b = (_support(end, p) for end in ends)
-    if isinstance(s_a, SupportSet) and isinstance(s_b, SupportSet):
-        t = len({(x + y) % (p - 1) for x in s_a for y in s_b})
-        if _product_route(len(s_a), len(s_b), t, p, integral) == "rows":
-            return None
-    return s_a, s_b
+        conns.append(conn)
+    # the roots only once neither scan has sent the pair to rows
+    s_a, s_b = (_locator_roots(conn, p) for conn in conns)
+    if s_a is None or s_b is None:
+        return None
+    t = len({(x + y) % (p - 1) for x in s_a for y in s_b})
+    return None if _product_route(len(s_a), len(s_b), t, p, integral) == "rows" else (s_a, s_b, t)
 
 
 def _sparse_pays(s: int, p: int) -> bool:
     """Whether a factor with a scanned support of s terms is pulled back by
     the fit on it (_pullback) rather than mat_to_skew: while
     s (s + 8) <= 2 (p - 13), so for s <= 3 at p=31, 6 at p=61 and 11 at
-    p=127, and never at p <= 13.  Fitted on both pullbacks timed on the
-    same factors at p = 13, 31, 61 and 127 (README, "Sparse pullback"):
+    p=127, and for no s > 0 at p <= 13.  Fitted on both pullbacks timed on
+    the same factors at p = 13, 31, 61 and 127 (README, "Sparse pullback"):
     the solve costs O(s^2) packed products and the certificate O(p s)
     shifted adds, against the Theta(p^3) word work of mat_to_skew."""
     return s * (s + 8) <= 2 * (p - 13)
 
 
-def _pullback(M: RatMatrix, end, over_one: bool, ctx):
-    """M's pullback: where _scan gave a support and _sparse_pays, the fit of
-    M's rows on it (skewpoly._fit), else (or if its certificate fails)
-    mat_to_skew.  Row q(l) is M's value at beta^l, so M's rows in l order
-    are ctx.to_power(M.nums): the permutation to_power applies to a
-    vector's coordinates, one cached itemgetter.  The fit solves the
-    support's coefficients from rows q(1) .. q(s) and certifies the
-    candidate against all p-1 rows, after which its matrix is M."""
-    if isinstance(end, SupportSet) and _sparse_pays(len(end), ctx.p):
-        f = _fit(ctx.to_power(M.nums), None if over_one else ctx.to_power(M.dens), end, ctx)
-        if f is not None:
-            return f
-    return mat_to_skew(M, ctx)
+def _pullback(M: RatMatrix, support, over_one: bool, ctx):
+    """M's pullback on its scanned support, or None where the support is not
+    M's: the fit of M's rows on it (skewpoly._fit) where _sparse_pays, else
+    mat_to_skew, compared with the support.  Row q(l) is M's value at
+    beta^l, so M's rows in l order are ctx.to_power(M.nums): the
+    permutation to_power applies to a vector's coordinates, one cached
+    itemgetter.  The fit solves the support's coefficients from rows
+    q(1) .. q(s) and certifies the candidate against all p-1 rows, after
+    which its matrix is M; its support is then the scanned one, since
+    L <= #f and the support has L terms."""
+    if _sparse_pays(len(support), ctx.p):
+        return _fit(ctx.to_power(M.nums), None if over_one else ctx.to_power(M.dens), support, ctx)
+    f = mat_to_skew(M, ctx)
+    return f if f.support() == support else None
 
 
 def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
@@ -332,56 +302,45 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
 
     A zero factor makes the product zero, which det_mul returns at once,
     with no scan and no pullback, reporting product "direct", t_used 0 and
-    a count of 0.  Otherwise each factor is scanned (_scans, _scan): its
-    rows are read modulo a 30-bit prime q, Berlekamp-Massey runs on them,
-    and the scan ends in one of three states.  Let T be the largest
-    sparsity that _product_route could still send to the direct stage
-    (_direct_bound: 7 at p=31 and 17 at p=61 for factors over 1, 11 and 26
-    with denominators; 0 at p <= 7 over 1, where no factor is scanned).
-      dense     the recurrence grew past T, which proves the factor has
-                more than T terms: the rule would pick the rows stage
-                whatever the partner (the density guard);
-      support   the scan stopped early, after 2s+1 rows for an s-term
-                factor, with a recurrence of length L whose locator has
-                exactly L roots among the nodes: a candidate support;
-      unknown   q divides a row's lcm, or the rows ran out with no early
-                stop, or the locator has the wrong number of roots.
-    A dense factor, or two supports on which the rule, applied to |S_A|,
-    |S_B| and the sumset size |S_A + S_B|, picks the rows stage, sends the
-    pair to the rows stage before any exact work: det_mul returns the int
-    product of A and B with no pullback and reports t_used = p-1.
-
-    Otherwise each factor is pulled back (_pullback).  A factor with a
-    support of s terms, where _sparse_pays(s, p), is fitted on it
-    (skewpoly._fit, which also solves and checks mc's candidate): its
-    coefficients are solved on the support from rows q(1) .. q(s), once
-    more in provable slots if the guessed ones overflow, and certified
-    exactly, the candidate's value at beta^l equal to row q(l) for all
-    l = 1..p-1, compared on ints.  A failed certificate, an unknown factor
-    or a support too large to pay falls back to mat_to_skew, one cyclic
-    correlation packed into a big int (O(p) interpreter steps), or O(p^3)
-    int additions when its corrected coefficients are too long for 64-bit
-    slots.  A certified pullback is the factor's own, so correctness never
-    rests on q or on the early stop.  The product polynomial's support is covered by the
-    exponent sumset of the two pullbacks, of size t, and _product_route
-    picks, from s_A s_B + t, p and whether both factors are over 1, the
-    cheaper of two exact ways to form the product (_form_product):
-      direct    skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products,
+    a count of 0.  Otherwise the route is decided once, on the scanned
+    supports (_supports, _scan): each factor's rows are read modulo a
+    30-bit prime q and Berlekamp-Massey runs on them, under the bound T,
+    the largest sparsity that _product_route could still send to the
+    direct stage (_direct_bound: 7 at p=31 and 17 at p=61 for factors
+    over 1, 11 and 26 with denominators; 0 at p <= 7 over 1 and at p <= 5
+    with denominators, where no factor is scanned).  A scan ends in one of
+    two ways: an early stop, after 2s+1 rows for an s-term factor, with a
+    recurrence whose locator's roots are a candidate support S; or None,
+    where the recurrence grew past T (which proves the factor has more
+    than T terms: the density guard), q divides a row's lcm, or the rows
+    ran out.  The pair takes one of two exact stages:
+      direct    where T > 0, both scans stop early, both locators have
+                exactly L roots, and the rule, from |S_A| |S_B| + t with
+                t = |S_A + S_B|, p and whether both factors are over 1,
+                picks it.  Each factor is pulled back on its own support
+                (_pullback): fitted where _sparse_pays (skewpoly._fit,
+                which also solves and checks mc's candidate), its
+                coefficients solved from rows q(1) .. q(s), once more in
+                provable slots if the guessed ones overflow, and certified
+                exactly, the candidate's value at beta^l equal to row q(l)
+                for all l = 1..p-1, compared on ints; else by mat_to_skew
+                (one cyclic correlation packed into a big int, or O(p^3)
+                int additions when its corrected coefficients are too long
+                for 64-bit slots), whose support must be S.  The product
+                is skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products,
                 each one big-int product, then the pushforward (p t
-                big-int shifted adds, O(p t) interpreter steps);
-                A @ B is the matrix of f_B * f_A (phi_orientation);
-      rows      the int product of A and B, whose rows are the product
-                map's values at all p-1 points, with no pushforward.
-    Where both supports were right, the pullbacks' sumset is S_A + S_B and
-    the rule picks the route it picked on the supports.  The paper's
-    evaluation at t points with known-support interpolation is not a
-    stage: it beat both of these in 2 of 105 cells timed, and took up to
-    12x the faster of them where the sumset nearly fills Z_(p-1).  The
-    report names the stage in `product`.
-    t_used is the support bound the product was formed under: the sumset
-    size t after the pullbacks, p-1 (every exponent) on a pair sent to the
-    rows stage before any pullback, whose sumset is never computed.
-    rational_mul_count is the nominal 2 t_used (p-1)^2.
+                big-int shifted adds); A @ B is the matrix of f_B * f_A
+                (phi_orientation).  t_used is t.
+      rows      every other pair, and a pair whose certificate fails or
+                whose mat_to_skew pullback is not on its scanned support:
+                the int product of A and B, whose rows are the product
+                map's values at all p-1 points.  t_used is p-1.
+    A pullback is checked to be the factor's own, so correctness never
+    rests on q or on the early stop.  The paper's evaluation at t points
+    with known-support interpolation is not a stage: it beat both of these
+    in 2 of 105 cells timed, and took up to 12x the faster of them where
+    the sumset nearly fills Z_(p-1).  The report names the stage in
+    `product`; rational_mul_count is the nominal 2 t_used (p-1)^2.
     """
     _check_pair(A, B)
     start = time.perf_counter()
@@ -390,17 +349,16 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
         return RatMatrix.zeros(p), MulReport(Algorithm.DETERMINISTIC, product="direct",
                                              wall_time=time.perf_counter() - start)
     over_a, over_b = _over_one(A), _over_one(B)
-    ends = _scans(A, B, over_a, over_b)
-    if ends is None:
-        t, product = p - 1, "rows"
-        result = product_matrix(A, B)
-    else:
+    supports = _supports(A, B, over_a, over_b)
+    t, product, result = p - 1, "rows", None
+    if supports is not None:
         ctx = shared_ctx(p)
-        f_a = _pullback(A, ends[0], over_a, ctx)
-        f_b = _pullback(B, ends[1], over_b, ctx)
-        t = len(sumset(f_a, f_b))
-        product = _product_route(f_a.sparsity, f_b.sparsity, t, p, over_a and over_b)
-        result = _form_product(product, A, B, f_a, f_b)
+        f_a = _pullback(A, supports[0], over_a, ctx)
+        f_b = None if f_a is None else _pullback(B, supports[1], over_b, ctx)
+        if f_b is not None:
+            t, product, result = supports[2], "direct", skew_to_mat(sp_mul(f_b, f_a))
+    if result is None:
+        result = product_matrix(A, B)
     report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
                        rational_mul_count=2 * t * (p - 1) ** 2,
                        wall_time=time.perf_counter() - start, product=product)
@@ -442,17 +400,18 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     values.  The int kernel (`rational_product`, which packs B once)
     computes each when det's scan (_scan) asks for it, under the bound
     (p-2)//2, the longest recurrence whose early stop fits in p-1 rows.
-    On an early stop with a support (_support), det's fit (skewpoly._fit)
+    On an early stop whose locator has exactly L roots, the support
+    (skewpoly._locator_roots, as in _supports), det's fit (skewpoly._fit)
     solves the coefficients and certifies the candidate against every row
     read, and the candidate's matrix is checked once by freivalds at
     mu = nu.  A product of t <= (p-2)//2 terms costs 2t + 1 rows, unless the
     prime divides a denominator or kills a coefficient.
 
-    Every other ending (no early stop, DENSE, UNKNOWN, no support, a failed
-    fit, a rejected candidate) computes the rows not yet read, which are
-    the exact product, and checks it once more at nu; should that fail,
-    it is returned anyway with the report flagged (MulReport), a loud sign
-    of a bug.  The early stop's is the only probabilistic candidate, and a
+    Every other ending (a scan that ends with None, a wrong root count, a
+    failed fit, a rejected candidate) computes the rows not yet read, which
+    are the exact product, and checks it once more at nu; should that
+    fail, it is returned anyway with the report flagged (MulReport), a loud
+    sign of a bug.  The early stop's is the only probabilistic candidate, and a
     wrong one passes its check with probability at most nu, so the result
     is A*B with probability at least 1 - nu.  The checks' seeds are drawn
     from random.Random(seed).
@@ -479,10 +438,10 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
             dens.append(d[k - 1] * big_e)
             yield nums[-1], dens[-1]
 
-    end, length = _scan(values(), (p - 2) // 2, p)
-    support = _support(end, p)
+    conn, length = _scan(values(), (p - 2) // 2, p)
+    support = None if conn is None else _locator_roots(conn, p)
     checks = 0
-    if isinstance(support, SupportSet):
+    if support is not None:
         f = _fit(nums, None if max(dens) == 1 else [(den,) * n for den in dens], support, ctx)
         if f is not None:
             candidate = skew_to_mat(f)

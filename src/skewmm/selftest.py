@@ -192,10 +192,9 @@ def _stage_pairs(ctx, rng, den):
         b = random_layered(ctx, range(s), rng.getrandbits(32))
         return a.scale(Fraction(1, den)), b.scale(Fraction(1, den))
 
-    sides = [matmul._product_route(1, s, s, p, integral) for s in range(1, p)]
-    rows = sides.index("rows") + 1
-    direct = pair(rows - 1) if rows > 1 else pair(1, zero=True)
-    return (direct, "direct"), (pair(rows), "rows")
+    T = matmul._direct_bound(matmul._product_route, p, integral)
+    direct = pair(T) if T else pair(1, zero=True)
+    return (direct, "direct"), (pair(T + 1), "rows")
 
 
 def _guarded_pair(ctx, rng):
@@ -244,33 +243,35 @@ def _fitted(M, support, ctx):
     return _fit(ctx.to_power(M.nums), dens, support, ctx)
 
 
-def _certifies(M, end, ctx) -> bool:
-    """Whether end is a scanned support on which M's sparse pullback is
-    certified, and is M's pullback."""
-    return isinstance(end, matmul.SupportSet) and _fitted(M, end, ctx) == mat_to_skew(M, ctx)
-
-
 def _certificates_hold(ctx, rng) -> bool:
     """At a prime where det scans its factors, the _certificate_pairs: the
-    first pair's factors both certify from their scanned supports, with no
-    mat_to_skew; the second's wrong support fails its certificate; det_mul
-    equals the schoolbook on both.  At p >= 31, where a one-term factor's
-    sparse pullback pays, det_mul itself takes it for both factors of the
-    first pair."""
+    first pair goes direct on its scanned supports, on which both factors'
+    sparse pullbacks certify as their pullbacks; the second's wrong support
+    fails its certificate, so det_mul takes the rows stage; det_mul equals
+    the schoolbook on both.  At p >= 31, where a one-term factor's sparse
+    pullback pays, det_mul itself takes it for both factors of the first
+    pair."""
     p = ctx.p
     pairs = _certificate_pairs(ctx, rng)
     if pairs is None:
         return True
-    if any(matmul.det_mul(A, B)[0] != matmul.naive_mul(A, B) for A, B in pairs):
-        return False
     (A, B), (F, G) = pairs
-    ends = matmul._scans(A, B, matmul._over_one(A), matmul._over_one(B))
-    if ends is None or not all(_certifies(M, end, ctx) for M, end in zip((A, B), ends)):
+    stages = []
+    for X, Y in pairs:
+        got, report = matmul.det_mul(X, Y)
+        if got != matmul.naive_mul(X, Y):
+            return False
+        stages.append(report.product)
+    if stages != ["direct", "rows"]:
         return False
-    if p >= 31 and not all(matmul._sparse_pays(len(end), p) for end in ends):
+    supports = matmul._supports(A, B, matmul._over_one(A), matmul._over_one(B))
+    if supports is None or not all(_fitted(M, S, ctx) == mat_to_skew(M, ctx)
+                                   for M, S in zip((A, B), supports)):
         return False
-    end = matmul._scans(F, G, matmul._over_one(F), matmul._over_one(G))[0]
-    return isinstance(end, matmul.SupportSet) and _fitted(F, end, ctx) is None
+    if p >= 31 and not all(matmul._sparse_pays(len(S), p) for S in supports[:2]):
+        return False
+    supports = matmul._supports(F, G, matmul._over_one(F), matmul._over_one(G))
+    return supports is not None and _fitted(F, supports[0], ctx) is None
 
 
 def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
@@ -279,9 +280,10 @@ def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
     over 1 and over 7, which must take the stage the rule names; where
     the rule sends any sparsity direct, a pair its density guard must send
     to the rows stage with no pullback, a pair whose sparse pullbacks
-    certify and one whose certificate fails (_certificates_hold, also run
-    at p=31); and A*I with row q(1) = 1 of A zero: mc_mul's scan stops at
-    once on the zero candidate, and the exact product passes a 2nd check."""
+    certify on the direct stage and one whose certificate fails, which
+    must take the rows stage (_certificates_hold, also run at p=31); and
+    A*I with row q(1) = 1 of A zero: mc_mul's scan stops at once on the
+    zero candidate, and the exact product passes a 2nd check."""
     rng = random.Random(505)
     if not _certificates_hold(shared_ctx(31), random.Random(31)):
         return False
@@ -336,9 +338,9 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
     cubic_multiply on the other, and at p=31 a
     layered pair, a pair whose supports are one subgroup of Z_30, so that
     their sumset collapses, and a pair of 8-term random supports whose
-    sumset nearly fills Z_30.  On every pair both of det's product stages
-    (direct, rows) are also run on their own, whichever one det_mul
-    picks."""
+    sumset nearly fills Z_30.  On every pair det's direct stage is also
+    run on mat_to_skew's pullbacks, whichever stage det_mul picks (the
+    rows stage is naive_mul's product)."""
     rng = random.Random(606)
 
     def agree(X, Y):
@@ -346,9 +348,7 @@ def check_rational_products(primes=DEFAULT_PRIMES, cases=2) -> bool:
         if matmul.naive_mul(X, Y) != want or matmul.det_mul(X, Y)[0] != want:
             return False
         ctx = shared_ctx(X.p)
-        f_x, f_y = mat_to_skew(X, ctx), mat_to_skew(Y, ctx)
-        return all(matmul._form_product(route, X, Y, f_x, f_y) == want
-                   for route in ("direct", "rows"))
+        return skew_to_mat(sp_mul(mat_to_skew(Y, ctx), mat_to_skew(X, ctx))) == want
 
     def scaled_layered(ctx, layers):
         return random_layered(ctx, layers, rng.getrandbits(32)).scale(

@@ -134,9 +134,7 @@ def fit_values(values, support, ctx):
 def certified_pullback(M, support):
     """det's sparse pullback of M on `support`, taken whatever the per-factor
     rule says (matmul._pullback with _sparse_pays forced): the fit of M's
-    rows where its certificate holds, else None, with no mat_to_skew to
-    fall back to."""
+    rows where its certificate holds, else None."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matmul, "_sparse_pays", lambda *_args: True)
-        mp.setattr(matmul, "mat_to_skew", lambda *_args: None)
         return matmul._pullback(M, support, matmul._over_one(M), shared_ctx(M.p))

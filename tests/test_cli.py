@@ -152,14 +152,14 @@ def test_header_prime_above_ceiling_is_format_error(workdir, no_context, p):
 
 def test_mul_det_identity_files(workdir, capsys):
     ident = workdir / "i.mat"
-    write_matrix_file(ident, RatMatrix.identity(7))
+    write_matrix_file(ident, RatMatrix.identity(13))
     out = workdir / "c.mat"
     rc = run_cli("mul", "--algo", "det", str(ident), str(ident), "-o", str(out))
     assert rc == EXIT_OK
     report = json.loads(capsys.readouterr().err)
     assert report["algorithm"] == "det"
     assert report["t_used"] == 1
-    assert read_matrix_file(out) == RatMatrix.identity(7)
+    assert read_matrix_file(out) == RatMatrix.identity(13)
 
 
 def test_mul_all_algorithms_agree(workdir, capsys):
@@ -445,20 +445,20 @@ def test_error_budget_at_the_floor_is_accepted(workdir, capsys):
 
 def test_bench_records(workdir):
     out = workdir / "bench.jsonl"
-    rc = run_cli("bench", "--p-list", "7", "--t-list", "1,2", "--algos", "naive,det,mc",
+    rc = run_cli("bench", "--p-list", "13", "--t-list", "1,2", "--algos", "naive,det,mc",
                  "--seeds", "1..2", "--check", "--json", str(out))
     assert rc == EXIT_OK
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 2 * 3 * 2
     for rec in records:
-        assert rec["p"] == 7
+        assert rec["p"] == 13
         assert rec["correct"] is True
         assert rec["I"] == [0]
     det = {rec["t_used"]: rec["rational_mul_count"]
            for rec in records if rec["algorithm"] == "det"}
-    assert det == {1: 72, 2: 144}  # 2 * t * 36
+    assert det == {1: 288, 2: 576}  # 2 * t * 144
     naive_counts = {rec["rational_mul_count"] for rec in records if rec["algorithm"] == "naive"}
-    assert naive_counts == {216}   # t-independent baseline
+    assert naive_counts == {1728}   # t-independent baseline
 
 
 def test_mul_and_bench_report_final_T_fallback_and_backend(workdir, capsys):

@@ -10,9 +10,10 @@ rule sends to the direct stage.  The tests check that the guard is sound
 (a factor it calls dense has more than T terms, and one over a multiple of
 q is never called dense), that T follows the rule, that the guarded pairs
 (det-wide's, a dense rational pair, a cancellation pair, a pair over
-distinct primes) never pull back and still equal naive_mul, and that
-det-sparse's pairs take the direct stage with no mat_to_skew, their
-pullbacks solved on the scanned supports and certified.
+distinct primes) never pull back and still equal naive_mul, that where
+T = 0 nothing is scanned or pulled back, and that det-sparse's pairs take
+the direct stage with no mat_to_skew, their pullbacks solved on the
+scanned supports and certified.
 """
 
 import random
@@ -22,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import certified_pullback, fraction_product, rand_poly, rand_rational_matrix, seeded
+from conftest import (certified_pullback, fraction_product, rand_matrix, rand_poly,
+                      rand_rational_matrix, seeded)
 from skewmm import (RatMatrix, SkewPoly, SupportSet, det_mul, mat_to_skew, naive_mul,
                     shared_ctx, skew_to_mat)
 from skewmm import matmul
@@ -46,8 +48,15 @@ def refuse(*_args, **_kwargs):
 
 
 def scan_end(M, T, over_one):
-    """How det_mul's scan of M's rows under the bound T ends."""
-    return matmul._scan(matmul._factor_rows(M, over_one), T, M.p)[0]
+    """How det_mul's scan of M's rows under the bound T ends: (conn, L)."""
+    return matmul._scan(matmul._factor_rows(M, over_one), T, M.p)
+
+
+def proven_dense(M, T, over_one):
+    """Whether the scan ends with None and a length L > T: M is proven to
+    have more than T terms."""
+    end, length = scan_end(M, T, over_one)
+    return end is None and length > T
 
 
 @pytest.mark.parametrize("p, integral, T", [
@@ -87,7 +96,7 @@ def factors(draw):
 def test_the_guard_is_sound(case):
     M, T, den = case
     p = M.p
-    proven = scan_end(M, T, matmul._over_one(M)) is matmul.DENSE
+    proven = proven_dense(M, T, matmul._over_one(M))
     if proven:
         assert mat_to_skew(M).sparsity > T
     if den == guard_prime(p):
@@ -107,7 +116,7 @@ def test_every_dense_layered_factor_is_proven():
             for s in range(1, p):
                 M = random_layered(ctx, rng.sample(range(p - 1), s), rng.getrandbits(32))
                 M = M.scale(Fraction(1, den))
-                assert (scan_end(M, T, den == 1) is matmul.DENSE) == (s > T), (p, den, s)
+                assert proven_dense(M, T, den == 1) == (s > T), (p, den, s)
 
 
 def test_a_sparse_factor_costs_2s_plus_1_rows(monkeypatch):
@@ -128,10 +137,10 @@ def test_a_sparse_factor_costs_2s_plus_1_rows(monkeypatch):
         T = bound(p, True)
         for s in range(1, T + 1):
             read.clear()
-            assert scan_end(random_layered(ctx, range(s), s), T, True) is not matmul.DENSE
+            assert scan_end(random_layered(ctx, range(s), s), T, True)[0] is not None
             assert len(read) == 2 * s + 1
         read.clear()
-        assert scan_end(RatMatrix.zeros(p), T, True) is not matmul.DENSE
+        assert scan_end(RatMatrix.zeros(p), T, True)[0] is not None
         assert len(read) == 1
 
 
@@ -181,6 +190,24 @@ def test_a_guarded_pair_with_a_zero_factor_is_zero_up_front(monkeypatch):
         assert (report.product, report.t_used) == ("direct", 0)
 
 
+@pytest.mark.parametrize("p, den", [(3, 1), (5, 1), (7, 1), (3, 7), (5, 7)])
+def test_no_sparsity_goes_direct_so_nothing_is_scanned(p, den, monkeypatch):
+    # T = 0: det takes the rows stage with no scan, fit or pullback, on
+    # sparse and dense pairs alike
+    ctx = shared_ctx(p)
+    assert bound(p, den == 1) == 0
+    scale = Fraction(1, den)
+    for A, B in ((random_layered(ctx, [0], p).scale(scale), random_layered(ctx, [1], p + 1)),
+                 (RatMatrix.identity(p), RatMatrix.identity(p).scale(scale)),
+                 (rand_matrix(p, seeded(p)).scale(scale), random_layered(ctx, [0], 2))):
+        for name in ("_scan", "_fit", "mat_to_skew"):
+            monkeypatch.setattr(matmul, name, refuse)
+        product, report = det_mul(A, B)
+        monkeypatch.undo()
+        assert product == naive_mul(A, B) == RatMatrix(p, fraction_product(A.rows, B.rows))
+        assert (report.product, report.t_used) == ("rows", p - 1)
+
+
 @pytest.mark.parametrize("t", (1, 2, 4))
 def test_det_sparse_pairs_go_direct_on_their_scanned_supports(t, monkeypatch):
     # both factors end their scans with a support, the rule sends the pair
@@ -188,10 +215,10 @@ def test_det_sparse_pairs_go_direct_on_their_scanned_supports(t, monkeypatch):
     # mat_to_skew, but where the per-factor rule finds mat_to_skew cheaper
     # (s = 4 at p=31)
     A, B = layered_pair(t, 20 + t)
-    ends = matmul._scans(A, B, True, True)
-    assert ends == (SupportSet([0]), SupportSet(range(t)))
-    for M, end in zip((A, B), ends):
-        assert certified_pullback(M, end) == mat_to_skew(M)
+    supports = matmul._supports(A, B, True, True)
+    assert supports == (SupportSet([0]), SupportSet(range(t)), t)
+    for M, support in zip((A, B), supports):
+        assert certified_pullback(M, support) == mat_to_skew(M)
     calls = []
 
     def counting(M, ctx=None):

@@ -6,8 +6,8 @@ coefficients), rank-deficient ones (rank one, or rows repeated from fewer
 than p-1 distinct rows), zero matrices, and the telescoping pair
 (1 - x) * (1 + x + ... + x^k), whose product has two terms, or none at
 k = p-2.  Besides the product, det_mul must report the size of the
-exponent sumset of the two pullbacks as t_used, or p-1 where its density
-guard sent the pair to the rows stage with no pullback.
+exponent sumset of the two pullbacks as t_used on the direct stage, and
+p-1 on the rows stage.
 """
 
 from hypothesis import given, settings
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from skewmm import (RatMatrix, SkewPoly, det_mul, mat_to_skew, naive_mul,
                     shared_ctx, skew_to_mat, sumset)
-from skewmm.matmul import _over_one, _scans
 from skewmm.rational import Rat
 
 PRIMES = (3, 5, 7, 13)
@@ -66,10 +65,9 @@ def test_det_matches_naive(pair):
     product, report = det_mul(A, B)
     assert product == naive_mul(A, B)
     t = len(sumset(mat_to_skew(A), mat_to_skew(B)))
-    # a zero factor (t = 0) is zero up front; a nonzero pair its scans send
-    # to the rows stage is formed under p-1
-    assert report.t_used == (A.p - 1 if t and _scans(A, B, _over_one(A), _over_one(B)) is None
-                             else t)
+    # a zero factor (t = 0) is zero up front, on the direct stage; a pair
+    # on the rows stage is formed under p-1
+    assert report.t_used == (A.p - 1 if report.product == "rows" else t)
 
 
 def test_telescoping_pair_with_zero_product():

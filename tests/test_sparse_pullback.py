@@ -15,9 +15,10 @@ certifies the candidate against every row (matmul._pullback, through the
 same skewpoly._fit).  Whenever the certificate passes, the candidate is
 mat_to_skew's pullback, whatever the support was; constructed scans that
 end wrong (a coefficient vanishing mod the scan's prime, a row lcm
-divisible by it, premature early stops) must fall back to mat_to_skew for
-that factor alone and still give the exact product, and a zero factor
-gives the zero product with no pullback.
+divisible by it, premature early stops) must send the pair to the rows
+stage with no mat_to_skew and still give the exact product, as must a
+wrong support pulled back by mat_to_skew, and a zero factor gives the
+zero product with no pullback.
 """
 
 from fractions import Fraction
@@ -29,10 +30,10 @@ from hypothesis import strategies as st
 from conftest import certified_pullback, fit_values, fraction_product, rand_elem, rand_poly, seeded
 from skewmm import (RatMatrix, SkewPoly, SupportSet, det_mul, from_normal_coords,
                     interpolate_known_support, mat_to_skew, naive_mul, shared_ctx, skew_to_mat,
-                    sparse_interpolate, sumset)
+                    sparse_interpolate)
 from skewmm import matmul, skewpoly
 from skewmm.rational import Rat
-from skewmm.skewpoly import _modulus
+from skewmm.skewpoly import _locator_roots, _modulus
 from skewmm.skewstructure import random_layered
 
 BOUNDS = {31: 5, 61: 1}
@@ -104,14 +105,14 @@ def guard_prime(p):
 
 
 def scanned(M, bound):
-    """How det_mul's scan of M under the bound ends, its early stop resolved."""
-    end, _ = matmul._scan(matmul._factor_rows(M, matmul._over_one(M)), bound, M.p)
-    return matmul._support(end, M.p)
+    """The support det_mul's scan of M under the bound gives, or None: its
+    early stop's locator roots, where there are exactly L of them."""
+    conn, _ = matmul._scan(matmul._factor_rows(M, matmul._over_one(M)), bound, M.p)
+    return None if conn is None else _locator_roots(conn, M.p)
 
 
 def counting_pullbacks(monkeypatch):
-    """Record every mat_to_skew det_mul makes, with the sparse pullback taken
-    wherever a factor has a support (whatever _sparse_pays says)."""
+    """Record every mat_to_skew det_mul makes."""
     calls = []
 
     def counting(M, ctx=None):
@@ -119,7 +120,6 @@ def counting_pullbacks(monkeypatch):
         return mat_to_skew(M, ctx)
 
     monkeypatch.setattr(matmul, "mat_to_skew", counting)
-    monkeypatch.setattr(matmul, "_sparse_pays", lambda *_args: True)
     return calls
 
 
@@ -167,15 +167,17 @@ def pair_with(A, seed=1):
     return A, random_layered(shared_ctx(A.p), [2], seed)
 
 
-def assert_falls_back(A, B, monkeypatch):
+def assert_takes_rows(A, B, monkeypatch):
+    # with the sparse pullback taken wherever a factor has a support
+    # (whatever _sparse_pays says), the pair takes the rows stage with no
+    # mat_to_skew
     calls = counting_pullbacks(monkeypatch)
+    monkeypatch.setattr(matmul, "_sparse_pays", lambda *_args: True)
     product, report = det_mul(A, B)
     monkeypatch.undo()
-    assert calls == [A]
+    assert calls == []
     assert product == naive_mul(A, B) == RatMatrix(A.p, fraction_product(A.rows, B.rows))
-    f_a, f_b = mat_to_skew(A), mat_to_skew(B)
-    assert report.t_used == len(sumset(f_a, f_b))
-    return report
+    assert (report.product, report.t_used) == ("rows", A.p - 1)
 
 
 def vanishing_factor(p):
@@ -196,15 +198,15 @@ def test_a_coefficient_vanishing_mod_q_fails_the_certificate(p, monkeypatch):
     bound = matmul._direct_bound(matmul._product_route, p, True)
     assert scanned(A, bound) == SupportSet([0])
     assert certified_pullback(A, SupportSet([0])) is None
-    assert assert_falls_back(*pair_with(A), monkeypatch).product == "direct"
+    assert_takes_rows(*pair_with(A), monkeypatch)
 
 
 @pytest.mark.parametrize("p", (13, 31, 61))
 def test_a_row_lcm_divisible_by_q_leaves_the_factor_unknown(p, monkeypatch):
     A = random_layered(shared_ctx(p), [0, 1], p).scale(Fraction(1, guard_prime(p)))
     bound = matmul._direct_bound(matmul._product_route, p, False)
-    assert scanned(A, bound) is matmul.UNKNOWN
-    assert_falls_back(*pair_with(A), monkeypatch)
+    assert scanned(A, bound) is None
+    assert_takes_rows(*pair_with(A), monkeypatch)
 
 
 def node_image(p, e):
@@ -240,7 +242,7 @@ def test_a_premature_early_stop_fails_the_certificate(p, monkeypatch):
     A = premature_stop_factor(p)
     bound = matmul._direct_bound(matmul._product_route, p, True)
     assert scanned(A, bound) == SupportSet([PREMATURE_NODE])
-    assert_falls_back(*pair_with(A), monkeypatch)
+    assert_takes_rows(*pair_with(A), monkeypatch)
 
 
 @pytest.mark.parametrize("p", (31, 61))
@@ -253,7 +255,30 @@ def test_a_two_term_factor_with_a_vanishing_first_row_stops_at_once(p, monkeypat
     A = skew_to_mat(SkewPoly(ctx, {0: ctx.one, 1: ctx.one * -z}))
     bound = matmul._direct_bound(matmul._product_route, p, True)
     assert scanned(A, bound) == SupportSet()
-    assert_falls_back(*pair_with(A), monkeypatch)
+    assert_takes_rows(*pair_with(A), monkeypatch)
+
+
+def test_a_wrong_support_pulled_back_by_mat_to_skew_takes_rows(monkeypatch):
+    # a wrong 5-term support for a 5-term factor at p=31, too large for the
+    # fit to pay: mat_to_skew's pullback is not on it, so the pair takes
+    # the rows stage, with its partner never pulled back
+    p = 31
+    A, B = pair_with(random_layered(shared_ctx(p), range(5), 7))
+    real_roots = matmul._locator_roots
+
+    def shifted(*args):
+        support = real_roots(*args)
+        return SupportSet(e + 1 for e in support) if len(support) == 5 else support
+
+    assert not matmul._sparse_pays(5, p)
+    calls = counting_pullbacks(monkeypatch)
+    monkeypatch.setattr(matmul, "_locator_roots", shifted)
+    assert matmul._supports(A, B, True, True) == (SupportSet(range(1, 6)), SupportSet([2]), 5)
+    product, report = det_mul(A, B)
+    monkeypatch.undo()
+    assert calls == [A]
+    assert product == naive_mul(A, B)
+    assert (report.product, report.t_used) == ("rows", p - 1)
 
 
 def refuse(*_args, **_kwargs):
@@ -286,9 +311,9 @@ def test_det_and_mc_interpolation_share_one_fit(monkeypatch):
     p = 31
     ctx = shared_ctx(p)
     A, B = random_layered(ctx, [0], 11), random_layered(ctx, [0, 1], 12)
-    ends = matmul._scans(A, B, True, True)
-    assert ends == (SupportSet([0]), SupportSet([0, 1]))
-    assert all(matmul._sparse_pays(len(end), p) for end in ends)
+    supports = matmul._supports(A, B, True, True)
+    assert supports == (SupportSet([0]), SupportSet([0, 1]), 2)
+    assert all(matmul._sparse_pays(len(support), p) for support in supports[:2])
     f_b, values = mat_to_skew(B), row_values(B, ctx)
     real_sizes, real_fit = skewpoly._solve_sizes, skewpoly._fit
     real_solve = skewpoly._solve_on_support
