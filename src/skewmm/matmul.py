@@ -5,13 +5,14 @@ Three routes to the same exact product of (p-1) x (p-1) rational matrices:
   naive_mul  schoolbook ground truth: one int product of the two factors,
              rows and columns scaled by their denominators' lcms, each
              product row one sum of p-1 products with packed rows;
-  det_mul    deterministic: scan each factor's rows modulo a prime for
-             its support and decide the route once, on the two supports
-             and their exponent sumset of size t: the direct stage pulls
-             both factors back on their supports, certified exactly, and
-             pushes their product forward; every other pair, and a failed
-             certificate, takes the rows stage, the int product of all
-             p-1 rows;
+  det_mul    deterministic: one cost model prices the whole direct
+             route against the rows stage; where the route can win, scan
+             each factor's rows modulo a prime for its support and decide
+             once, on the two supports and their exponent sumset of size
+             t: the direct route pulls both factors back on their
+             supports, certified exactly, and pushes their product
+             forward; every other pair, and a failed certificate, takes
+             the rows stage, naive_mul's int product of all p-1 rows;
   mc_mul     Monte Carlo: one pass over the rows of A*B, the product's
              values: det's scan stops early with a support, det's fit
              solves and certifies it on the rows read and one randomized
@@ -36,7 +37,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import shared_ctx
-from .multiply import rational_product
+from .multiply import RationalProduct, rational_product
 from .skewpoly import (_BerlekampMassey, _fit, _locator_roots, _modulus, _residue, _scaled_row,
                        sp_mul)
 from .transform import RatMatrix, _product_of_rows, mat_to_skew, product_matrix, skew_to_mat
@@ -67,23 +68,23 @@ class MulReport(namedtuple("MulReport", ("algorithm", "t_used", "iterations",
     so that importing the package does not import dataclasses (and with
     it inspect), which would cost every CLI process about 10 ms.
 
-    rational_mul_count is a closed form in p and the number of points, each
-    charged as a row of A*B, 2 (p-1)^2 int products: (p-1)^3 for naive_mul;
-    2 t (p-1)^2 for det_mul's t = t_used points, a nominal count, since
-    neither of its stages evaluates; 2 m (p-1)^2 for the m rows of A*B
-    mc_mul computed.  For mc_mul: iterations is the number of randomized
-    checks run, 1 or 2; final_T the Berlekamp-Massey length at which its
-    scan of the product's rows ended, at most the product's sparsity;
-    t_used the accepted candidate's sparsity, or p-1 for the product
-    assembled from all its rows, or 0 on fallback, which flags that the
-    assembled product failed its check and was returned anyway, a bug
-    rather than an input condition.  product is the
-    stage det_mul formed the product by, "direct" or "rows" (see det_mul),
-    and is empty for naive_mul and mc_mul.  For det_mul, t_used is the
-    support bound the product was formed under: on the direct stage the
+    rational_mul_count is a closed form in p: (p-1)^3 for naive_mul and for
+    det_mul's rows stage, which is naive_mul's int product; 2 t (p-1)^2 on
+    det_mul's direct route, for t = t_used points each charged as a row of
+    A*B, a nominal count, since the route evaluates nothing; 2 m (p-1)^2
+    for the m rows of A*B mc_mul computed.  For mc_mul: iterations is the
+    number of randomized checks run, 1 or 2; final_T the Berlekamp-Massey
+    length at which its scan of the product's rows ended, at most the
+    product's sparsity; t_used the accepted candidate's sparsity, or p-1
+    for the product assembled from all its rows, or 0 on fallback, which
+    flags that the assembled product failed its check and was returned
+    anyway, a bug rather than an input condition.  product is the route
+    det_mul formed the product by, "direct" or "rows" (see det_mul), and
+    is empty for naive_mul and mc_mul.  For det_mul, t_used is the
+    support bound the product was formed under: on the direct route the
     size t of the sumset S_A + S_B of the two scanned supports, which are
-    the pullbacks' own; on the rows stage p-1, every exponent of Z_(p-1),
-    with the count 2 (p-1)^3.  wall_time is measured, never asserted.
+    the pullbacks' own; on the rows stage p-1, every exponent of Z_(p-1).
+    wall_time is measured, never asserted.
     """
 
     __slots__ = ()
@@ -142,32 +143,6 @@ def naive_mul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     return product_matrix(A, B)
 
 
-def _product_route(s_a: int, s_b: int, t: int, p: int, integral: bool) -> str:
-    """The stage det_mul forms the product by, from the factors' sparsities
-    s_a and s_b, the sumset size t, p, and whether both factors are over 1:
-    "direct" while w (s_a s_b + t) (p + 8) <= 2 (p-1)^2, with w = 3 when
-    both factors are integral and w = 2 when either has a denominator,
-    else "rows".
-
-    The direct stage is s_a s_b field products and a pushforward of t
-    terms, and each of those costs about p + 8 units: a big-int product or
-    shifted add of p-slot words, and the gcd that keeps a field element in
-    lowest terms.  The rows stage is the packed int product (`int_rows`),
-    p-1 sums of p-1 (int x packed row) terms; with denominators it also
-    scales each row and column by its lcm and reduces each entry by a gcd,
-    which costs it about half as much again.  The rule was fitted on both
-    stages timed on the same pullbacks of about 4,600 pairs at p = 13..127
-    (layered and random supports; both factors over 1, over one
-    denominator each or over a denominator per coefficient, or one factor
-    over 1): the stage it picks costs at most 1.13x the faster one on
-    integral pairs and at most 1.3x on the others (README, "Product
-    stage").  No comparison of s_a s_b with p alone does as well, since the
-    crossing moves with t and, by half as much again, with denominators.
-    """
-    weight = 3 if integral else 2
-    return "direct" if weight * (s_a * s_b + t) * (p + 8) <= 2 * (p - 1) ** 2 else "rows"
-
-
 def _over_one(M: RatMatrix) -> bool:
     """Whether every entry of M is an int.  tuple.count tries identity
     first, so rows of denominators that share one tuple, as
@@ -177,18 +152,96 @@ def _over_one(M: RatMatrix) -> bool:
     return row == (1,) * len(row) and M.dens.count(row) == len(row)
 
 
-@functools.lru_cache(maxsize=None)
-def _direct_bound(rule, p: int, integral: bool) -> int:
-    """T, the largest s in 1..p-1 that `rule` (det_mul's _product_route)
-    sends to the direct stage as the pair of a one-term factor and an
-    s-term one, whose sumset has size s; 0 if it sends none.
+def _words(bits: int) -> int:
+    """The width the cost model reads off the rows stage's slot bits
+    (RationalProduct.bits): 0 where the int product runs on packed slots
+    of at most 64 bits, else the 64-bit words of a product entry."""
+    return bits // 64 + 1 if bits > 64 else 0
 
-    The rule turns to rows as s_A s_B + t grows, and t >= max(s_A, s_B)
-    when both factors are nonzero, so s_A s_B + t >= 2 s_A: a factor with
-    more than T terms takes the rows stage whatever its nonzero partner.
-    Keyed on the rule itself, so T follows the rule wherever it is replaced.
-    """
-    return next((s for s in range(p - 1, 0, -1) if rule(1, s, s, p, integral) == "direct"), 0)
+
+def _least_words(A: RatMatrix, B: RatMatrix) -> int:
+    """A lower bound on the rows stage's width (_words), from the first row
+    of each factor alone: the stage scales rows and columns by their lcms,
+    which only lengthens an entry.  Where it is past 64 bits, the width is
+    priced on it, and factors with denominators are not scaled for it."""
+    x, y = A.nums[0], B.nums[0]
+    bound = len(y) * max(max(x), -min(x), 1) * max(max(y), -min(y))
+    return _words(bound.bit_length() + 1) if bound >> 63 else 0
+
+
+def _rows_cost(p: int, integral: bool, words: int) -> float:
+    """The rows stage's cost, in microseconds of the host the model was
+    fitted on (README, "Route cost"): the (p-1)^2 packed terms of the int
+    product, about 2.3 times as dear where a factor has denominators (the
+    row and column scales and the gcds), or, past 64-bit slots,
+    cubic_multiply's (p-1)^3 products of `words`-word ints."""
+    n = p - 1
+    if words:
+        scales = 0 if integral else 0.5 + 0.035 * words
+        return n * n * (0.45 + scales + n * (0.09 + 0.00107 * words * words))
+    return n * n * (0.27 + 0.00076 * n if integral else 0.62 + 0.0009 * n)
+
+
+def _mat_to_skew_cost(p: int, over_one: bool) -> float:
+    """mat_to_skew's cost on one factor: one packed cyclic correlation."""
+    return p * p * (0.16 + 0.0005 * p if over_one else 0.24 + 0.00036 * p)
+
+
+def _fit_cost(s: int, p: int, over_one: bool) -> float:
+    """The fit's cost on one factor of s terms (skewpoly._fit): its O(p s)
+    certificate, p-1 values of s shifted adds each, and its O(s^2) packed
+    solve, products of p-slot words."""
+    return ((0.025 if over_one else 0.10) * p * p + (1.4 if over_one else 1.8) * p * s
+            + 0.0011 * p * p * s * s)
+
+
+def _scan_cost(s: int, p: int, over_one: bool) -> float:
+    """The scan of a factor of s terms, its 2s + 1 rows, and its root search."""
+    return (2 * s + 1) * (2.4 + 0.05 * p if over_one else 3.1 + 0.14 * p) + 0.054 * p * (s + 1)
+
+
+def _direct_cost(p: int, over_a: bool, over_b: bool, s_a: int, s_b: int, t: int, words: int,
+                 scans: bool = False) -> float:
+    """The direct route's cost, after the scans or, with `scans`, with them:
+    a fixed part (the factors' rows in l order, the product's RatMatrix),
+    each factor's pullback (the fit or mat_to_skew, whichever costs less),
+    s_a s_b field products (sp_mul) and the pushforward of t terms.  Past
+    64-bit slots every step costs 2.4 + 0.05 w times as much, for
+    w = `words`, and each field product adds a Kronecker product of p w
+    words (Karatsuba's exponent, log2 3)."""
+    steps = (40 + 0.012 * p * p + _pullback_cost(s_a, p, over_a) + _pullback_cost(s_b, p, over_b)
+             + (0.042 if over_a and over_b else 0.18) * p * p + 0.45 * p * t)
+    if scans:
+        steps += _scan_cost(s_a, p, over_a) + _scan_cost(s_b, p, over_b)
+    products = s_a * s_b * (2.7 + 0.37 * p)
+    if words:
+        steps *= 2.4 + 0.05 * words
+        products += s_a * s_b * 0.0187 * (p * words) ** 1.58
+    return steps + products
+
+
+def _pullback_cost(s: int, p: int, over_one: bool) -> float:
+    """The pullback _pullback takes for a factor of s terms."""
+    return min(_fit_cost(s, p, over_one), _mat_to_skew_cost(p, over_one))
+
+
+@functools.lru_cache(maxsize=None)
+def _reach(p: int, over_a: bool, over_b: bool, words: int) -> int:
+    """T', the largest s for which the direct route, scans and all, costs
+    at most the rows stage on the pair of a one-term factor and an s-term
+    one, whose sumset has size s; at most (p-2)//2, since a scan stops early
+    on s terms only after 2s + 1 of the p-1 rows.
+
+    The route's cost grows with s_A s_B + t, and t >= max(s_A, s_B) when
+    both factors are nonzero: a factor with more than T' terms takes the
+    rows stage whatever its nonzero partner, so det_mul scans under T' and
+    scans nothing where T' = 0."""
+    rows = _rows_cost(p, over_a and over_b, words)
+    reach = 0
+    while reach < (p - 2) // 2 and _direct_cost(p, over_a, over_b, 1, reach + 1, reach + 1,
+                                                words, scans=True) <= rows:
+        reach += 1
+    return reach
 
 
 def _scan(rows, bound: int, p: int):
@@ -236,26 +289,12 @@ def _factor_rows(M: RatMatrix, over_one: bool):
             for num, dens in zip(ctx.to_power(M.nums), ctx.to_power(M.dens)))
 
 
-def _supports(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool):
-    """det_mul's route for two nonzero factors A and B, decided once before
-    any exact work: (S_A, S_B, t) for the direct stage, with t the size of
-    the sumset S_A + S_B, or None for the rows stage.
-
-    With T = _direct_bound(_product_route, ...), the largest sparsity the
-    rule could still send to the direct stage, each factor's rows are
-    scanned (_scan) under the bound T.  The pair goes direct only if T > 0,
-    both scans stop early, both locators have exactly L roots among the
-    nodes (skewpoly._locator_roots, as they do when no coefficient vanishes
-    mod q and the stop was not premature), and the rule, applied to |S_A|,
-    |S_B| and t, picks the direct stage.  A scan that ends with None,
-    because it proved its factor has more than T terms (the density guard)
-    or q divides a row's lcm, sends the pair to rows whatever the partner.
-    """
+def _scanned(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool, bound: int):
+    """(S_A, S_B, t) from both factors' scans under `bound` (_scan), t the
+    size of the sumset S_A + S_B, or None: where a scan ends with None, or
+    a locator has fewer than L roots among the nodes
+    (skewpoly._locator_roots)."""
     p = A.p
-    integral = over_a and over_b
-    bound = _direct_bound(_product_route, p, integral)
-    if not bound:
-        return None
     conns = []
     for M, over_one in ((A, over_a), (B, over_b)):
         conn, _ = _scan(_factor_rows(M, over_one), bound, p)
@@ -266,32 +305,64 @@ def _supports(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool):
     s_a, s_b = (_locator_roots(conn, p) for conn in conns)
     if s_a is None or s_b is None:
         return None
-    t = len({(x + y) % (p - 1) for x in s_a for y in s_b})
-    return None if _product_route(len(s_a), len(s_b), t, p, integral) == "rows" else (s_a, s_b, t)
+    return s_a, s_b, len({(x + y) % (p - 1) for x in s_a for y in s_b})
 
 
-def _sparse_pays(s: int, p: int) -> bool:
-    """Whether a factor with a scanned support of s terms is pulled back by
-    the fit on it (_pullback) rather than mat_to_skew: while
-    s (s + 8) <= 2 (p - 13), so for s <= 3 at p=31, 6 at p=61 and 11 at
-    p=127, and for no s > 0 at p <= 13.  Fitted on both pullbacks timed on
-    the same factors at p = 13, 31, 61 and 127 (README, "Sparse pullback"):
-    the solve costs O(s^2) packed products and the certificate O(p s)
-    shifted adds, against the Theta(p^3) word work of mat_to_skew."""
-    return s * (s + 8) <= 2 * (p - 13)
+def _pays(p: int, over_a: bool, over_b: bool, supports, words: int) -> bool:
+    """Whether the direct route on the scanned supports costs at most the
+    rows stage of width `words` (_words)."""
+    s_a, s_b, t = supports
+    return (_direct_cost(p, over_a, over_b, len(s_a), len(s_b), t, words)
+            <= _rows_cost(p, over_a and over_b, words))
+
+
+def _supports(A: RatMatrix, B: RatMatrix, over_a: bool, over_b: bool, product):
+    """det_mul's route for two nonzero factors A and B, decided once before
+    any exact work: (S_A, S_B, t) for the direct route, with t the size of
+    the sumset S_A + S_B, or None for the rows stage.
+
+    One cost model prices both (_direct_cost, _rows_cost).  Where the
+    direct route can win even against packed rows (T' = _reach > 0: p >= 61
+    on short entries), both factors are scanned under T' first; a pair
+    whose route costs at most packed rows goes direct with no width read.
+    Otherwise the width is read as the rows stage's slot bits
+    (`product.bits`, which that stage then reuses), or, where a factor has
+    denominators, whose scaling that read would pay for, off the factors'
+    first rows if those alone prove it past 64 bits (_least_words).  Past 64
+    bits the route is priced again, after a scan under the wider reach if
+    none gave supports.  A scan that ends with None, because it proved its
+    factor has more terms than its bound (the density guard) or q divides
+    a row's lcm, leaves the pair to rows; where the reach is 0 (p <= 31 on
+    packed slots) no factor is scanned.
+    """
+    p = A.p
+    reach = _reach(p, over_a, over_b, 0)
+    supports = None
+    if reach:
+        supports = _scanned(A, B, over_a, over_b, reach)
+        if supports is not None and _pays(p, over_a, over_b, supports, 0):
+            return supports
+    words = (not (over_a and over_b) and _least_words(A, B)) or _words(product.bits)
+    if not words:  # packed slots, priced above
+        return None
+    wider = _reach(p, over_a, over_b, words)
+    if supports is None and wider > reach:
+        supports = _scanned(A, B, over_a, over_b, wider)
+    return supports if supports is not None and _pays(p, over_a, over_b, supports, words) else None
 
 
 def _pullback(M: RatMatrix, support, over_one: bool, ctx):
     """M's pullback on its scanned support, or None where the support is not
-    M's: the fit of M's rows on it (skewpoly._fit) where _sparse_pays, else
-    mat_to_skew, compared with the support.  Row q(l) is M's value at
-    beta^l, so M's rows in l order are ctx.to_power(M.nums): the
-    permutation to_power applies to a vector's coordinates, one cached
-    itemgetter.  The fit solves the support's coefficients from rows
-    q(1) .. q(s) and certifies the candidate against all p-1 rows, after
-    which its matrix is M; its support is then the scanned one, since
-    L <= #f and the support has L terms."""
-    if _sparse_pays(len(support), ctx.p):
+    M's: the fit of M's rows on it (skewpoly._fit) where that costs no more
+    than mat_to_skew (_fit_cost), else mat_to_skew, compared with the
+    support.  Row q(l) is M's value at beta^l, so M's rows in l order are
+    ctx.to_power(M.nums): the permutation to_power applies to a vector's
+    coordinates, one cached itemgetter.  The fit solves the support's
+    coefficients from rows q(1) .. q(s) and certifies the candidate
+    against all p-1 rows, after which its matrix is M; its support is then
+    the scanned one, since L <= #f and the support has L terms."""
+    p = ctx.p
+    if _fit_cost(len(support), p, over_one) <= _mat_to_skew_cost(p, over_one):
         return _fit(ctx.to_power(M.nums), None if over_one else ctx.to_power(M.dens), support, ctx)
     f = mat_to_skew(M, ctx)
     return f if f.support() == support else None
@@ -302,45 +373,52 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
 
     A zero factor makes the product zero, which det_mul returns at once,
     with no scan and no pullback, reporting product "direct", t_used 0 and
-    a count of 0.  Otherwise the route is decided once, on the scanned
-    supports (_supports, _scan): each factor's rows are read modulo a
-    30-bit prime q and Berlekamp-Massey runs on them, under the bound T,
-    the largest sparsity that _product_route could still send to the
-    direct stage (_direct_bound: 7 at p=31 and 17 at p=61 for factors
-    over 1, 11 and 26 with denominators; 0 at p <= 7 over 1 and at p <= 5
-    with denominators, where no factor is scanned).  A scan ends in one of
-    two ways: an early stop, after 2s+1 rows for an s-term factor, with a
-    recurrence whose locator's roots are a candidate support S; or None,
-    where the recurrence grew past T (which proves the factor has more
-    than T terms: the density guard), q divides a row's lcm, or the rows
-    ran out.  The pair takes one of two exact stages:
-      direct    where T > 0, both scans stop early, both locators have
-                exactly L roots, and the rule, from |S_A| |S_B| + t with
-                t = |S_A + S_B|, p and whether both factors are over 1,
-                picks it.  Each factor is pulled back on its own support
-                (_pullback): fitted where _sparse_pays (skewpoly._fit,
-                which also solves and checks mc's candidate), its
-                coefficients solved from rows q(1) .. q(s), once more in
-                provable slots if the guessed ones overflow, and certified
-                exactly, the candidate's value at beta^l equal to row q(l)
-                for all l = 1..p-1, compared on ints; else by mat_to_skew
-                (one cyclic correlation packed into a big int, or O(p^3)
-                int additions when its corrected coefficients are too long
-                for 64-bit slots), whose support must be S.  The product
-                is skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products,
-                each one big-int product, then the pushforward (p t
-                big-int shifted adds); A @ B is the matrix of f_B * f_A
+    a count of 0.  Otherwise one cost model prices the whole direct route
+    against the rows stage (_direct_cost, _rows_cost, README "Route
+    cost"), and the route is decided once, on the scanned supports
+    (_supports).  The model's inputs are p, whether each factor is over 1,
+    the supports and the rows stage's slot width, read by that stage's own
+    max (RationalProduct.bits) only where it can change the route.  T', the
+    model's reach (_reach), is the largest sparsity at which the route,
+    scans included, still costs no more than rows with a one-term partner:
+    on one-digit entries, whose product fits packed slots, 0 at p <= 31,
+    3 at p=61 and 8-12 at p=127; past 64-bit slots, where the rows stage
+    loops, up to (p-2)//2 from p=13 on.  Where T' = 0 nothing is scanned.
+    Otherwise each factor's rows are read modulo a 30-bit prime q and
+    Berlekamp-Massey runs on them under T' (_scan): an early stop, after
+    2s+1 rows for an s-term factor, gives a recurrence whose locator's
+    roots are a candidate support S; None means the recurrence grew past
+    T' (which proves the factor has more terms: the density guard), q
+    divides a row's lcm, or the rows ran out.  The pair takes one of two
+    exact routes:
+      direct    where both scans stop early, both locators have exactly L
+                roots, and the model prices the route on |S_A|, |S_B| and
+                t = |S_A + S_B| at most the rows stage.  Each factor is
+                pulled back on its own support (_pullback), by whichever
+                the model prices lower: the fit (skewpoly._fit, which also
+                solves and checks mc's candidate), its coefficients solved
+                from rows q(1) .. q(s), once more in provable slots if the
+                guessed ones overflow, and certified exactly, the
+                candidate's value at beta^l equal to row q(l) for all
+                l = 1..p-1, compared on ints; or mat_to_skew (one cyclic
+                correlation packed into a big int, or O(p^3) int additions
+                when its corrected coefficients are too long for 64-bit
+                slots), whose support must be S.  The product is
+                skew_to_mat(sp_mul(f_B, f_A)): s_A s_B field products, each
+                one big-int product, then the pushforward (p t big-int
+                shifted adds); A @ B is the matrix of f_B * f_A
                 (phi_orientation).  t_used is t.
       rows      every other pair, and a pair whose certificate fails or
                 whose mat_to_skew pullback is not on its scanned support:
-                the int product of A and B, whose rows are the product
-                map's values at all p-1 points.  t_used is p-1.
+                the int product of A and B, naive_mul's, whose rows are the
+                product map's values at all p-1 points.  t_used is p-1.
     A pullback is checked to be the factor's own, so correctness never
-    rests on q or on the early stop.  The paper's evaluation at t points
-    with known-support interpolation is not a stage: it beat both of these
-    in 2 of 105 cells timed, and took up to 12x the faster of them where
-    the sumset nearly fills Z_(p-1).  The report names the stage in
-    `product`; rational_mul_count is the nominal 2 t_used (p-1)^2.
+    rests on q, on the early stop or on the model.  The paper's evaluation
+    at t points with known-support interpolation is not a route: it beat
+    both of these in 2 of 105 cells timed, and took up to 12x the faster
+    of them where the sumset nearly fills Z_(p-1).  The report names the
+    route in `product`; rational_mul_count is the nominal 2 t (p-1)^2 on
+    the direct route and naive_mul's (p-1)^3 on the rows stage.
     """
     _check_pair(A, B)
     start = time.perf_counter()
@@ -349,20 +427,21 @@ def det_mul(A: RatMatrix, B: RatMatrix) -> tuple[RatMatrix, MulReport]:
         return RatMatrix.zeros(p), MulReport(Algorithm.DETERMINISTIC, product="direct",
                                              wall_time=time.perf_counter() - start)
     over_a, over_b = _over_one(A), _over_one(B)
-    supports = _supports(A, B, over_a, over_b)
-    t, product, result = p - 1, "rows", None
+    rows = RationalProduct(A.nums, A.dens, B.nums, B.dens)
+    supports = _supports(A, B, over_a, over_b, rows)
     if supports is not None:
         ctx = shared_ctx(p)
         f_a = _pullback(A, supports[0], over_a, ctx)
         f_b = None if f_a is None else _pullback(B, supports[1], over_b, ctx)
         if f_b is not None:
-            t, product, result = supports[2], "direct", skew_to_mat(sp_mul(f_b, f_a))
-    if result is None:
-        result = product_matrix(A, B)
-    report = MulReport(Algorithm.DETERMINISTIC, t_used=t,
-                       rational_mul_count=2 * t * (p - 1) ** 2,
-                       wall_time=time.perf_counter() - start, product=product)
-    return result, report
+            t = supports[2]
+            return skew_to_mat(sp_mul(f_b, f_a)), MulReport(
+                Algorithm.DETERMINISTIC, t_used=t, rational_mul_count=2 * t * (p - 1) ** 2,
+                wall_time=time.perf_counter() - start, product="direct")
+    result = _product_of_rows(p, *rows.product())
+    return result, MulReport(Algorithm.DETERMINISTIC, t_used=p - 1,
+                             rational_mul_count=(p - 1) ** 3,
+                             wall_time=time.perf_counter() - start, product="rows")
 
 
 def freivalds(M: RatMatrix, A: RatMatrix, B: RatMatrix, mu, seed: int) -> FreivaldsResult:

@@ -8,7 +8,9 @@ factor and each column of the right factor to ints and multiplies those by
 signed slots of at most 64 bits, and each product row, computed when asked
 for, is one sum of p-1 (int x packed row) products, unpacked once
 (Kronecker substitution, as in `cyc_mul`).  A product whose entries need
-wider slots takes `cubic_multiply`, the generic ring kernel, instead.  No
+wider slots takes `cubic_multiply`, the generic ring kernel, instead.
+`RationalProduct` makes the product's parts one at a time, so that det's
+cost model can read the slot width before any row is formed.  No
 multiplication is counted here (`MulReport`).
 """
 
@@ -32,7 +34,18 @@ def cubic_multiply(x_rows, y_rows):
     return [tuple(sum(map(mul, xrow, col)) for col in y_cols) for xrow in x_rows]
 
 
-def int_rows(x_rows, y_rows):
+def _product_bits(x_rows, y_rows) -> int:
+    """The bits of a signed slot that holds every entry of y and of the
+    product x*y: those of B = n max(1, max|x|) max|y| plus a sign bit, read
+    by one max and one min over each factor; 0 where either has no entry."""
+    if not (x_rows and y_rows and y_rows[0]):
+        return 0
+    x_max = max(max(map(max, x_rows)), -min(map(min, x_rows)), 1)
+    y_max = max(max(map(max, y_rows)), -min(map(min, y_rows)))
+    return (len(y_rows) * x_max * y_max).bit_length() + 1
+
+
+def int_rows(x_rows, y_rows, bits=None):
     """The rows of the int product of x and y, (m x n) * (n x k), on
     demand: the function taking an iterable of rows of x to their rows of
     the product, as a list of tuples.  y is packed once, for every call.
@@ -42,8 +55,9 @@ def int_rows(x_rows, y_rows):
     sum_j x[i][j] * word_j: slot k of that sum is entry (i, k), since no
     slot overflows.  Every entry of y and of the product is at most
     B = n max(1, max|x|) max|y| in size, so w is the least of 8, 16, 32
-    or 64 bits that holds B's bits plus a sign bit (`_word_bytes`), for
-    rows of x or no longer ones.  Adding 2^(w-1) to every slot makes them
+    or 64 bits that holds B's bits plus a sign bit (`bits`, read off the
+    factors by `_product_bits` unless the caller has read it), for rows
+    of x or no longer ones.  Adding 2^(w-1) to every slot makes them
     all nonnegative, and flipping each slot's top bit then gives its two's
     complement, so a row is read through one signed struct.  O(n) big-int
     products per row, against O(n k) dot-product steps for
@@ -53,11 +67,9 @@ def int_rows(x_rows, y_rows):
     n = len(y_rows)
     if any(len(row) != n for row in x_rows):
         raise ValueError("inner dimensions do not match")
-    size = None
-    if x_rows and n and y_rows[0]:
-        x_max = max(max(map(max, x_rows)), -min(map(min, x_rows)), 1)
-        y_max = max(max(map(max, y_rows)), -min(map(min, y_rows)))
-        size = _word_bytes((n * x_max * y_max).bit_length() + 1)
+    if bits is None:
+        bits = _product_bits(x_rows, y_rows)
+    size = _word_bytes(bits) if bits else None
     if size is None:
         return lambda rows: cubic_multiply(list(rows), y_rows)
     cols = len(y_rows[0])
@@ -68,6 +80,55 @@ def int_rows(x_rows, y_rows):
     mul = operator.mul
     return lambda rows: [read(((sum(map(mul, xrow, words)) + top) ^ top).to_bytes(span, "little"))
                          for xrow in rows]
+
+
+def _scaled(x_nums, x_dens, y_nums, y_dens):
+    """(d, e, xs, ys): the lcms d of x's rows and e of y's columns, and the
+    ints d[i] * x's row i and e[k] * y's column k (rational_product)."""
+    ones = (1,) * len(y_dens)
+    d = [1 if dens == ones else math.lcm(*dens) for dens in x_dens]
+    e = [1 if col == ones else math.lcm(*col) for col in zip(*y_dens)]
+    xs = [nums if di == 1 else [x * (di // dx) for x, dx in zip(nums, dens)]
+          for nums, dens, di in zip(x_nums, x_dens, d)]
+    if max(e, default=1) == 1:
+        ys = y_nums
+    else:
+        ys = [[y * (ek // dy) for y, dy, ek in zip(nums, dens, e)]
+              for nums, dens in zip(y_nums, y_dens)]
+    return d, e, xs, ys
+
+
+class RationalProduct:
+    """rational_product's int product for det_mul, made a part at a time,
+    each part once and only when first asked for: the scales, the scaled
+    factors and the bits a slot needs (`bits`, one max and one min over
+    each scaled factor), then y packed, with the rows.  det_mul prices its
+    rows stage by `bits` before it scans, and takes that stage from the
+    same parts: no entry is read twice."""
+
+    __slots__ = ("_factors", "_parts")
+
+    def __init__(self, x_nums, x_dens, y_nums, y_dens):
+        self._factors = (x_nums, x_dens, y_nums, y_dens)
+        self._parts = None
+
+    def _scaled(self):
+        if self._parts is None:
+            d, e, xs, ys = _scaled(*self._factors)
+            self._parts = d, e, xs, ys, _product_bits(xs, ys)
+        return self._parts
+
+    @property
+    def bits(self) -> int:
+        """The bits of a signed slot that holds every entry of the scaled
+        y and of the product (_product_bits)."""
+        return self._scaled()[4]
+
+    def product(self):
+        """(d, e, S): the lcms of x's rows and of y's columns, and all the
+        rows of the int product, as rational_product gives them."""
+        d, e, xs, ys, bits = self._scaled()
+        return d, e, int_rows(xs, ys, bits)(xs)
 
 
 def rational_product(x_nums, x_dens, y_nums, y_dens):
@@ -87,16 +148,7 @@ def rational_product(x_nums, x_dens, y_nums, y_dens):
     comparison; rows of x over 1, and y when all of it is over 1, are used
     unscaled.
     """
-    ones = (1,) * len(y_dens)
-    d = [1 if dens == ones else math.lcm(*dens) for dens in x_dens]
-    e = [1 if col == ones else math.lcm(*col) for col in zip(*y_dens)]
-    xs = [nums if di == 1 else [x * (di // dx) for x, dx in zip(nums, dens)]
-          for nums, dens, di in zip(x_nums, x_dens, d)]
-    if max(e, default=1) == 1:
-        ys = y_nums
-    else:
-        ys = [[y * (ek // dy) for y, dy, ek in zip(nums, dens, e)]
-              for nums, dens in zip(y_nums, y_dens)]
+    d, e, xs, ys = _scaled(x_nums, x_dens, y_nums, y_dens)
     product = int_rows(xs, ys)
     return d, e, lambda indices=None: product(xs if indices is None
                                               else map(xs.__getitem__, indices))

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import matmul
 from .cyclotomic import CycElem, _is_prime, cyc_mul, cyc_scale, rotated_sum, shared_ctx
+from .multiply import RationalProduct
 from .skewpoly import (SkewPoly, _fit, _modulus, _scaled_row, power_points, sp_evaluate,
                        sp_mul, sparse_interpolate, values_at_beta_powers)
 from .skewstructure import (antidiag_perm, build_AB_perm, build_P, build_Q,
@@ -178,35 +179,47 @@ def check_l0_characterization(primes=(3, 5, 7), cases=6) -> bool:
     return True
 
 
-def _stage_pairs(ctx, rng, den):
-    """Two pairs on either side of det_mul's stage rule, each a one-term
-    factor times layers 0..s-1 (s_A = 1 and t = s) scaled by 1/den: the
-    largest s the rule sends to the direct stage, with a zero left factor
-    where no s goes direct (p <= 7 over 1, p <= 5 over 7), and the least s
-    it sends to the rows stage; each with the route it must take."""
-    p = ctx.p
-    integral = den == 1
+#: coordinates of this size make the int product loop past 64-bit slots
+_LONG = 2 ** 64
 
-    def pair(s, zero=False):
-        a = RatMatrix.zeros(p) if zero else random_layered(ctx, [0], rng.getrandbits(32))
-        b = random_layered(ctx, range(s), rng.getrandbits(32))
+
+def _reach_of(A, B) -> int:
+    """det's model's reach for the pair (matmul._reach): the largest
+    sparsity at which a one-term partner's direct route still costs no
+    more than the pair's own rows stage."""
+    width = matmul._words(RationalProduct(A.nums, A.dens, B.nums, B.dens).bits)
+    return matmul._reach(A.p, matmul._over_one(A), matmul._over_one(B), width)
+
+
+def _stage_pairs(ctx, rng, den):
+    """Pairs on either side of det_mul's cost model, each a one-term factor
+    times layers 0..s-1 (s_A = 1 and t = s) scaled by 1/den: on one-digit
+    coordinates, packed slots, the model's reach T, with a zero left factor
+    where it is 0 (p <= 31), then T + 1; and on 2^64 coordinates, whose
+    product loops past 64-bit slots, one term times one where the model
+    reaches it.  Each with the route it must take."""
+    p = ctx.p
+
+    def pair(s, zero=False, bound=9):
+        a = RatMatrix.zeros(p) if zero else random_layered(ctx, [0], rng.getrandbits(32), bound)
+        b = random_layered(ctx, range(s), rng.getrandbits(32), bound)
         return a.scale(Fraction(1, den)), b.scale(Fraction(1, den))
 
-    T = matmul._direct_bound(matmul._product_route, p, integral)
-    direct = pair(T) if T else pair(1, zero=True)
-    return (direct, "direct"), (pair(T + 1), "rows")
+    T = matmul._reach(p, den == 1, den == 1, 0)
+    long = pair(1, bound=_LONG)
+    return ((pair(T) if T else pair(1, zero=True), "direct"), (pair(T + 1), "rows"),
+            (long, "direct" if _reach_of(*long) else "rows"))
 
 
 def _guarded_pair(ctx, rng):
-    """A one-term factor times layers 0..T, for the largest T the stage rule
-    sends to the direct stage (over 1, or over 7 where no sparsity goes
-    direct over 1), or None where T = 0 either way (p <= 5).  det_mul's
-    density guard must prove the (T+1)-term factor dense and take the rows
-    stage with no pullback, so it reports t_used = p-1, above the sumset's
-    T+1."""
+    """A one-term factor times layers 0..T, for the model's reach T on
+    packed slots (over 1, or over 7 where it is 0 over 1), or None where
+    T = 0 either way (p <= 31).  det_mul's density guard must prove the
+    (T+1)-term factor dense and take the rows stage with no pullback, so
+    it reports t_used = p-1, above the sumset's T+1."""
     p = ctx.p
     for den in (1, 7):
-        T = matmul._direct_bound(matmul._product_route, p, den == 1)
+        T = matmul._reach(p, den == 1, den == 1, 0)
         if 0 < T < p - 1:
             a = random_layered(ctx, [0], rng.getrandbits(32))
             b = random_layered(ctx, range(T + 1), rng.getrandbits(32))
@@ -215,24 +228,20 @@ def _guarded_pair(ctx, rng):
 
 
 def _certificate_pairs(ctx, rng):
-    """Two pairs for det_mul's certified sparse pullback, over 1 or over 7
-    (whichever lets det scan its factors), or None where no factor is
-    scanned (p <= 5): a one-term factor times a one-term one, whose scans
-    give both supports; and the same partner times 1 + (beta - z) x, where
-    z = zeta (mod q) for the image zeta of beta modulo the scan's prime q,
-    so that the scan sees one term of two and the candidate solved on it
-    fails the certificate."""
-    p = ctx.p
-    for den in (1, 7):
-        T = matmul._direct_bound(matmul._product_route, p, den == 1)
-        if 0 < T < p - 1:
-            scale = Fraction(1, den)
-            zeta = _modulus(p)[1][1]
-            vanishing = SkewPoly(ctx, {0: ctx.one, 1: ctx.beta_power(1) - ctx.one * zeta})
-            a = random_layered(ctx, [0], rng.getrandbits(32)).scale(scale)
-            b = random_layered(ctx, [1], rng.getrandbits(32)).scale(scale)
-            return (a, b), (skew_to_mat(vanishing).scale(scale), b)
-    return None
+    """Two pairs for det_mul's certified sparse pullback on 2^64
+    coordinates, which the model sends direct, or None where it does not
+    (p <= 11): a one-term factor times a one-term one, whose scans give both
+    supports; and the same partner times 1 + (beta - z) x, where z = zeta
+    (mod q) for the image zeta of beta modulo the scan's prime q, so that
+    the scan sees one term of two and the candidate solved on it fails the
+    certificate."""
+    a = random_layered(ctx, [0], rng.getrandbits(32), _LONG)
+    b = random_layered(ctx, [1], rng.getrandbits(32), _LONG)
+    zeta = _modulus(ctx.p)[1][1]
+    vanishing = skew_to_mat(SkewPoly(ctx, {0: ctx.one, 1: ctx.beta_power(1) - ctx.one * zeta}))
+    if not (_reach_of(a, b) and _reach_of(vanishing, b)):
+        return None
+    return (a, b), (vanishing, b)
 
 
 def _fitted(M, support, ctx):
@@ -244,13 +253,13 @@ def _fitted(M, support, ctx):
 
 
 def _certificates_hold(ctx, rng) -> bool:
-    """At a prime where det scans its factors, the _certificate_pairs: the
+    """At a prime where the model sends the _certificate_pairs direct: the
     first pair goes direct on its scanned supports, on which both factors'
     sparse pullbacks certify as their pullbacks; the second's wrong support
     fails its certificate, so det_mul takes the rows stage; det_mul equals
-    the schoolbook on both.  At p >= 31, where a one-term factor's sparse
-    pullback pays, det_mul itself takes it for both factors of the first
-    pair."""
+    the schoolbook on both.  At p >= 31, where the model prices a one-term
+    factor's fit below mat_to_skew, det_mul itself takes it for both
+    factors of the first pair."""
     p = ctx.p
     pairs = _certificate_pairs(ctx, rng)
     if pairs is None:
@@ -264,28 +273,41 @@ def _certificates_hold(ctx, rng) -> bool:
         stages.append(report.product)
     if stages != ["direct", "rows"]:
         return False
-    supports = matmul._supports(A, B, matmul._over_one(A), matmul._over_one(B))
+    supports = _route(A, B)
     if supports is None or not all(_fitted(M, S, ctx) == mat_to_skew(M, ctx)
                                    for M, S in zip((A, B), supports)):
         return False
-    if p >= 31 and not all(matmul._sparse_pays(len(S), p) for S in supports[:2]):
+    if p >= 31 and not all(matmul._fit_cost(len(S), p, True) <= matmul._mat_to_skew_cost(p, True)
+                           for S in supports[:2]):
         return False
-    supports = matmul._supports(F, G, matmul._over_one(F), matmul._over_one(G))
+    supports = _route(F, G)
     return supports is not None and _fitted(F, supports[0], ctx) is None
+
+
+def _route(A, B):
+    """det_mul's route for A and B (matmul._supports): their scanned
+    supports and sumset size where it goes direct, else None."""
+    return matmul._supports(A, B, matmul._over_one(A), matmul._over_one(B),
+                            RationalProduct(A.nums, A.dens, B.nums, B.dens))
 
 
 def check_multiplication(primes=DEFAULT_PRIMES, cases=4) -> bool:
     """det_mul and mc_mul against the schoolbook oracle, dense and layered;
-    at each prime a layered pair on either side of det_mul's stage rule,
-    over 1 and over 7, which must take the stage the rule names; where
-    the rule sends any sparsity direct, a pair its density guard must send
-    to the rows stage with no pullback, a pair whose sparse pullbacks
-    certify on the direct stage and one whose certificate fails, which
+    at each prime layered pairs on either side of det_mul's cost model,
+    over 1 and over 7, which must take the route the model names; where
+    the model reaches any sparsity on packed slots (also run at p=61), a
+    pair its density guard must send to the rows stage with no pullback;
+    where it sends 2^64 coordinates direct, a pair whose sparse pullbacks
+    certify on the direct route and one whose certificate fails, which
     must take the rows stage (_certificates_hold, also run at p=31); and
     A*I with row q(1) = 1 of A zero: mc_mul's scan stops at once on the
     zero candidate, and the exact product passes a 2nd check."""
     rng = random.Random(505)
     if not _certificates_hold(shared_ctx(31), random.Random(31)):
+        return False
+    guarded = _guarded_pair(shared_ctx(61), random.Random(61))
+    got, report = matmul.det_mul(*guarded)
+    if (report.product, report.t_used) != ("rows", 60) or got != matmul.naive_mul(*guarded):
         return False
     for p in primes:
         ctx = shared_ctx(p)
@@ -497,7 +519,7 @@ def run_selftest(stream=None, primes=DEFAULT_PRIMES):
         ("pullback and pushforward, packed and looped, vs the rotated-sum "
          "definition", check_pullback_paths),
         ("skew-sparsity reporting", check_sparsity_reporting),
-        ("det/mc multiplication vs schoolbook oracle, det's stage rule on "
+        ("det/mc multiplication vs schoolbook oracle, det's cost model on "
          "either side, det's density guard and certified sparse pullback, "
          "mc's rejected premature stop",
          check_multiplication),

@@ -132,9 +132,18 @@ def fit_values(values, support, ctx):
 
 
 def certified_pullback(M, support):
-    """det's sparse pullback of M on `support`, taken whatever the per-factor
-    rule says (matmul._pullback with _sparse_pays forced): the fit of M's
+    """det's sparse pullback of M on `support`, taken whatever the cost
+    model says (matmul._pullback with the fit priced at 0): the fit of M's
     rows where its certificate holds, else None."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matmul, "_sparse_pays", lambda *_args: True)
+        mp.setattr(matmul, "_fit_cost", lambda *_args: 0.0)
         return matmul._pullback(M, support, matmul._over_one(M), shared_ctx(M.p))
+
+
+def force_route(mp, route):
+    """Force det_mul's route past its cost model: for "direct", both factors
+    are scanned under p-1 and any supports the scans give go direct; for
+    "rows", nothing is scanned and the pair takes the rows stage."""
+    direct = route == "direct"
+    mp.setattr(matmul, "_reach", lambda p, *_args: p - 1 if direct else 0)
+    mp.setattr(matmul, "_pays", lambda *_args: direct)

@@ -237,12 +237,24 @@ def test_criterion_10_evaluation_cost_scaling():
             product, report = det_mul(A, B)
             points = len(sumset(mat_to_skew(A), mat_to_skew(B)))
             assert points == t
-            # past t = 7 the density guard takes the rows stage under the
-            # full support, with no pullback
-            assert report.t_used == (t if t <= 7 else p - 1)
-            assert report.rational_mul_count == 2 * report.t_used * (p - 1) ** 2
+            # on one-digit coordinates no direct route beats the packed rows
+            # stage at p=31: det is naive's int product, with its count
+            assert (report.t_used, report.rational_mul_count) == (p - 1, (p - 1) ** 3)
             assert product == naive_mul(A, B)
             counts[t] = 2 * points * (p - 1) ** 2  # the paper's evaluation count
+            # on 2^32 coordinates the rows stage would loop past 64-bit
+            # slots, and det goes direct under the sumset, counted as the
+            # paper's evaluation at its t points, up to the (p-2)//2 = 14
+            # terms a scan can find in p-1 = 30 rows
+            A = random_layered(ctx, {0}, 10_000 + t, 2 ** 32)
+            B = random_layered(ctx, set(range(t)), 20_000 + t, 2 ** 32)
+            product, report = det_mul(A, B)
+            if t <= 14:
+                assert (report.product, report.t_used) == ("direct", t)
+                assert report.rational_mul_count == counts[t]
+            else:
+                assert (report.product, report.t_used) == ("rows", p - 1)
+            assert product == naive_mul(A, B)
         # least-squares slope through the origin, then per-point deviation
         slope = sum(counts[t] * t for t in ts) / sum(t * t for t in ts)
         for t in ts:

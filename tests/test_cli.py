@@ -151,15 +151,16 @@ def test_header_prime_above_ceiling_is_format_error(workdir, no_context, p):
 # ---------------------------------------------------------------------------
 
 def test_mul_det_identity_files(workdir, capsys):
+    # one term each: direct at p=61
     ident = workdir / "i.mat"
-    write_matrix_file(ident, RatMatrix.identity(13))
+    write_matrix_file(ident, RatMatrix.identity(61))
     out = workdir / "c.mat"
     rc = run_cli("mul", "--algo", "det", str(ident), str(ident), "-o", str(out))
     assert rc == EXIT_OK
     report = json.loads(capsys.readouterr().err)
     assert report["algorithm"] == "det"
     assert report["t_used"] == 1
-    assert read_matrix_file(out) == RatMatrix.identity(13)
+    assert read_matrix_file(out) == RatMatrix.identity(61)
 
 
 def test_mul_all_algorithms_agree(workdir, capsys):
@@ -343,9 +344,10 @@ def test_mul_reports_det_product_stage_and_bench_omits_it(workdir, capsys):
             # 12 random layers each at p=61: the sumset (t = 56) nearly fills Z_60
             (61, "3,4,6,9,20,23,25,34,37,41,52,55", "2,4,5,13,15,26,27,32,35,54,55,58",
              "rows"),
-            # one term times layers 0..16 at p=61: the last direct cell of
-            # bench's pairs, 3 (17 + 17) (61 + 8) <= 2 * 60^2
-            (61, "0", ",".join(map(str, range(17))), "direct"),
+            # one term times layers 0..2 and 0..3 at p=61: the last direct
+            # and the first rows cell of bench's pairs on packed slots
+            (61, "0", "0,1,2", "direct"),
+            (61, "0", "0,1,2,3", "rows"),
             (13, "dense", "dense", "rows")):
         a = gen(workdir, "a.mat", p=p, layers=layers_a, seed=1)
         b = gen(workdir, "b.mat", p=p, layers=layers_b, seed=2)
@@ -454,9 +456,11 @@ def test_bench_records(workdir):
         assert rec["p"] == 13
         assert rec["correct"] is True
         assert rec["I"] == [0]
-    det = {rec["t_used"]: rec["rational_mul_count"]
+    # at p=13 det takes the rows stage on every pair, naive's int product,
+    # and reports naive's count for it
+    det = {(rec["t_used"], rec["rational_mul_count"])
            for rec in records if rec["algorithm"] == "det"}
-    assert det == {1: 288, 2: 576}  # 2 * t * 144
+    assert det == {(12, 1728)}
     naive_counts = {rec["rational_mul_count"] for rec in records if rec["algorithm"] == "naive"}
     assert naive_counts == {1728}   # t-independent baseline
 

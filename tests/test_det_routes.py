@@ -1,49 +1,62 @@
-"""det_mul's two product stages: each is exact, and each is taken where
-the rule says.
+"""det_mul's two routes: each is exact, and each is taken where the cost
+model says.
 
 det_mul decides its route once, on the scanned supports (_supports): the
-direct product sp_mul(f_B, f_A) of the pullbacks ("direct") where
-_product_route picks it from s_A s_B, the sumset size t, p and whether
-both factors are over 1, else the int product of all p-1 rows ("rows").
-Pairs are built with real denominators on both routes: layered pairs,
-pairs whose supports are one subgroup of Z_(p-1), so that the sumset
-collapses to it, random supports whose sumset nearly fills Z_(p-1) at p=31
-and p=61, a dense pair, a zero factor, and two pairs whose first factor
-fails det's certificate and so take the rows stage.  Each product must
-equal the Fraction triple loop of conftest, only the chosen stage may run,
-the rule runs at most once, and nothing is evaluated or interpolated: the
-paper's evaluation stage is mc_mul's alone.
+direct product sp_mul(f_B, f_A) of the pullbacks ("direct") where the
+whole-path cost model prices it at most the rows stage, from s_A, s_B, the
+sumset size t, p, whether each factor is over 1 and the rows stage's slot
+width, else the int product of all p-1 rows ("rows").  Pairs are built
+with real denominators on both routes: layered pairs, pairs whose supports
+are one subgroup of Z_(p-1), so that the sumset collapses to it, random
+supports whose sumset nearly fills Z_(p-1) at p=31 and p=61, a dense pair,
+a zero factor, and two pairs whose first factor fails det's certificate
+and so take the rows stage.  On packed slots every pair at p=31 takes the
+rows stage, so the direct pairs have entries past 64-bit slots.  Each
+product must equal the Fraction triple loop of conftest, only the chosen
+stage may run, the route is decided at most once, and nothing is
+evaluated or interpolated: the paper's evaluation stage is mc_mul's alone.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from conftest import certified_pullback, fraction_product, rand_rational_matrix, seeded
+from conftest import (certified_pullback, force_route, fraction_product, rand_rational_matrix,
+                      seeded)
 from skewmm import RatMatrix, det_mul, mat_to_skew, naive_mul, shared_ctx, sumset
 from skewmm import matmul, skewpoly
-from skewmm.matmul import _product_route
+from skewmm.multiply import RationalProduct
 from skewmm.skewstructure import random_layered
-from test_sparse_pullback import pair_with, premature_stop_factor, vanishing_factor
+from test_sparse_pullback import premature_stop_factor, vanishing_factor
 
 P = 31
+#: a coefficient bound whose products need slots past 64 bits
+LONG = 2 ** 40
 
 
-def layered(layers, seed, den, p=P):
-    return random_layered(shared_ctx(p), layers, seed).scale(Fraction(1, den))
+def layered(layers, seed, den, p=P, coeff_bound=9):
+    return random_layered(shared_ctx(p), layers, seed, coeff_bound).scale(Fraction(1, den))
+
+
+def long_partner(A):
+    # a one-term partner whose entries make the rows stage loop past
+    # 64-bit slots, so that the model sends the pair direct
+    return A, random_layered(shared_ctx(A.p), [2], 1, 2 ** 64)
 
 
 SUBGROUP_10 = range(0, 30, 3)
 
 #: the route each pair must take, then what the pair is
 PAIRS = {
-    "direct": lambda: (layered([0], 1, 7), layered(range(4), 2, 2 ** 61 - 1)),
+    "direct": lambda: (layered([0], 1, 7, coeff_bound=LONG),
+                       layered(range(4), 2, 2 ** 61 - 1, coeff_bound=LONG)),
     # supports on the subgroup of order 5 of Z_60
-    "direct, s = t = 5": lambda: (layered(range(0, 60, 12), 3, 3 ** 40, p=61),
-                                  layered(range(0, 60, 12), 4, 5, p=61)),
+    "direct, s = t = 5": lambda: (layered(range(0, 60, 12), 3, 3 ** 40, p=61, coeff_bound=LONG),
+                                  layered(range(0, 60, 12), 4, 5, p=61, coeff_bound=LONG)),
     "rows": lambda: (rand_rational_matrix(P, seeded(5)), rand_rational_matrix(P, seeded(6))),
     "rows, s = t = 10": lambda: (layered(SUBGROUP_10, 7, 2), layered(SUBGROUP_10, 8, 9)),
-    "direct, layered": lambda: (layered([0, 1], 9, 3), layered(range(3), 10, 11)),
+    "direct, layered": lambda: (layered([0, 1], 9, 3, coeff_bound=LONG),
+                                layered(range(3), 10, 11, coeff_bound=LONG)),
     # s = 8 and t = 29 at p=31, and s = 12 and t = 56 at p=61 (the CLI's
     # gen with these layers and seeds): sumsets that nearly fill Z_(p-1),
     # where evaluation and interpolation took about 10x the stage taken
@@ -53,22 +66,25 @@ PAIRS = {
         layered([3, 4, 6, 9, 20, 23, 25, 34, 37, 41, 52, 55], 1, 1, p=61),
         layered([2, 4, 5, 13, 15, 26, 27, 32, 35, 54, 55, 58], 2, 1, p=61)),
     "direct, zero factor": lambda: (RatMatrix.zeros(P), rand_rational_matrix(P, seeded(14))),
-    # one term times layers 0..8 (t = 9): direct only because of the
-    # denominators, whose row and column scales make the rows stage dearer
-    "direct, over denominators": lambda: (layered([0], 15, 7), layered(range(9), 16, 2)),
+    # one term times layers 0..8 (t = 9) over denominators: direct on 40-bit
+    # coefficients, whose product loops past 64-bit slots; the same layers
+    # over 1 with one-digit coefficients take the packed rows stage
+    "direct, over denominators": lambda: (layered([0], 15, 7, coeff_bound=LONG),
+                                          layered(range(9), 16, 2, coeff_bound=LONG)),
     "rows, the same layers over 1": lambda: (layered([0], 15, 1), layered(range(9), 16, 1)),
     # a first factor whose scanned support fails its certificate, so that
     # the pair takes the rows stage: a coefficient that vanishes mod the
-    # scan's prime, and an early stop on a node outside the support
-    "rows, a vanishing coefficient": lambda: pair_with(vanishing_factor(P)),
-    "rows, a premature early stop": lambda: pair_with(premature_stop_factor(P)),
+    # scan's prime, and an early stop on a node outside the support; the
+    # long partner makes the model send both pairs direct
+    "rows, a vanishing coefficient": lambda: long_partner(vanishing_factor(P)),
+    "rows, a premature early stop": lambda: long_partner(premature_stop_factor(P)),
 }
 
 #: the PAIRS whose first factor's certificate fails
 CERTIFICATE_FAILED = ("rows, a vanishing coefficient", "rows, a premature early stop")
 
 #: the stage functions det_mul calls, by the route that calls them
-STAGES = {"direct": ("sp_mul",), "rows": ("product_matrix",)}
+STAGES = {"direct": ("sp_mul",), "rows": ("_product_of_rows",)}
 
 
 def forbidden(message):
@@ -102,16 +118,25 @@ def test_each_route_equals_the_fraction_product(case, monkeypatch):
     ctx = shared_ctx(p)
     t_used = p - 1 if route == "rows" else len(sumset(mat_to_skew(A, ctx), mat_to_skew(B, ctx)))
     assert report.t_used == t_used
-    assert report.rational_mul_count == 2 * t_used * (p - 1) ** 2
+    # naive's count on the rows stage, the same int product
+    assert report.rational_mul_count == ((p - 1) ** 3 if route == "rows"
+                                         else 2 * t_used * (p - 1) ** 2)
+
+
+def model_supports(A, B):
+    return matmul._supports(A, B, matmul._over_one(A), matmul._over_one(B),
+                            RationalProduct(A.nums, A.dens, B.nums, B.dens))
 
 
 @pytest.mark.parametrize("case", CERTIFICATE_FAILED)
 def test_the_failed_certificates_fail(case):
-    # the scans send the pair direct, the first factor's support pays, and
-    # the candidate solved on it is refused, so det_mul takes the rows stage
+    # the model sends the pair direct on its scanned supports, the first
+    # factor is fitted on its support, and the candidate solved on it is
+    # refused, so det_mul takes the rows stage
     A, B = PAIRS[case]()
-    supports = matmul._supports(A, B, True, True)
-    assert supports is not None and matmul._sparse_pays(len(supports[0]), A.p)
+    supports = model_supports(A, B)
+    assert supports is not None
+    assert matmul._fit_cost(len(supports[0]), A.p, True) <= matmul._mat_to_skew_cost(A.p, True)
     assert certified_pullback(A, supports[0]) is None
 
 
@@ -129,7 +154,7 @@ def test_every_route_is_exact_at_every_prime(route, monkeypatch):
 
         monkeypatch.setattr(matmul, "_supports", supports)
     else:
-        monkeypatch.setattr(matmul, "_product_route", lambda *_args: route)
+        force_route(monkeypatch, route)
     for p in (3, 5, 7, 13, 31):
         ctx = shared_ctx(p)
         rng = seeded(40 + p)
@@ -147,25 +172,34 @@ def test_every_route_is_exact_at_every_prime(route, monkeypatch):
 
 
 def test_the_rule_runs_at_most_once(monkeypatch):
-    # on the scanned supports only, whatever the pair and the route: once
-    # where both scans give a support, never where one does not (a dense
-    # factor, T = 0 at p=7) or a factor is zero.  T is read off the real
-    # rule, and no call is made after the pullbacks
-    rule, bound = matmul._product_route, matmul._direct_bound
-    calls = []
-    monkeypatch.setattr(matmul, "_product_route", lambda *args: calls.append(args) or rule(*args))
-    monkeypatch.setattr(matmul, "_direct_bound", lambda _rule, *args: bound(rule, *args))
+    # the route is decided once per product, in _supports, before any
+    # pullback: never for a zero factor, and no price is read after the
+    # first pullback, whatever the pair, the width and the route
+    events = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            events.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("_supports", "_direct_cost", "_pullback"):
+        monkeypatch.setattr(matmul, name, spy(name, getattr(matmul, name)))
     pairs = {case: pair() for case, pair in PAIRS.items()}
     for p in (7, 13, 61):
         ctx = shared_ctx(p)
         for s in (1, 3, p - 1):
-            pairs[p, s] = random_layered(ctx, [1], p), random_layered(ctx, range(s), p + 1)
-    counts = {}
+            for bound in (9, LONG):
+                pairs[p, s, bound] = (random_layered(ctx, [1], p, bound),
+                                      random_layered(ctx, range(s), p + 1, bound))
+    decided = set()
     for case, (A, B) in pairs.items():
-        calls.clear()
+        events.clear()
         det_mul(A, B)
-        counts[case] = len(calls)
-    assert set(counts.values()) == {0, 1}, counts
+        decided.add(events.count("_supports"))
+        if "_pullback" in events:
+            assert "_direct_cost" not in events[events.index("_pullback"):], case
+    assert decided == {0, 1}
 
 
 def test_collapsing_sumsets():
@@ -191,10 +225,42 @@ def check_cell(s_a, s_b, t, p):
     assert (max(s_a, s_b) if s_a * s_b else 0) <= t <= min(s_a * s_b, p - 1)
 
 
+def picks(s_a, s_b, t, p, over_one, words):
+    """The model's route for supports of sizes s_a, s_b and sumset size t,
+    both factors over 1 or both not, for the rows stage's width `words`
+    (matmul._words: 0 for packed slots): direct where both supports lie
+    within the reach, so that the scans find them, and the route then
+    costs at most the rows stage."""
+    reach = matmul._reach(p, over_one, over_one, words)
+    pays = (matmul._direct_cost(p, over_one, over_one, s_a, s_b, t, words)
+            <= matmul._rows_cost(p, over_one, words))
+    return "direct" if max(s_a, s_b) <= reach and pays else "rows"
+
+
+def check_replaced_rule_cell(s_a, s_b, t, p, route, over_one):
+    """A cell of the stage rule the whole-path model replaced, with that
+    rule's pick `route`.  The stage rule compared the product stages alone;
+    the model adds the scans and the pullbacks to the direct route, so a
+    cell the stage rule sent to rows stays on rows on packed slots.  Past
+    64-bit slots the rows stage is cubic_multiply's loop: a cell the stage
+    rule sent direct goes direct on entries of 1024-bit coefficients (33
+    words a product entry).  A zero factor is zero up front, reported
+    direct, with no model."""
+    check_cell(s_a, s_b, t, p)
+    if not s_a * s_b:
+        ctx = shared_ctx(p)
+        zero, B = RatMatrix.zeros(p), random_layered(ctx, range(s_b), p)
+        assert det_mul(zero, B)[1].product == route == "direct"
+    elif route == "rows":
+        assert picks(s_a, s_b, t, p, over_one, 0) == "rows"
+    else:
+        assert picks(s_a, s_b, t, p, over_one, 33) == "direct"
+
+
 @pytest.mark.parametrize("s_a, s_b, t, p, route", [
-    # factors over 1: 3 (s_a s_b + t) (p + 8) <= 2 (p-1)^2.  Each p has its
-    # last direct and first rows cell on bench's pairs (s_a = 1, t = s_b),
-    # and up to p=7 only a zero factor is direct
+    # the stage rule over 1: 3 (s_a s_b + t) (p + 8) <= 2 (p-1)^2.  Each p
+    # has its last direct and first rows cell on bench's pairs (s_a = 1,
+    # t = s_b), and up to p=7 only a zero factor was direct
     (0, 2, 0, 3, "direct"), (1, 1, 1, 3, "rows"), (2, 2, 2, 3, "rows"),
     (0, 4, 0, 5, "direct"), (1, 1, 1, 5, "rows"), (1, 2, 2, 5, "rows"),
     (0, 6, 0, 7, "direct"), (1, 1, 1, 7, "rows"),
@@ -212,35 +278,61 @@ def check_cell(s_a, s_b, t, p):
     # det-wide (t = 8, 12, 16) rows
     (1, 1, 1, 31, "direct"), (1, 2, 2, 31, "direct"), (1, 4, 4, 31, "direct"),
     (1, 12, 12, 31, "rows"), (1, 16, 16, 31, "rows"),
-    # a one-term factor takes rows once the other is dense enough
+    # a one-term factor took rows once the other was dense enough
     (16, 1, 16, 31, "rows"), (1, 30, 30, 31, "rows"), (1, 60, 60, 61, "rows"),
     (1, 42, 42, 127, "rows"),
-    # t is read: the same s_a s_b takes either route by the sumset's size
+    # t was read: the same s_a s_b took either route by the sumset's size
     (4, 6, 9, 61, "direct"), (4, 6, 24, 61, "rows"),
     (5, 6, 15, 31, "rows"), (5, 5, 12, 31, "rows"), (5, 5, 13, 31, "rows"),
     (5, 5, 5, 31, "rows"), (10, 10, 10, 31, "rows"), (30, 30, 30, 31, "rows"),
     (30, 30, 30, 61, "rows"),
 ])
 def test_the_rule(s_a, s_b, t, p, route):
-    check_cell(s_a, s_b, t, p)
-    assert _product_route(s_a, s_b, t, p, True) == route
+    check_replaced_rule_cell(s_a, s_b, t, p, route, True)
 
 
 @pytest.mark.parametrize("s_a, s_b, t, p, route", [
-    # either factor over a denominator: 2 (s_a s_b + t) (p + 8) <= 2 (p-1)^2,
-    # the last direct and first rows cell at each p, on bench's pairs
+    # the stage rule with either factor over a denominator:
+    # 2 (s_a s_b + t) (p + 8) <= 2 (p-1)^2, its last direct and first rows
+    # cell at each p on bench's pairs
     (0, 2, 0, 3, "direct"), (1, 1, 1, 3, "rows"),
     (0, 4, 0, 5, "direct"), (1, 1, 1, 5, "rows"),
-    (1, 1, 1, 7, "direct"), (1, 2, 2, 7, "rows"),
+    (1, 2, 2, 7, "rows"),
     (1, 3, 3, 13, "direct"), (1, 4, 4, 13, "rows"),
     (1, 11, 11, 31, "direct"), (1, 12, 12, 31, "rows"),
     (1, 26, 26, 61, "direct"), (1, 27, 27, 61, "rows"),
     (1, 58, 58, 127, "direct"), (1, 59, 59, 127, "rows"),
-    # cli-rational's pair at p=31, and cells that go direct only with
+    # cli-rational's pair at p=31, and cells that went direct only with
     # denominators
     (1, 2, 2, 31, "direct"), (1, 8, 8, 31, "direct"), (3, 3, 7, 31, "direct"),
     (5, 6, 10, 61, "direct"), (5, 6, 30, 61, "rows"),
 ])
 def test_the_rule_with_denominators(s_a, s_b, t, p, route):
+    check_replaced_rule_cell(s_a, s_b, t, p, route, False)
+
+
+@pytest.mark.parametrize("p, s_a, s_b, t, words, over_1, over_den", [
+    # packed slots (words 0): no pair at p <= 31, one-term partners up to
+    # t = 3 at p=61 and 8 at p=127, further there over denominators, whose
+    # rows stage costs about 2.3 times as much
+    (13, 1, 1, 1, 0, "rows", "rows"), (31, 1, 1, 1, 0, "rows", "rows"),
+    (31, 1, 2, 2, 0, "rows", "rows"), (61, 1, 2, 2, 0, "direct", "direct"),
+    (61, 1, 3, 3, 0, "direct", "direct"), (61, 1, 4, 4, 0, "rows", "rows"),
+    (61, 2, 2, 3, 0, "direct", "direct"), (61, 2, 3, 4, 0, "rows", "direct"),
+    (127, 1, 8, 8, 0, "direct", "direct"), (127, 1, 9, 9, 0, "rows", "direct"),
+    (127, 1, 12, 12, 0, "rows", "direct"), (127, 1, 13, 13, 0, "rows", "rows"),
+    (127, 2, 4, 5, 0, "direct", "direct"), (127, 4, 6, 9, 0, "rows", "direct"),
+    # past 64-bit slots the rows stage loops: at the edge (2 words) the
+    # route wins from p=31 on, at p=13 only on longer entries, and at
+    # every p the sumset still matters
+    (13, 1, 1, 1, 2, "rows", "rows"), (13, 1, 1, 1, 17, "direct", "direct"),
+    (13, 1, 4, 4, 33, "direct", "direct"), (13, 1, 8, 8, 33, "rows", "rows"),
+    (31, 1, 1, 1, 2, "direct", "direct"), (31, 1, 14, 14, 2, "direct", "direct"),
+    (31, 5, 5, 12, 2, "direct", "direct"), (31, 8, 8, 29, 2, "rows", "rows"),
+    (61, 1, 8, 8, 2, "direct", "direct"), (61, 12, 12, 56, 2, "direct", "direct"),
+    (61, 15, 16, 60, 2, "rows", "rows"),
+])
+def test_the_model(p, s_a, s_b, t, words, over_1, over_den):
     check_cell(s_a, s_b, t, p)
-    assert _product_route(s_a, s_b, t, p, False) == route
+    assert picks(s_a, s_b, t, p, True, words) == over_1
+    assert picks(s_a, s_b, t, p, False, words) == over_den

@@ -46,8 +46,10 @@ def test_naive_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_det_identity():
-    product, report = det_mul(RatMatrix.identity(13), RatMatrix.identity(13))
-    assert product == RatMatrix.identity(13)
+    # one term each: direct at p=61, the least prime where a short-entry
+    # pair can be
+    product, report = det_mul(RatMatrix.identity(61), RatMatrix.identity(61))
+    assert product == RatMatrix.identity(61)
     assert report.t_used == 1
     assert report.algorithm is Algorithm.DETERMINISTIC
 
@@ -83,7 +85,7 @@ def test_det_matches_oracle_dense_and_layered():
 
 
 def test_det_layer_zero_pair_uses_one_point():
-    ctx = shared_ctx(13)
+    ctx = shared_ctx(61)
     A = random_layered(ctx, {0}, 5)
     B = random_layered(ctx, {0}, 6)
     product, report = det_mul(A, B)
@@ -123,7 +125,7 @@ def test_det_at_full_support_reads_the_product_off_the_rows(monkeypatch):
         product, report = det_mul(A, B)
         assert product == naive_mul(A, B)
         assert report.t_used == p - 1
-        assert report.rational_mul_count == 2 * (p - 1) ** 3
+        assert report.rational_mul_count == (p - 1) ** 3
 
 
 def test_products_do_not_consult_the_orientation_probe(monkeypatch):
@@ -150,13 +152,13 @@ def test_products_do_not_consult_the_orientation_probe(monkeypatch):
 
 
 def test_det_evaluation_count_scales_linearly():
-    # nominal count of the cubic kernel: 2 * t_used * (p-1)^2, where t_used
-    # is the sumset size t, or p-1 past t = 2, where the density guard
-    # takes the rows stage with no pullback
-    p = 13
+    # nominal count of the direct route: 2 * t * (p-1)^2 for the sumset
+    # size t; past t = 3 at p=61 the density guard takes the rows stage
+    # with no pullback, charged as naive's (p-1)^3
+    p = 61
     ctx = shared_ctx(p)
     counts = {}
-    t_used = {1: 1, 2: 2, 4: 12, 8: 12}
+    t_used = {1: 1, 2: 2, 4: 60, 8: 60}
     for t in t_used:
         A = random_layered(ctx, {0}, 21)
         B = random_layered(ctx, set(range(t)), 22)
@@ -164,7 +166,8 @@ def test_det_evaluation_count_scales_linearly():
         assert len(sumset(mat_to_skew(A), mat_to_skew(B))) == t
         assert report.t_used == t_used[t]
         counts[t] = report.rational_mul_count
-    assert all(counts[t] == 2 * t_used[t] * (p - 1) ** 2 for t in counts)
+    assert all(counts[t] == (2 * t * (p - 1) ** 2 if t_used[t] == t else (p - 1) ** 3)
+               for t in counts)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +390,13 @@ def test_mc_rejects_the_candidate_of_a_premature_stop(monkeypatch, p):
     assert report.rational_mul_count == 2 * (p - 1) ** 3
 
 
-def bench_pair(p, t, seed):
+def bench_pair(p, t, seed, coeff_bound=9):
     """`skewmm bench`'s cell (p, t, seed): a one-term factor, layers 0..t-1,
     and the mc seed, drawn from the cell's folded master seed."""
     ctx = shared_ctx(p)
     master = random.Random((seed * 2 ** 32 + p * 1024 + t * 8) % 2 ** 64)
-    A = random_layered(ctx, [0], master.getrandbits(64))
-    B = random_layered(ctx, list(range(t)), master.getrandbits(64))
+    A = random_layered(ctx, [0], master.getrandbits(64), coeff_bound)
+    B = random_layered(ctx, list(range(t)), master.getrandbits(64), coeff_bound)
     return A, B, master.getrandbits(64)
 
 
@@ -422,9 +425,9 @@ def test_mc_computes_each_row_once_packs_b_once_and_checks_at_most_twice(monkeyp
 
         return d, e, counted
 
-    def kernel(x_rows, y_rows):
+    def kernel(x_rows, y_rows, *bits):
         kernels.append(len(y_rows))
-        return real_kernel(x_rows, y_rows)
+        return real_kernel(x_rows, y_rows, *bits)
 
     def word(values, size):
         words.append(len(values))

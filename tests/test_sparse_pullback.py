@@ -27,11 +27,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import certified_pullback, fit_values, fraction_product, rand_elem, rand_poly, seeded
+from conftest import (certified_pullback, fit_values, force_route, fraction_product, rand_elem,
+                      rand_poly, seeded)
 from skewmm import (RatMatrix, SkewPoly, SupportSet, det_mul, from_normal_coords,
                     interpolate_known_support, mat_to_skew, naive_mul, shared_ctx, skew_to_mat,
                     sparse_interpolate)
 from skewmm import matmul, skewpoly
+from skewmm.multiply import RationalProduct
 from skewmm.rational import Rat
 from skewmm.skewpoly import _locator_roots, _modulus
 from skewmm.skewstructure import random_layered
@@ -163,16 +165,17 @@ def test_a_certified_pullback_is_the_pullback(case):
 
 
 def pair_with(A, seed=1):
-    # a one-term partner, so that the rule sends the pair direct
+    # a one-term partner, so that a route forced direct takes both supports
     return A, random_layered(shared_ctx(A.p), [2], seed)
 
 
 def assert_takes_rows(A, B, monkeypatch):
-    # with the sparse pullback taken wherever a factor has a support
-    # (whatever _sparse_pays says), the pair takes the rows stage with no
-    # mat_to_skew
+    # with the route forced direct on any supports the scans give, and the
+    # sparse pullback taken wherever a factor has one (whatever the model
+    # prices), the pair takes the rows stage with no mat_to_skew
     calls = counting_pullbacks(monkeypatch)
-    monkeypatch.setattr(matmul, "_sparse_pays", lambda *_args: True)
+    force_route(monkeypatch, "direct")
+    monkeypatch.setattr(matmul, "_fit_cost", lambda *_args: 0.0)
     product, report = det_mul(A, B)
     monkeypatch.undo()
     assert calls == []
@@ -195,8 +198,7 @@ def test_a_coefficient_vanishing_mod_q_fails_the_certificate(p, monkeypatch):
     # the candidate solved on the one term the scan sees fails the
     # certificate
     A = vanishing_factor(p)
-    bound = matmul._direct_bound(matmul._product_route, p, True)
-    assert scanned(A, bound) == SupportSet([0])
+    assert scanned(A, p - 1) == SupportSet([0])
     assert certified_pullback(A, SupportSet([0])) is None
     assert_takes_rows(*pair_with(A), monkeypatch)
 
@@ -204,8 +206,7 @@ def test_a_coefficient_vanishing_mod_q_fails_the_certificate(p, monkeypatch):
 @pytest.mark.parametrize("p", (13, 31, 61))
 def test_a_row_lcm_divisible_by_q_leaves_the_factor_unknown(p, monkeypatch):
     A = random_layered(shared_ctx(p), [0, 1], p).scale(Fraction(1, guard_prime(p)))
-    bound = matmul._direct_bound(matmul._product_route, p, False)
-    assert scanned(A, bound) is None
+    assert scanned(A, p - 1) is None
     assert_takes_rows(*pair_with(A), monkeypatch)
 
 
@@ -240,8 +241,7 @@ def premature_stop_factor(p):
 @pytest.mark.parametrize("p", (31, 61))
 def test_a_premature_early_stop_fails_the_certificate(p, monkeypatch):
     A = premature_stop_factor(p)
-    bound = matmul._direct_bound(matmul._product_route, p, True)
-    assert scanned(A, bound) == SupportSet([PREMATURE_NODE])
+    assert scanned(A, p - 1) == SupportSet([PREMATURE_NODE])
     assert_takes_rows(*pair_with(A), monkeypatch)
 
 
@@ -253,27 +253,30 @@ def test_a_two_term_factor_with_a_vanishing_first_row_stops_at_once(p, monkeypat
     q = guard_prime(p)
     z = node_image(p, 0) * pow(node_image(p, 1), -1, q) % q
     A = skew_to_mat(SkewPoly(ctx, {0: ctx.one, 1: ctx.one * -z}))
-    bound = matmul._direct_bound(matmul._product_route, p, True)
-    assert scanned(A, bound) == SupportSet()
+    assert scanned(A, p - 1) == SupportSet()
     assert_takes_rows(*pair_with(A), monkeypatch)
 
 
 def test_a_wrong_support_pulled_back_by_mat_to_skew_takes_rows(monkeypatch):
     # a wrong 5-term support for a 5-term factor at p=31, too large for the
-    # fit to pay: mat_to_skew's pullback is not on it, so the pair takes
-    # the rows stage, with its partner never pulled back
+    # fit to pay, on 40-bit coefficients, which the model sends direct:
+    # mat_to_skew's pullback is not on the support, so the pair takes the
+    # rows stage, with its partner never pulled back
     p = 31
-    A, B = pair_with(random_layered(shared_ctx(p), range(5), 7))
+    ctx = shared_ctx(p)
+    A, B = random_layered(ctx, range(5), 7, 2 ** 40), random_layered(ctx, [2], 1, 2 ** 40)
     real_roots = matmul._locator_roots
 
     def shifted(*args):
         support = real_roots(*args)
         return SupportSet(e + 1 for e in support) if len(support) == 5 else support
 
-    assert not matmul._sparse_pays(5, p)
+    assert matmul._fit_cost(5, p, True) > matmul._mat_to_skew_cost(p, True)
     calls = counting_pullbacks(monkeypatch)
     monkeypatch.setattr(matmul, "_locator_roots", shifted)
-    assert matmul._supports(A, B, True, True) == (SupportSet(range(1, 6)), SupportSet([2]), 5)
+    rows = RationalProduct(A.nums, A.dens, B.nums, B.dens)
+    assert matmul._supports(A, B, True, True, rows) == (SupportSet(range(1, 6)),
+                                                         SupportSet([2]), 5)
     product, report = det_mul(A, B)
     monkeypatch.undo()
     assert calls == [A]
@@ -307,13 +310,15 @@ def test_det_and_mc_interpolation_share_one_fit(monkeypatch):
     # solves again in the provable slots, as mc's interpolation does, and
     # certifies with no mat_to_skew.  det's pullback of each factor,
     # interpolate_known_support and sparse_interpolate each reach the one
-    # fit, and the packed solve runs inside it only
+    # fit, and the packed solve runs inside it only.  The route is forced
+    # direct: on packed slots the model sends every pair at p=31 to rows
     p = 31
     ctx = shared_ctx(p)
     A, B = random_layered(ctx, [0], 11), random_layered(ctx, [0, 1], 12)
-    supports = matmul._supports(A, B, True, True)
+    supports = matmul._scanned(A, B, True, True, p - 1)
     assert supports == (SupportSet([0]), SupportSet([0, 1]), 2)
-    assert all(matmul._sparse_pays(len(support), p) for support in supports[:2])
+    assert all(matmul._fit_cost(len(support), p, True) <= matmul._mat_to_skew_cost(p, True)
+               for support in supports[:2])
     f_b, values = mat_to_skew(B), row_values(B, ctx)
     real_sizes, real_fit = skewpoly._solve_sizes, skewpoly._fit
     real_solve = skewpoly._solve_on_support
@@ -339,6 +344,7 @@ def test_det_and_mc_interpolation_share_one_fit(monkeypatch):
         monkeypatch.setattr(module, "_fit", fit)
     monkeypatch.setattr(skewpoly, "_solve_on_support", solve)
     monkeypatch.setattr(matmul, "mat_to_skew", refuse)
+    force_route(monkeypatch, "direct")
     product, report = det_mul(A, B)
     assert fits == [(p - 1, {0}), (p - 1, {0, 1})]
     assert len(solves) == 4 and [size for _, size in solves[::2]] == [1, 1]
