@@ -127,6 +127,37 @@ def _sum_columns(rows, cols):
     return [sum([row[j] for j in cols]) for row in rows]
 
 
+def _picks(mu, seed: int, n: int):
+    """Each verification round's 0/1 vector y in {0,1}^n, as the columns it
+    picks: rounds_for(mu) rounds, each one getrandbits(n) word of
+    random.Random(seed), bit j of y read most-significant-bit first.  The
+    one draw that freivalds and _freivalds_on_ints consume."""
+    rng = random.Random(seed)
+    for _ in range(rounds_for(mu)):
+        word = rng.getrandbits(n)
+        yield [j for j in range(n) if (word >> (n - 1 - j)) & 1]
+
+
+def _picked_sums(rows, picked):
+    """Each row's sum over the picked columns, its product with the 0/1
+    vector that picks them: one itemgetter per row (which gives the entry
+    itself, not a tuple, for one column)."""
+    if len(picked) == 1:
+        j = picked[0]
+        return [row[j] for row in rows]
+    get = operator.itemgetter(*picked)
+    return [sum(get(row)) for row in rows]
+
+
+def _row_scaled(M: RatMatrix):
+    """(scales, rows): the lcm of each row of M's denominators, and the ints
+    it times the row (multiply._scaled's rows); a row over 1 takes no lcm
+    and is M's own."""
+    ones = (1,) * (M.p - 1)
+    scales = [1 if dens == ones else math.lcm(*dens) for dens in M.dens]
+    return scales, [_scaled_row(num, dens, s) for num, dens, s in zip(M.nums, M.dens, scales)]
+
+
 def naive_mul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     """Exact schoolbook product; the oracle every other route is checked against.
 
@@ -448,25 +479,58 @@ def freivalds(M: RatMatrix, A: RatMatrix, B: RatMatrix, mu, seed: int) -> Freiva
     """Randomized check of M = A*B with one-sided error at most mu.
 
     Runs ceil(log2(1/mu)) independent rounds; each draws y uniformly from
-    {0,1}^(p-1) and compares M y with A (B y) exactly.  A true product is
-    always accepted; a wrong one survives each round with probability at
-    most 1/2.  The check runs on Fractions, reading each matrix's `rows`
-    view once.
+    {0,1}^(p-1) (_picks) and compares M y with A (B y) exactly.  A true
+    product is always accepted; a wrong one survives each round with
+    probability at most 1/2.  The check runs on Fractions, reading each
+    matrix's `rows` view once.  _freivalds_on_ints is the same check, with
+    the same vectors and verdicts, on ints; freivalds, which `verify` runs,
+    stays on Fractions until the benchmark's memory metric no longer grows
+    with the number of checks it times (ROADMAP), and then delegates to it.
     """
     _check_pair(A, B)
     _check_pair(M, A)
     _check_seed(seed)
-    k = rounds_for(mu)
-    rng = random.Random(seed)
-    n = A.p - 1
     m_rows, a_rows, b_rows = M.rows, A.rows, B.rows
-    for _ in range(k):
-        word = rng.getrandbits(n)
-        picked = [j for j in range(n) if (word >> (n - 1 - j)) & 1]
+    for picked in _picks(mu, seed, A.p - 1):
         # y is 0/1, so M y and B y are sums of the picked columns
         my = _sum_columns(m_rows, picked)
         aby = _mat_vec(a_rows, _sum_columns(b_rows, picked))
         if my != aby:
+            return FreivaldsResult.NOT_EQUAL
+    return FreivaldsResult.EQUAL
+
+
+def _freivalds_on_ints(M: RatMatrix, A: RatMatrix, B: RatMatrix, mu,
+                       seed: int) -> FreivaldsResult:
+    """freivalds' check on ints: the same rounds and 0/1 vectors (_picks),
+    and so the same verdict for every (M, A, B, mu, seed); mc_mul's checks.
+
+    Each matrix's rows are scaled to ints by their own lcms once
+    (_row_scaled): m_i for M's row i, a_i for A's and b_k for B's, and
+    L = lcm(b).  In each round the int sums of the picked columns
+    (_picked_sums) are msum_i = m_i (M y)_i and b_k (B y)_k; u, the latter
+    times L / b_k, is L B y, and dot_i, A's int row i times u, is
+    a_i L (A B y)_i.  So (M y)_i = (A B y)_i exactly when
+    msum_i a_i L = m_i dot_i: denominators cross-multiplied, no Fraction
+    built and no slot packed, so long entries take the same path.
+    """
+    _check_pair(A, B)
+    _check_pair(M, A)
+    _check_seed(seed)
+    m_scales, m_rows = _row_scaled(M)
+    a_scales, a_rows = _row_scaled(A)
+    b_scales, b_rows = _row_scaled(B)
+    big_l = math.lcm(*b_scales)
+    to_l = [big_l // b for b in b_scales]
+    left = [a * big_l for a in a_scales]
+    mul = operator.mul
+    for picked in _picks(mu, seed, A.p - 1):
+        if not picked:  # y = 0: M y = A (B y) = 0
+            continue
+        u = list(map(mul, _picked_sums(b_rows, picked), to_l))
+        dots = [sum(map(mul, row, u)) for row in a_rows]
+        if (list(map(mul, _picked_sums(m_rows, picked), left))
+                != list(map(mul, m_scales, dots))):
             return FreivaldsResult.NOT_EQUAL
     return FreivaldsResult.EQUAL
 
@@ -482,9 +546,9 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     On an early stop whose locator has exactly L roots, the support
     (skewpoly._locator_roots, as in _supports), det's fit (skewpoly._fit)
     solves the coefficients and certifies the candidate against every row
-    read, and the candidate's matrix is checked once by freivalds at
-    mu = nu.  A product of t <= (p-2)//2 terms costs 2t + 1 rows, unless the
-    prime divides a denominator or kills a coefficient.
+    read, and the candidate's matrix is checked once at mu = nu.  A product
+    of t <= (p-2)//2 terms costs 2t + 1 rows, unless the prime divides a
+    denominator or kills a coefficient.
 
     Every other ending (a scan that ends with None, a wrong root count, a
     failed fit, a rejected candidate) computes the rows not yet read, which
@@ -492,8 +556,9 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     fail, it is returned anyway with the report flagged (MulReport), a loud
     sign of a bug.  The early stop's is the only probabilistic candidate, and a
     wrong one passes its check with probability at most nu, so the result
-    is A*B with probability at least 1 - nu.  The checks' seeds are drawn
-    from random.Random(seed).
+    is A*B with probability at least 1 - nu.  Both checks run on ints
+    (_freivalds_on_ints: freivalds' rounds, vectors and verdicts, with no
+    Fraction), their seeds drawn from random.Random(seed).
     """
     _check_pair(A, B)
     nu = _check_probability(nu, "nu")
@@ -525,7 +590,8 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
         if f is not None:
             candidate = skew_to_mat(f)
             checks = 1
-            if freivalds(candidate, A, B, nu, master.getrandbits(64)) is FreivaldsResult.EQUAL:
+            if (_freivalds_on_ints(candidate, A, B, nu, master.getrandbits(64))
+                    is FreivaldsResult.EQUAL):
                 return candidate, MulReport(Algorithm.MONTE_CARLO, t_used=f.sparsity, iterations=1,
                                             rational_mul_count=2 * len(nums) * n * n,
                                             wall_time=time.perf_counter() - start,
@@ -534,7 +600,8 @@ def mc_mul(A: RatMatrix, B: RatMatrix, nu, seed: int) -> tuple[RatMatrix, MulRep
     for i, row in zip(missing, product_rows(missing)):
         S[i] = row
     product = _product_of_rows(p, d, e, S)
-    fallback = freivalds(product, A, B, nu, master.getrandbits(64)) is not FreivaldsResult.EQUAL
+    fallback = (_freivalds_on_ints(product, A, B, nu, master.getrandbits(64))
+                is not FreivaldsResult.EQUAL)
     return product, MulReport(Algorithm.MONTE_CARLO, t_used=0 if fallback else n,
                               iterations=checks + 1, rational_mul_count=2 * n ** 3,
                               wall_time=time.perf_counter() - start, final_T=length,

@@ -364,6 +364,10 @@ def premature_stop_pair(p, seed):
     return RatMatrix(p, rows), RatMatrix.identity(p)
 
 
+def never_called(*_args):
+    raise AssertionError("mc_mul checks on ints, never through freivalds")
+
+
 @pytest.mark.parametrize("p", (3, 7, 13, 31))
 def test_mc_rejects_the_candidate_of_a_premature_stop(monkeypatch, p):
     # the fit of the stop's empty support, the zero polynomial, passes on
@@ -375,13 +379,14 @@ def test_mc_rejects_the_candidate_of_a_premature_stop(monkeypatch, p):
     want = naive_mul(A, B)
     assert want == A != RatMatrix.zeros(p)
     checked = []
-    real = matmul.freivalds
+    real = matmul._freivalds_on_ints
 
     def check(M, *args):
         checked.append((M == RatMatrix.zeros(p), real(M, *args)))
         return checked[-1][1]
 
-    monkeypatch.setattr(matmul, "freivalds", check)
+    monkeypatch.setattr(matmul, "_freivalds_on_ints", check)
+    monkeypatch.setattr(matmul, "freivalds", never_called)
     product, report = mc_mul(A, B, "1/1000", 5)
     assert product == want
     assert checked == [(True, FreivaldsResult.NOT_EQUAL), (False, FreivaldsResult.EQUAL)]
@@ -407,7 +412,7 @@ def test_mc_computes_each_row_once_packs_b_once_and_checks_at_most_twice(monkeyp
     # whose B is packed once, one word per row
     from skewmm import matmul, multiply
 
-    real_check, real_product = matmul.freivalds, matmul.rational_product
+    real_check, real_product = matmul._freivalds_on_ints, matmul.rational_product
     real_kernel, real_word = multiply.int_rows, multiply._signed_word
     checks, rows_read, kernels, words = [], [], [], []
 
@@ -438,7 +443,8 @@ def test_mc_computes_each_row_once_packs_b_once_and_checks_at_most_twice(monkeyp
         for seed in (1, 2):
             A, B, mc_seed = bench_pair(p, t, seed)
             want = naive_mul(A, B)
-            for module, name, spy in ((matmul, "freivalds", check),
+            for module, name, spy in ((matmul, "_freivalds_on_ints", check),
+                                      (matmul, "freivalds", never_called),
                                       (matmul, "rational_product", product),
                                       (multiply, "int_rows", kernel),
                                       (multiply, "_signed_word", word)):
@@ -457,7 +463,8 @@ def test_mc_computes_each_row_once_packs_b_once_and_checks_at_most_twice(monkeyp
 def test_mc_falls_back_loudly_when_verification_always_fails(monkeypatch):
     from skewmm import matmul
 
-    monkeypatch.setattr(matmul, "freivalds", lambda *_args: FreivaldsResult.NOT_EQUAL)
+    monkeypatch.setattr(matmul, "_freivalds_on_ints", lambda *_args: FreivaldsResult.NOT_EQUAL)
+    monkeypatch.setattr(matmul, "freivalds", never_called)
     for p in (3, 7, 13):
         rng = seeded(600 + p)
         A = rand_rational_matrix(p, rng)
