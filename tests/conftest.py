@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewmm import RatMatrix, SkewPoly, matmul, shared_ctx, skewpoly
+from skewmm import CycElem, RatMatrix, SkewPoly, matmul, shared_ctx, skewpoly
 
 
 def rand_elem(ctx, rng, bound=9, den_bound=1):
@@ -89,6 +89,45 @@ def least_width(value):
     """The least of 1, 2, 4 or 8 bytes whose slots hold value < 2^w, or
     None."""
     return next((k for k in (1, 2, 4, 8) if value < 2 ** (8 * k)), None)
+
+
+def aligned_matrix(ctx, bound, sign=1):
+    """An int matrix with max|entry| = bound whose pullback's coefficient 0
+    holds sign (3 (p-1) - 1) bound at beta^(p-1) before reduction, within
+    `bound` of the far end of the corrected range [-3 (p-1) M, 3 (p-1) M]:
+    row k holds sign*bound at power coordinate x + u and -sign*bound at u
+    and at x, for x = p-1 and u = r^k, the three entries W's rotation and
+    its two corrections pick (the one row with x + u = 0 mod p loses the
+    first)."""
+    p = ctx.p
+    x = p - 1
+    rows = []
+    for k in range(p - 1):
+        u = ctx.pow_r[k]
+        power = [0] * p
+        power[x] = power[u] = -sign * bound
+        power[(x + u) % p] = sign * bound
+        rows.append(ctx.to_normal(power[1:]))
+    return RatMatrix(p, rows)
+
+
+def aligned_poly(ctx, bounds, sign=1):
+    """A polynomial of len(bounds) < p-1 terms, term e's coefficient with
+    max|entry| = bounds[e], whose value at beta^1 holds sign * 2 sum(bounds)
+    at beta^x, the end of the range [-2 S, 2 S] the pushforward's
+    coordinates lie in: x is not r^e for any term, and term e holds
+    sign*bounds[e] at power coordinate x - r^e and -sign*bounds[e] at
+    -r^e, which its rotation by r^e moves to beta^x and beta^0."""
+    p = ctx.p
+    shifts = [ctx.pow_r[e] for e in range(len(bounds))]
+    x = next(y for y in range(1, p) if y not in shifts)
+    terms = {}
+    for e, (s, m) in enumerate(zip(shifts, bounds)):
+        power = [0] * p
+        power[(x - s) % p] = sign * m
+        power[-s % p] = -sign * m
+        terms[e] = CycElem(ctx, power[1:])
+    return SkewPoly(ctx, terms)
 
 
 def transposed_vandermonde_solve(values, exps, p):

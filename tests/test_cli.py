@@ -1,5 +1,6 @@
 """CLI contract: commands, reports, exit codes, reproducibility."""
 
+import ast
 import json
 import os
 import re
@@ -585,6 +586,42 @@ def test_selftest_passes(capsys):
     assert "phi orientation: reversed" in out
     assert "layer-0 conjugation side: A^-1 (P - Q) A" in out
     assert "selftest: all properties hold" in out
+    assert "routes taken: det direct, det rows, mc candidate, mc assembled" in out
+
+
+#: the modules whose private names selftest must not read
+PRIVATE_TO = ("matmul", "skewpoly", "transform", "multiply", "cyclotomic")
+
+
+def test_selftest_reads_the_public_api_only():
+    # selftest checks an install as a user sees it: no private name imported
+    # from another skewmm module, no RationalProduct (the row kernel's
+    # class), and no private attribute read off a package module, however
+    # it was imported
+    from skewmm import selftest
+
+    tree = ast.parse(Path(selftest.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = set(PRIVATE_TO) | {f"skewmm.{name}" for name in PRIVATE_TO}
+    found = []
+    for node in imports:
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names if alias.asname
+                           and alias.name.split(".")[-1] in PRIVATE_TO)
+        elif node.level or node.module.startswith("skewmm"):
+            for alias in node.names:
+                if alias.name in PRIVATE_TO:
+                    modules.add(alias.asname or alias.name)
+                if alias.name.startswith("_") or alias.name == "RationalProduct":
+                    found.append(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "RationalProduct":
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and (
+                node.attr == "RationalProduct"
+                or node.attr.startswith("_") and ast.unparse(node.value) in modules):
+            found.append(ast.unparse(node))
+    assert found == []
 
 
 def test_usage_error_exit_code():

@@ -200,6 +200,9 @@ GUARDED = {
         skew_to_mat(SkewPoly(shared_ctx(13), {e: shared_ctx(13).one for e in range(10)}))),
     # every entry of both factors over its own prime
     "distinct primes at p=31": lambda: _distinct_prime_pair(31, random.Random(9)),
+    # one term times layers 0..3 at p=61, one term past the model's reach
+    "one term times layers 0..3 at p=61": lambda: (random_layered(shared_ctx(61), [0], 61),
+                                                   random_layered(shared_ctx(61), range(4), 62)),
 }
 
 
@@ -228,7 +231,7 @@ def test_a_guarded_pair_with_a_zero_factor_is_zero_up_front(monkeypatch):
         assert (report.product, report.t_used) == ("direct", 0)
 
 
-@pytest.mark.parametrize("p, den", [(3, 1), (5, 1), (7, 1), (3, 7), (5, 7)])
+@pytest.mark.parametrize("p, den", [(3, 1), (5, 1), (7, 1), (3, 7), (5, 7), (11, 1), (11, 7)])
 def test_no_sparsity_goes_direct_so_nothing_is_scanned(p, den, monkeypatch):
     # T = 0: det takes the rows stage with no scan, fit or pullback, on
     # sparse and dense pairs alike

@@ -78,6 +78,10 @@ PAIRS = {
     # long partner makes the model send both pairs direct
     "rows, a vanishing coefficient": lambda: long_partner(vanishing_factor(P)),
     "rows, a premature early stop": lambda: long_partner(premature_stop_factor(P)),
+    # one term times one on 2^64 coordinates: past 64-bit slots, but at
+    # p=13 the model reaches no sparsity on the pair's 3 words
+    "rows, 2^64 coordinates at p=13": lambda: (layered([0], 18, 7, p=13, coeff_bound=2 ** 64),
+                                               layered([0], 19, 7, p=13, coeff_bound=2 ** 64)),
 }
 
 #: the PAIRS whose first factor's certificate fails
@@ -331,6 +335,9 @@ def test_the_rule_with_denominators(s_a, s_b, t, p, route):
     (31, 5, 5, 12, 2, "direct", "direct"), (31, 8, 8, 29, 2, "rows", "rows"),
     (61, 1, 8, 8, 2, "direct", "direct"), (61, 12, 12, 56, 2, "direct", "direct"),
     (61, 15, 16, 60, 2, "rows", "rows"),
+    # one term times one on 2^64 coordinates (3 words): rows up to p=13
+    (5, 1, 1, 1, 3, "rows", "rows"), (7, 1, 1, 1, 3, "rows", "rows"),
+    (11, 1, 1, 1, 3, "rows", "rows"), (13, 1, 1, 1, 3, "rows", "rows"),
 ])
 def test_the_model(p, s_a, s_b, t, words, over_1, over_den):
     check_cell(s_a, s_b, t, p)

@@ -25,8 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EDGE_PRIMES, least_width, seeded
-from skewmm import CycElem, SkewPoly, selftest, shared_ctx, skewpoly
+from conftest import EDGE_PRIMES, aligned_poly, least_width, seeded
+from skewmm import CycElem, SkewPoly, shared_ctx, skewpoly
 from skewmm.cyclotomic import _slot_bytes, cyc_mul, cyc_sigma, rotated_sum
 from skewmm.skewpoly import values_at_beta_powers
 from test_cyc_canonical import beta_shift_def, sigma_def
@@ -208,7 +208,7 @@ def edge_polynomials(draw):
     bounds = split_sum(max(draw(st.sampled_from(edge_sums((2, 4)))), t), t, rng)
     sign = draw(st.sampled_from((1, -1)))
     if draw(st.booleans()):
-        return selftest._aligned_poly(ctx, bounds, sign)
+        return aligned_poly(ctx, bounds, sign)
     den = draw(st.sampled_from([1, 6, 2 ** 61 - 1]))
     terms = {}
     for k, (e, m) in enumerate(zip(rng.sample(range(p - 1), t), bounds)):
@@ -240,7 +240,7 @@ def test_pushforward_width_edges(monkeypatch, p, total):
     bounds = [total - t + 1] + [1] * (t - 1)
     size, out = least_width(2 * total), least_width(4 * total)
     for sign in (1, -1):
-        f = selftest._aligned_poly(ctx, bounds, sign)
+        f = aligned_poly(ctx, bounds, sign)
         widened = []
         original = skewpoly._widened
 

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EDGE_PRIMES, least_width
+from conftest import EDGE_PRIMES, aligned_matrix, least_width
 from skewmm import (RatMatrix, SkewPoly, build_W, cyc_add, cyc_mul, cyc_scale,
-                    from_normal_coords, mat_to_skew, normal_coords, selftest, shared_ctx,
+                    from_normal_coords, mat_to_skew, normal_coords, shared_ctx,
                     skew_to_mat, sp_evaluate, transform)
 from skewmm.rational import Rat
 
@@ -270,7 +270,7 @@ def edge_matrices(draw):
     sign = draw(st.sampled_from((1, -1)))
     kind = draw(st.sampled_from(["integral", "denominator", "one-entry", "aligned"]))
     if kind == "aligned":
-        return selftest._aligned_matrix(ctx, bound, sign)
+        return aligned_matrix(ctx, bound, sign)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     small = min(bound, 9)
     at = (rng.randrange(n), rng.randrange(n))
@@ -310,7 +310,7 @@ def test_pullback_width_edges(monkeypatch, p, bound):
     ctx = shared_ctx(p)
     size, out = least_width(2 * n * bound), least_width(6 * n * bound)
     for sign in (1, -1):
-        C = selftest._aligned_matrix(ctx, bound, sign)
+        C = aligned_matrix(ctx, bound, sign)
         paths = recording_paths(monkeypatch)
         widened = []
         original = transform._widened
