@@ -307,50 +307,54 @@ def cyc_mul(a: CycElem, b: CycElem) -> CycElem:
 
     Each operand's numerators are packed into one int, numerator i (for
     beta^(i+1)) in a signed slot of w bits at X^(i+1), X = 2^w, with w from
-    _slot_bytes, rounded up to 1, 2, 4 or 8 bytes when it is at most 8.
-    The product of the two ints is the product polynomial at X.  It is
-    folded mod X^p - 1 on ints: its part above X^p is split off (rounding
-    to nearest, which is exact because the part below is less than X^p / 2
-    in size) and added to the part below.  Then the p slots, one per
-    beta-exponent, are read off its bytes with a bias of 2^(w-1) each,
-    through one struct for widths up to 8 bytes and by slices above, and
-    beta^0 is eliminated via beta^0 = -(beta + ... + beta^(p-1)); the
-    biases cancel in that subtraction.  The result is over the product of
-    the denominators.  O(p) interpreter steps and one big-int product,
-    against O(p^2) steps for the cyclic convolution.
+    _slot_bytes rounded up by _slot_size.  The product of the two ints is
+    the product polynomial at X.  It is folded mod X^p - 1 on ints: its
+    part above X^p is split off (rounding to nearest, which is exact
+    because the part below is less than X^p / 2 in size) and added to the
+    part below.  Its p slots, one per beta-exponent, are read by
+    _signed_reader, and beta^0 is eliminated via beta^0 = -(beta + ... +
+    beta^(p-1)).  The result is over the product of the denominators.
+    O(p) interpreter steps and one big-int product, against O(p^2) steps
+    for the cyclic convolution.
     """
     _check_same_ctx(a, b)
     ctx = a.ctx
     p = ctx.p
-    k = _slot_bytes(a.num, b.num)
-    k = _word_bytes(8 * k) or k
+    k = _slot_size(8 * _slot_bytes(a.num, b.num))
     w = 8 * k
     slots = range(w, w * p, w)
     prod = sum(map(operator.lshift, a.num, slots)) * sum(map(operator.lshift, b.num, slots))
     wp = w * p
     high = (prod + (1 << (wp - 1))) >> wp
-    folded = prod - (high << wp) + high
-    raw = (folded + int.from_bytes((bytes(k - 1) + b"\x80") * p, "little")).to_bytes(
-        k * p, "little")
-    if k <= 8:
-        acc = _slot_structs(p, k)[1].unpack(raw)
-    else:
-        acc = [int.from_bytes(raw[i:i + k], "little") for i in range(0, k * p, k)]
+    acc = _signed_reader(p, k)(prod - (high << wp) + high)
     c0 = acc[0]
     return CycElem(ctx, [x - c0 for x in acc[1:]], a.den * b.den)
+
+
+# The signed-slot word layer: an int vector as one int, value i at 2^(w i) in a slot of
+# w = 8 size bits, below 2^(w-1) in size; _signed_word packs it, _signed_reader reads it.
+
+#: struct's signed code per slot size it converts; the unsigned is upper case
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _word_bytes(bits: int) -> int | None:
     """The least of 1, 2, 4 or 8 bytes that holds `bits` bits, or None
     above 64 bits: the slot widths a struct converts."""
-    return next((k for k in (1, 2, 4, 8) if 8 * k >= bits), None)
+    return next((k for k in _STRUCT_CODES if 8 * k >= bits), None)
+
+
+def _slot_size(bits: int) -> int:
+    """The bytes of a slot of `bits` bits: 1, 2, 4 or 8 where that holds
+    them (_word_bytes), else whole bytes."""
+    return _word_bytes(bits) or -(-bits // 8)
 
 
 @functools.lru_cache(maxsize=None)
 def _slot_structs(count: int, size: int):
     """Little-endian (signed, unsigned) formats for `count` slots of `size`
     bytes (1, 2, 4 or 8)."""
-    code = {1: "b", 2: "h", 4: "i", 8: "q"}[size]
+    code = _STRUCT_CODES[size]
     return struct.Struct(f"<{count}{code}"), struct.Struct(f"<{count}{code.upper()}")
 
 
@@ -359,21 +363,6 @@ def _slot_ones(count: int, size: int) -> int:
     """The int with a 1 at the bottom of each of `count` slots of `size`
     bytes: sum_i 2^(8 size i)."""
     return int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
-
-
-def _signed_word(values, size: int) -> int:
-    """sum_i values[i] 2^(w i), w = 8 size, for ints that fit signed slots
-    of `size` bytes (1, 2, 4 or 8).
-
-    The values are packed through one signed struct and read back as an
-    unsigned int, where a negative slot reads as its value plus 2^w; the
-    slots' sign bits, moved up one slot, are that excess, and are taken
-    off in one subtraction.
-    """
-    count = len(values)
-    w = 8 * size
-    raw = int.from_bytes(_slot_structs(count, size)[0].pack(*values), "little")
-    return raw - (((raw >> (w - 1)) & _slot_ones(count, size)) << w)
 
 
 def _widened(raw: bytes, size: int, out: int) -> bytes:
@@ -385,6 +374,65 @@ def _widened(raw: bytes, size: int, out: int) -> bytes:
     for k in range(size):
         wide[k::out] = raw[k::size]
     return wide
+
+
+def _signed_word(values, size: int) -> int:
+    """The signed-slot word of `values` in slots of `size` bytes: one signed
+    struct up to 8 bytes; above, values of at most 64 bits offset by their
+    max|value| go through one unsigned struct and _widened, longer ones one
+    to_bytes each.  Read unsigned, a negative two's complement slot is
+    2^(8 size) too large: the sign bits, moved up one slot, are that excess."""
+    count = len(values)
+    if size in _STRUCT_CODES:
+        raw = _slot_structs(count, size)[0].pack(*values)
+    else:
+        m = max(map(abs, values))
+        narrow = _word_bytes((2 * m).bit_length())
+        if narrow is not None:
+            raw = _slot_structs(count, narrow)[1].pack(*[x + m for x in values])
+            wide = int.from_bytes(_widened(raw, narrow, size), "little")
+            return wide - m * _slot_ones(count, size)
+        raw = b"".join(x.to_bytes(size, "little", signed=True) for x in values)
+    word = int.from_bytes(raw, "little")
+    return word - (((word >> (8 * size - 1)) & _slot_ones(count, size)) << (8 * size))
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_bytes(count: int, size: int):
+    """The function taking a signed-slot word of `count` slots of `size`
+    bytes to their two's complement bytes: a bias of half a slot, then each
+    top bit flipped.  Overflowed slots read as garbage, never an error."""
+    span = count * size
+    top = (1 << (8 * size - 1)) * _slot_ones(count, size)
+
+    def to_bytes(word):
+        word = (word + top) ^ top
+        try:
+            return word.to_bytes(span, "little")
+        except OverflowError:
+            return (word & ((1 << (8 * span)) - 1)).to_bytes(span, "little")
+
+    return to_bytes
+
+
+def _signed_decode(raw, size: int):
+    """The ints of the two's complement slots of `size` bytes in `raw`: one
+    struct call up to 8 bytes, one from_bytes per slot above."""
+    if size in _STRUCT_CODES:
+        return _slot_structs(len(raw) // size, size)[0].unpack(raw)
+    return [int.from_bytes(raw[i:i + size], "little", signed=True)
+            for i in range(0, len(raw), size)]
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_reader(count: int, size: int):
+    """The function taking a signed-slot word of `count` slots of `size`
+    bytes to its ints: _signed_bytes, then _signed_decode."""
+    to_bytes = _signed_bytes(count, size)
+    if size in _STRUCT_CODES:
+        unpack = _slot_structs(count, size)[0].unpack
+        return lambda word: unpack(to_bytes(word))
+    return lambda word: _signed_decode(to_bytes(word), size)
 
 
 def rotated_sum(p: int, shifted) -> list:

@@ -17,7 +17,7 @@ multiplication is counted here (`MulReport`).
 import math
 import operator
 
-from .cyclotomic import _signed_word, _slot_ones, _slot_structs, _word_bytes
+from .cyclotomic import _signed_reader, _signed_word, _word_bytes
 
 
 def cubic_multiply(x_rows, y_rows):
@@ -57,10 +57,8 @@ def int_rows(x_rows, y_rows, bits=None):
     B = n max(1, max|x|) max|y| in size, so w is the least of 8, 16, 32
     or 64 bits that holds B's bits plus a sign bit (`bits`, read off the
     factors by `_product_bits` unless the caller has read it), for rows
-    of x or no longer ones.  Adding 2^(w-1) to every slot makes them
-    all nonnegative, and flipping each slot's top bit then gives its two's
-    complement, so a row is read through one signed struct.  O(n) big-int
-    products per row, against O(n k) dot-product steps for
+    of x or no longer ones; the sum is read by `_signed_reader`.  O(n)
+    big-int products per row, against O(n k) dot-product steps for
     `cubic_multiply`, which runs each call when B needs wider slots, as
     mat_to_skew keeps its loop past them.
     """
@@ -72,14 +70,10 @@ def int_rows(x_rows, y_rows, bits=None):
     size = _word_bytes(bits) if bits else None
     if size is None:
         return lambda rows: cubic_multiply(list(rows), y_rows)
-    cols = len(y_rows[0])
-    top = _slot_ones(cols, size) << (8 * size - 1)
     words = [_signed_word(row, size) for row in y_rows]
-    read = _slot_structs(cols, size)[0].unpack
-    span = size * cols
+    read = _signed_reader(len(y_rows[0]), size)
     mul = operator.mul
-    return lambda rows: [read(((sum(map(mul, xrow, words)) + top) ^ top).to_bytes(span, "little"))
-                         for xrow in rows]
+    return lambda rows: [read(sum(map(mul, xrow, words))) for xrow in rows]
 
 
 def _scaled(x_nums, x_dens, y_nums, y_dens):

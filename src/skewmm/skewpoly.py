@@ -18,7 +18,8 @@ import itertools
 import math
 import operator
 
-from .cyclotomic import (CycElem, _check_same_ctx, _is_prime, _slot_ones, _slot_structs,
+from .cyclotomic import (CycElem, _check_same_ctx, _is_prime, _signed_bytes, _signed_decode,
+                         _signed_reader, _signed_word, _slot_ones, _slot_size, _slot_structs,
                          _widened, _word_bytes, cyc_mul, cyc_sigma, power_of_v1, rotated_sum,
                          shared_ctx)
 
@@ -189,10 +190,10 @@ def values_at_beta_powers(f: SkewPoly, exponents):
     slot subtracted on the int.  With S = sum M_k, no slot of the sum
     exceeds 2 S and no coordinate of the value exceeds 2 S in size, so the
     sums run in slots of 8, 16, 32 or 64 bits with 2 S < 2^w, and the
-    coordinates of all the values are joined and read by one struct call
-    from slots with 4 S < 2^w: O(t) interpreter steps and t big-int shifted
-    adds per value.  Wider entries take one rotated_sum per value, O(p t)
-    int additions.  No gcd either way.
+    coordinates of all the values are joined and decoded by one struct
+    call (_signed_decode) from slots with 4 S < 2^w: O(t) interpreter steps
+    and t big-int shifted adds per value.  Wider entries take one
+    rotated_sum per value, O(p t) int additions.  No gcd either way.
     """
     ctx = f.ctx
     p = ctx.p
@@ -204,8 +205,7 @@ def values_at_beta_powers(f: SkewPoly, exponents):
     if out is None:
         return den, tuple(itertools.chain.from_iterable(
             [0, *rotated_sum(p, [(vec, u * l % p) for u, vec in vecs])] for l in exponents))
-    raw = b"".join(_packed_values(p, vecs, bounds, exponents))
-    return den, _slot_structs(len(raw) // out, out)[0].unpack(raw)
+    return den, _signed_decode(b"".join(_packed_values(p, vecs, bounds, exponents)), out)
 
 
 def _packed_values(p: int, vecs, bounds, exponents):
@@ -221,10 +221,8 @@ def _packed_values(p: int, vecs, bounds, exponents):
     slices are summed with one mask at the end, which is exact because no
     slot of the sum reaches 2^w, so nothing carries out of the low p slots.
     The sum is then moved into slots of width `out` (`_widened`), if that
-    is wider.  Its slot 0, c0, is its low bits; adding (2^(8 out - 1) - c0)
-    to every slot removes the offsets and eliminates beta^0, leaving each
-    coordinate biased into [0, 2^(8 out)), and flipping each slot's top bit
-    leaves its two's complement, for one signed struct to read.
+    is wider.  Subtracting its slot 0 from every slot removes the offsets
+    and eliminates beta^0; _signed_bytes gives the result.
     """
     total = sum(bounds)
     size = _word_bytes((2 * total).bit_length())
@@ -233,20 +231,18 @@ def _packed_values(p: int, vecs, bounds, exponents):
     span = w * p
     mask = (1 << span) - 1
     low = (1 << (8 * out)) - 1
-    bias = 1 << (8 * out - 1)
     ones = _slot_ones(p, out)
-    top = bias * ones
+    to_bytes = _signed_bytes(p, out)
     unsigned = _slot_structs(p, size)[1]
     words = []
     for (u, vec), m in zip(vecs, bounds):
         word = int.from_bytes(unsigned.pack(*[x + m for x in vec]), "little")
         words.append((u, word | (word << span)))
     for l in exponents:
-        acc = sum(word >> (span - w * (u * l % p)) for u, word in words) & mask
+        acc = sum([word >> (span - w * (u * l % p)) for u, word in words]) & mask
         if out > size:
             acc = int.from_bytes(_widened(acc.to_bytes(span // 8, "little"), size, out), "little")
-        acc = (acc + (bias - (acc & low)) * ones) ^ top
-        yield acc.to_bytes(out * p, "little")
+        yield to_bytes(acc - (acc & low) * ones)
 
 
 def interpolate_known_support(values, support: SupportSet, ctx) -> SkewPoly:
@@ -367,8 +363,7 @@ def _solve_sizes(vectors, p: int):
     first = p * m << (t - 1)
     safe = first * p * (2 * (p - 1)) ** (t - 1)
     guess = min(first * p * p << 8, safe)
-    return tuple(_word_bytes(8 * size) or size
-                 for size in (guess.bit_length() // 8 + 1, safe.bit_length() // 8 + 1))
+    return _slot_size(guess.bit_length() + 1), _slot_size(safe.bit_length() + 1)
 
 
 def _solve_on_support(vectors, den: int, exps, ctx, size: int) -> SkewPoly:
@@ -385,7 +380,7 @@ def _solve_on_support(vectors, den: int, exps, ctx, size: int) -> SkewPoly:
     4.6.2): O(t^2) subtractions, beta-shifts and divisions by w_i - w_k =
     beta^(u_i) (1 - beta^(u_k - u_i)).  Both passes run on one packed int
     per unknown, p times its value: p signed slots of w bits, slot e for
-    beta^e (_signed_slots).  A subtraction is one int subtraction, and a
+    beta^e (_signed_word).  A subtraction is one int subtraction, and a
     shift by beta^k one rotation of the slots (_rotated).  Since
     (1 - beta^m) sum_k k beta^(mk) = -p, a division is one product by the
     fixed element G = beta^(-u_i) sum_k k beta^(mk) (_ramp), folded mod
@@ -396,9 +391,9 @@ def _solve_on_support(vectors, den: int, exps, ctx, size: int) -> SkewPoly:
     times is still an algebraic integer once multiplied by p, and its
     coordinates in the basis beta^1 .. beta^(p-1) of Z[beta] are ints.
     So no power of p accumulates, and no gcd is taken and no CycElem built
-    until the last step: each unknown is read once, rotated by -u_j (the
-    division by w_j, a list rotation), its beta^0 slot subtracted, and put
-    over p den in lowest terms.
+    until the last step: each unknown is read once (_signed_reader),
+    rotated by -u_j (the division by w_j, a list rotation), its beta^0 slot
+    subtracted, and put over p den in lowest terms.
     """
     p = ctx.p
     t = len(exps)
@@ -411,7 +406,7 @@ def _solve_on_support(vectors, den: int, exps, ctx, size: int) -> SkewPoly:
     slot_mask = (1 << w) - 1
     ones = _slot_ones(p, size)
     u = [ctx.pow_r[e] for e in exps]
-    b = [p * _signed_slots([0, *vec], size) for vec in vectors]
+    b = [p * _signed_word([0, *vec], size) for vec in vectors]
     for k in range(t - 1):
         for i in range(t - 1, k, -1):
             b[i] -= _rotated(b[i - 1], u[k], p, w)
@@ -425,50 +420,16 @@ def _solve_on_support(vectors, den: int, exps, ctx, size: int) -> SkewPoly:
         for i in range(k, t - 1):
             b[i] -= b[i + 1]
     scale = p * den
+    read = _signed_reader(p, size)
     terms = {}
     for e, uj, word in zip(exps, u, b):
-        slots = _read_signed_slots(word, p, size)
-        slots = slots[uj:] + slots[:uj]
-        c0 = slots[0]
-        num = [x - c0 for x in slots[1:]]
+        slots = read(word)
+        c0 = slots[uj]
+        num = [x - c0 for x in slots[uj + 1:] + slots[:uj]]
         g = math.gcd(scale, *num)
         terms[e] = CycElem._from_ints(ctx, tuple(map(operator.floordiv, num, itertools.repeat(g))),
                                       scale // g)
     return SkewPoly(ctx, terms)
-
-
-def _signed_slots(values, size: int) -> int:
-    """sum_i values[i] X^i, X = 2^(8 size), for ints with 2 max|value| <
-    X.  Values that fit 64-bit slots offset by their max|value| are packed
-    through one struct at the least such width and widened (_widened);
-    longer ones take one to_bytes each."""
-    count = len(values)
-    m = max(map(abs, values))
-    narrow = _word_bytes((2 * m).bit_length())
-    if narrow is None or narrow > size:
-        raw = int.from_bytes(b"".join(x.to_bytes(size, "little", signed=True) for x in values),
-                             "little")
-        w = 8 * size
-        return raw - (((raw >> (w - 1)) & _slot_ones(count, size)) << w)
-    raw = _slot_structs(count, narrow)[1].pack(*[x + m for x in values])
-    return int.from_bytes(_widened(raw, narrow, size), "little") - m * _slot_ones(count, size)
-
-
-def _read_signed_slots(word: int, count: int, size: int) -> list:
-    """The `count` signed slots of `size` bytes of a word _signed_slots
-    built (each slot's value below 2^(8 size - 1) in size): a bias of half
-    the slot makes every slot nonnegative, and flipping each top bit leaves
-    the two's complement, read by one struct up to 64-bit slots and one
-    from_bytes per slot above.  A word whose slots overflowed reads as
-    garbage, never an error."""
-    top = (1 << (8 * size - 1)) * _slot_ones(count, size)
-    # the mask changes nothing for such a word, and keeps one whose slots
-    # overflowed readable
-    raw = (((word + top) ^ top) & ((1 << (8 * count * size)) - 1)).to_bytes(count * size, "little")
-    if size in (1, 2, 4, 8):
-        return list(_slot_structs(count, size)[0].unpack(raw))
-    return [int.from_bytes(raw[i:i + size], "little", signed=True)
-            for i in range(0, count * size, size)]
 
 
 def _rotated(word: int, s: int, p: int, w: int) -> int:
@@ -484,13 +445,11 @@ def _rotated(word: int, s: int, p: int, w: int) -> int:
 
 @functools.lru_cache(maxsize=512)
 def _ramp(p: int, m: int, u: int, size: int) -> int:
-    """beta^(-u) sum_k k beta^(mk) as p unsigned slots of `size` bytes, for
-    m in 1..p-1: slot e holds the k in 0..p-1 with m k = e + u (mod p).
-    Kept for the supports that recur from product to product."""
-    kb = (p.bit_length() + 7) // 8
+    """beta^(-u) sum_k k beta^(mk) as p slots of `size` bytes, for m in
+    1..p-1: slot e holds the k in 0..p-1 with m k = e + u (mod p).  Kept
+    for the supports that recur from product to product."""
     m_inv = pow(m, -1, p)
-    raw = b"".join(((e + u) * m_inv % p).to_bytes(kb, "little") for e in range(p))
-    return int.from_bytes(_widened(raw, kb, size), "little")
+    return _signed_word([(e + u) * m_inv % p for e in range(p)], size)
 
 
 @functools.lru_cache(maxsize=None)

@@ -48,8 +48,9 @@ import math
 import operator
 import struct
 
-from .cyclotomic import (CycCtx, CycElem, _check_odd_prime, _signed_word, _slot_ones,
-                         _slot_structs, _widened, _word_bytes, rotated_sum, shared_ctx)
+from .cyclotomic import (_STRUCT_CODES, CycCtx, CycElem, _check_odd_prime, _signed_reader,
+                         _signed_word, _slot_ones, _slot_structs, _widened, _word_bytes,
+                         rotated_sum, shared_ctx)
 from .multiply import cubic_multiply, rational_product
 from .rational import Rat, as_rat
 from .skewpoly import SkewPoly, _normal_rows, _scaled_row, sp_mul, values_at_beta_powers
@@ -267,10 +268,9 @@ def _packed_coefficients(ctx: CycCtx, rows, bound: int, size: int):
     repacked if it is wider than `size`: slot (i, 0) sits at position
     p i, and the slots (i, x) at the positions equal to i mod p-1, so the
     beta^0 parts make one word of p-1 slots repeated p times; the x-th
-    coordinate of the sum goes to the positions equal to x mod p, one word
-    of p slots repeated p-1 times.  A bias of 2^(8 out - 1) in that word
-    keeps every slot nonnegative, and flipping each slot's top bit leaves
-    its two's complement, so one signed struct reads every coefficient.
+    coordinate of the sum, offset by (p-1) bound and the offset added back
+    in one product, fills the positions equal to x mod p: p slots repeated
+    p-1 times.  _signed_reader reads every coefficient of the result.
     """
     p = ctx.p
     n = p - 1
@@ -288,14 +288,12 @@ def _packed_coefficients(ctx: CycCtx, rows, bound: int, size: int):
         raw = _widened(raw, size, out)
         folded = int.from_bytes(raw, "little")
     zeros = _every_pth_slot(p, out).unpack_from(raw)
-    bias = 1 << (8 * out - 1)
-    total = ctx.to_power(list(map(sum, zip(*rows))))
-    corrections = (
-        int.from_bytes(_slot_structs(p, out)[1].pack(bias, *(bias - x for x in total)) * n,
-                       "little")
+    c = n * bound
+    total = [c + x for x in ctx.to_power(list(map(sum, zip(*rows))))]
+    read = _signed_reader(count, out)(
+        folded + c * _slot_ones(count, out)
+        - int.from_bytes(_slot_structs(p, out)[1].pack(c, *total) * n, "little")
         - int.from_bytes(_slot_structs(n, out)[1].pack(*zeros) * p, "little"))
-    read = _slot_structs(count, out)[0].unpack(
-        ((folded + corrections) ^ (bias * _slot_ones(count, out))).to_bytes(out * count, "little"))
     return (get(read) for get in reads)
 
 
@@ -303,7 +301,7 @@ def _packed_coefficients(ctx: CycCtx, rows, bound: int, size: int):
 def _every_pth_slot(p: int, size: int):
     """The unsigned little-endian format that reads slots 0, p, ..., (p-2) p
     of p (p-1) slots of `size` bytes (1, 2, 4 or 8), skipping the rest."""
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
+    code = _STRUCT_CODES[size].upper()
     return struct.Struct("<" + code + f"{(p - 1) * size}x{code}" * (p - 2))
 
 

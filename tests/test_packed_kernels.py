@@ -13,7 +13,9 @@ definition, across all t, at the slot edges (the value at beta^0 puts
 coordinate), on both sides of each edge at p = 3 .. 127, and past 64
 bits.  cyc_mul rounds its slot width up to 1, 2, 4 or 8 bytes and reads
 the slots through one struct, and a product by beta^k rotates the
-exponent vector; cyc_sigma is one cached permutation per (p, r^k).
+exponent vector; cyc_sigma is one cached permutation per (p, r^k).  The
+signed-slot layer every kernel packs and reads through (_signed_word,
+_signed_reader) round-trips at struct and wider slot widths.
 """
 
 import itertools
@@ -27,7 +29,8 @@ from hypothesis import strategies as st
 
 from conftest import EDGE_PRIMES, aligned_poly, least_width, seeded
 from skewmm import CycElem, SkewPoly, shared_ctx, skewpoly
-from skewmm.cyclotomic import _slot_bytes, cyc_mul, cyc_sigma, rotated_sum
+from skewmm.cyclotomic import (_signed_reader, _signed_word, _slot_bytes, cyc_mul, cyc_sigma,
+                               rotated_sum)
 from skewmm.skewpoly import values_at_beta_powers
 from test_cyc_canonical import beta_shift_def, sigma_def
 from test_cyclotomic import mul_via_poly_reduction
@@ -257,3 +260,30 @@ def test_pushforward_width_edges(monkeypatch, p, total):
         assert widened == ([(size, out)] * len(exponents)
                            if out is not None and out > size else [])
         assert max(map(abs, values[p:2 * p])) == 2 * total
+
+
+@pytest.mark.parametrize("size", (1, 2, 4, 8, 9, 16))
+@pytest.mark.parametrize("count", (1, 3, 31))
+def test_signed_slot_words_round_trip(size, count):
+    # the slot layer's contract: _signed_word then _signed_reader is the
+    # identity on values below 2^(w-1) in size, through one signed struct
+    # up to 8 bytes; in 9- and 16-byte slots values of at most 64 bits are
+    # packed narrow and widened, longer ones one to_bytes each.  A word
+    # whose top slot overflows, or that carries out of it, reads as garbage
+    # in that slot only, and never raises
+    w = 8 * size
+    rng = seeded(100 * size + count)
+    read = _signed_reader(count, size)
+    for limit in {2 ** (w - 1) - 1, min(2 ** 63 - 1, 2 ** (w - 1) - 1)}:
+        for edge in (limit, -limit, -1, 0, 1, None):
+            values = [rng.randint(-limit, limit) for _ in range(count)]
+            if edge is not None:
+                values[rng.randrange(count)] = edge
+            word = _signed_word(values, size)
+            assert list(read(word)) == values
+            values[-1] = limit
+            top = (count - 1) * w
+            for bad in (_signed_word(values, size) + (1 << top),
+                        word + (1 << (count * w)), word - (1 << (count * w))):
+                got = read(bad)
+                assert len(got) == count and list(got[:-1]) == values[:-1]
