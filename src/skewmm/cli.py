@@ -15,16 +15,16 @@ matrix file written is canonical, so identical invocations produce
 byte-identical files.
 
 Modules that one command alone needs are imported inside that command:
-selftest by cmd_selftest, and skewstructure (the seeded generator) by
-cmd_gen and the bench cells.  A mul, verify or analyze process, which
-start-up dominates at the primes the CLI accepts, compiles neither
-(README, "CLI start-up").
+selftest by cmd_selftest, skewstructure (the seeded generator) by
+cmd_gen and the bench cells, and json by cmd_mul and cmd_bench, the two
+commands that print JSON.  So a verify or analyze process, which start-up
+dominates at the primes the CLI accepts, loads none of them, and a mul
+process json alone (README, "CLI start-up").
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
@@ -185,6 +185,8 @@ def cmd_gen(args):
 
 
 def cmd_mul(args):
+    import json
+
     A, B = _load_pair(args.a, args.b)
     if args.algo != "mc" and (args.nu is not None or args.seed is not None):
         raise UsageError("--nu and --seed apply only to --algo mc")
@@ -237,7 +239,7 @@ def cmd_verify(args):
     seed = _parse_seed(args.seed)
     k = matmul.rounds_for(mu)
     print(f"rounds: {k}")
-    result = matmul.freivalds(M, A, B, mu, seed)
+    result = matmul._freivalds_on_ints(M, A, B, mu, seed)
     print(result.value)
     return EXIT_OK if result is matmul.FreivaldsResult.EQUAL else EXIT_NOT_EQUAL
 
@@ -261,6 +263,8 @@ def _bench_cell(p, t, algo, seed, nu, check):
 
 
 def cmd_bench(args):
+    import json
+
     p_list = _parse_int_list(args.p_list, "p-list")
     t_list = _parse_int_list(args.t_list, "t-list")
     algos = args.algos.split(",")

@@ -138,15 +138,13 @@ def _picks(mu, seed: int, n: int):
         yield [j for j in range(n) if (word >> (n - 1 - j)) & 1]
 
 
-def _picked_sums(rows, picked):
-    """Each row's sum over the picked columns, its product with the 0/1
-    vector that picks them: one itemgetter per row (which gives the entry
-    itself, not a tuple, for one column)."""
+def _columns(picked):
+    """The getter of a row's picked columns, as a tuple even for one column;
+    their sum is the row's product with the 0/1 vector that picks them."""
     if len(picked) == 1:
         j = picked[0]
-        return [row[j] for row in rows]
-    get = operator.itemgetter(*picked)
-    return [sum(get(row)) for row in rows]
+        return lambda row: (row[j],)
+    return operator.itemgetter(*picked)
 
 
 def _row_scaled(M: RatMatrix):
@@ -156,6 +154,17 @@ def _row_scaled(M: RatMatrix):
     ones = (1,) * (M.p - 1)
     scales = [1 if dens == ones else math.lcm(*dens) for dens in M.dens]
     return scales, [_scaled_row(num, dens, s) for num, dens, s in zip(M.nums, M.dens, scales)]
+
+
+def _row_over(num, dens, t: int):
+    """(k, ints): the row num/dens times k t, for k = 1 when t is a multiple
+    of every denominator, as for each row of a true product, with no lcm
+    taken, else for the least k that clears them all (lcm(t, dens) = k t).
+    A row over 1 skips the test."""
+    if dens.count(1) != len(dens) and any(map(operator.mod, itertools.repeat(t), dens)):
+        s = math.lcm(t, *dens)
+        return s // t, _scaled_row(num, dens, s)
+    return 1, _scaled_row(num, dens, t)
 
 
 def naive_mul(A: RatMatrix, B: RatMatrix) -> RatMatrix:
@@ -483,9 +492,10 @@ def freivalds(M: RatMatrix, A: RatMatrix, B: RatMatrix, mu, seed: int) -> Freiva
     product is always accepted; a wrong one survives each round with
     probability at most 1/2.  The check runs on Fractions, reading each
     matrix's `rows` view once.  _freivalds_on_ints is the same check, with
-    the same vectors and verdicts, on ints; freivalds, which `verify` runs,
-    stays on Fractions until the benchmark's memory metric no longer grows
-    with the number of checks it times (ROADMAP), and then delegates to it.
+    the same vectors and verdicts, on ints, and is the one mc and `verify`
+    run; freivalds is its reference in the tests, and stays on Fractions,
+    as the check perfbench runs in process, until the benchmark's memory
+    metric no longer grows with the number of checks it times (ROADMAP).
     """
     _check_pair(A, B)
     _check_pair(M, A)
@@ -503,35 +513,46 @@ def freivalds(M: RatMatrix, A: RatMatrix, B: RatMatrix, mu, seed: int) -> Freiva
 def _freivalds_on_ints(M: RatMatrix, A: RatMatrix, B: RatMatrix, mu,
                        seed: int) -> FreivaldsResult:
     """freivalds' check on ints: the same rounds and 0/1 vectors (_picks),
-    and so the same verdict for every (M, A, B, mu, seed); mc_mul's checks.
+    and so the same verdict for every (M, A, B, mu, seed); mc_mul's checks
+    and `verify`'s.
 
-    Each matrix's rows are scaled to ints by their own lcms once
-    (_row_scaled): m_i for M's row i, a_i for A's and b_k for B's, and
-    L = lcm(b).  In each round the int sums of the picked columns
-    (_picked_sums) are msum_i = m_i (M y)_i and b_k (B y)_k; u, the latter
-    times L / b_k, is L B y, and dot_i, A's int row i times u, is
-    a_i L (A B y)_i.  So (M y)_i = (A B y)_i exactly when
-    msum_i a_i L = m_i dot_i: denominators cross-multiplied, no Fraction
-    built and no slot packed, so long entries take the same path.
+    A's and B's rows are scaled to ints by their own lcms once
+    (_row_scaled): a_i for A's row i, b_k for B's row k, and L = lcm(b).
+    In each round the int sums of B's picked columns are b_k (B y)_k; u,
+    those times L / b_k, is L B y, and dot_i, A's int row i times u, is
+    a_i L (A B y)_i.  M's row i is put over a_i L (_row_over), which every
+    row of the true product divides into ints, so its picked sum is
+    a_i L (M y)_i and equals dot_i exactly when (M y)_i = (A B y)_i; a
+    row with a denominator that does not divide a_i L is put over
+    k a_i L instead, and A's row i taken k times.  No Fraction is built, no
+    slot packed and no product of two scales taken per round, so long
+    entries take the same path.  M's rows are compared one at a time, each
+    scaled on first use and kept, so a wrong product stops at its first
+    differing row with the rest of M unscaled.
     """
     _check_pair(A, B)
     _check_pair(M, A)
     _check_seed(seed)
-    m_scales, m_rows = _row_scaled(M)
     a_scales, a_rows = _row_scaled(A)
     b_scales, b_rows = _row_scaled(B)
     big_l = math.lcm(*b_scales)
     to_l = [big_l // b for b in b_scales]
-    left = [a * big_l for a in a_scales]
+    m_rows = [None] * (A.p - 1)
     mul = operator.mul
     for picked in _picks(mu, seed, A.p - 1):
         if not picked:  # y = 0: M y = A (B y) = 0
             continue
-        u = list(map(mul, _picked_sums(b_rows, picked), to_l))
-        dots = [sum(map(mul, row, u)) for row in a_rows]
-        if (list(map(mul, _picked_sums(m_rows, picked), left))
-                != list(map(mul, m_scales, dots))):
-            return FreivaldsResult.NOT_EQUAL
+        get = _columns(picked)
+        u = [sum(get(row)) * s for row, s in zip(b_rows, to_l)]
+        for i, a_row in enumerate(a_rows):
+            m_row = m_rows[i]
+            if m_row is None:
+                k, m_row = _row_over(M.nums[i], M.dens[i], a_scales[i] * big_l)
+                m_rows[i] = m_row
+                if k != 1:
+                    a_rows[i] = a_row = [k * x for x in a_row]
+            if sum(get(m_row)) != sum(map(mul, a_row, u)):
+                return FreivaldsResult.NOT_EQUAL
     return FreivaldsResult.EQUAL
 
 

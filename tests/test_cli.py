@@ -395,6 +395,29 @@ def test_verify_detects_corruption(workdir, capsys):
     assert "not equal" in capsys.readouterr().out
 
 
+def test_verify_builds_no_fraction(workdir, capsys, monkeypatch):
+    # verify checks on ints: neither the Fraction check nor any matrix's
+    # Fraction view may run, and the verdicts and stdout stay those above
+    a = gen(workdir, "a.mat", layers="dense", seed=11)
+    b = gen(workdir, "b.mat", layers="dense", seed=12)
+    c, d = workdir / "c.mat", workdir / "d.mat"
+    run_cli("mul", "--algo", "naive", str(a), str(b), "-o", str(c))
+    M = read_matrix_file(c)
+    rows = [list(r) for r in M.rows]
+    rows[0][0] += 1
+    write_matrix_file(d, RatMatrix(M.p, rows))
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("a Fraction check or view ran")
+    monkeypatch.setattr(cli.matmul, "freivalds", refuse)
+    monkeypatch.setattr(RatMatrix, "rows", property(refuse))
+    assert run_cli("verify", str(c), str(a), str(b), "--mu", "0.01", "--seed", "3") == EXIT_OK
+    assert capsys.readouterr().out == "rounds: 7\nequal\n"
+    assert run_cli("verify", str(d), str(a), str(b), "--mu", "0.001", "--seed", "3") == EXIT_NOT_EQUAL
+    assert capsys.readouterr().out == "rounds: 10\nnot equal\n"
+
+
 def test_verify_validation(workdir):
     a = gen(workdir, "a.mat")
     assert run_cli("verify", str(a), str(a), str(a), "--mu", "1") == EXIT_USAGE
@@ -410,7 +433,7 @@ def no_product(monkeypatch):
     """Fail the test if the CLI runs a product or a verification."""
     def refuse(*args):
         raise AssertionError("a product or a verification ran")
-    for name in ("naive_mul", "det_mul", "mc_mul", "freivalds"):
+    for name in ("naive_mul", "det_mul", "mc_mul", "freivalds", "_freivalds_on_ints"):
         monkeypatch.setattr(cli.matmul, name, refuse)
 
 
@@ -696,6 +719,16 @@ def test_cli_import_footprint():
     assert found["loaded"] == []
     assert found["missing"] == []
     assert found["unknown"] == "module 'skewmm' has no attribute 'no_such_name'"
+
+
+def test_cli_import_does_not_load_json():
+    # only mul and bench print JSON, so they import json themselves and a
+    # verify or analyze process never loads it
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           "import sys, skewmm.cli; print('json' in sys.modules)"],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_bench_in_a_fresh_process_matches_the_committed_records():

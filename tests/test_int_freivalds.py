@@ -2,6 +2,7 @@
 Fractions, and against the rounds' definition: the same verdict for every
 (M, A, B, mu, seed)."""
 
+import math
 import random
 
 import pytest
@@ -32,6 +33,63 @@ def factor_pairs(p):
         "zero": (RatMatrix.zeros(p), rand_rational_matrix(p, rng)),
         "identity": (rand_rational_matrix(p, rng), RatMatrix.identity(p)),
     }
+
+
+def distinct_denominator_matrix(p, rng, taken, bits=40):
+    """A dense matrix whose entries lie over pairwise-distinct denominators
+    of `bits` bits, none of them in `taken` (which gains them), each
+    entry in lowest terms as drawn."""
+    n = p - 1
+    rows = []
+    for _ in range(n):
+        row = []
+        while len(row) < n:
+            num, den = rng.randint(-2 ** bits, 2 ** bits), rng.randrange(2 ** (bits - 1), 2 ** bits)
+            if den not in taken and math.gcd(num, den) == 1:
+                taken.add(den)
+                row.append(Rat(num, den))
+        rows.append(row)
+    return RatMatrix(p, rows)
+
+
+#: a prime longer than any 40-bit denominator's factors, so an entry over it
+#: has a denominator that no row scale of the factors clears
+FOREIGN_PRIME = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("p", (7, 13))
+def test_int_check_gives_freivalds_verdict_over_long_distinct_denominators(p):
+    # every row of A and B has its own lcm of n distinct 40-bit
+    # denominators, so L = lcm(b) and the product's denominators run to
+    # thousands of bits; the wrong products add 1 to one entry, or
+    # +1/FOREIGN_PRIME and -1/FOREIGN_PRIME to two entries of one row,
+    # which rounds picking both or neither of them cannot see
+    rng = seeded(3700 + p)
+    taken = set()
+    A = distinct_denominator_matrix(p, rng, taken)
+    B = distinct_denominator_matrix(p, rng, taken)
+    M = naive_mul(A, B)
+    n = p - 1
+    plus_one = [list(row) for row in M.rows]
+    plus_one[rng.randrange(n)][rng.randrange(n)] += 1
+    foreign = [list(row) for row in M.rows]
+    i, (j, k) = rng.randrange(n), rng.sample(range(n), 2)
+    foreign[i][j] += Rat(1, FOREIGN_PRIME)
+    foreign[i][k] -= Rat(1, FOREIGN_PRIME)
+    candidates = [("true", M), ("entry + 1", RatMatrix(p, plus_one)),
+                  ("foreign pair", RatMatrix(p, foreign))]
+    verdicts = set()
+    for change, candidate in candidates:
+        for mu in MUS:
+            for seed in range(4):
+                got = matmul._freivalds_on_ints(candidate, A, B, mu, seed)
+                assert got is freivalds(candidate, A, B, mu, seed), (change, mu, seed)
+                if change == "true":
+                    assert got is FreivaldsResult.EQUAL
+                else:
+                    verdicts.add(got)
+    # both verdicts occur among the wrong products
+    assert verdicts == {FreivaldsResult.EQUAL, FreivaldsResult.NOT_EQUAL}
 
 
 def changed(M, rng, change):
